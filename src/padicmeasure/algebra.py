@@ -7,6 +7,7 @@ exponents of measure functions, and counting polynomials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -105,7 +106,7 @@ class AffineForm:
     def denominator_lcm(self) -> int:
         d = self.const.denominator
         for _, c in self.coeffs:
-            d = d * c.denominator // gcd_int(d, c.denominator)
+            d = math.lcm(d, c.denominator)
         return d
 
     def to_polynomial(self) -> Polynomial:
@@ -132,12 +133,6 @@ class AffineForm:
         for sign, text in parts[1:]:
             out += f" {sign} {text}"
         return out
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 Monomial = tuple[tuple[str, int], ...]  # sorted by variable, exponents >= 1

@@ -84,8 +84,15 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load_presentation(path: str, prime: int) -> Presentation:
+def _read_document(path: str) -> dict:
     doc = json.loads(_read_text(path))
+    if not isinstance(doc, dict):
+        raise InputError(f"document {path} is not a JSON object")
+    return doc
+
+
+def _load_presentation(path: str, prime: int) -> Presentation:
+    doc = _read_document(path)
     if int(doc.get("prime", prime)) != prime:
         raise InputError(
             f"document prime {doc.get('prime')} does not match --prime {prime}")
@@ -202,7 +209,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_certify(args) -> int:
     PAdicContext(args.prime)
-    cert = certificate_from_document(json.loads(_read_text(args.certificate)))
+    cert = certificate_from_document(_read_document(args.certificate))
     for step in cert.steps:
         if step.before.ctx.p != args.prime:
             raise InputError("certificate prime does not match --prime")

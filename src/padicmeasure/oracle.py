@@ -9,6 +9,7 @@ they are deliberately simple and budgeted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -117,8 +118,8 @@ def _weighted_box_bracket(
     # integer exponent r*w per satisfying point and bin by value
     r = 1
     for _, c in weight.coeffs:
-        r = r * c.denominator // _gcd(r, c.denominator)
-    r = r * weight.const.denominator // _gcd(r, weight.const.denominator)
+        r = math.lcm(r, c.denominator)
+    r = math.lcm(r, weight.const.denominator)
     scaled = np.full(mask.shape, int(weight.const * r), dtype=np.int64)
     for i, v in enumerate(names):
         coef = int(weight.coeff(v) * r)
@@ -245,12 +246,6 @@ def _ceil(q: Fraction) -> int:
     return -((-q).__floor__())
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def partial_sum(
     lam: Formula,
     weight: Weight,
@@ -305,7 +300,7 @@ def _exact_1d_bracket(
         if c == 0:
             continue
         if atom.kind == DIV:
-            modulus = modulus * atom.modulus // _gcd(modulus, atom.modulus)
+            modulus = math.lcm(modulus, atom.modulus)
         else:
             rest = abs(atom.term.const)
             boundary = max(boundary, -(-rest // abs(c)))
@@ -484,7 +479,7 @@ def witness_ranges(f: Formula, bound: int, rounds: int = 8) -> dict[str, int]:
         d = 1
         for a in atoms:
             if a.kind == DIV and a.term.coeff(v) != 0:
-                d = d * a.modulus // _gcd(d, a.modulus)
+                d = math.lcm(d, a.modulus)
         delta[v] = d
         ranges[v] = 0
 

@@ -10,6 +10,7 @@ as not-exists-not, and eliminates the innermost quantifier first.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -661,12 +662,6 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # simplification
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _simplify_atom(atom: Atom) -> Formula:
     term = atom.term
     if term.is_constant():
@@ -677,7 +672,7 @@ def _simplify_atom(atom: Atom) -> Formula:
         return TRUE if term.const % atom.modulus == 0 else FALSE
     g = 0
     for _, c in term.coeffs:
-        g = _gcd(g, c)
+        g = math.gcd(g, c)
     if atom.kind == GEQ0:
         if g > 1:
             coeffs = {n: c // g for n, c in term.coeffs}
@@ -693,7 +688,7 @@ def _simplify_atom(atom: Atom) -> Formula:
             term = term.scale(-1)
         return AtomF(eq0(term))
     m = atom.modulus
-    gm = _gcd(g, m)
+    gm = math.gcd(g, m)
     if gm > 1:
         if term.const % gm != 0:
             return FALSE
@@ -825,10 +820,6 @@ def nnf(f: Formula, negate: bool = False) -> Formula:
 # ---------------------------------------------------------------------------
 # Cooper quantifier elimination
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
-
-
 def _literals_with(f: Formula, var: str) -> Iterator[tuple[Formula, Atom, bool]]:
     """Yield (literal node, atom, negated) for literals mentioning var (NNF input)."""
     if isinstance(f, AtomF):
@@ -866,7 +857,7 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
     # 1. normalize coefficients of var to +-l, then set w = l*var
     l = 1
     for _, atom, _ in _literals_with(body, var):
-        l = _lcm(l, abs(atom.term.coeff(var)))
+        l = math.lcm(l, atom.term.coeff(var))
 
     def rescale(atom: Atom, negated: bool) -> Formula:
         c = atom.term.coeff(var)
@@ -894,7 +885,7 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
     delta = 1
     for _, atom, _ in _literals_with(body, var):
         if atom.kind == DIV:
-            delta = _lcm(delta, atom.modulus)
+            delta = math.lcm(delta, atom.modulus)
 
     # 3. boundary sets. rest = term without var, so atom reads +-var + rest (kind) 0
     b_set: list[LinearTerm] = []

@@ -15,6 +15,7 @@ replayable certificate step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -159,7 +160,7 @@ def cell_product(left: BoxCell, right: BoxCell, param_vars: Sequence[str]) -> Bo
             rform = substitute(rform, old, LinearTerm.variable(new))
     lw = left.weight if left.weight is not None else Weight.constant(0)
     rw = right.weight if right.weight is not None else Weight.constant(0)
-    r = lw.r * rw.r // _gcd(lw.r, rw.r)
+    r = math.lcm(lw.r, rw.r)
     b: dict[str, int] = {}
     for n, v in lw.b:
         b[n] = b.get(n, 0) + v * (r // lw.r)
@@ -185,16 +186,6 @@ def multiply(a: Presentation, b: Presentation) -> Presentation:
         for cb, cellb in b.generators:
             gens.append((ca * cb, cell_product(cella, cellb, a.param_vars)))
     return Presentation(a.ctx, a.param_vars, a.param_domain, tuple(gens))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
 
 
 def measure_function(pres: Presentation) -> MeasureFunction:
@@ -570,7 +561,7 @@ def normalize_to_basic(
         cells = to_cells(lam, lambda_vars, params)
 
         states, gen_factors = _plan_generator(cells, wform, coeff, pres, ctx)
-        ell = _lcm(ell, gen_factors)
+        ell = math.lcm(ell, gen_factors)
 
         after = _assemble(ctx, pres.param_vars, pres.param_domain, done, states,
                           remaining)

@@ -15,9 +15,10 @@ satisfiability check so outputs stay canonical.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .algebra import (
     AffineForm,
@@ -46,12 +47,13 @@ from .presburger import (
     geq0,
     is_quantifier_free,
     is_satisfiable,
-    neg,
     nnf,
     simplify,
 )
 
 _IOTA = "@i"  # internal summation index; cannot clash with parsed names
+
+V = TypeVar("V")
 
 
 class CappedError(Exception):
@@ -190,6 +192,41 @@ def _subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
     return out
 
 
+def _disjoint_conjunctions(f: Formula) -> list[list[Atom]]:
+    """Pairwise disjoint satisfiable conjunctions whose union is f."""
+    disjuncts = [d for d in _dnf(_positivize(simplify(f))) if _atoms_satisfiable(d)]
+    disjoint: list[list[Atom]] = []
+    for i, d in enumerate(disjuncts):
+        pieces = [d]
+        for earlier in disjuncts[:i]:
+            pieces = [q for piece in pieces for q in _subtract(piece, earlier)]
+        disjoint.extend(pieces)
+    return disjoint
+
+
+def refine(
+    regions: Sequence[tuple[list[Atom], V]], guard: Sequence[Atom], update: Callable[[V], V]
+) -> list[tuple[list[Atom], V]]:
+    """Split disjoint conjunctive regions by a conjunctive guard.
+
+    The part of a region inside the guard gets update(value); the part outside
+    is cut into disjoint conjunctions by _subtract and keeps the old value.  A
+    region that misses the guard stays whole, and the output regions stay
+    pairwise disjoint with the same union.
+    """
+    out: list[tuple[list[Atom], V]] = []
+    for atoms, value in regions:
+        present = set(atoms)
+        missing = [a for a in guard if a not in present]
+        inside = atoms + missing
+        if missing and not _atoms_satisfiable(inside):
+            out.append((atoms, value))
+            continue
+        out.append((inside, update(value)))
+        out.extend((piece, value) for piece in _subtract(atoms, missing))
+    return out
+
+
 def to_cells(
     f: Formula, lambda_vars: Sequence[str], param_vars: Sequence[str]
 ) -> list[GuardedCell]:
@@ -201,17 +238,9 @@ def to_cells(
     if extra:
         raise ValueError(f"free variables outside declared ones: {sorted(extra)}")
 
-    disjuncts = [d for d in _dnf(_positivize(simplify(f))) if _atoms_satisfiable(d)]
-    disjoint: list[list[Atom]] = []
-    for i, d in enumerate(disjuncts):
-        pieces = [d]
-        for earlier in disjuncts[:i]:
-            pieces = [q for piece in pieces for q in _subtract(piece, earlier)]
-        disjoint.extend(pieces)
-
     lam = set(lambda_vars)
     cells = []
-    for atoms in disjoint:
+    for atoms in _disjoint_conjunctions(f):
         cell_atoms, guard_atoms = [], []
         for a in atoms:
             (cell_atoms if set(a.term.variables()) & lam else guard_atoms).append(a)
@@ -264,15 +293,9 @@ def term_of_affine(a: AffineForm, scale: int = 1) -> LinearTerm:
     return LinearTerm.make(coeffs, const.numerator)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     """Combine x = r1 (mod m1), x = r2 (mod m2); None when incompatible."""
-    g = _gcd(m1, m2)
+    g = math.gcd(m1, m2)
     if (r2 - r1) % g != 0:
         return None
     lcm = m1 * m2 // g
@@ -368,7 +391,7 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
 
     # resolve congruences to a concrete residue class of var
     for modulus, c, t in congruences:
-        g = _gcd(c, modulus)
+        g = math.gcd(c, modulus)
         m_red = modulus // g
         new = []
         for atoms2, lows, ups, r0, m0 in branches:
@@ -416,8 +439,8 @@ def _extremum_split(
             diff = cand - other if want_max else other - cand
             scale = 1
             for _, c in diff.coeffs:
-                scale = scale * c.denominator // _gcd(scale, c.denominator)
-            scale = scale * diff.const.denominator // _gcd(scale, diff.const.denominator)
+                scale = math.lcm(scale, c.denominator)
+            scale = math.lcm(scale, diff.const.denominator)
             term = term_of_affine(diff, scale)
             # strict for j < i, non-strict for j > i: a disjoint argmax choice
             atoms.append(geq0(term - 1) if j < i else geq0(term))
@@ -646,7 +669,8 @@ def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
 
     # bounded range, count points; K = count - 1
     count = level.count
-    assert count is not None
+    if count is None:
+        raise ValueError(f"range level along {var} has no count")
     k_upper = (count - 1).to_polynomial()
     if p is None or gamma_int == 0:
         sums = faulhaber(max_deg, k_upper)
@@ -717,34 +741,25 @@ def count_parametric(
             for a in c.constraints:
                 collected |= set(a.term.variables()) - lam
         param_vars = tuple(sorted(collected))
-    entries: list[tuple[Formula, Polynomial]] = []
+    domain = _disjoint_conjunctions(param_domain)
+    regions = [(atoms, Polynomial(())) for atoms in domain]
     for cell in cells:
         for tower in triangulate(cell):
-            guard = tower.guard_formula()
-            if not is_satisfiable(conj([guard, param_domain])):
+            guard = list(tower.guard)
+            # towers outside the domain are skipped before the ray check
+            if not any(_atoms_satisfiable(atoms + guard) for atoms in domain):
                 continue
             for level in tower.levels:
                 if level.kind == "ray":
                     raise InfiniteFiberError(level.var, 1 if level.step > 0 else -1)
-            terms = sum_over_tower(tower, AffineForm.constant(0), None)
             poly = Polynomial(())
-            for t in terms:
-                assert t.exponent == AffineForm.constant(0)
+            for t in sum_over_tower(tower, AffineForm.constant(0), None):
+                if t.exponent != AffineForm.constant(0):
+                    raise AssertionError("a point count picked up a power of p")
                 poly = poly + t.poly
-            entries.append((guard, poly))
-
-    regions: list[tuple[Formula, Polynomial]] = [(simplify(param_domain), Polynomial(()))]
-    for guard, poly in entries:
-        new_regions: list[tuple[Formula, Polynomial]] = []
-        for region, acc in regions:
-            inside = simplify(conj([region, guard]))
-            outside = simplify(conj([region, neg(guard)]))
-            if is_satisfiable(inside):
-                new_regions.append((inside, acc + poly))
-            if is_satisfiable(outside):
-                new_regions.append((outside, acc))
-        regions = new_regions
-    return PiecewisePolynomial(tuple(param_vars), tuple(regions))
+            regions = refine(regions, guard, lambda acc, poly=poly: acc + poly)
+    pieces = tuple((simplify(conj([AtomF(a) for a in atoms])), acc) for atoms, acc in regions)
+    return PiecewisePolynomial(tuple(param_vars), pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +799,8 @@ def _walk_tower(tower, idx, env, results, cap, out_vars):
         _walk_tower(tower, idx + 1, env, results, cap, out_vars)
     elif level.kind == "range":
         n = level.count.evaluate(env)
-        assert n.denominator == 1
+        if n.denominator != 1:
+            raise AssertionError("level count must be integral on its guard")
         for j in range(max(0, int(n))):
             env[level.var] = start + level.step * j
             _walk_tower(tower, idx + 1, env, results, cap, out_vars)
@@ -825,7 +841,8 @@ class RectilinearPiece:
             val = self.base[i].evaluate(params)
             for j, m in enumerate(self.generators[i]):
                 val += m * mu[j]
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise ValueError(f"{self.variables[i]} is not integral at {dict(params)}")
             out.append(int(val))
         return tuple(out)
 
@@ -898,7 +915,8 @@ def _pieces_from_tower(tower: Tower, out_order: Sequence[str]) -> list[Rectiline
                         f"parametric range width along {level.var}"
                     )
                 n = count.const
-                assert n.denominator == 1
+                if n.denominator != 1:
+                    raise AssertionError(f"constant range width {n} along {level.var}")
                 for j in range(int(n)):
                     forms2 = dict(forms)
                     forms2[level.var] = start + level.step * j

@@ -151,6 +151,17 @@ def test_output_stability(family):
     assert first == second
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"'])
+@pytest.mark.parametrize("verb", ["measure", "eq", "normalize", "oracle", "certify"])
+def test_non_object_document_exit_two(tmp_path, verb, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    documents = [str(path)] * (2 if verb == "eq" else 1)
+    code, out, err = call([verb, *documents, "-p", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_error_exit_two():
     code, _, _ = call(["measure"])  # missing document and prime
     assert code == 2
