@@ -169,12 +169,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(m == () for m, _ in self.terms)
 
-    def constant_value(self) -> Fraction:
-        for m, c in self.terms:
-            if m == ():
-                return c
-        return Fraction(0)
-
     def variables(self) -> set[str]:
         out: set[str] = set()
         for m, _ in self.terms:
@@ -245,19 +239,6 @@ class Polynomial:
                 val *= frac(point[n]) ** e
             total += val
         return total
-
-    def as_affine(self) -> AffineForm | None:
-        """Return the equivalent affine form, or None if degree > 1."""
-        coeffs: dict[str, Fraction] = {}
-        const = Fraction(0)
-        for m, c in self.terms:
-            if m == ():
-                const = c
-            elif len(m) == 1 and m[0][1] == 1:
-                coeffs[m[0][0]] = c
-            else:
-                return None
-        return AffineForm.make(coeffs, const)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -148,10 +148,9 @@ def _cmd_eq(args) -> int:
     left = _load_presentation(args.left, ctx.p)
     right = _load_presentation(args.right, ctx.p)
     result = decide_equal(left, right)
-    if result:
+    if not isinstance(result, NotEqual):
         print("Equal")
         return 0
-    assert isinstance(result, NotEqual)
     at = ",".join(f"{k}={v}" for k, v in result.witness)
     print(f"NotEqual at {at or '()'}: "
           f"{format_rational(result.value1)} != {format_rational(result.value2)}")

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import AffineForm, Polynomial, frac, power_fraction
 from .presburger import (
+    Atom,
     AtomF,
     Formula,
     LinearTerm,
@@ -33,7 +34,9 @@ from .semilinear import (
     OutOfDomainError,
     Tower,
     UnboundedDirectionError,
+    disjoint_conjunctions,
     rectilinearize,
+    refine,
     sum_over_tower,
     to_cells,
     triangulate,
@@ -310,47 +313,36 @@ def make_exp_polynomial(
 ) -> ExpPolynomial:
     """Canonicalize raw (guard, poly, exponent) triples.
 
-    Guards are refined into disjoint regions; within a region, terms whose
-    exponents differ by an integer constant are merged (the integer power of p
-    moves into the polynomial), zero polynomials are dropped, and terms are
-    sorted by exponent.
+    Guards are refined into disjoint conjunctions of atoms, starting from the
+    whole parameter space; within a region, terms whose exponents differ by
+    an integer constant are merged (the integer power of p moves into the
+    polynomial), zero polynomials are dropped, and terms are sorted by
+    exponent.
     """
-    regions: list[tuple[Formula, list[tuple[Polynomial, AffineForm]]]] = []
+    regions: list[tuple[list[Atom], list[tuple[Polynomial, AffineForm]]]] = [([], [])]
     for guard, poly, exponent in raw_terms:
         if poly.is_zero():
             continue
-        guard = simplify(guard)
-        if not is_satisfiable(guard):
-            continue
-        leftover = guard
-        new_regions: list[tuple[Formula, list[tuple[Polynomial, AffineForm]]]] = []
-        for region, acc in regions:
-            inter = simplify(conj([region, guard]))
-            if not is_satisfiable(inter):
-                new_regions.append((region, acc))
-                continue
-            outer = simplify(conj([region, neg(guard)]))
-            if is_satisfiable(outer):
-                new_regions.append((outer, list(acc)))
-            new_regions.append((inter, acc + [(poly, exponent)]))
-            leftover = simplify(conj([leftover, neg(region)]))
-        if is_satisfiable(leftover):
-            new_regions.append((leftover, [(poly, exponent)]))
-        regions = new_regions
+        for piece in disjoint_conjunctions(guard):
+            regions = refine(regions, piece, lambda acc: acc + [(poly, exponent)])
 
     out: list[ExpTerm] = []
-    for region, acc in regions:
+    for atoms, acc in regions:
+        if not acc:
+            continue
+        region = simplify(conj([AtomF(a) for a in atoms]))
         merged: dict = {}
         for poly, exponent in acc:
             key = _exponent_key(exponent)
             if key in merged:
                 rep_exp, rep_poly = merged[key]
                 shift = exponent.const - rep_exp.const
-                assert shift.denominator == 1
+                if shift.denominator != 1:
+                    raise AssertionError("one exponent class with a fractional shift")
                 merged[key] = (rep_exp, rep_poly + poly.scale(power_fraction(p, shift)))
             else:
                 merged[key] = (exponent, poly)
-        for key in sorted(merged, key=_key_sort):
+        for key in sorted(merged):
             exponent, poly = merged[key]
             if poly.is_zero():
                 continue
@@ -360,15 +352,8 @@ def make_exp_polynomial(
                 poly = poly.scale(power_fraction(p, shift))
                 exponent = AffineForm(exponent.coeffs, exponent.const - shift)
             out.append(ExpTerm(region, poly, exponent))
-    ordered = sorted(
-        range(len(out)),
-        key=lambda i: (str(out[i].guard), _key_sort(_exponent_key(out[i].exponent))),
-    )
-    return ExpPolynomial(p, tuple(param_vars), tuple(out[i] for i in ordered))
-
-
-def _key_sort(key):
-    return key  # (coeff tuple, fractional constant) is totally ordered as-is
+    out.sort(key=lambda t: (str(t.guard), _exponent_key(t.exponent)))
+    return ExpPolynomial(p, tuple(param_vars), tuple(out))
 
 
 def exp_poly_eval(e: ExpPolynomial, point: Mapping[str, int], ctx: PAdicContext | None = None) -> Fraction:
@@ -390,15 +375,20 @@ def exp_poly_eval(e: ExpPolynomial, point: Mapping[str, int], ctx: PAdicContext 
 
 
 def exp_poly_add(a: ExpPolynomial, b: ExpPolynomial) -> ExpPolynomial:
-    assert a.p == b.p
+    if a.p != b.p:
+        raise ValueError(f"cannot add exponential polynomials for p = {a.p} and p = {b.p}")
     param_vars = tuple(sorted(set(a.param_vars) | set(b.param_vars)))
     raw = [(t.guard, t.poly, t.exponent) for t in a.terms + b.terms]
     return make_exp_polynomial(a.p, param_vars, raw)
 
 
 def exp_poly_scale(a: ExpPolynomial, k: Fraction) -> ExpPolynomial:
-    raw = [(t.guard, t.poly.scale(k), t.exponent) for t in a.terms]
-    return make_exp_polynomial(a.p, a.param_vars, raw)
+    """k * a; scaling keeps guards, exponent classes and term order, so the
+    result stays canonical."""
+    if k == 0:
+        return ExpPolynomial(a.p, a.param_vars, ())
+    terms = tuple(ExpTerm(t.guard, t.poly.scale(k), t.exponent) for t in a.terms)
+    return ExpPolynomial(a.p, a.param_vars, terms)
 
 
 @dataclass(frozen=True)
@@ -462,10 +452,8 @@ def _piece_witness(piece, terms, svars, p: int) -> NonZeroWitness | None:
             poly = poly.substitute_affine(var, form)
         coeffs = dict(exponent.coeffs)
         const = exponent.const
-        for k, v in coeffs.items():
-            if v.denominator != 1:
-                raise AssertionError("exponent not integral on rectilinear piece")
-        assert const.denominator == 1
+        if const.denominator != 1 or any(v.denominator != 1 for v in coeffs.values()):
+            raise AssertionError("exponent not integral on rectilinear piece")
         key = tuple(sorted((k, v) for k, v in coeffs.items()))
         scaled = poly.scale(power_fraction(p, const))
         grouped[key] = grouped.get(key, Polynomial(())) + scaled

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .algebra import AffineForm, frac, power_fraction
 from .measure import (
     MEASURE_ZERO,
@@ -99,6 +97,8 @@ def _weighted_box_bracket(
     diverge_error,
 ) -> tuple[Fraction, Fraction]:
     """(exact window sum, upper tail bound) for sum of p^weight over lam."""
+    import numpy as np
+
     p = ctx.p
     n = len(names)
     if n == 0:
@@ -228,7 +228,8 @@ def _line_mass(beta: Fraction, lo: int | None, hi: int | None, p: int) -> Fracti
     if lo is not None and hi is not None and lo > hi:
         return Fraction(0)
     if beta < 0:
-        assert lo is not None
+        if lo is None:
+            raise ValueError("divergent weight over an unbounded line")
         den = beta.denominator
         head = power_fraction(p, _ceil(beta * lo))
         if hi is not None and beta.denominator == 1:
@@ -410,6 +411,8 @@ class BoxTable:
     values: np.ndarray
 
     def on_grid(self, axes: Mapping[str, np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         names = list(axes.keys())
         shape = tuple(len(axes[v]) for v in names)
         index = []
@@ -515,6 +518,8 @@ def brute_force_qe(
 ) -> BoxTable:
     """Exhaustive truth table of f over the box, expanding each quantifier
     over its derived window.  Only for use by equivalent_on_box."""
+    import numpy as np
+
     if _quantifier_depth(f) > 3:
         raise BudgetExceededError("quantifier depth exceeds 3")
     fvars = tuple(sorted(free_variables(f)))

@@ -15,8 +15,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 VARIABLE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 RESERVED = {"E", "A", "true", "false"}
 
@@ -998,6 +996,8 @@ def evaluate_on_grid(f: Formula, axes: Mapping[str, np.ndarray]) -> np.ndarray:
     array of shape (len(axes[v1]), len(axes[v2]), ...) with variables in the
     given mapping order.  Variables of f must all appear in axes.
     """
+    import numpy as np
+
     names = list(axes.keys())
     shape = tuple(len(axes[n]) for n in names)
     grids = {}
@@ -1047,6 +1047,8 @@ def equivalent_on_box(f, g, bound: int) -> bool:
 
     Either argument may also be a table produced by the brute-force oracle
     (anything with .variables and .on_grid)."""
+    import numpy as np
+
     fvars = set()
     for h in (f, g):
         if isinstance(h, Formula):

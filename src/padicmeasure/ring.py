@@ -469,7 +469,8 @@ def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
     b = {}
     for name in names:
         val = wfield.coeff(name) * r
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise AssertionError("weight coefficient not integral after scaling by its lcm")
         b[name] = val.numerator
     weight: Weight | None = Weight.make(r, c_term, b)
     if weight.r == 1 and weight.c == LinearTerm.constant(0) and not weight.b:
@@ -801,15 +802,28 @@ def to_document(pres: Presentation) -> dict:
     }
 
 
+def _object(entry, what: str) -> Mapping:
+    if not isinstance(entry, Mapping):
+        raise InputError(f"{what} must be a JSON object, got {type(entry).__name__}")
+    return entry
+
+
+def _objects(entries, what: str) -> list[Mapping]:
+    if not isinstance(entries, (list, tuple)) or not all(isinstance(e, Mapping) for e in entries):
+        raise InputError(f"{what} must be a JSON list of objects")
+    return list(entries)
+
+
 def from_document(doc: Mapping) -> Presentation:
+    doc = _object(doc, "a presentation")
     ctx = PAdicContext(int(doc["prime"]))
     param_vars = tuple(doc.get("param_vars", ()))
     param_domain = parse(doc.get("param_domain", "true"))
     gens = []
-    for g in doc.get("generators", ()):
+    for g in _objects(doc.get("generators", ()), "generators"):
         coords: list[Union[Coordinate, DegenerateCoordinate]] = []
         names: list[str] = []
-        for entry in g["coords"]:
+        for entry in _objects(g["coords"], "coords"):
             if "point" in entry:
                 coords.append(DegenerateCoordinate(parse_rational(entry["point"])))
             else:
@@ -822,6 +836,7 @@ def from_document(doc: Mapping) -> Presentation:
         weight = None
         wdoc = g.get("weight")
         if wdoc is not None:
+            wdoc = _object(wdoc, "weight")
             b_list = list(wdoc.get("b", ()))
             if len(b_list) != len(names):
                 raise InputError("weight b vector must match the lambda variables")
@@ -852,7 +867,7 @@ def certificate_from_document(doc: Mapping) -> Certificate:
     steps = tuple(
         CertificateStep(str(s["rule"]), str(s.get("note", "")),
                         from_document(s["before"]), from_document(s["after"]))
-        for s in doc.get("steps", ())
+        for s in _objects(doc.get("steps", ()), "steps")
     )
     return Certificate(steps)
 

@@ -192,7 +192,7 @@ def _subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
     return out
 
 
-def _disjoint_conjunctions(f: Formula) -> list[list[Atom]]:
+def disjoint_conjunctions(f: Formula) -> list[list[Atom]]:
     """Pairwise disjoint satisfiable conjunctions whose union is f."""
     disjuncts = [d for d in _dnf(_positivize(simplify(f))) if _atoms_satisfiable(d)]
     disjoint: list[list[Atom]] = []
@@ -240,7 +240,7 @@ def to_cells(
 
     lam = set(lambda_vars)
     cells = []
-    for atoms in _disjoint_conjunctions(f):
+    for atoms in disjoint_conjunctions(f):
         cell_atoms, guard_atoms = [], []
         for a in atoms:
             (cell_atoms if set(a.term.variables()) & lam else guard_atoms).append(a)
@@ -741,7 +741,7 @@ def count_parametric(
             for a in c.constraints:
                 collected |= set(a.term.variables()) - lam
         param_vars = tuple(sorted(collected))
-    domain = _disjoint_conjunctions(param_domain)
+    domain = disjoint_conjunctions(param_domain)
     regions = [(atoms, Polynomial(())) for atoms in domain]
     for cell in cells:
         for tower in triangulate(cell):

@@ -162,6 +162,27 @@ def test_non_object_document_exit_two(tmp_path, verb, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+_UNIT_COORD = {"center": "0", "level": 1, "ac": 1}
+
+
+@pytest.mark.parametrize("verb,doc", [
+    ("certify", {"steps": [1]}),
+    ("certify", {"steps": {"rule": "R1"}}),
+    ("certify", {"steps": [{"rule": "R1", "before": [], "after": []}]}),
+    ("measure", {"prime": 2, "generators": [1]}),
+    ("measure", {"prime": 2, "generators": [{"coeff": "1", "coords": [1]}]}),
+    ("measure", {"prime": 2, "generators": [{"coeff": "1", "coords": 1}]}),
+    ("measure", {"prime": 2, "generators": [
+        {"coeff": "1", "coords": [_UNIT_COORD], "weight": [1]}]}),
+], ids=["step", "steps", "before", "generator", "coord", "coords", "weight"])
+def test_non_object_entry_exit_two(tmp_path, verb, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = call([verb, str(path), "-p", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_error_exit_two():
     code, _, _ = call(["measure"])  # missing document and prime
     assert code == 2

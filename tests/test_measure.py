@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from padicmeasure import measure, semilinear
 from padicmeasure.algebra import AffineForm, Polynomial
 from padicmeasure.measure import (
     BoxCell,
@@ -23,10 +25,19 @@ from padicmeasure.measure import (
     sum_closed_form,
     valuation,
 )
-from padicmeasure.presburger import TRUE, LinearTerm, parse
+from padicmeasure.presburger import (
+    TRUE,
+    AndF,
+    AtomF,
+    LinearTerm,
+    TrueF,
+    evaluate_qf,
+    free_variables,
+    parse,
+)
 from padicmeasure.semilinear import OutOfDomainError
 
-from generators import random_finite_family
+from generators import random_finite_family, random_formula
 
 CTX2 = PAdicContext(2)
 CTX3 = PAdicContext(3)
@@ -251,3 +262,64 @@ def test_fractional_exponent_classes_evaluate_exactly():
     e = sum_closed_form(parse("l >= 0 /\\ 2 | s"), w, parse("s >= 0"), CTX2, ["s"])
     for s in range(0, 21, 2):
         assert exp_poly_eval(e, {"s": s}, CTX2) == Fraction(2) ** (-s // 2) * 2
+
+
+def _random_raw_terms(rng):
+    """Two or three raw terms over quantifier-free random guards, which mix
+    disjunctions, negations and divisibility atoms."""
+    raw = []
+    for _ in range(rng.randint(2, 3)):
+        guard = random_formula(rng, max_quantifiers=0, max_free=2)
+        names = sorted(free_variables(guard))
+        poly = Polynomial.constant(rng.randint(-2, 2))
+        if rng.random() < 0.3:
+            poly = poly * Polynomial.variable(rng.choice(names))
+        exponent = AffineForm.make({rng.choice(names): rng.randint(-1, 1)}, rng.randint(-1, 1))
+        raw.append((guard, poly, exponent))
+    return raw
+
+
+RAW_TERM_LISTS = [_random_raw_terms(random.Random(f"raw:{i}")) for i in range(24)]
+
+
+def _atom_conjunction(f):
+    if isinstance(f, AndF):
+        return all(isinstance(a, AtomF) for a in f.args)
+    return isinstance(f, (AtomF, TrueF))
+
+
+def test_make_exp_polynomial_asks_only_conjunctive_queries(monkeypatch):
+    asked = []
+
+    def spy(f, ask=semilinear.is_satisfiable):
+        asked.append(f)
+        return ask(f)
+
+    monkeypatch.setattr(measure, "is_satisfiable", spy)
+    monkeypatch.setattr(semilinear, "is_satisfiable", spy)
+    monkeypatch.setattr(semilinear, "_SAT_CACHE", {})
+    for raw in RAW_TERM_LISTS:
+        names = sorted(set().union(*(free_variables(g) for g, _, _ in raw)))
+        make_exp_polynomial(2, names, raw)
+    assert asked and all(_atom_conjunction(f) for f in asked)
+
+
+def test_make_exp_polynomial_regions_partition_and_keep_values():
+    for raw in RAW_TERM_LISTS:
+        names = sorted(set().union(*(free_variables(g) for g, _, _ in raw)))
+        e = make_exp_polynomial(2, names, raw)
+        guards = list(dict.fromkeys(t.guard for t in e.terms))
+        assert all(_atom_conjunction(g) for g in guards), guards
+        for values in itertools.product(range(-3, 13), repeat=len(names)):
+            point = dict(zip(names, values))
+            assert sum(evaluate_qf(g, point) for g in guards) <= 1, (guards, point)
+            want = sum(
+                (poly.evaluate(point) * Fraction(2) ** exponent.evaluate(point)
+                 for guard, poly, exponent in raw if evaluate_qf(guard, point)),
+                Fraction(0),
+            )
+            try:
+                got = exp_poly_eval(e, point, CTX2)
+            except OutOfDomainError:
+                got = Fraction(0)
+            assert got == want, (raw, point)

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -431,3 +433,11 @@ def test_certificate_document_round_trip():
     back = certificate_from_document(certificate_to_document(cert))
     assert verify_certificate(back)
     assert len(back.steps) == len(cert.steps)
+
+
+def test_zero_coefficient_generator_decides_not_equal():
+    # a split generator whose coefficient is exactly 0: a changed copy from
+    # the equality benchmark (p = 2, round 5 at seed 18)
+    doc = json.loads((Path(__file__).parent / "data" / "zero_coefficient_pair.json").read_text())
+    result = decide_equal(from_document(doc["left"]), from_document(doc["right"]))
+    assert result == NotEqual((("s", 2),), Fraction(9363, 28672), Fraction(1365, 4096))
