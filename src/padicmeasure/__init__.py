@@ -37,6 +37,7 @@ from .oracle import (
 )
 from .presburger import (
     Atom,
+    ExpansionBudgetError,
     Formula,
     FormulaSyntaxError,
     LinearTerm,

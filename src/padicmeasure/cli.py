@@ -92,12 +92,10 @@ def _read_document(path: str) -> dict:
 
 
 def _load_presentation(path: str, prime: int) -> Presentation:
-    doc = _read_document(path)
-    if int(doc.get("prime", prime)) != prime:
-        raise InputError(
-            f"document prime {doc.get('prime')} does not match --prime {prime}")
-    doc["prime"] = prime
-    return from_document(doc)
+    pres = from_document({"prime": prime, **_read_document(path)})
+    if pres.ctx.p != prime:
+        raise InputError(f"document prime {pres.ctx.p} does not match --prime {prime}")
+    return pres
 
 
 def _parse_assignment(text: str | None) -> dict[str, int] | None:

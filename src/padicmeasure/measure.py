@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .algebra import AffineForm, Polynomial, frac, power_fraction
 from .presburger import (
@@ -21,13 +21,10 @@ from .presburger import (
     AtomF,
     Formula,
     LinearTerm,
-    TRUE,
     conj,
     divides,
     evaluate_qf,
     free_variables,
-    is_satisfiable,
-    neg,
     simplify,
 )
 from .semilinear import (
@@ -37,9 +34,11 @@ from .semilinear import (
     disjoint_conjunctions,
     rectilinearize,
     refine,
+    subtract,
     sum_over_tower,
+    term_of_affine,
     to_cells,
-    triangulate,
+    towers_in_domain,
 )
 
 INFINITY = float("inf")
@@ -232,9 +231,8 @@ def cell_to_weighted_sum(cell: BoxCell, ctx: PAdicContext):
     for name in cell.lambda_vars:
         b[name] = b.get(name, 0) - r
     w = Weight.make(r, base.c - r * level_sum, b)
-    _validate_weight_integrality(
-        cell.lambda_formula, w, TRUE, cell.lambda_vars, cell.param_variables()
-    )
+    list(_checked_towers(cell.lambda_formula, w.affine(), [[]], cell.lambda_vars,
+                         cell.param_variables()))
     return cell.lambda_formula, w
 
 
@@ -244,32 +242,24 @@ def _lambda_vars_of(lam: Formula, weight: Weight, param_vars: Sequence[str]) -> 
     return tuple(sorted(names))
 
 
-def _validate_weight_integrality(
+def _checked_towers(
     lam: Formula,
-    weight: Weight,
-    param_domain: Formula,
+    wform: AffineForm,
+    domain: Sequence[list[Atom]],
     lambda_vars: Sequence[str],
     param_vars: Sequence[str],
-) -> None:
-    wform = weight.affine()
-    for cellpart in to_cells(lam, lambda_vars, param_vars):
-        for tower in triangulate(cellpart):
-            guard = simplify(conj([tower.guard_formula(), param_domain]))
-            if not is_satisfiable(guard):
-                continue
+) -> Iterator[tuple[Tower, list[list[Atom]]]]:
+    """The towers of lam that meet the domain pieces, with their guards, each
+    yielded once the weight is checked to be integer-valued on its guards."""
+    for tower, guards in towers_in_domain(to_cells(lam, lambda_vars, param_vars), domain):
+        for guard in guards:
             _check_tower_weight(tower, wform, guard)
+        yield tower, guards
 
 
-def _require_integral_on(form: AffineForm, guard: Formula, what: str) -> None:
+def _require_integral_on(form: AffineForm, guard: list[Atom], what: str) -> None:
     den = form.denominator_lcm()
-    if den == 1:
-        return
-    scaled = {}
-    for n, c in form.coeffs:
-        scaled[n] = (c * den).numerator
-    const = (form.const * den).numerator
-    atom = divides(den, LinearTerm.make(scaled, const))
-    if is_satisfiable(conj([guard, neg(AtomF(atom))])):
+    if den > 1 and subtract(guard, [divides(den, term_of_affine(form, den))]):
         raise InputError(f"{what} is not an integer on its guard")
 
 
@@ -409,25 +399,26 @@ def exp_poly_is_zero(
     by_region: dict[Formula, list[ExpTerm]] = {}
     for term in e.terms:
         by_region.setdefault(term.guard, []).append(term)
+    domain_pieces = disjoint_conjunctions(param_domain)
     for region, terms in by_region.items():
-        domain = simplify(conj([region, param_domain]))
-        if not is_satisfiable(domain):
-            continue
-        svars = tuple(sorted(set(e.param_vars) | set(free_variables(domain))))
-        if not svars:
-            total = sum(
-                (t.poly.evaluate({}) * power_fraction(p, t.exponent.evaluate({}))
-                 for t in terms),
-                Fraction(0),
-            )
-            if total != 0:
-                return NonZeroWitness((), total)
-            continue
-        pieces = rectilinearize(to_cells(domain, svars, []))
-        for piece in pieces:
-            witness = _piece_witness(piece, terms, svars, p)
-            if witness is not None:
-                return witness
+        for atoms in domain_pieces:
+            domain = simplify(conj([region] + [AtomF(a) for a in atoms]))
+            svars = tuple(sorted(set(e.param_vars) | set(free_variables(domain))))
+            # no cells means the region misses this piece of the domain
+            cells = to_cells(domain, svars, [])
+            if cells and not svars:
+                total = sum(
+                    (t.poly.evaluate({}) * power_fraction(p, t.exponent.evaluate({}))
+                     for t in terms),
+                    Fraction(0),
+                )
+                if total != 0:
+                    return NonZeroWitness((), total)
+                continue
+            for piece in rectilinearize(cells):
+                witness = _piece_witness(piece, terms, svars, p)
+                if witness is not None:
+                    return witness
     return None
 
 
@@ -537,26 +528,24 @@ def sum_closed_form(
         )
     lambda_vars = _lambda_vars_of(lam, weight, param_vars)
     wform = weight.affine()
+    domain = disjoint_conjunctions(param_domain)
     raw_terms: list[tuple[Formula, Polynomial, AffineForm]] = []
-    for cell in to_cells(lam, lambda_vars, param_vars):
-        for tower in triangulate(cell):
-            guard = simplify(conj([tower.guard_formula(), param_domain]))
-            if not is_satisfiable(guard):
-                continue
-            _check_tower_weight(tower, wform, guard)
-            try:
-                terms = sum_over_tower(tower, wform, ctx.p)
-            except UnboundedDirectionError as err:
-                raise DivergesError(err.variable, err.direction) from err
-            except ValueError as err:
-                raise InputError(str(err)) from err
+    for tower, guards in _checked_towers(lam, wform, domain, lambda_vars, param_vars):
+        try:
+            terms = sum_over_tower(tower, wform, ctx.p)
+        except UnboundedDirectionError as err:
+            raise DivergesError(err.variable, err.direction) from err
+        except ValueError as err:
+            raise InputError(str(err)) from err
+        for guard in guards:
+            guard_formula = simplify(conj([AtomF(a) for a in guard]))
             for t in terms:
                 _require_integral_on(t.exponent, guard, f"exponent {t.exponent}")
-                raw_terms.append((guard, t.poly, t.exponent))
+                raw_terms.append((guard_formula, t.poly, t.exponent))
     return make_exp_polynomial(ctx.p, param_vars, raw_terms)
 
 
-def _check_tower_weight(tower: Tower, wform: AffineForm, guard: Formula) -> None:
+def _check_tower_weight(tower: Tower, wform: AffineForm, guard: list[Atom]) -> None:
     forms: dict[str, AffineForm] = {}
     exp = wform
     for level in tower.levels:

@@ -42,6 +42,16 @@ class ScopeError(ValueError):
     pass
 
 
+# Most disjuncts one Cooper elimination step may build.  The test suite and
+# the benchmark workloads need at most a few hundred; a huge divisibility
+# modulus would otherwise run for minutes and fill memory.
+EXPANSION_BUDGET = 100_000
+
+
+class ExpansionBudgetError(ValueError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # terms and atoms
 
@@ -917,6 +927,10 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
 
     use_lower = len(b_set) <= len(a_set)
     boundaries = b_set if use_lower else a_set
+    size = delta * (len(boundaries) + 1)
+    if size > EXPANSION_BUDGET:
+        raise ExpansionBudgetError(
+            f"eliminating {var} needs {size} disjuncts, over the budget of {EXPANSION_BUDGET}")
 
     def limit_literal(atom: Atom, negated: bool) -> Formula:
         c = atom.term.coeff(var)

@@ -15,6 +15,7 @@ replayable certificate step.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +51,6 @@ from .presburger import (
     format_formula,
     free_variables,
     geq0,
-    is_satisfiable,
     parse,
     parse_term,
     simplify,
@@ -62,9 +62,10 @@ from .semilinear import (
     NotRectilinearizableError,
     PiecewisePolynomial,
     count_parametric,
+    disjoint_conjunctions,
     term_of_affine,
     to_cells,
-    triangulate,
+    towers_in_domain,
 )
 
 
@@ -610,40 +611,32 @@ def _plan_generator(
 ) -> tuple[list[_GenState], int]:
     """Choose a triangulation order whose peeling never blocks; returns the
     initial states and the product of (p^n - 1) factors the plan will use."""
-    import itertools as _it
-
     states: list[_GenState] = []
     factors = 1
+    domain = disjoint_conjunctions(pres.param_domain)
     for cell in cells:
         orders = [tuple(cell.variables)] + [
-            perm for perm in sorted(_it.permutations(cell.variables))
+            perm for perm in sorted(itertools.permutations(cell.variables))
             if perm != tuple(cell.variables)
         ]
-        chosen = None
         last_error: Exception | None = None
         for order in orders:
+            plan_factor = 1
+            plan_states = []
             try:
-                towers = triangulate(cell, order)
-                plan_factor = 1
-                plan_states = []
-                for tower in towers:
-                    guard = simplify(conj(
-                        [tower.guard_formula(), pres.param_domain]))
-                    if not is_satisfiable(guard):
-                        continue
+                for tower, _ in towers_in_domain([cell], domain, order):
                     st = _GenState(coeff, list(tower.levels), [], tower.guard, wform)
                     plan_factor *= _dry_run(st, ctx.p)
-                    plan_states.append(
-                        _GenState(coeff, list(tower.levels), [], tower.guard, wform))
-                chosen = (plan_states, plan_factor)
-                break
+                    plan_states.append(st)
             except _BlockedError as err:
                 last_error = err
-        if chosen is None:
+                continue
+            states.extend(plan_states)
+            factors *= plan_factor
+            break
+        else:
             raise NotRectilinearizableError(
                 f"no variable order untangles this cell: {last_error}")
-        states.extend(chosen[0])
-        factors *= chosen[1]
     return states, factors
 
 
@@ -664,29 +657,10 @@ def _dry_run(state: _GenState, p: int) -> int:
         if not st.levels:
             continue
         level = st.levels[-1]
-        if level.kind == "point":
-            queue.append(_fold_point(st, level))
-            continue
-        gamma = _gamma_of(st, level)
-        if level.kind == "ray":
-            for kept in st.kept:
-                refs = set(kept.start.variables())
-                if kept.count is not None:
-                    refs |= set(kept.count.variables())
-                if level.var in refs:
-                    raise _BlockedError(
-                        f"kept range over {kept.var} references summed {level.var}")
-            if gamma >= 0:
-                raise DivergesError(level.var, 1 if level.step > 0 else -1)
-            if gamma.denominator != 1:
-                raise InputError(f"non-integral increment {gamma} along {level.var}")
-            factor *= p ** (-gamma.numerator) - 1
-            queue.append(_drop_ray(st, level))
-            continue
-        if gamma == 0:
-            queue.append(_keep_range(st, level))
-            continue
-        queue.extend(_split_range(st, level))
+        new_states, rule, _ = _peel_step(st, level, p)
+        if rule == "GeomSum":
+            factor *= p ** (-_gamma_of(st, level).numerator) - 1
+        queue.extend(new_states)
     return factor
 
 
@@ -741,8 +715,17 @@ def _peel_step(state: _GenState, level: Level, p: int) -> tuple[list[_GenState],
                 f"substitute the pinned coordinate {level.var}")
     gamma = _gamma_of(state, level)
     if level.kind == "ray":
+        for kept in state.kept:
+            refs = set(kept.start.variables())
+            if kept.count is not None:
+                refs |= set(kept.count.variables())
+            if level.var in refs:
+                raise _BlockedError(
+                    f"kept range over {kept.var} references summed {level.var}")
         if gamma >= 0:
             raise DivergesError(level.var, 1 if level.step > 0 else -1)
+        if gamma.denominator != 1:
+            raise InputError(f"non-integral increment {gamma} along {level.var}")
         n = -gamma.numerator
         out = _drop_ray(state, level)
         out.coeff = state.coeff * Fraction(p**n, p**n - 1)
@@ -802,10 +785,15 @@ def to_document(pres: Presentation) -> dict:
     }
 
 
-def _object(entry, what: str) -> Mapping:
-    if not isinstance(entry, Mapping):
-        raise InputError(f"{what} must be a JSON object, got {type(entry).__name__}")
-    return entry
+_JSON_NAMES = {Mapping: "object", int: "integer", str: "string", list: "list"}
+
+
+def _typed(value, kind: type, what: str):
+    """value when it has the JSON type kind; a boolean is not an integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError(
+            f"{what} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}")
+    return value
 
 
 def _objects(entries, what: str) -> list[Mapping]:
@@ -815,35 +803,40 @@ def _objects(entries, what: str) -> list[Mapping]:
 
 
 def from_document(doc: Mapping) -> Presentation:
-    doc = _object(doc, "a presentation")
-    ctx = PAdicContext(int(doc["prime"]))
-    param_vars = tuple(doc.get("param_vars", ()))
-    param_domain = parse(doc.get("param_domain", "true"))
+    doc = _typed(doc, Mapping, "a presentation")
+    ctx = PAdicContext(_typed(doc["prime"], int, "prime"))
+    param_vars = tuple(_typed(v, str, "a parameter name")
+                       for v in _typed(doc.get("param_vars", []), list, "param_vars"))
+    param_domain = parse(_typed(doc.get("param_domain", "true"), str, "param_domain"))
     gens = []
     for g in _objects(doc.get("generators", ()), "generators"):
         coords: list[Union[Coordinate, DegenerateCoordinate]] = []
         names: list[str] = []
         for entry in _objects(g["coords"], "coords"):
             if "point" in entry:
-                coords.append(DegenerateCoordinate(parse_rational(entry["point"])))
+                point = _typed(entry["point"], str, "point")
+                coords.append(DegenerateCoordinate(parse_rational(point)))
             else:
                 names.append(f"l{len(names) + 1}")
-                coords.append(Coordinate(parse_rational(entry["center"]),
-                                         int(entry["level"]), int(entry["ac"])))
-        if int(g.get("dims", len(coords))) != len(coords):
+                coords.append(Coordinate(parse_rational(_typed(entry["center"], str, "center")),
+                                         _typed(entry["level"], int, "level"),
+                                         _typed(entry["ac"], int, "ac")))
+        if _typed(g.get("dims", len(coords)), int, "dims") != len(coords):
             raise InputError("dims does not match the coords list")
-        lam = parse(g.get("lambda_formula", "true"))
+        lam = parse(_typed(g.get("lambda_formula", "true"), str, "lambda_formula"))
         weight = None
         wdoc = g.get("weight")
         if wdoc is not None:
-            wdoc = _object(wdoc, "weight")
-            b_list = list(wdoc.get("b", ()))
+            wdoc = _typed(wdoc, Mapping, "weight")
+            b_list = [_typed(v, int, "a weight b entry")
+                      for v in _typed(wdoc.get("b", []), list, "weight b")]
             if len(b_list) != len(names):
                 raise InputError("weight b vector must match the lambda variables")
-            weight = Weight.make(int(wdoc["r"]), parse_term(wdoc["c"]),
+            weight = Weight.make(_typed(wdoc["r"], int, "weight r"),
+                                 parse_term(_typed(wdoc["c"], str, "weight c")),
                                  dict(zip(names, b_list)))
         cell = BoxCell(tuple(coords), tuple(names), lam, weight)
-        gens.append((parse_rational(g["coeff"]), cell))
+        gens.append((parse_rational(_typed(g["coeff"], str, "coeff")), cell))
     pres = Presentation(ctx, param_vars, simplify(param_domain), tuple(gens))
     pres.validate()
     return pres

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .algebra import (
     AffineForm,
@@ -110,14 +110,8 @@ class GuardedCell:
         )
 
 
-_SAT_CACHE: dict = {}
-
-
 def _atoms_satisfiable(atoms: Sequence[Atom], extra: Formula = TrueF()) -> bool:
-    key = (tuple(atoms), extra)
-    if key not in _SAT_CACHE:
-        _SAT_CACHE[key] = is_satisfiable(conj([AtomF(a) for a in atoms] + [extra]))
-    return _SAT_CACHE[key]
+    return is_satisfiable(conj([AtomF(a) for a in atoms] + [extra]))
 
 
 def _positivize(f: Formula) -> Formula:
@@ -179,7 +173,7 @@ def _complement_pieces(atom: Atom) -> list[list[Atom]]:
     return [[divides(atom.modulus, atom.term - r)] for r in range(1, atom.modulus)]
 
 
-def _subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
+def subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
     """Split disjunct minus conj(earlier) into disjoint conjunctive pieces."""
     out = []
     prefix: list[Atom] = []
@@ -199,7 +193,7 @@ def disjoint_conjunctions(f: Formula) -> list[list[Atom]]:
     for i, d in enumerate(disjuncts):
         pieces = [d]
         for earlier in disjuncts[:i]:
-            pieces = [q for piece in pieces for q in _subtract(piece, earlier)]
+            pieces = [q for piece in pieces for q in subtract(piece, earlier)]
         disjoint.extend(pieces)
     return disjoint
 
@@ -210,7 +204,7 @@ def refine(
     """Split disjoint conjunctive regions by a conjunctive guard.
 
     The part of a region inside the guard gets update(value); the part outside
-    is cut into disjoint conjunctions by _subtract and keeps the old value.  A
+    is cut into disjoint conjunctions by subtract and keeps the old value.  A
     region that misses the guard stays whole, and the output regions stay
     pairwise disjoint with the same union.
     """
@@ -223,7 +217,7 @@ def refine(
             out.append((atoms, value))
             continue
         out.append((inside, update(value)))
-        out.extend((piece, value) for piece in _subtract(atoms, missing))
+        out.extend((piece, value) for piece in subtract(atoms, missing))
     return out
 
 
@@ -437,11 +431,7 @@ def _extremum_split(
             if i == j:
                 continue
             diff = cand - other if want_max else other - cand
-            scale = 1
-            for _, c in diff.coeffs:
-                scale = math.lcm(scale, c.denominator)
-            scale = math.lcm(scale, diff.const.denominator)
-            term = term_of_affine(diff, scale)
+            term = term_of_affine(diff, diff.denominator_lcm())
             # strict for j < i, non-strict for j > i: a disjoint argmax choice
             atoms.append(geq0(term - 1) if j < i else geq0(term))
         out.append((atoms, cand))
@@ -534,15 +524,33 @@ def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[T
                 continue
             seen.add(cleaned)
             guard_atoms.append(cleaned)
-        guard_extra = cell.param_guard
-        if not isinstance(guard_extra, TrueF):
-            for a in _formula_to_atoms(guard_extra):
-                if a not in seen:
-                    seen.add(a)
-                    guard_atoms.append(a)
+        for a in _formula_to_atoms(cell.param_guard):
+            if a not in seen:
+                seen.add(a)
+                guard_atoms.append(a)
         towers.append(Tower(variables, tuple(levels), tuple(guard_atoms)))
     _TOWER_CACHE[cache_key] = towers
     return towers
+
+
+def towers_in_domain(
+    cells: Iterable[GuardedCell],
+    domain: Sequence[list[Atom]],
+    order: Sequence[str] | None = None,
+) -> Iterator[tuple[Tower, list[list[Atom]]]]:
+    """Each tower of the cells that meets the domain, with its guards.
+
+    domain holds disjoint conjunctions, as from disjoint_conjunctions; the
+    guards are the satisfiable conjunctions of the tower's guard atoms
+    followed by the atoms of one domain piece, so together they cover the
+    part of the tower's guard inside the domain.
+    """
+    for cell in cells:
+        for tower in triangulate(cell, order):
+            own = list(tower.guard)
+            guards = [own + piece for piece in domain if _atoms_satisfiable(own + piece)]
+            if guards:
+                yield tower, guards
 
 
 def _simplify_guard_atom(atom: Atom) -> Atom | None:
@@ -743,21 +751,17 @@ def count_parametric(
         param_vars = tuple(sorted(collected))
     domain = disjoint_conjunctions(param_domain)
     regions = [(atoms, Polynomial(())) for atoms in domain]
-    for cell in cells:
-        for tower in triangulate(cell):
-            guard = list(tower.guard)
-            # towers outside the domain are skipped before the ray check
-            if not any(_atoms_satisfiable(atoms + guard) for atoms in domain):
-                continue
-            for level in tower.levels:
-                if level.kind == "ray":
-                    raise InfiniteFiberError(level.var, 1 if level.step > 0 else -1)
-            poly = Polynomial(())
-            for t in sum_over_tower(tower, AffineForm.constant(0), None):
-                if t.exponent != AffineForm.constant(0):
-                    raise AssertionError("a point count picked up a power of p")
-                poly = poly + t.poly
-            regions = refine(regions, guard, lambda acc, poly=poly: acc + poly)
+    # towers outside the domain are skipped before the ray check
+    for tower, _ in towers_in_domain(cells, domain):
+        for level in tower.levels:
+            if level.kind == "ray":
+                raise InfiniteFiberError(level.var, 1 if level.step > 0 else -1)
+        poly = Polynomial(())
+        for t in sum_over_tower(tower, AffineForm.constant(0), None):
+            if t.exponent != AffineForm.constant(0):
+                raise AssertionError("a point count picked up a power of p")
+            poly = poly + t.poly
+        regions = refine(regions, list(tower.guard), lambda acc, poly=poly: acc + poly)
     pieces = tuple((simplify(conj([AtomF(a) for a in atoms])), acc) for atoms, acc in regions)
     return PiecewisePolynomial(tuple(param_vars), pieces)
 

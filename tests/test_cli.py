@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import padicmeasure
 from padicmeasure.cli import run
 from padicmeasure.measure import PAdicContext, Weight
 from padicmeasure.presburger import LinearTerm, parse
@@ -117,6 +122,19 @@ def test_qe_subcommand():
     assert code == 2
 
 
+def test_qe_expansion_budget_exit_two():
+    # in a child process, so that a missing budget fails on the timeout
+    # instead of filling this process's memory
+    src = Path(padicmeasure.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "padicmeasure.cli", "qe", "--formula",
+         "E x. 3*x = y /\\ 1000000007 | x + y"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
 def test_count_subcommand():
     args = ["count", "--formula", "0 <= l /\\ l < s /\\ 2 | l",
             "--lambda-vars", "l", "--domain", "s >= 0", "-p", "2"]
@@ -174,7 +192,13 @@ _UNIT_COORD = {"center": "0", "level": 1, "ac": 1}
     ("measure", {"prime": 2, "generators": [{"coeff": "1", "coords": 1}]}),
     ("measure", {"prime": 2, "generators": [
         {"coeff": "1", "coords": [_UNIT_COORD], "weight": [1]}]}),
-], ids=["step", "steps", "before", "generator", "coord", "coords", "weight"])
+    ("measure", {"prime": 2, "generators": [{"coeff": [1], "coords": []}]}),
+    ("measure", {"prime": 2, "generators": [
+        {"coeff": "1", "coords": [], "lambda_formula": 5}]}),
+    ("measure", {"prime": 2, "param_vars": 5}),
+    ("measure", {"prime": [2]}),
+], ids=["step", "steps", "before", "generator", "coord", "coords", "weight",
+        "coeff", "lambda_formula", "param_vars", "prime"])
 def test_non_object_entry_exit_two(tmp_path, verb, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from padicmeasure import measure, semilinear
 from padicmeasure.algebra import AffineForm, Polynomial
 from padicmeasure.measure import (
     BoxCell,
@@ -288,20 +287,11 @@ def _atom_conjunction(f):
     return isinstance(f, (AtomF, TrueF))
 
 
-def test_make_exp_polynomial_asks_only_conjunctive_queries(monkeypatch):
-    asked = []
-
-    def spy(f, ask=semilinear.is_satisfiable):
-        asked.append(f)
-        return ask(f)
-
-    monkeypatch.setattr(measure, "is_satisfiable", spy)
-    monkeypatch.setattr(semilinear, "is_satisfiable", spy)
-    monkeypatch.setattr(semilinear, "_SAT_CACHE", {})
+def test_make_exp_polynomial_asks_only_conjunctive_queries(sat_queries):
     for raw in RAW_TERM_LISTS:
         names = sorted(set().union(*(free_variables(g) for g, _, _ in raw)))
         make_exp_polynomial(2, names, raw)
-    assert asked and all(_atom_conjunction(f) for f in asked)
+    assert sat_queries and all(_atom_conjunction(f) for f in sat_queries)
 
 
 def test_make_exp_polynomial_regions_partition_and_keep_values():

@@ -6,7 +6,18 @@ from pathlib import Path
 import pytest
 
 from padicmeasure.measure import DivergesError, PAdicContext, Weight
-from padicmeasure.presburger import TRUE, LinearTerm, parse
+from padicmeasure.oracle import truncated_measure
+from padicmeasure.presburger import (
+    TRUE,
+    AndF,
+    AtomF,
+    FalseF,
+    LinearTerm,
+    TrueF,
+    evaluate_qf,
+    parse,
+    simplify,
+)
 from padicmeasure.ring import (
     Certificate,
     CertificateStep,
@@ -441,3 +452,54 @@ def test_zero_coefficient_generator_decides_not_equal():
     doc = json.loads((Path(__file__).parent / "data" / "zero_coefficient_pair.json").read_text())
     result = decide_equal(from_document(doc["left"]), from_document(doc["right"]))
     assert result == NotEqual((("s", 2),), Fraction(9363, 28672), Fraction(1365, 4096))
+
+
+def _disjunctive_domain_presentations():
+    domains = [parse("s >= 0 \\/ s <= -3"), parse("s != 4")]
+    rng = random.Random(505)
+    out = []
+    while len(out) < 4:
+        ctx = (CTX2, CTX3)[len(out) // 2]
+        pres = random_convergent_presentation(rng, ctx, max_generators=3)
+        if pres.param_vars:
+            domain = simplify(domains[len(out) % 2])
+            out.append(Presentation(ctx, pres.param_vars, domain, pres.generators))
+    return out
+
+
+def test_disjunctive_domains_match_oracle_and_certify():
+    for pres in _disjunctive_domain_presentations():
+        mf = measure_function(pres)
+        for s in (-5, -3, 0, 2, 4, 5, 9):
+            point = {"s": s}
+            if evaluate_qf(pres.param_domain, point):
+                bracket = truncated_measure(pres, point, depth=8, window=12)
+                assert mf.evaluate(point) in bracket, (to_document(pres), point)
+        ell, basic, cert = normalize_to_basic(pres)
+        assert verify_certificate(cert)
+        assert decide_equal(scalar_mul(ell, pres), basic.presentation)
+        coeff, cell = pres.generators[0]
+        changed = Presentation(pres.ctx, pres.param_vars, pres.param_domain,
+                               ((coeff + 1, cell),) + pres.generators[1:])
+        result = decide_equal(pres, changed)
+        if not result:
+            point = result.witness_dict()
+            assert evaluate_qf(pres.param_domain, point)
+            assert result.value1 == mu(pres, point) != mu(changed, point) == result.value2
+
+
+def _atom_conjunction(f):
+    if isinstance(f, AndF):
+        return all(isinstance(a, AtomF) for a in f.args)
+    return isinstance(f, (AtomF, TrueF, FalseF))
+
+
+def test_measure_decide_and_normalize_ask_only_atom_conjunctions(sat_queries):
+    doc = json.loads((Path(__file__).parent / "data" / "zero_coefficient_pair.json").read_text())
+    pairs = [(from_document(doc["left"]), from_document(doc["right"]))]
+    pairs += [(pres, scalar_mul(2, pres)) for pres in _disjunctive_domain_presentations()]
+    for left, right in pairs:
+        measure_function(left)
+        decide_equal(left, right)
+        normalize_to_basic(left)
+    assert sat_queries and all(_atom_conjunction(f) for f in sat_queries)

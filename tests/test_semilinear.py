@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from padicmeasure import semilinear
 from padicmeasure.presburger import (
     TRUE,
     AndF,
@@ -243,17 +242,9 @@ def _conjunctive(f):
     return isinstance(f, (AtomF, TrueF, FalseF))
 
 
-def test_count_parametric_asks_only_conjunctive_queries(monkeypatch):
-    asked = []
-
-    def spy(f, ask=semilinear.is_satisfiable):
-        asked.append(f)
-        return ask(f)
-
+def test_count_parametric_asks_only_conjunctive_queries(sat_queries):
     cells = [(to_cells(f, lams, params), domain, params)
              for f, lams, params, domain in COUNT_FAMILIES]
-    monkeypatch.setattr(semilinear, "is_satisfiable", spy)
-    monkeypatch.setattr(semilinear, "_SAT_CACHE", {})
     for args in cells:
         count_parametric(*args)
-    assert asked and all(_conjunctive(f) for f in asked)
+    assert sat_queries and all(_conjunctive(f) for f in sat_queries)
