@@ -1,15 +1,18 @@
-"""Exact rational algebra: affine forms and multivariate polynomials.
+"""Exact rational algebra: linear terms and multivariate polynomials.
 
-Everything here is immutable and built on fractions.Fraction; no floats
-anywhere.  These are the carriers for bases of rectilinear pieces, weights,
-exponents of measure functions, and counting polynomials.
+Everything here is immutable and exact (ints and fractions.Fraction, no
+floats anywhere).  Linear terms carry the Presburger atoms as well as the
+bases of rectilinear pieces, weights and exponents of measure functions;
+polynomials carry counting and summation results.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -35,35 +38,79 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    """A rational affine form  sum_i c_i * x_i + const  over named variables."""
+VARIABLE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+RESERVED = {"E", "A", "true", "false"}
+# internal names no formula can spell: the summation index @i, the generator
+# coordinates @m<j> of rectilinear pieces and @z<j> of witness searches
+_PLACEHOLDER_RE = re.compile(r"@(?:i|[mz][0-9]+)\Z")
 
-    coeffs: tuple[tuple[str, Fraction], ...]  # sorted by name, no zero entries
-    const: Fraction
+
+class MissingAssignmentError(KeyError):
+    def __init__(self, variable: str):
+        super().__init__(variable)
+        self.variable = variable
+
+
+def variable_name(name: str) -> str:
+    """name when the formula grammar can spell it; ValueError otherwise."""
+    if not VARIABLE_RE.match(name) or name in RESERVED:
+        raise ValueError(f"bad variable name {name!r}")
+    return name
+
+
+def _exact(x: Rat) -> Rat:
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Integral):
+        return int(x)
+    x = frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+@dataclass(frozen=True)
+class LinearTerm:
+    """Exact affine form  sum_i c_i * x_i + const  over named variables.
+
+    Coefficients are ints, or Fractions where a division made them; an
+    integral Fraction is always stored as an int.  Presburger atoms use terms
+    with integer coefficients, so their arithmetic stays integer arithmetic;
+    weights, level bounds and exponents may carry rational coefficients.
+    """
+
+    coeffs: tuple[tuple[str, Rat], ...]  # sorted by name, no zero coefficients
+    const: Rat
 
     @staticmethod
-    def make(coeffs: Mapping[str, Rat] | None = None, const: Rat = 0) -> AffineForm:
+    def make(coeffs: Mapping[str, Rat] | None = None, const: Rat = 0) -> LinearTerm:
         items = []
         for name, c in sorted((coeffs or {}).items()):
-            c = frac(c)
+            if not _PLACEHOLDER_RE.match(name):
+                variable_name(name)
+            c = _exact(c)
             if c != 0:
                 items.append((name, c))
-        return AffineForm(tuple(items), frac(const))
+        return LinearTerm(tuple(items), _exact(const))
 
     @staticmethod
-    def constant(c: Rat) -> AffineForm:
-        return AffineForm((), frac(c))
+    def _of(coeffs: Mapping[str, Rat], const: Rat) -> LinearTerm:
+        """Like make, for coefficients whose names are already checked."""
+        items = tuple((n, _exact(c)) for n, c in sorted(coeffs.items()) if c != 0)
+        return LinearTerm(items, _exact(const))
 
     @staticmethod
-    def variable(name: str) -> AffineForm:
-        return AffineForm(((name, Fraction(1)),), Fraction(0))
+    def constant(c: Rat) -> LinearTerm:
+        return LinearTerm((), _exact(c))
 
-    def coeff(self, name: str) -> Fraction:
+    @staticmethod
+    def variable(name: str) -> LinearTerm:
+        return LinearTerm.make({name: 1})
+
+    def coeff(self, name: str) -> Rat:
         for n, c in self.coeffs:
             if n == name:
                 return c
-        return Fraction(0)
+        return 0
 
     def variables(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.coeffs)
@@ -71,36 +118,42 @@ class AffineForm:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: AffineForm | Rat) -> AffineForm:
-        if isinstance(other, (int, Fraction)):
-            return AffineForm(self.coeffs, self.const + frac(other))
+    def __add__(self, other: LinearTerm | Rat) -> LinearTerm:
+        if not isinstance(other, LinearTerm):
+            return LinearTerm(self.coeffs, _exact(self.const + other))
         d = dict(self.coeffs)
         for n, c in other.coeffs:
-            d[n] = d.get(n, Fraction(0)) + c
-        return AffineForm.make(d, self.const + other.const)
+            d[n] = d.get(n, 0) + c
+        return LinearTerm._of(d, self.const + other.const)
 
-    def __sub__(self, other: AffineForm | Rat) -> AffineForm:
-        if isinstance(other, (int, Fraction)):
-            return AffineForm(self.coeffs, self.const - frac(other))
+    def __sub__(self, other: LinearTerm | Rat) -> LinearTerm:
+        if not isinstance(other, LinearTerm):
+            return LinearTerm(self.coeffs, _exact(self.const - other))
         return self + other.scale(-1)
 
-    def scale(self, k: Rat) -> AffineForm:
-        k = frac(k)
+    def scale(self, k: Rat) -> LinearTerm:
         if k == 0:
-            return AffineForm((), Fraction(0))
-        return AffineForm(tuple((n, c * k) for n, c in self.coeffs), self.const * k)
+            return LinearTerm((), 0)
+        if k == 1:
+            return self
+        return LinearTerm(tuple((n, _exact(c * k)) for n, c in self.coeffs), _exact(self.const * k))
 
-    def substitute(self, name: str, value: AffineForm) -> AffineForm:
+    def drop(self, name: str) -> LinearTerm:
+        return LinearTerm(tuple((n, c) for n, c in self.coeffs if n != name), self.const)
+
+    def substitute(self, name: str, value: LinearTerm) -> LinearTerm:
         c = self.coeff(name)
         if c == 0:
             return self
-        rest = AffineForm.make({n: v for n, v in self.coeffs if n != name}, self.const)
-        return rest + value.scale(c)
+        return self.drop(name) + value.scale(c)
 
-    def evaluate(self, point: Mapping[str, Rat]) -> Fraction:
+    def evaluate(self, assignment: Mapping[str, Rat]) -> Rat:
         total = self.const
         for n, c in self.coeffs:
-            total += c * frac(point[n])
+            if n not in assignment:
+                raise MissingAssignmentError(n)
+            v = assignment[n]
+            total += c * (v if type(v) is int else _exact(v))
         return total
 
     def denominator_lcm(self) -> int:
@@ -109,6 +162,14 @@ class AffineForm:
             d = math.lcm(d, c.denominator)
         return d
 
+    def integer_term(self, scale: int = 1) -> LinearTerm:
+        """scale * self, which must have integer coefficients; ValueError when
+        scale leaves a denominator."""
+        out = self.scale(scale)
+        if out.denominator_lcm() != 1:
+            raise ValueError(f"{scale}*({self}) does not clear to an integer term")
+        return out
+
     def to_polynomial(self) -> Polynomial:
         terms = {(): self.const} if self.const != 0 else {}
         for n, c in self.coeffs:
@@ -116,22 +177,20 @@ class AffineForm:
         return Polynomial.make(terms)
 
     def __str__(self) -> str:
+        if not self.coeffs:
+            return str(self.const)
         parts = []
         for n, c in self.coeffs:
-            if c == 1:
-                parts.append(("+", n))
-            elif c == -1:
-                parts.append(("-", n))
-            elif c > 0:
-                parts.append(("+", f"{format_rational(c)}*{n}"))
+            if abs(c) == 1:
+                body = n
             else:
-                parts.append(("-", f"{format_rational(-c)}*{n}"))
-        if self.const != 0 or not parts:
-            sign = "+" if self.const >= 0 else "-"
-            parts.append((sign, format_rational(abs(self.const))))
+                body = f"{abs(c)}*{n}"
+            parts.append(("+" if c > 0 else "-", body))
+        if self.const != 0:
+            parts.append(("+" if self.const > 0 else "-", str(abs(self.const))))
         out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for sign, text in parts[1:]:
-            out += f" {sign} {text}"
+        for sign, body in parts[1:]:
+            out += f" {sign} {body}"
         return out
 
 
@@ -213,7 +272,7 @@ class Polynomial:
             out = out * self
         return out
 
-    def substitute_affine(self, name: str, value: AffineForm) -> Polynomial:
+    def substitute_affine(self, name: str, value: LinearTerm) -> Polynomial:
         """Replace a variable by an affine form, expanding powers."""
         vp = value.to_polynomial()
         out = Polynomial(())

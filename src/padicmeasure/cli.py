@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .algebra import format_rational
+from .algebra import format_rational, variable_name
 from .measure import (
     DivergesError,
     ExpPolynomial,
@@ -32,7 +32,9 @@ from .presburger import (
     NotQuantifierFreeError,
     ScopeError,
     format_formula,
+    free_variables,
     parse,
+    parse_domain,
     qe,
 )
 from .semilinear import (
@@ -170,11 +172,9 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_count(args) -> int:
     PAdicContext(args.prime)  # the prime is validated even though counting is p-free
-    from .presburger import free_variables
-
     f = parse(args.formula)
-    lambda_vars = [v.strip() for v in args.lambda_vars.split(",") if v.strip()]
-    domain = parse(args.domain)
+    lambda_vars = [variable_name(v.strip()) for v in args.lambda_vars.split(",") if v.strip()]
+    domain = parse_domain(args.domain)
     params = sorted((set(free_variables(f)) | set(free_variables(domain)))
                     - set(lambda_vars))
     cells = to_cells(f, lambda_vars, params)

@@ -11,16 +11,16 @@ exponential polynomials.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .algebra import AffineForm, Polynomial, frac, power_fraction
+from .algebra import LinearTerm, Polynomial, frac, power_fraction
 from .presburger import (
     Atom,
     AtomF,
     Formula,
-    LinearTerm,
     conj,
     divides,
     evaluate_qf,
@@ -36,7 +36,6 @@ from .semilinear import (
     refine,
     subtract,
     sum_over_tower,
-    term_of_affine,
     to_cells,
     towers_in_domain,
 )
@@ -133,11 +132,8 @@ class Weight:
     def constant(value: int) -> Weight:
         return Weight(1, LinearTerm.constant(value), ())
 
-    def affine(self) -> AffineForm:
-        coeffs = {n: Fraction(c, self.r) for n, c in self.b}
-        for n, c in self.c.coeffs:
-            coeffs[n] = coeffs.get(n, Fraction(0)) + Fraction(c, self.r)
-        return AffineForm.make(coeffs, Fraction(self.c.const, self.r))
+    def affine(self) -> LinearTerm:
+        return (self.c + LinearTerm.make(dict(self.b))).scale(Fraction(1, self.r))
 
     def shift(self, delta: LinearTerm, scale_r: int = 1) -> Weight:
         """Weight for nu + delta/scale_r over the same lambda variables."""
@@ -244,7 +240,7 @@ def _lambda_vars_of(lam: Formula, weight: Weight, param_vars: Sequence[str]) -> 
 
 def _checked_towers(
     lam: Formula,
-    wform: AffineForm,
+    wform: LinearTerm,
     domain: Sequence[list[Atom]],
     lambda_vars: Sequence[str],
     param_vars: Sequence[str],
@@ -257,9 +253,9 @@ def _checked_towers(
         yield tower, guards
 
 
-def _require_integral_on(form: AffineForm, guard: list[Atom], what: str) -> None:
+def _require_integral_on(form: LinearTerm, guard: list[Atom], what: str) -> None:
     den = form.denominator_lcm()
-    if den > 1 and subtract(guard, [divides(den, term_of_affine(form, den))]):
+    if den > 1 and subtract(guard, [divides(den, form.integer_term(den))]):
         raise InputError(f"{what} is not an integer on its guard")
 
 
@@ -274,7 +270,7 @@ class ExpTerm:
 
     guard: Formula
     poly: Polynomial
-    exponent: AffineForm
+    exponent: LinearTerm
 
 
 @dataclass(frozen=True)
@@ -291,7 +287,7 @@ class ExpPolynomial:
     terms: tuple[ExpTerm, ...]
 
 
-def _exponent_key(exponent: AffineForm):
+def _exponent_key(exponent: LinearTerm):
     fractional = exponent.const - int(exponent.const // 1)
     return (exponent.coeffs, fractional)
 
@@ -299,7 +295,7 @@ def _exponent_key(exponent: AffineForm):
 def make_exp_polynomial(
     p: int,
     param_vars: Sequence[str],
-    raw_terms: Iterable[tuple[Formula, Polynomial, AffineForm]],
+    raw_terms: Iterable[tuple[Formula, Polynomial, LinearTerm]],
 ) -> ExpPolynomial:
     """Canonicalize raw (guard, poly, exponent) triples.
 
@@ -309,7 +305,7 @@ def make_exp_polynomial(
     polynomial), zero polynomials are dropped, and terms are sorted by
     exponent.
     """
-    regions: list[tuple[list[Atom], list[tuple[Polynomial, AffineForm]]]] = [([], [])]
+    regions: list[tuple[list[Atom], list[tuple[Polynomial, LinearTerm]]]] = [([], [])]
     for guard, poly, exponent in raw_terms:
         if poly.is_zero():
             continue
@@ -337,10 +333,10 @@ def make_exp_polynomial(
             if poly.is_zero():
                 continue
             # canonical representative: fractional constant in [0, 1)
-            shift = exponent.const - (exponent.const - int(exponent.const // 1))
+            shift = math.floor(exponent.const)
             if shift != 0:
                 poly = poly.scale(power_fraction(p, shift))
-                exponent = AffineForm(exponent.coeffs, exponent.const - shift)
+                exponent = exponent - shift
             out.append(ExpTerm(region, poly, exponent))
     out.sort(key=lambda t: (str(t.guard), _exponent_key(t.exponent)))
     return ExpPolynomial(p, tuple(param_vars), tuple(out))
@@ -430,7 +426,7 @@ def _piece_witness(piece, terms, svars, p: int) -> NonZeroWitness | None:
         form = piece.base[i]
         for j in range(m):
             if piece.generators[i][j]:
-                form = form + AffineForm.variable(mu_vars[j]).scale(piece.generators[i][j])
+                form = form + LinearTerm.variable(mu_vars[j]).scale(piece.generators[i][j])
         substitutions[var] = form
 
     grouped: dict = {}
@@ -529,7 +525,7 @@ def sum_closed_form(
     lambda_vars = _lambda_vars_of(lam, weight, param_vars)
     wform = weight.affine()
     domain = disjoint_conjunctions(param_domain)
-    raw_terms: list[tuple[Formula, Polynomial, AffineForm]] = []
+    raw_terms: list[tuple[Formula, Polynomial, LinearTerm]] = []
     for tower, guards in _checked_towers(lam, wform, domain, lambda_vars, param_vars):
         try:
             terms = sum_over_tower(tower, wform, ctx.p)
@@ -545,8 +541,8 @@ def sum_closed_form(
     return make_exp_polynomial(ctx.p, param_vars, raw_terms)
 
 
-def _check_tower_weight(tower: Tower, wform: AffineForm, guard: list[Atom]) -> None:
-    forms: dict[str, AffineForm] = {}
+def _check_tower_weight(tower: Tower, wform: LinearTerm, guard: list[Atom]) -> None:
+    forms: dict[str, LinearTerm] = {}
     exp = wform
     for level in tower.levels:
         start = level.start

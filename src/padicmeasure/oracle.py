@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import AffineForm, frac, power_fraction
+from .algebra import LinearTerm, frac, power_fraction
 from .measure import (
     MEASURE_ZERO,
     DivergesError,
@@ -33,7 +33,6 @@ from .presburger import (
     ForallF,
     Formula,
     GEQ0,
-    LinearTerm,
     NotF,
     OrF,
     TrueF,
@@ -90,7 +89,7 @@ class Bracket:
 
 def _weighted_box_bracket(
     lam: Formula,
-    weight: AffineForm,
+    weight: LinearTerm,
     names: Sequence[str],
     window: int,
     ctx: PAdicContext,
@@ -260,19 +259,8 @@ def partial_sum(
     raises DivergesError when an unbounded direction has a nonnegative
     exponent coefficient.
     """
-    names = tuple(sorted({n for n, _ in weight.b}
-                         | (set(free_variables(lam)) - set(point))))
-    lam_inst = lam
-    for v, val in point.items():
-        lam_inst = substitute(lam_inst, v, LinearTerm.constant(int(val)))
-    lam_inst = simplify(lam_inst)
-    waff = weight.affine()
-    for v, val in point.items():
-        waff = waff.substitute(v, AffineForm.constant(int(val)))
-    total, tail = _weighted_box_bracket(
-        lam_inst, waff, names, radius, ctx,
-        lambda v, s: DivergesError(v, s),
-    )
+    lam_inst, waff, names = _instantiate(lam, weight, point)
+    total, tail = _weighted_box_bracket(lam_inst, waff, names, radius, ctx, DivergesError)
     return Bracket(total, total + tail, radius, radius)
 
 
@@ -284,12 +272,12 @@ def _instantiate(lam: Formula, weight: Weight, point: Mapping[str, int]):
         lam_inst = substitute(lam_inst, v, LinearTerm.constant(int(val)))
     waff = weight.affine()
     for v, val in point.items():
-        waff = waff.substitute(v, AffineForm.constant(int(val)))
+        waff = waff.substitute(v, LinearTerm.constant(int(val)))
     return simplify(lam_inst), waff, names
 
 
 def _exact_1d_bracket(
-    lam: Formula, weight: AffineForm, var: str, window: int, ctx: PAdicContext
+    lam: Formula, weight: LinearTerm, var: str, window: int, ctx: PAdicContext
 ) -> Fraction:
     """Exact sum of p^weight over a one-variable fiber: enumerate up to the
     last constraint boundary, then sum each residue class tail exactly."""

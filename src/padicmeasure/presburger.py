@@ -15,8 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-VARIABLE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-RESERVED = {"E", "A", "true", "false"}
+from .algebra import RESERVED, LinearTerm, MissingAssignmentError
 
 
 class FormulaSyntaxError(SyntaxError):
@@ -30,12 +29,6 @@ class FormulaSyntaxError(SyntaxError):
 
 class NotQuantifierFreeError(ValueError):
     pass
-
-
-class MissingAssignmentError(KeyError):
-    def __init__(self, variable: str):
-        super().__init__(variable)
-        self.variable = variable
 
 
 class ScopeError(ValueError):
@@ -53,97 +46,7 @@ class ExpansionBudgetError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# terms and atoms
-
-
-@dataclass(frozen=True)
-class LinearTerm:
-    """Integer linear term: sum of coeff*var plus a constant."""
-
-    coeffs: tuple[tuple[str, int], ...]  # sorted by name, no zero coefficients
-    const: int
-
-    @staticmethod
-    def make(coeffs: Mapping[str, int] | None = None, const: int = 0) -> LinearTerm:
-        items = []
-        for name, c in sorted((coeffs or {}).items()):
-            if not VARIABLE_RE.match(name) or name in RESERVED:
-                raise ValueError(f"bad variable name {name!r}")
-            if c != 0:
-                items.append((name, int(c)))
-        return LinearTerm(tuple(items), int(const))
-
-    @staticmethod
-    def constant(c: int) -> LinearTerm:
-        return LinearTerm((), int(c))
-
-    @staticmethod
-    def variable(name: str) -> LinearTerm:
-        return LinearTerm.make({name: 1})
-
-    def coeff(self, name: str) -> int:
-        for n, c in self.coeffs:
-            if n == name:
-                return c
-        return 0
-
-    def variables(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.coeffs)
-
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: LinearTerm | int) -> LinearTerm:
-        if isinstance(other, int):
-            return LinearTerm(self.coeffs, self.const + other)
-        d = dict(self.coeffs)
-        for n, c in other.coeffs:
-            d[n] = d.get(n, 0) + c
-        return LinearTerm.make(d, self.const + other.const)
-
-    def __sub__(self, other: LinearTerm | int) -> LinearTerm:
-        if isinstance(other, int):
-            return LinearTerm(self.coeffs, self.const - other)
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> LinearTerm:
-        if k == 0:
-            return LinearTerm((), 0)
-        return LinearTerm(tuple((n, c * k) for n, c in self.coeffs), self.const * k)
-
-    def drop(self, name: str) -> LinearTerm:
-        return LinearTerm(tuple((n, c) for n, c in self.coeffs if n != name), self.const)
-
-    def substitute(self, name: str, value: LinearTerm) -> LinearTerm:
-        c = self.coeff(name)
-        if c == 0:
-            return self
-        return self.drop(name) + value.scale(c)
-
-    def evaluate(self, assignment: Mapping[str, int]) -> int:
-        total = self.const
-        for n, c in self.coeffs:
-            if n not in assignment:
-                raise MissingAssignmentError(n)
-            total += c * int(assignment[n])
-        return total
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return str(self.const)
-        parts = []
-        for n, c in self.coeffs:
-            if abs(c) == 1:
-                body = n
-            else:
-                body = f"{abs(c)}*{n}"
-            parts.append(("+" if c > 0 else "-", body))
-        if self.const != 0:
-            parts.append(("+" if self.const > 0 else "-", str(abs(self.const))))
-        out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+# atoms
 
 
 GEQ0 = "geq0"
@@ -603,6 +506,13 @@ def parse(text: str) -> Formula:
         raise FormulaSyntaxError(f"trailing input starting at {end.text!r}", end.line, end.column)
     check_scopes(f)
     return f
+
+
+def parse_domain(text: str) -> Formula:
+    """Parse a parameter domain; a quantified one is replaced by its
+    quantifier elimination, a quantifier-free one is kept as written."""
+    f = parse(text)
+    return f if is_quantifier_free(f) else qe(f)
 
 
 def parse_term(text: str) -> LinearTerm:

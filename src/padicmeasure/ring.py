@@ -15,13 +15,20 @@ replayable certificate step.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .algebra import AffineForm, Polynomial, format_rational, frac, parse_rational
+from .algebra import (
+    LinearTerm,
+    Polynomial,
+    Rat,
+    format_rational,
+    frac,
+    parse_rational,
+    variable_name,
+)
 from .measure import (
     MEASURE_ZERO,
     BoxCell,
@@ -43,7 +50,6 @@ from .presburger import (
     Atom,
     AtomF,
     Formula,
-    LinearTerm,
     TRUE,
     conj,
     divides,
@@ -51,7 +57,9 @@ from .presburger import (
     format_formula,
     free_variables,
     geq0,
+    neg,
     parse,
+    parse_domain,
     parse_term,
     simplify,
     substitute,
@@ -63,9 +71,9 @@ from .semilinear import (
     PiecewisePolynomial,
     count_parametric,
     disjoint_conjunctions,
-    term_of_affine,
     to_cells,
     towers_in_domain,
+    variable_orders,
 )
 
 
@@ -191,7 +199,7 @@ def multiply(a: Presentation, b: Presentation) -> Presentation:
 
 def measure_function(pres: Presentation) -> MeasureFunction:
     """Exact measure of each fiber, as a guarded exponential polynomial."""
-    raw: list[tuple[Formula, Polynomial, AffineForm]] = []
+    raw: list[tuple[Formula, Polynomial, LinearTerm]] = []
     for index, (coeff, cell) in enumerate(pres.generators):
         converted = cell_to_weighted_sum(cell, pres.ctx)
         if converted is MEASURE_ZERO:
@@ -352,12 +360,10 @@ def split_first_generator(pres: Presentation, predicate: Formula) -> tuple[Prese
     if not pres.generators:
         raise ValueError("nothing to split")
     coeff, cell = pres.generators[0]
-    from .presburger import neg as fneg
-
     part1 = BoxCell(cell.coords, cell.lambda_vars,
                     simplify(conj([cell.lambda_formula, predicate])), cell.weight)
     part2 = BoxCell(cell.coords, cell.lambda_vars,
-                    simplify(conj([cell.lambda_formula, fneg(predicate)])), cell.weight)
+                    simplify(conj([cell.lambda_formula, neg(predicate)])), cell.weight)
     gens = ((coeff, part1), (coeff, part2)) + pres.generators[1:]
     after = Presentation(pres.ctx, pres.param_vars, pres.param_domain, gens)
     return after, CertificateStep("R1", "split a generator into disjoint parts", pres, after)
@@ -422,7 +428,7 @@ class _GenState:
     levels: list[Level]
     kept: list[Level]
     guard: tuple[Atom, ...]
-    wtot: AffineForm  # total exponent over level variables and parameters
+    wtot: LinearTerm  # total exponent over level variables and parameters
 
 
 def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
@@ -433,7 +439,7 @@ def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
         names.append(level.var)
         v = LinearTerm.variable(level.var)
         den = level.start.denominator_lcm()
-        start_term = term_of_affine(level.start, den)
+        start_term = level.start.integer_term(den)
         if level.kind == "point":
             atoms.append(eq0(v.scale(den) - start_term))
             continue
@@ -449,7 +455,7 @@ def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
         if level.kind == "range":
             end = level.start + level.count.scale(step) - step
             den2 = end.denominator_lcm()
-            end_term = term_of_affine(end, den2)
+            end_term = end.integer_term(den2)
             if step > 0:
                 atoms.append(geq0(end_term - v.scale(den2)))
             else:
@@ -459,20 +465,11 @@ def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
     n = len(levels)
     # recover the weight field: cell_to_weighted_sum subtracts each lambda and
     # each level (all levels are 1 here), so add them back
-    coeffs = {n2: c for n2, c in state.wtot.coeffs}
-    for level in levels:
-        coeffs[level.var] = coeffs.get(level.var, Fraction(0)) + 1
-    wfield = AffineForm.make(coeffs, state.wtot.const + n)
+    wfield = state.wtot + LinearTerm.make({name: 1 for name in names}, n)
     r = wfield.denominator_lcm()
-    c_term = term_of_affine(
-        AffineForm.make({k: v for k, v in wfield.coeffs if k not in set(names)},
-                        wfield.const), r)
-    b = {}
-    for name in names:
-        val = wfield.coeff(name) * r
-        if val.denominator != 1:
-            raise AssertionError("weight coefficient not integral after scaling by its lcm")
-        b[name] = val.numerator
+    scaled = wfield.integer_term(r)
+    c_term = LinearTerm.make({k: v for k, v in scaled.coeffs if k not in names}, scaled.const)
+    b = {name: scaled.coeff(name) for name in names}
     weight: Weight | None = Weight.make(r, c_term, b)
     if weight.r == 1 and weight.c == LinearTerm.constant(0) and not weight.b:
         weight = None
@@ -604,7 +601,7 @@ def normalize_to_basic(
 
 def _plan_generator(
     cells: list[GuardedCell],
-    wform: AffineForm,
+    wform: LinearTerm,
     coeff: Fraction,
     pres: Presentation,
     ctx: PAdicContext,
@@ -615,12 +612,8 @@ def _plan_generator(
     factors = 1
     domain = disjoint_conjunctions(pres.param_domain)
     for cell in cells:
-        orders = [tuple(cell.variables)] + [
-            perm for perm in sorted(itertools.permutations(cell.variables))
-            if perm != tuple(cell.variables)
-        ]
         last_error: Exception | None = None
-        for order in orders:
+        for order in variable_orders(cell.variables):
             plan_factor = 1
             plan_states = []
             try:
@@ -644,7 +637,7 @@ class _BlockedError(Exception):
     pass
 
 
-def _gamma_of(state: _GenState, level: Level) -> Fraction:
+def _gamma_of(state: _GenState, level: Level) -> Rat:
     return state.wtot.coeff(level.var) * level.step
 
 
@@ -805,9 +798,9 @@ def _objects(entries, what: str) -> list[Mapping]:
 def from_document(doc: Mapping) -> Presentation:
     doc = _typed(doc, Mapping, "a presentation")
     ctx = PAdicContext(_typed(doc["prime"], int, "prime"))
-    param_vars = tuple(_typed(v, str, "a parameter name")
+    param_vars = tuple(variable_name(_typed(v, str, "a parameter name"))
                        for v in _typed(doc.get("param_vars", []), list, "param_vars"))
-    param_domain = parse(_typed(doc.get("param_domain", "true"), str, "param_domain"))
+    param_domain = parse_domain(_typed(doc.get("param_domain", "true"), str, "param_domain"))
     gens = []
     for g in _objects(doc.get("generators", ()), "generators"):
         coords: list[Union[Coordinate, DegenerateCoordinate]] = []

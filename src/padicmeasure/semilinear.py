@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .algebra import (
-    AffineForm,
+    LinearTerm,
     Polynomial,
     bounded_power_sums,
     faulhaber,
@@ -32,13 +32,16 @@ from .presburger import (
     DIV,
     EQ0,
     GEQ0,
+    AndF,
     Atom,
     AtomF,
     FalseF,
     Formula,
-    LinearTerm,
+    NotF,
     NotQuantifierFreeError,
+    OrF,
     TrueF,
+    _simplify_atom,
     conj,
     disj,
     divides,
@@ -121,8 +124,6 @@ def _positivize(f: Formula) -> Formula:
     def rec(g: Formula) -> Formula:
         if isinstance(g, AtomF) or isinstance(g, (TrueF, FalseF)):
             return g
-        from .presburger import AndF, NotF, OrF
-
         if isinstance(g, NotF):
             atom = g.arg.atom  # nnf guarantees the argument is an atom
             if atom.kind == EQ0:
@@ -148,8 +149,6 @@ def _dnf(f: Formula) -> list[list[Atom]]:
         return []
     if isinstance(f, AtomF):
         return [[f.atom]]
-    from .presburger import AndF, OrF
-
     if isinstance(f, OrF):
         out = []
         for a in f.args:
@@ -254,9 +253,9 @@ class Level:
 
     var: str
     kind: str  # "point" | "ray" | "range"
-    start: AffineForm  # over earlier variables and parameters; exact on guards
+    start: LinearTerm  # over earlier variables and parameters; exact on guards
     step: int = 0  # point: 0; ray: any nonzero; range: >= 1
-    count: AffineForm | None = None  # range only; >= 1 on the guard
+    count: LinearTerm | None = None  # range only; >= 1 on the guard
 
 
 @dataclass(frozen=True)
@@ -267,24 +266,6 @@ class Tower:
 
     def guard_formula(self) -> Formula:
         return simplify(conj([AtomF(a) for a in self.guard]))
-
-
-def _affine_of_term(t: LinearTerm) -> AffineForm:
-    return AffineForm.make({n: Fraction(c) for n, c in t.coeffs}, Fraction(t.const))
-
-
-def term_of_affine(a: AffineForm, scale: int = 1) -> LinearTerm:
-    """scale*a as an integer LinearTerm; scale must clear all denominators."""
-    coeffs = {}
-    for n, c in a.coeffs:
-        v = c * scale
-        if v.denominator != 1:
-            raise ValueError("affine form does not clear to an integer term")
-        coeffs[n] = v.numerator
-    const = a.const * scale
-    if const.denominator != 1:
-        raise ValueError("affine form does not clear to an integer term")
-    return LinearTerm.make(coeffs, const.numerator)
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -333,7 +314,7 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
             if den > 1:
                 new_atoms.append(divides(den, num))
             new_atoms.extend(_substitute_value(x, var, num, den) for x in others)
-            value = _affine_of_term(num).scale(Fraction(1, den))
+            value = num.scale(Fraction(1, den))
             return [_Branch(new_atoms, Level(var, "point", value))]
 
     # bounds as (numerator term, positive denominator)
@@ -351,7 +332,7 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
         else:
             congruences.append((a.modulus, c, t))
 
-    branches: list[tuple[list[Atom], list[AffineForm], list[AffineForm], int, int]] = [
+    branches: list[tuple[list[Atom], list[LinearTerm], list[LinearTerm], int, int]] = [
         (list(rest), [], [], 0, 1)  # atoms, lower forms, upper forms, residue, modulus
     ]
 
@@ -360,10 +341,10 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
         new = []
         for atoms2, lows, ups, r0, m0 in branches:
             if den == 1:
-                new.append((atoms2, lows + [_affine_of_term(num)], ups, r0, m0))
+                new.append((atoms2, lows + [num], ups, r0, m0))
                 continue
             for r in range(den):
-                ceil_form = _affine_of_term(num - r).scale(Fraction(1, den))
+                ceil_form = (num - r).scale(Fraction(1, den))
                 if r != 0:
                     ceil_form = ceil_form + 1
                 new.append(
@@ -374,10 +355,10 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
         new = []
         for atoms2, lows, ups, r0, m0 in branches:
             if den == 1:
-                new.append((atoms2, lows, ups + [_affine_of_term(num)], r0, m0))
+                new.append((atoms2, lows, ups + [num], r0, m0))
                 continue
             for r in range(den):
-                floor_form = _affine_of_term(num - r).scale(Fraction(1, den))
+                floor_form = (num - r).scale(Fraction(1, den))
                 new.append(
                     (atoms2 + [divides(den, num - r)], lows, ups + [floor_form], r0, m0)
                 )
@@ -417,8 +398,8 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
 
 
 def _extremum_split(
-    forms: list[AffineForm], want_max: bool
-) -> list[tuple[list[Atom], AffineForm | None]]:
+    forms: list[LinearTerm], want_max: bool
+) -> list[tuple[list[Atom], LinearTerm | None]]:
     """Disjoint branches selecting the max (or min) of affine forms."""
     if not forms:
         return [([], None)]
@@ -431,19 +412,19 @@ def _extremum_split(
             if i == j:
                 continue
             diff = cand - other if want_max else other - cand
-            term = term_of_affine(diff, diff.denominator_lcm())
+            term = diff.integer_term(diff.denominator_lcm())
             # strict for j < i, non-strict for j > i: a disjoint argmax choice
             atoms.append(geq0(term - 1) if j < i else geq0(term))
         out.append((atoms, cand))
     return out
 
 
-def _alignment_split(form: AffineForm, modulus: int) -> list[tuple[list[Atom], int]]:
+def _alignment_split(form: LinearTerm, modulus: int) -> list[tuple[list[Atom], int]]:
     """Branches fixing the residue of an integer-valued affine form."""
     if modulus == 1:
         return [([], 0)]
     den = form.denominator_lcm()
-    term = term_of_affine(form, den)
+    term = form.integer_term(den)
     out = []
     for sigma in range(modulus):
         out.append(([divides(den * modulus, term - den * sigma)] if den * modulus > 1 else [],
@@ -454,8 +435,8 @@ def _alignment_split(form: AffineForm, modulus: int) -> list[tuple[list[Atom], i
 def _aligned_levels(
     base_atoms: list[Atom],
     var: str,
-    low: AffineForm | None,
-    up: AffineForm | None,
+    low: LinearTerm | None,
+    up: LinearTerm | None,
     r_star: int,
     m_star: int,
 ) -> list[_Branch]:
@@ -468,7 +449,7 @@ def _aligned_levels(
                 end = up - ((sig_u - r_star) % m_star)
                 count = (end - start).scale(Fraction(1, m_star)) + 1
                 den = count.denominator_lcm()
-                nonempty = geq0(term_of_affine(count - 1, den))
+                nonempty = geq0((count - 1).integer_term(den))
                 atoms3 = base_atoms + atoms_l + atoms_u + [nonempty]
                 out.append(
                     _Branch(atoms3, Level(var, "range", start, m_star, count))
@@ -482,8 +463,8 @@ def _aligned_levels(
             start = up - ((sig_u - r_star) % m_star)
             out.append(_Branch(base_atoms + atoms_u, Level(var, "ray", start, -m_star)))
     else:
-        up_start = AffineForm.constant(r_star)
-        down_start = AffineForm.constant(r_star - m_star)
+        up_start = LinearTerm.constant(r_star)
+        down_start = LinearTerm.constant(r_star - m_star)
         out.append(_Branch(list(base_atoms), Level(var, "ray", up_start, m_star)))
         out.append(_Branch(list(base_atoms), Level(var, "ray", down_start, -m_star)))
     return out
@@ -555,8 +536,6 @@ def towers_in_domain(
 
 def _simplify_guard_atom(atom: Atom) -> Atom | None:
     """Canonicalize one guard atom; None when trivially true."""
-    from .presburger import _simplify_atom
-
     result = _simplify_atom(atom)
     if isinstance(result, TrueF):
         return None
@@ -567,8 +546,6 @@ def _simplify_guard_atom(atom: Atom) -> Atom | None:
 
 def _formula_to_atoms(f: Formula) -> tuple[Atom, ...]:
     """Flatten a conjunctive formula into atoms (guards are always conjunctive)."""
-    from .presburger import AndF
-
     if isinstance(f, TrueF):
         return ()
     if isinstance(f, AtomF):
@@ -581,27 +558,6 @@ def _formula_to_atoms(f: Formula) -> tuple[Atom, ...]:
     raise ValueError("expected a conjunction of atoms")
 
 
-def tower_member(tower: Tower, lam: Mapping[str, int], params: Mapping[str, int]) -> bool:
-    env: dict[str, Fraction] = {k: frac(v) for k, v in params.items()}
-    for a in tower.guard:
-        if not a.evaluate(params):
-            return False
-    for level in tower.levels:
-        value = frac(lam[level.var])
-        start = level.start.evaluate(env)
-        if level.kind == "point":
-            if value != start:
-                return False
-        else:
-            idx = (value - start) / level.step
-            if idx.denominator != 1 or idx < 0:
-                return False
-            if level.kind == "range" and idx >= level.count.evaluate(env):
-                return False
-        env[level.var] = value
-    return True
-
-
 # ---------------------------------------------------------------------------
 # closed-form summation over towers
 
@@ -611,11 +567,11 @@ class SumTerm:
     """poly * p^exponent, both over parameters (plus not-yet-summed variables)."""
 
     poly: Polynomial
-    exponent: AffineForm
+    exponent: LinearTerm
 
 
 def sum_over_tower(
-    tower: Tower, weight: AffineForm, p: int | None
+    tower: Tower, weight: LinearTerm, p: int | None
 ) -> list[SumTerm]:
     """Sum p^weight over the tower fiber, symbolically in the parameters.
 
@@ -642,13 +598,11 @@ def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
             )
         ]
 
-    sub = level.start + AffineForm.variable(_IOTA).scale(level.step)
+    sub = level.start + LinearTerm.variable(_IOTA).scale(level.step)
     poly = term.poly.substitute_affine(var, sub)
     exponent = term.exponent.substitute(var, sub)
     gamma = exponent.coeff(_IOTA)
-    exp_rest = AffineForm.make(
-        {n: c for n, c in exponent.coeffs if n != _IOTA}, exponent.const
-    )
+    exp_rest = exponent.drop(_IOTA)
     if gamma.denominator != 1:
         raise ValueError(
             f"exponent increment {gamma} along {var} is not an integer"
@@ -708,8 +662,8 @@ def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
 
 
 def _merge_terms(terms: Iterable[SumTerm]) -> list[SumTerm]:
-    acc: dict[AffineForm, Polynomial] = {}
-    order: list[AffineForm] = []
+    acc: dict[LinearTerm, Polynomial] = {}
+    order: list[LinearTerm] = []
     for t in terms:
         if t.exponent not in acc:
             acc[t.exponent] = t.poly
@@ -757,8 +711,8 @@ def count_parametric(
             if level.kind == "ray":
                 raise InfiniteFiberError(level.var, 1 if level.step > 0 else -1)
         poly = Polynomial(())
-        for t in sum_over_tower(tower, AffineForm.constant(0), None):
-            if t.exponent != AffineForm.constant(0):
+        for t in sum_over_tower(tower, LinearTerm.constant(0), None):
+            if t.exponent != LinearTerm.constant(0):
                 raise AssertionError("a point count picked up a power of p")
             poly = poly + t.poly
         regions = refine(regions, list(tower.guard), lambda acc, poly=poly: acc + poly)
@@ -831,7 +785,7 @@ class RectilinearPiece:
     """
 
     variables: tuple[str, ...]
-    base: tuple[AffineForm, ...]
+    base: tuple[LinearTerm, ...]
     generators: tuple[tuple[int, ...], ...]  # one row per variable
     param_guard: Formula
 
@@ -894,7 +848,7 @@ class RectilinearPiece:
 
 def _pieces_from_tower(tower: Tower, out_order: Sequence[str]) -> list[RectilinearPiece]:
     guard = tower.guard_formula()
-    branches: list[tuple[dict[str, AffineForm], list[str]]] = [({}, [])]
+    branches: list[tuple[dict[str, LinearTerm], list[str]]] = [({}, [])]
     for level in tower.levels:
         new_branches = []
         for forms, mus in branches:
@@ -908,7 +862,7 @@ def _pieces_from_tower(tower: Tower, out_order: Sequence[str]) -> list[Rectiline
             elif level.kind == "ray":
                 mu = f"@m{len(mus)}"
                 forms2 = dict(forms)
-                forms2[level.var] = start + AffineForm.variable(mu).scale(level.step)
+                forms2[level.var] = start + LinearTerm.variable(mu).scale(level.step)
                 new_branches.append((forms2, mus + [mu]))
             else:
                 count = level.count
@@ -933,7 +887,7 @@ def _pieces_from_tower(tower: Tower, out_order: Sequence[str]) -> list[Rectiline
         rows = []
         for v in out_order:
             f = forms[v]
-            base.append(AffineForm.make(
+            base.append(LinearTerm.make(
                 {n: c for n, c in f.coeffs if not n.startswith("@m")}, f.const))
             row = []
             for mu in mus:
@@ -946,9 +900,13 @@ def _pieces_from_tower(tower: Tower, out_order: Sequence[str]) -> list[Rectiline
     return pieces
 
 
-def rectilinearize(
-    cells: Sequence[GuardedCell], try_orders: bool = True
-) -> list[RectilinearPiece]:
+def variable_orders(variables: Sequence[str]) -> list[tuple[str, ...]]:
+    """The given order first, then every other permutation in sorted order."""
+    identity = tuple(variables)
+    return [identity] + [p for p in sorted(itertools.permutations(identity)) if p != identity]
+
+
+def rectilinearize(cells: Sequence[GuardedCell]) -> list[RectilinearPiece]:
     """Rewrite disjoint cells as disjoint affine images of N^m.
 
     Bounded directions are expanded only when their width is constant; a cell
@@ -957,15 +915,8 @@ def rectilinearize(
     """
     pieces: list[RectilinearPiece] = []
     for cell in cells:
-        orders: Iterable[Sequence[str]]
-        if try_orders:
-            identity = tuple(cell.variables)
-            rest = sorted(itertools.permutations(cell.variables))
-            orders = [identity] + [p for p in rest if p != identity]
-        else:
-            orders = [tuple(cell.variables)]
         last_error: Exception | None = None
-        for order in orders:
+        for order in variable_orders(cell.variables):
             try:
                 got = []
                 for tower in triangulate(cell, order):

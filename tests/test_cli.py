@@ -207,6 +207,39 @@ def test_non_object_entry_exit_two(tmp_path, verb, doc):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["measure", "eq", "count"])
+def test_quantified_domain_reads_as_its_elimination(tmp_path, family, verb):
+    pres, _ = family
+    outputs = []
+    for domain in ("E x. s = 2*x", "2 | s"):
+        doc = {**to_document(pres), "param_domain": domain}
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        left.write_text(json.dumps(doc))
+        doubled = [{**g, "coeff": "2"} for g in doc["generators"]]
+        right.write_text(json.dumps({**doc, "generators": doubled}))
+        argv = {
+            "measure": ["measure", str(left)],
+            "eq": ["eq", str(left), str(right)],
+            "count": ["count", "--formula", "0 <= l /\\ l < s /\\ 2 | l",
+                      "--lambda-vars", "l", "--domain", domain],
+        }[verb]
+        outputs.append(call(argv + ["-p", "2"]))
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert code == (1 if verb == "eq" else 0) and out and not err
+
+
+@pytest.mark.parametrize("name", ["1x", "true", "@i", "s t"])
+def test_bad_variable_name_exit_two(tmp_path, name):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"prime": 2, "param_vars": [name], "generators": []}))
+    count = ["count", "--formula", "0 <= l /\\ l <= 3", "--lambda-vars", f"l,{name}"]
+    for argv in (["measure", str(path)], count):
+        code, out, err = call(argv + ["-p", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_error_exit_two():
     code, _, _ = call(["measure"])  # missing document and prime
     assert code == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicmeasure.algebra import AffineForm, Polynomial
+from padicmeasure.algebra import Polynomial
 from padicmeasure.measure import (
     BoxCell,
     Coordinate,
@@ -74,7 +74,7 @@ def unit_coord():
 def test_cell_to_weighted_sum_natural_volume():
     cell = BoxCell((unit_coord(),), ("l1",), parse("l1 >= 0"))
     lam, w = cell_to_weighted_sum(cell, CTX2)
-    assert w.affine() == AffineForm.make({"l1": -1}, -1)
+    assert w.affine() == LinearTerm.make({"l1": -1}, -1)
     e = sum_closed_form(lam, w, TRUE, CTX2, [])
     assert exp_poly_eval(e, {}, CTX2) == Fraction(1, 2 - 1)
     assert exp_poly_eval(
@@ -143,10 +143,10 @@ def test_cell_weight_validation_runs_in_cell_to_weighted_sum():
 
 
 def test_exp_poly_eval_constant_and_domain():
-    one = make_exp_polynomial(2, (), [(TRUE, Polynomial.constant(1), AffineForm.constant(0))])
+    one = make_exp_polynomial(2, (), [(TRUE, Polynomial.constant(1), LinearTerm.constant(0))])
     assert exp_poly_eval(one, {}, CTX2) == 1
     guarded = make_exp_polynomial(
-        2, ("s",), [(parse("s >= 0"), Polynomial.constant(1), AffineForm.constant(0))]
+        2, ("s",), [(parse("s >= 0"), Polynomial.constant(1), LinearTerm.constant(0))]
     )
     with pytest.raises(OutOfDomainError):
         exp_poly_eval(guarded, {"s": -1}, CTX2)
@@ -158,8 +158,8 @@ def test_exp_poly_eval_family_value():
         2,
         ("s",),
         [
-            (g, Polynomial.constant(1), AffineForm.constant(0)),
-            (g, Polynomial.constant(-1), AffineForm.make({"s": -1})),
+            (g, Polynomial.constant(1), LinearTerm.constant(0)),
+            (g, Polynomial.constant(-1), LinearTerm.make({"s": -1})),
         ],
     )
     assert exp_poly_eval(e, {"s": 2}, CTX2) == Fraction(3, 4)
@@ -176,7 +176,7 @@ def test_zero_test_empty_and_cancellation():
     s_poly = Polynomial.variable("s")
     cancel = make_exp_polynomial(
         2, ("s",),
-        [(g, s_poly, AffineForm.constant(0)), (g, s_poly.scale(-1), AffineForm.constant(0))],
+        [(g, s_poly, LinearTerm.constant(0)), (g, s_poly.scale(-1), LinearTerm.constant(0))],
     )
     assert cancel.terms == ()
     assert exp_poly_is_zero(cancel, TRUE, CTX2) is None
@@ -186,8 +186,8 @@ def test_zero_test_witness():
     g = parse("s >= 0")
     e = make_exp_polynomial(
         2, ("s",),
-        [(g, Polynomial.constant(1), AffineForm.constant(0)),
-         (g, Polynomial.constant(-1), AffineForm.make({"s": -1}))],
+        [(g, Polynomial.constant(1), LinearTerm.constant(0)),
+         (g, Polynomial.constant(-1), LinearTerm.make({"s": -1}))],
     )
     witness = exp_poly_is_zero(e, parse("s >= 0"), CTX2)
     assert witness is not None
@@ -200,8 +200,8 @@ def test_zero_test_cross_guard_cancellation():
     g = parse("s >= 1")
     e = make_exp_polynomial(
         2, ("s",),
-        [(g, Polynomial.constant(2), AffineForm.make({"s": -1}, -1)),
-         (g, Polynomial.constant(-1), AffineForm.make({"s": -1}))],
+        [(g, Polynomial.constant(2), LinearTerm.make({"s": -1}, -1)),
+         (g, Polynomial.constant(-1), LinearTerm.make({"s": -1}))],
     )
     assert exp_poly_is_zero(e, parse("s >= 1"), CTX2) is None
 
@@ -212,17 +212,17 @@ def test_zero_test_polynomial_group_on_cone():
     s_poly = Polynomial.variable("s")
     e = make_exp_polynomial(
         2, ("s",),
-        [(g, s_poly * s_poly, AffineForm.make({"s": -1})),
-         (g, (s_poly * s_poly).scale(-1), AffineForm.make({"s": -1}, 0))],
+        [(g, s_poly * s_poly, LinearTerm.make({"s": -1})),
+         (g, (s_poly * s_poly).scale(-1), LinearTerm.make({"s": -1}, 0))],
     )
     assert exp_poly_is_zero(e, TRUE, CTX2) is None
 
 
 def test_canonicalization_idempotent():
     raw = [
-        (parse("s >= 0"), Polynomial.constant(1), AffineForm.make({"s": 1})),
-        (parse("s >= 3"), Polynomial.constant(2), AffineForm.make({"s": 1}, 1)),
-        (TRUE, Polynomial.variable("s"), AffineForm.constant(0)),
+        (parse("s >= 0"), Polynomial.constant(1), LinearTerm.make({"s": 1})),
+        (parse("s >= 3"), Polynomial.constant(2), LinearTerm.make({"s": 1}, 1)),
+        (TRUE, Polynomial.variable("s"), LinearTerm.constant(0)),
     ]
     e = make_exp_polynomial(2, ("s",), raw)
     again = make_exp_polynomial(2, ("s",), [(t.guard, t.poly, t.exponent) for t in e.terms])
@@ -273,7 +273,7 @@ def _random_raw_terms(rng):
         poly = Polynomial.constant(rng.randint(-2, 2))
         if rng.random() < 0.3:
             poly = poly * Polynomial.variable(rng.choice(names))
-        exponent = AffineForm.make({rng.choice(names): rng.randint(-1, 1)}, rng.randint(-1, 1))
+        exponent = LinearTerm.make({rng.choice(names): rng.randint(-1, 1)}, rng.randint(-1, 1))
         raw.append((guard, poly, exponent))
     return raw
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -191,6 +192,23 @@ def test_linear_term_invariants():
         LinearTerm.make({"2bad": 1})
     with pytest.raises(ValueError):
         LinearTerm.make({"true": 1})
+
+
+def test_linear_term_keeps_rational_coefficients():
+    t = LinearTerm.make({"x": Fraction(1, 2)}, 3)
+    assert t.coeffs == (("x", Fraction(1, 2)),) and str(t) == "1/2*x + 3"
+    whole = LinearTerm.make({"x": Fraction(4, 2)}, Fraction(6, 3))
+    assert whole == LinearTerm.make({"x": 2}, 2) and str(whole) == "2*x + 2"
+    assert all(type(c) is int for c in (whole.coeff("x"), whole.const, t.scale(2).coeff("x")))
+    assert t.integer_term(2) == LinearTerm.make({"x": 1}, 6)
+    with pytest.raises(ValueError):
+        t.integer_term()
+    with pytest.raises(ValueError):
+        t.integer_term(3)
+    # the internal placeholders build; other names outside the grammar do not
+    assert LinearTerm.make({"@i": 1, "@m0": 2, "@z12": 3}).variables() == ("@i", "@m0", "@z12")
+    with pytest.raises(ValueError):
+        LinearTerm.make({"@x": 1})
 
 
 def test_atom_invariants():

@@ -15,3 +15,24 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_package_imports_sit_at_module_level():
+    # package modules are imported once, in each module's import list;
+    # numpy alone is imported lazily inside functions, to keep start-up short
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] if node.level == 0 else ["padicmeasure"]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(m.split(".")[0] == "padicmeasure" for m in modules):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
