@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 from .algebra import format_rational, variable_name
 from .measure import (
@@ -121,10 +122,10 @@ def _print_exp_poly(e: ExpPolynomial) -> None:
         print(f"sum[ {format_formula(term.guard)} ; {term.poly} ; p^({term.exponent}) ]")
 
 
-def _require_point(point: dict[str, int] | None, pres: Presentation) -> dict[str, int]:
+def _require_point(point: dict[str, int] | None, names: Sequence[str]) -> dict[str, int]:
     if point is None:
         raise InputError("--at is required here")
-    missing = [v for v in pres.param_vars if v not in point]
+    missing = [v for v in names if v not in point]
     if missing:
         raise InputError(f"--at misses parameters {missing}")
     return point
@@ -138,7 +139,7 @@ def _cmd_measure(args) -> int:
     if point is None:
         _print_exp_poly(mf.exp_poly)
         return 0
-    value = mf.evaluate(_require_point(point, pres))
+    value = mf.evaluate(_require_point(point, pres.param_vars))
     print(format_rational(value))
     return 0
 
@@ -172,7 +173,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_count(args) -> int:
     PAdicContext(args.prime)  # the prime is validated even though counting is p-free
-    f = parse(args.formula)
+    f = parse_domain(args.formula)
     lambda_vars = [variable_name(v.strip()) for v in args.lambda_vars.split(",") if v.strip()]
     domain = parse_domain(args.domain)
     params = sorted((set(free_variables(f)) | set(free_variables(domain)))
@@ -181,7 +182,7 @@ def _cmd_count(args) -> int:
     piecewise = count_parametric(cells, domain, params)
     point = _parse_assignment(args.at)
     if point is not None:
-        print(format_rational(piecewise.evaluate(point)))
+        print(format_rational(piecewise.evaluate(_require_point(point, params))))
         return 0
     for guard, poly in piecewise.pieces:
         print(f"count[ {format_formula(guard)} ; {poly} ]")
@@ -196,7 +197,7 @@ def _cmd_qe(args) -> int:
 def _cmd_oracle(args) -> int:
     ctx = PAdicContext(args.prime)
     pres = _load_presentation(args.document, ctx.p)
-    point = _require_point(_parse_assignment(args.at) or {}, pres)
+    point = _require_point(_parse_assignment(args.at) or {}, pres.param_vars)
     bracket = truncated_measure(pres, point, args.depth, args.window)
     print(f"bracket[ {format_rational(bracket.lower)} , "
           f"{format_rational(bracket.upper)} ] depth={bracket.depth} "

@@ -509,8 +509,9 @@ def parse(text: str) -> Formula:
 
 
 def parse_domain(text: str) -> Formula:
-    """Parse a parameter domain; a quantified one is replaced by its
-    quantifier elimination, a quantifier-free one is kept as written."""
+    """Parse a parameter domain or a counted formula; a quantified one is
+    replaced by its quantifier elimination, a quantifier-free one is kept as
+    written."""
     f = parse(text)
     return f if is_quantifier_free(f) else qe(f)
 

@@ -11,6 +11,12 @@ presentation: it splits cells into towers, peels geometric tails into
 rational factors, and leaves only finite-fiber generators whose weight
 depends on the parameters alone.  Every transformation is recorded as a
 replayable certificate step.
+
+Replay checks that the steps chain (each before is the previous after) and
+that each step keeps the measure.  By linearity it measures only the
+difference of a step's two sides: cells that occur on both sides with equal
+total coefficients cancel, and the closed form of each distinct cell is
+computed once per replay.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .measure import (
     Coordinate,
     DegenerateCoordinate,
     DivergesError,
+    ExpTerm,
     InputError,
     MeasureFunction,
     PAdicContext,
@@ -158,15 +165,24 @@ def _fresh_names(taken: set[str], names: Sequence[str]) -> dict[str, str]:
     return mapping
 
 
+def _rename(f: Formula, mapping: Mapping[str, str]) -> Formula:
+    """f with its variables renamed all at once: each goes through a fresh
+    temporary first, so a new name never captures a variable renamed later."""
+    moved = {old: new for old, new in mapping.items() if old != new}
+    temps = _fresh_names(set(free_variables(f)) | set(moved.values()), list(moved))
+    for old in moved:
+        f = substitute(f, old, LinearTerm.variable(temps[old]))
+    for old, new in moved.items():
+        f = substitute(f, temps[old], LinearTerm.variable(new))
+    return f
+
+
 def cell_product(left: BoxCell, right: BoxCell, param_vars: Sequence[str]) -> BoxCell:
     """Fiber product of two cells; right-hand lambda variables are renamed
     with a deterministic numeric suffix scheme on collision."""
     taken = set(param_vars) | set(left.lambda_vars)
     mapping = _fresh_names(taken, right.lambda_vars)
-    rform = right.lambda_formula
-    for old, new in mapping.items():
-        if new != old:
-            rform = substitute(rform, old, LinearTerm.variable(new))
+    rform = _rename(right.lambda_formula, mapping)
     lw = left.weight if left.weight is not None else Weight.constant(0)
     rw = right.weight if right.weight is not None else Weight.constant(0)
     r = math.lcm(lw.r, rw.r)
@@ -197,20 +213,27 @@ def multiply(a: Presentation, b: Presentation) -> Presentation:
     return Presentation(a.ctx, a.param_vars, a.param_domain, tuple(gens))
 
 
+def _generator_terms(
+    cell: BoxCell, ctx: PAdicContext, param_vars: tuple[str, ...], param_domain: Formula
+) -> tuple[ExpTerm, ...]:
+    """Closed-form terms of one generator's cell over a base, unscaled; none
+    for a negligible cell.  Raises as sum_closed_form does."""
+    converted = cell_to_weighted_sum(cell, ctx)
+    if converted is MEASURE_ZERO:
+        return ()
+    lam, weight = converted
+    return sum_closed_form(lam, weight, param_domain, ctx, param_vars).terms
+
+
 def measure_function(pres: Presentation) -> MeasureFunction:
     """Exact measure of each fiber, as a guarded exponential polynomial."""
     raw: list[tuple[Formula, Polynomial, LinearTerm]] = []
     for index, (coeff, cell) in enumerate(pres.generators):
-        converted = cell_to_weighted_sum(cell, pres.ctx)
-        if converted is MEASURE_ZERO:
-            continue
-        lam, weight = converted
         try:
-            ep = sum_closed_form(lam, weight, pres.param_domain, pres.ctx, pres.param_vars)
+            terms = _generator_terms(cell, pres.ctx, pres.param_vars, pres.param_domain)
         except DivergesError as err:
             raise DivergesError(err.variable, err.direction, generator=index) from err
-        for t in ep.terms:
-            raw.append((t.guard, t.poly.scale(coeff), t.exponent))
+        raw.extend((t.guard, t.poly.scale(coeff), t.exponent) for t in terms)
     expp = make_exp_polynomial(pres.ctx.p, pres.param_vars, raw)
     return MeasureFunction(expp, pres.param_domain, pres.param_vars, pres.ctx)
 
@@ -272,18 +295,43 @@ class Certificate:
 
 
 def find_invalid_step(cert: Certificate) -> int | None:
-    """Index of the first step that fails to replay, or None."""
+    """Index of the first step that fails to replay, or None.
+
+    A step replays when its rule is allowed, its before is the previous
+    step's after, both sides share one base, and before - after has measure
+    zero.  Measure is linear, so that difference is taken generator by
+    generator: each distinct cell gets its net coefficient (before minus
+    after), cells that net to zero cancel, and the closed forms of the rest
+    go through one canonicalization and one zero test.  Every generator
+    occurrence still has its closed form computed (once per distinct cell
+    and base in this call), so a divergent cell or a non-integral weight
+    rejects its step even when it cancels.
+    """
+    closed_forms: dict[tuple, tuple[ExpTerm, ...]] = {}
     for i, step in enumerate(cert.steps):
         if step.rule not in ALLOWED_RULES:
             return i
+        if i and step.before != cert.steps[i - 1].after:
+            return i
+        base = step.before
+        net: dict[tuple, Fraction] = {}
         try:
-            _same_base(step.before, step.after)
-            mfa = measure_function(step.before)
-            mfb = measure_function(step.after)
+            _same_base(base, step.after)
+            for sign, side in ((1, base), (-1, step.after)):
+                for coeff, cell in side.generators:
+                    key = (cell, base.ctx, base.param_vars, base.param_domain)
+                    if key not in closed_forms:
+                        closed_forms[key] = _generator_terms(*key)
+                    net[key] = net.get(key, 0) + sign * coeff
         except (ContextMismatchError, DivergesError, InputError):
             return i
-        diff = exp_poly_add(mfa.exp_poly, exp_poly_scale(mfb.exp_poly, Fraction(-1)))
-        if exp_poly_is_zero(diff, step.before.param_domain, step.before.ctx) is not None:
+        raw = [
+            (t.guard, t.poly.scale(coeff), t.exponent)
+            for key, coeff in net.items() if coeff != 0
+            for t in closed_forms[key]
+        ]
+        diff = make_exp_polynomial(base.ctx.p, base.param_vars, raw)
+        if exp_poly_is_zero(diff, base.param_domain, base.ctx) is not None:
             return i
     return None
 
@@ -744,10 +792,7 @@ def to_document(pres: Presentation) -> dict:
     gens = []
     for coeff, cell in pres.generators:
         names = _canonical_lambda_names(len(cell.lambda_vars))
-        lam = cell.lambda_formula
-        for old, new in zip(cell.lambda_vars, names):
-            if old != new:
-                lam = substitute(lam, old, LinearTerm.variable(new))
+        lam = _rename(cell.lambda_formula, dict(zip(cell.lambda_vars, names)))
         coords = []
         for c in cell.coords:
             if isinstance(c, Coordinate):

@@ -144,6 +144,19 @@ def test_count_subcommand():
     assert (code, out.strip()) == (0, "5")
 
 
+def test_count_at_names_missing_parameters():
+    code, out, err = call(["count", "--formula", "l = 2*x /\\ l >= 0 /\\ l <= s",
+                           "--lambda-vars", "l", "-p", "2", "--at", "s=6"])
+    assert (code, out) == (2, "")
+    assert err == "error: --at misses parameters ['x']\n"
+
+
+def test_count_quantified_formula():
+    code, out, _ = call(["count", "--formula", "E x. l = 2*x /\\ l >= 0 /\\ l <= s",
+                         "--lambda-vars", "l", "-p", "2", "--at", "s=6"])
+    assert (code, out.strip()) == (0, "4")
+
+
 def test_count_infinite_fiber_exit_three():
     code, _, err = call(["count", "--formula", "l >= s", "--lambda-vars", "l", "-p", "2"])
     assert code == 3

@@ -5,7 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from padicmeasure.measure import DivergesError, PAdicContext, Weight
+from padicmeasure.measure import (
+    BoxCell,
+    Coordinate,
+    DegenerateCoordinate,
+    DivergesError,
+    InputError,
+    PAdicContext,
+    Weight,
+    exp_poly_add,
+    exp_poly_is_zero,
+    exp_poly_scale,
+)
 from padicmeasure.oracle import truncated_measure
 from padicmeasure.presburger import (
     TRUE,
@@ -19,6 +30,7 @@ from padicmeasure.presburger import (
     simplify,
 )
 from padicmeasure.ring import (
+    ALLOWED_RULES,
     Certificate,
     CertificateStep,
     ContextMismatchError,
@@ -35,6 +47,7 @@ from padicmeasure.ring import (
     measure_function,
     multiply,
     normalize_to_basic,
+    presentation,
     raise_level,
     scalar_mul,
     shift_lambda,
@@ -139,8 +152,6 @@ def test_level_identity_random():
         pres = random_convergent_presentation(rng, CTX3, allow_params=True, max_generators=1)
         # force level 1 first
         coeff, cell = pres.generators[0]
-        from padicmeasure.measure import BoxCell, Coordinate
-
         coords1 = tuple(Coordinate(c.center, 1, 1) for c in cell.coords)
         base = Presentation(CTX3, pres.param_vars, pres.param_domain,
                             ((coeff, BoxCell(coords1, cell.lambda_vars,
@@ -279,8 +290,6 @@ def test_normalize_parametric_shear():
 
 
 def test_normalize_drops_empty_and_degenerate_generators():
-    from padicmeasure.measure import BoxCell, Coordinate, DegenerateCoordinate
-
     live = weighted_presentation(
         CTX3, parse("l >= 0"), Weight.make(1, LinearTerm.constant(0), {"l": -1})
     )
@@ -354,8 +363,6 @@ def _mutate_step(rng, step):
         return CertificateStep(step.rule, step.note, step.before,
                                scalar_mul(2, step.before))
     coeff, cell = gens[index]
-    from padicmeasure.measure import BoxCell
-
     if which == "coeff":
         gens[index] = (coeff + Fraction(1, 3), cell)
     elif which == "formula":
@@ -371,7 +378,8 @@ def _mutate_step(rng, step):
     return CertificateStep(step.rule, step.note, step.before, mutated)
 
 
-def test_certificate_fuzzed_mutations_all_detected():
+def _fuzzed_certificates():
+    """Twelve (index, certificate) pairs, each with step index mutated."""
     rng = random.Random(17)
     w = Weight.make(1, LinearTerm.constant(-1), {"l": -1})
     xi = weighted_presentation(CTX2, parse("0 <= l /\\ l < s"), w, ["s"], parse("s >= 0"))
@@ -388,8 +396,94 @@ def test_certificate_fuzzed_mutations_all_detected():
             ):
                 continue
             break
-        fuzzed = Certificate(cert.steps[:index] + (mutated,) + cert.steps[index + 1:])
-        assert find_invalid_step(fuzzed) == index, (trial, index, mutated.rule)
+        yield index, Certificate(cert.steps[:index] + (mutated,) + cert.steps[index + 1:])
+
+
+def test_certificate_fuzzed_mutations_all_detected():
+    for trial, (index, fuzzed) in enumerate(_fuzzed_certificates()):
+        assert find_invalid_step(fuzzed) == index, (trial, index, fuzzed.steps[index].rule)
+
+
+def _whole_snapshot_invalid_step(cert):
+    """Reference replay: the measure of each whole side of every step."""
+    for i, step in enumerate(cert.steps):
+        before, after = step.before, step.after
+        if step.rule not in ALLOWED_RULES:
+            return i
+        if i and before != cert.steps[i - 1].after:
+            return i
+        if (before.ctx, before.param_vars, before.param_domain) != (
+                after.ctx, after.param_vars, after.param_domain):
+            return i
+        try:
+            mfa, mfb = measure_function(before), measure_function(after)
+        except (DivergesError, InputError):
+            return i
+        diff = exp_poly_add(mfa.exp_poly, exp_poly_scale(mfb.exp_poly, Fraction(-1)))
+        if exp_poly_is_zero(diff, before.param_domain, before.ctx) is not None:
+            return i
+    return None
+
+
+def test_replay_matches_whole_snapshot_reference():
+    # the 50 presentations of acceptance criterion 08, each certificate as
+    # built and with one fuzzed mutation, plus the fuzzed mutations above
+    rng = random.Random(808)
+    fuzz = random.Random(18)
+    certs = []
+    for _ in range(50):
+        ctx = PAdicContext(rng.choice((2, 3, 5)))
+        _, _, cert = normalize_to_basic(random_convergent_presentation(rng, ctx))
+        index = fuzz.randrange(len(cert.steps))
+        mutated = _mutate_step(fuzz, cert.steps[index])
+        certs += [cert, Certificate(cert.steps[:index] + (mutated,) + cert.steps[index + 1:])]
+    certs += [fuzzed for _, fuzzed in _fuzzed_certificates()]
+    outcomes = [find_invalid_step(c) for c in certs]
+    assert outcomes == [_whole_snapshot_invalid_step(c) for c in certs]
+    assert outcomes[0:100:2] == [None] * 50 and any(k is not None for k in outcomes)
+
+
+def test_replay_requires_steps_to_chain():
+    _, first = with_unit_ball(ball_presentation(CTX3, 0))
+    _, second = with_unit_ball(delta_presentation(CTX3, 1))
+    assert verify_certificate(Certificate((first,)))
+    assert verify_certificate(Certificate((second,)))
+    assert find_invalid_step(Certificate((first, second))) == 1
+
+
+def _step(before_gens, after_gens):
+    """A hand-built step over the parameter-free base for p = 2."""
+    def side(gens):
+        return Presentation(CTX2, (), TRUE, tuple(gens))
+    return CertificateStep("R1", "hand-built", side(before_gens), side(after_gens))
+
+
+def test_replay_rejects_a_cancelled_divergent_generator():
+    (one,) = unit_presentation(CTX2).generators
+    (divergent,) = weighted_presentation(CTX2, parse("l >= 0"), Weight.constant(0)).generators
+    step = _step([one, divergent], [one, divergent])
+    assert find_invalid_step(Certificate((step,))) == 0
+    with pytest.raises(DivergesError):
+        measure_function(step.after)
+
+
+def test_replay_rejects_a_cancelled_non_integral_weight():
+    (one,) = unit_presentation(CTX2).generators
+    half = BoxCell((Coordinate(Fraction(0), 1, 1),), ("l",), parse("l >= 0"),
+                   Weight.make(2, LinearTerm.constant(0), {"l": 1}))
+    step = _step([one, (Fraction(1), half)], [one, (Fraction(1), half)])
+    assert find_invalid_step(Certificate((step,))) == 0
+    with pytest.raises(InputError):
+        measure_function(step.before)
+
+
+def test_replay_accepts_a_coefficient_moved_between_copies():
+    (one,) = unit_presentation(CTX2).generators
+    cell = ball_presentation(CTX2, 1).generators[0][1]
+    step = _step([(Fraction(2), cell), one], [(Fraction(1), cell), one, (Fraction(1), cell)])
+    assert verify_certificate(Certificate((step,)))
+    moved_wrong = _step([(Fraction(2), cell), one], [(Fraction(1), cell), one, (Fraction(2), cell)])
+    assert find_invalid_step(Certificate((moved_wrong,))) == 0
 
 
 def test_permute_coordinates_rewrite():
@@ -435,6 +529,36 @@ def test_document_round_trip():
     assert "l1" in doc["generators"][0]["lambda_formula"]
     back = from_document(doc)
     assert bool(decide_equal(xi, back))
+
+
+def _squared_presentation():
+    # number 8 of random.Random(2026): its square has a generator with lambda
+    # variables ('l1', 'l1_2', 'l2'), which renaming one at a time to l1..l3
+    # used to merge (l1_2 -> l2, then l2 -> l3)
+    rng = random.Random(2026)
+    for _ in range(9):
+        ctx = PAdicContext(rng.choice((2, 3)))
+        pres = random_convergent_presentation(rng, ctx, max_generators=3)
+    return multiply(pres, pres)
+
+
+def test_document_round_trip_keeps_lambda_variables_apart():
+    sq = _squared_presentation()
+    assert ("l1", "l1_2", "l2") in [cell.lambda_vars for _, cell in sq.generators]
+    back = from_document(json.loads(json.dumps(to_document(sq))))
+    assert bool(decide_equal(back, sq))
+    _, _, cert = normalize_to_basic(sq)
+    text = json.dumps(certificate_to_document(cert))
+    assert verify_certificate(certificate_from_document(json.loads(text)))
+
+
+def test_product_renaming_keeps_lambda_variables_apart():
+    # the right factor's l1 becomes l1_2, which its own l1_2 must not absorb
+    ball = ball_presentation(CTX2, 0)
+    bounded = presentation(CTX2, [(1, BoxCell(
+        (Coordinate(Fraction(0), 1, 1),) * 2, ("l1", "l1_2"),
+        parse("0 <= l1 /\\ l1 <= 2 /\\ 0 <= l1_2 /\\ l1_2 <= 1"), None))])
+    assert mu(multiply(ball, bounded)) == mu(ball) * mu(bounded)
 
 
 def test_certificate_document_round_trip():
