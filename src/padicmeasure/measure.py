@@ -28,6 +28,7 @@ from .presburger import (
     simplify,
 )
 from .semilinear import (
+    GuardedCell,
     OutOfDomainError,
     Tower,
     UnboundedDirectionError,
@@ -214,8 +215,10 @@ def cell_to_weighted_sum(cell: BoxCell, ctx: PAdicContext):
 
     Returns (lambda_formula, w) with w folding the per-coordinate volumes
     p^(-lambda_i - level_i) into the cell's optional weight, or MEASURE_ZERO
-    when a coordinate is degenerate.  Raises InputError when the resulting
-    weight is not integer-valued on the solution set.
+    when a coordinate is degenerate.  w.b lists every lambda variable of the
+    cell, zero entries included, so a variable the formula leaves free is
+    still summed.  Integrality of w is checked later, on the parameter
+    domain, by checked_towers.
     """
     cell.validate(ctx)
     if any(isinstance(c, DegenerateCoordinate) for c in cell.coords):
@@ -226,10 +229,7 @@ def cell_to_weighted_sum(cell: BoxCell, ctx: PAdicContext):
     b = {n: v for n, v in base.b}
     for name in cell.lambda_vars:
         b[name] = b.get(name, 0) - r
-    w = Weight.make(r, base.c - r * level_sum, b)
-    list(_checked_towers(cell.lambda_formula, w.affine(), [[]], cell.lambda_vars,
-                         cell.param_variables()))
-    return cell.lambda_formula, w
+    return cell.lambda_formula, Weight(r, base.c - r * level_sum, tuple(sorted(b.items())))
 
 
 def _lambda_vars_of(lam: Formula, weight: Weight, param_vars: Sequence[str]) -> tuple[str, ...]:
@@ -238,16 +238,16 @@ def _lambda_vars_of(lam: Formula, weight: Weight, param_vars: Sequence[str]) -> 
     return tuple(sorted(names))
 
 
-def _checked_towers(
-    lam: Formula,
+def checked_towers(
+    cells: Iterable[GuardedCell],
     wform: LinearTerm,
     domain: Sequence[list[Atom]],
-    lambda_vars: Sequence[str],
-    param_vars: Sequence[str],
+    order: Sequence[str] | None = None,
 ) -> Iterator[tuple[Tower, list[list[Atom]]]]:
-    """The towers of lam that meet the domain pieces, with their guards, each
-    yielded once the weight is checked to be integer-valued on its guards."""
-    for tower, guards in towers_in_domain(to_cells(lam, lambda_vars, param_vars), domain):
+    """The towers of the cells that meet the domain pieces, with their guards
+    (as towers_in_domain), each yielded once the weight is checked to be
+    integer-valued on its guards; InputError otherwise."""
+    for tower, guards in towers_in_domain(cells, domain, order):
         for guard in guards:
             _check_tower_weight(tower, wform, guard)
         yield tower, guards
@@ -508,25 +508,20 @@ def sum_closed_form(
     weight: Weight,
     param_domain: Formula,
     ctx: PAdicContext,
-    param_vars: Sequence[str] | None = None,
+    param_vars: Sequence[str],
 ) -> ExpPolynomial:
     """Closed form of  s -> sum over the fiber of Lambda at s of p^weight.
 
-    Raises DivergesError when a direction with nonnegative exponent increment
-    is unbounded, and InputError when the weight is not integer-valued.
+    The summed variables are those of lam outside param_vars and those named
+    in weight.b.  Raises DivergesError when a direction with nonnegative
+    exponent increment is unbounded, and InputError when the weight is not
+    integer-valued on the solution set over the parameter domain.
     """
-    if param_vars is None:
-        param_vars = tuple(
-            sorted(
-                (set(free_variables(param_domain)) | set(weight.c.variables()))
-                - {n for n, _ in weight.b}
-            )
-        )
     lambda_vars = _lambda_vars_of(lam, weight, param_vars)
     wform = weight.affine()
     domain = disjoint_conjunctions(param_domain)
     raw_terms: list[tuple[Formula, Polynomial, LinearTerm]] = []
-    for tower, guards in _checked_towers(lam, wform, domain, lambda_vars, param_vars):
+    for tower, guards in checked_towers(to_cells(lam, lambda_vars, param_vars), wform, domain):
         try:
             terms = sum_over_tower(tower, wform, ctx.p)
         except UnboundedDirectionError as err:

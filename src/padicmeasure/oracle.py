@@ -323,7 +323,6 @@ def truncated_measure(
     point: Mapping[str, int],
     depth: int = 8,
     window: int = 12,
-    ctx: PAdicContext | None = None,
 ) -> Bracket:
     """Bracket the exact measure of a presentation fiber by enumeration.
 
@@ -333,7 +332,7 @@ def truncated_measure(
     until the bracket width is at most p^(n - depth).  WindowTooSmallError is
     raised when a tail cannot be bounded or the target is unreachable.
     """
-    ctx = ctx or pres.ctx
+    ctx = pres.ctx
     p = ctx.p
     n_max = max((len(c.lambda_vars) for _, c in pres.generators), default=0)
     target = power_fraction(p, n_max - depth)

@@ -581,7 +581,7 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # simplification
 
-def _simplify_atom(atom: Atom) -> Formula:
+def simplify_atom(atom: Atom) -> Formula:
     term = atom.term
     if term.is_constant():
         if atom.kind == GEQ0:
@@ -628,7 +628,7 @@ def simplify(f: Formula) -> Formula:
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, AtomF):
-        return _simplify_atom(f.atom)
+        return simplify_atom(f.atom)
     if isinstance(f, NotF):
         inner = simplify(f.arg)
         return neg(inner)

@@ -47,6 +47,7 @@ from .measure import (
     PAdicContext,
     Weight,
     cell_to_weighted_sum,
+    checked_towers,
     exp_poly_add,
     exp_poly_is_zero,
     exp_poly_scale,
@@ -79,7 +80,6 @@ from .semilinear import (
     count_parametric,
     disjoint_conjunctions,
     to_cells,
-    towers_in_domain,
     variable_orders,
 )
 
@@ -118,6 +118,9 @@ class Presentation:
             stray = set(cell.param_variables()) - set(self.param_vars)
             if stray:
                 raise InputError(f"generator references undeclared parameters {sorted(stray)}")
+            shadowed = set(cell.lambda_vars) & set(self.param_vars)
+            if shadowed:
+                raise InputError(f"lambda variables {sorted(shadowed)} are also parameters")
 
 
 def presentation(
@@ -602,12 +605,8 @@ def normalize_to_basic(
         if converted is MEASURE_ZERO:
             raise AssertionError("degenerate generator survived the R2 step")
         lam, weight = converted
-        wform = weight.affine()
-        params = pres.param_vars
-        lambda_vars = cell.lambda_vars
-        cells = to_cells(lam, lambda_vars, params)
-
-        states, gen_factors = _plan_generator(cells, wform, coeff, pres, ctx)
+        cells = to_cells(lam, cell.lambda_vars, pres.param_vars)
+        states, gen_factors = _plan_generator(cells, weight.affine(), coeff, pres, ctx)
         ell = math.lcm(ell, gen_factors)
 
         after = _assemble(ctx, pres.param_vars, pres.param_domain, done, states,
@@ -655,7 +654,8 @@ def _plan_generator(
     ctx: PAdicContext,
 ) -> tuple[list[_GenState], int]:
     """Choose a triangulation order whose peeling never blocks; returns the
-    initial states and the product of (p^n - 1) factors the plan will use."""
+    initial states and the product of (p^n - 1) factors the plan will use.
+    InputError when the weight is not integer-valued on a tower in the domain."""
     states: list[_GenState] = []
     factors = 1
     domain = disjoint_conjunctions(pres.param_domain)
@@ -665,7 +665,7 @@ def _plan_generator(
             plan_factor = 1
             plan_states = []
             try:
-                for tower, _ in towers_in_domain([cell], domain, order):
+                for tower, _ in checked_towers([cell], wform, domain, order):
                     st = _GenState(coeff, list(tower.levels), [], tower.guard, wform)
                     plan_factor *= _dry_run(st, ctx.p)
                     plan_states.append(st)
@@ -788,10 +788,14 @@ def _canonical_lambda_names(n: int) -> tuple[str, ...]:
 
 
 def to_document(pres: Presentation) -> dict:
-    """Serialize with canonical per-cell lambda names l1..ln (coordinate order)."""
+    """Serialize with canonical per-cell lambda names l1..ln (coordinate order);
+    InputError when a parameter has one of those names."""
     gens = []
     for coeff, cell in pres.generators:
         names = _canonical_lambda_names(len(cell.lambda_vars))
+        captured = set(names) & set(pres.param_vars)
+        if captured:
+            raise InputError(f"parameters {sorted(captured)} clash with lambda names")
         lam = _rename(cell.lambda_formula, dict(zip(cell.lambda_vars, names)))
         coords = []
         for c in cell.coords:

@@ -41,7 +41,6 @@ from .presburger import (
     NotQuantifierFreeError,
     OrF,
     TrueF,
-    _simplify_atom,
     conj,
     disj,
     divides,
@@ -52,6 +51,7 @@ from .presburger import (
     is_satisfiable,
     nnf,
     simplify,
+    simplify_atom,
 )
 
 _IOTA = "@i"  # internal summation index; cannot clash with parsed names
@@ -536,7 +536,7 @@ def towers_in_domain(
 
 def _simplify_guard_atom(atom: Atom) -> Atom | None:
     """Canonicalize one guard atom; None when trivially true."""
-    result = _simplify_atom(atom)
+    result = simplify_atom(atom)
     if isinstance(result, TrueF):
         return None
     if isinstance(result, FalseF):

@@ -6,6 +6,7 @@ tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -333,9 +334,7 @@ def test_criterion_09_equality_decider_desk_scale():
     _report(9, "rule chains stay Equal; coefficient perturbations flip with witness", failures)
 
 
-def test_criterion_10_oracle_containment():
-    rng = random.Random(1010)
-    failures = []
+def presentations_criterion_10():
     registry = []
     for _, _, pres in presentations_criterion_1():
         registry.append(pres)
@@ -352,7 +351,13 @@ def test_criterion_10_oracle_containment():
         registry.append(pres)
     for _, _, seed, derived in presentations_criterion_9():
         registry.extend((seed, derived))
+    return registry
 
+
+def test_criterion_10_oracle_containment():
+    rng = random.Random(1010)
+    failures = []
+    registry = presentations_criterion_10()
     for index, pres in enumerate(registry):
         mf = measure_function(pres)
         n = max((len(c.lambda_vars) for _, c in pres.generators), default=0)
@@ -369,3 +374,27 @@ def test_criterion_10_oracle_containment():
                 failures.append((index, point, "width", bracket.width))
     _report(10, f"depth-8 brackets contain exact values ({len(registry)} presentations)",
             failures)
+
+
+def test_oracle_brackets_without_cell_decomposition(monkeypatch):
+    # the oracle stays independent of the engine: it brackets every
+    # criterion-10 presentation with to_cells and triangulate unavailable
+    rng = random.Random(1011)
+    cases = []
+    for pres in presentations_criterion_10():
+        point = {v: rng.randint(0, 12) for v in pres.param_vars}
+        cases.append((pres, point, measure_function(pres).evaluate(point)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle decomposed a cell")
+
+    for name, module in list(sys.modules.items()):
+        for attr in ("to_cells", "triangulate"):
+            if name.startswith("padicmeasure") and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    failures = [
+        (index, point)
+        for index, (pres, point, value) in enumerate(cases)
+        if value not in truncated_measure(pres, point, depth=8, window=12)
+    ]
+    assert not failures, failures[:3]

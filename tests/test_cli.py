@@ -169,6 +169,43 @@ def test_measure_divergence_exit_three(tmp_path):
     assert code == 3
 
 
+_UNIT_COORD = {"center": "0", "level": 1, "ac": 1}
+
+
+def _one_coordinate_document(tmp_path, **fields):
+    path = tmp_path / "doc.json"
+    generator = {"coeff": "1", "coords": [_UNIT_COORD]}
+    generator.update(fields.pop("generator", {}))
+    path.write_text(json.dumps({"prime": 2, **fields, "generators": [generator]}))
+    return str(path)
+
+
+def test_measure_weight_integral_on_the_domain(tmp_path):
+    # the weight folds to s/2, an integer on the domain 2 | s only
+    path = _one_coordinate_document(
+        tmp_path, param_vars=["s"], param_domain="2 | s /\\ s >= 0",
+        generator={"lambda_formula": "0 <= l1 /\\ l1 <= 3",
+                   "weight": {"r": 2, "c": "s + 2", "b": [2]}})
+    code, out, err = call(["measure", path, "-p", "2", "--at", "s=4"])
+    assert (code, out.strip(), err) == (0, "16", "")
+
+
+def test_measure_free_lambda_variable_exit_three(tmp_path):
+    # the weight cancels the volume of l1, which the formula leaves free
+    path = _one_coordinate_document(
+        tmp_path, generator={"lambda_formula": "true", "weight": {"r": 1, "c": "0", "b": [1]}})
+    code, out, _ = call(["measure", path, "-p", "2", "--at"])
+    assert (code, out) == (3, "")
+
+
+def test_parameter_named_like_a_lambda_variable_exit_two(tmp_path):
+    path = _one_coordinate_document(tmp_path, param_vars=["l1"],
+                                    generator={"lambda_formula": "0 <= l1"})
+    code, out, err = call(["measure", path, "-p", "2", "--at", "l1=3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_oracle_subcommand(tmp_path):
     path = write(tmp_path, "d1.json", delta_presentation(CTX2, 1))
     code, out, _ = call(["oracle", path, "-p", "2", "--at", "--depth", "8", "--window", "12"])
@@ -191,9 +228,6 @@ def test_non_object_document_exit_two(tmp_path, verb, text):
     code, out, err = call([verb, *documents, "-p", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-_UNIT_COORD = {"center": "0", "level": 1, "ac": 1}
 
 
 @pytest.mark.parametrize("verb,doc", [

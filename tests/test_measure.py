@@ -24,6 +24,7 @@ from padicmeasure.measure import (
     sum_closed_form,
     valuation,
 )
+from padicmeasure.oracle import WindowTooSmallError, truncated_measure
 from padicmeasure.presburger import (
     TRUE,
     AndF,
@@ -33,6 +34,14 @@ from padicmeasure.presburger import (
     evaluate_qf,
     free_variables,
     parse,
+)
+from padicmeasure.ring import (
+    Certificate,
+    CertificateStep,
+    find_invalid_step,
+    measure_function,
+    normalize_to_basic,
+    presentation,
 )
 from padicmeasure.semilinear import OutOfDomainError
 
@@ -82,6 +91,16 @@ def test_cell_to_weighted_sum_natural_volume():
     ) == Fraction(1, 3 - 1)
 
 
+def test_cell_to_weighted_sum_lists_every_lambda_variable():
+    # the volume cancels l1's weight; l1 is still summed, over all integers
+    cell = BoxCell((unit_coord(),), ("l1",), TRUE,
+                   Weight.make(1, LinearTerm.constant(0), {"l1": 1}))
+    lam, w = cell_to_weighted_sum(cell, CTX2)
+    assert w.b == (("l1", 0),)
+    with pytest.raises(DivergesError):
+        sum_closed_form(lam, w, TRUE, CTX2, [])
+
+
 def test_degenerate_coordinate_is_measure_zero():
     cell = BoxCell((DegenerateCoordinate(Fraction(1, 2)), unit_coord()), ("l1",),
                    parse("l1 >= 0"))
@@ -94,9 +113,6 @@ def test_level_two_point_cell():
     e = sum_closed_form(lam, w, TRUE, CTX2, [])
     assert exp_poly_eval(e, {}, CTX2) == Fraction(1, 4)
     # cross-check with the depth-4 residue bracket
-    from padicmeasure.oracle import truncated_measure
-    from padicmeasure.ring import presentation
-
     bracket = truncated_measure(presentation(CTX2, [(1, cell)]), {}, depth=4)
     assert Fraction(1, 4) in bracket
 
@@ -135,11 +151,18 @@ def test_weight_integrality_validation():
     assert exp_poly_eval(e, {}, CTX3) == Fraction(3, 2)
 
 
-def test_cell_weight_validation_runs_in_cell_to_weighted_sum():
+def test_cell_weight_validation_rejects_on_every_path():
+    # the weight folds to the constant -1/2: no path may measure the cell
     bad = Weight.make(2, LinearTerm.constant(1), {"l1": 2})
     cell = BoxCell((unit_coord(),), ("l1",), parse("l1 >= 0"), bad)
+    pres = presentation(CTX2, [(1, cell)])
     with pytest.raises(InputError):
-        cell_to_weighted_sum(cell, CTX2)
+        measure_function(pres)
+    with pytest.raises(InputError):
+        normalize_to_basic(pres)
+    assert find_invalid_step(Certificate((CertificateStep("R1", "", pres, pres),))) == 0
+    with pytest.raises(WindowTooSmallError):
+        truncated_measure(pres, {})
 
 
 def test_exp_poly_eval_constant_and_domain():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from padicmeasure import measure
 from padicmeasure.measure import (
     BoxCell,
     Coordinate,
@@ -17,7 +18,7 @@ from padicmeasure.measure import (
     exp_poly_is_zero,
     exp_poly_scale,
 )
-from padicmeasure.oracle import truncated_measure
+from padicmeasure.oracle import WindowTooSmallError, truncated_measure
 from padicmeasure.presburger import (
     TRUE,
     AndF,
@@ -568,6 +569,69 @@ def test_certificate_document_round_trip():
     back = certificate_from_document(certificate_to_document(cert))
     assert verify_certificate(back)
     assert len(back.steps) == len(cert.steps)
+
+
+def test_parameter_named_like_a_lambda_variable_is_rejected():
+    # a document renames the lambda variable x to l1, which is a parameter here
+    pres = weighted_presentation(CTX2, parse("0 <= x /\\ x <= l1"), Weight.constant(0),
+                                 ["l1"], parse("l1 >= 0"))
+    assert mu(pres, {"l1": 3}) == 4
+    with pytest.raises(InputError):
+        to_document(pres)
+    cell = BoxCell((Coordinate(Fraction(0), 1, 1),), ("l1",), parse("l1 >= 0"), None)
+    with pytest.raises(InputError):
+        presentation(CTX2, [(1, cell)], ["l1"])
+
+
+def _domain_integral_presentation():
+    # the weight folds to s/2, an integer on the domain 2 | s only
+    unit = {"center": "0", "level": 1, "ac": 1}
+    return from_document({
+        "prime": 2, "param_vars": ["s"], "param_domain": "2 | s /\\ s >= 0",
+        "generators": [{"coeff": "1", "coords": [unit], "lambda_formula": "0 <= l1 /\\ l1 <= 3",
+                        "weight": {"r": 2, "c": "s + 2", "b": [2]}}],
+    })
+
+
+def test_weight_needs_integer_values_only_on_the_domain():
+    pres = _domain_integral_presentation()
+    assert mu(pres, {"s": 4}) == 16
+    assert 16 in truncated_measure(pres, {"s": 4})
+    ell, basic, cert = normalize_to_basic(pres)
+    assert verify_certificate(cert)
+    assert decide_equal(scalar_mul(ell, pres), basic.presentation)
+
+
+def test_free_lambda_variable_with_zero_net_weight_diverges():
+    # the weight cancels the volume of l1, which the formula leaves free: the
+    # sum of p^-1 over every integer l1 diverges
+    cell = BoxCell((Coordinate(Fraction(0), 1, 1),), ("l1",), TRUE,
+                   Weight.make(1, LinearTerm.constant(0), {"l1": 1}))
+    pres = presentation(CTX2, [(1, cell)])
+    with pytest.raises(DivergesError):
+        measure_function(pres)
+    with pytest.raises(DivergesError):
+        decide_equal(pres, pres)
+    with pytest.raises(DivergesError):
+        normalize_to_basic(pres)
+    with pytest.raises(WindowTooSmallError):
+        truncated_measure(pres, {})
+
+
+def test_measure_function_decomposes_each_generator_once(monkeypatch):
+    calls = []
+    original = measure.to_cells
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "to_cells", spy)
+    pres = _domain_integral_presentation()
+    point = BoxCell((DegenerateCoordinate(Fraction(1)),), (), TRUE, None)
+    gens = pres.generators + delta_presentation(CTX2, 2).generators + ((Fraction(1), point),)
+    measure_function(Presentation(CTX2, pres.param_vars, pres.param_domain, gens))
+    assert len(calls) == 2
 
 
 def test_zero_coefficient_generator_decides_not_equal():

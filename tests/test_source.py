@@ -36,3 +36,18 @@ def test_package_imports_sit_at_module_level():
                 if any(m.split(".")[0] == "padicmeasure" for m in modules):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_package_modules_import_no_private_names_from_each_other():
+    # a name another package module needs is public; underscore names stay
+    # inside the module that defines them
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "padicmeasure":
+                continue
+            found.extend(f"{path.name}:{node.lineno} {alias.name}"
+                         for alias in node.names if alias.name.startswith("_"))
+    assert not found, found
