@@ -5,7 +5,9 @@ Atoms are kept normalized as  t >= 0,  t = 0  and  m | t  with integer linear
 terms t; all comparison operators are folded into these three shapes at parse
 time.  Quantifier elimination is Cooper-style: it introduces divisibility
 constraints instead of computing disjunctive normal forms, handles "forall"
-as not-exists-not, and eliminates the innermost quantifier first.
+as not-exists-not, and eliminates the innermost quantifier first.  A
+conjunction of atoms is decided by atoms_satisfiable instead, which works on
+the atoms and builds no formula.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import RESERVED, LinearTerm, MissingAssignmentError
 
@@ -889,11 +891,20 @@ def qe(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# Answers of is_satisfiable, keyed by formula, and of atoms_satisfiable,
+# keyed by the tuple of atoms; a tuple never equals a Formula.
 _SAT_RESULTS: dict = {}
 
 
 def is_satisfiable(f: Formula) -> bool:
-    """Exact satisfiability over the integers via quantifier elimination."""
+    """Exact satisfiability over the integers via quantifier elimination.
+
+    Its callers are the brute-force oracle (the probes of
+    _weighted_box_bracket and _coordinate_range, which stay on Cooper
+    elimination to remain an independent check) and library users with
+    quantified or disjunctive formulas.  The engine's own queries are
+    conjunctions of atoms and go to atoms_satisfiable.
+    """
     cached = _SAT_RESULTS.get(f)
     if cached is not None:
         return cached
@@ -909,6 +920,231 @@ def is_satisfiable(f: Formula) -> bool:
         raise AssertionError("qe of a sentence must be ground")
     _SAT_RESULTS[f] = out
     return out
+
+
+# ---------------------------------------------------------------------------
+# integer feasibility of atom conjunctions
+#
+# The decision works on rows: a conjunction is a dict mapping
+# (kind, coeffs, modulus) to const, where coeffs are sorted (name, int) pairs
+# without zeros, as in LinearTerm.coeffs, and every row is normalized as
+# simplify_atom normalizes its atom.
+
+
+def atoms_satisfiable(atoms: Sequence[Atom]) -> bool:
+    """Whether a conjunction of atoms has an integer solution.
+
+    Decided on the atoms, without building a formula or calling qe:
+    equalities are eliminated exactly, then one variable at a time is dropped
+    when it is bounded on one side only, eliminated by exact Fourier-Motzkin
+    when its lower (or its upper) bounds all have coefficient 1 (the exact
+    shadow of Pugh's Omega test), or else branched on Cooper's test points,
+    depth first.  Raises ExpansionBudgetError when one Cooper step counts
+    more than EXPANSION_BUDGET disjuncts, as qe does.
+    """
+    key = tuple(atoms)
+    cached = _SAT_RESULTS.get(key)
+    if cached is not None:
+        return cached
+    rows: dict = {}
+    out = all(_add_row(rows, a.kind, a.term.coeffs, a.term.const, a.modulus)
+              for a in key) and _feasible(rows)
+    _SAT_RESULTS[key] = out
+    return out
+
+
+def _add_row(rows: dict, kind: str, coeffs: tuple, const: int, modulus: int) -> bool:
+    """Add an atom to the rows, normalized as simplify_atom does; False when
+    the conjunction is now infeasible.  A true atom adds nothing; of two
+    inequalities with one coefficient vector only the stronger is kept."""
+    if not coeffs:
+        if kind == GEQ0:
+            return const >= 0
+        if kind == EQ0:
+            return const == 0
+        return const % modulus == 0
+    g = 0
+    for _, c in coeffs:
+        g = math.gcd(g, c)
+    if kind == DIV:
+        g = math.gcd(g, modulus)
+        if g > 1:
+            if const % g != 0:
+                return False
+            modulus //= g
+            if modulus == 1:
+                return True
+            coeffs = tuple((n, c // g) for n, c in coeffs)
+            const //= g
+        coeffs = tuple((n, c % modulus) for n, c in coeffs if c % modulus)
+        const %= modulus
+        if not coeffs:
+            return const == 0
+    elif g > 1:
+        if kind == EQ0 and const % g != 0:
+            return False
+        coeffs = tuple((n, c // g) for n, c in coeffs)
+        const //= g  # floor division: g*t' + c >= 0 iff t' >= ceil(-c/g)
+    if kind == EQ0 and coeffs[0][1] < 0:
+        coeffs = tuple((n, -c) for n, c in coeffs)
+        const = -const
+    key = (kind, coeffs, modulus)
+    old = rows.get(key)
+    if old is None or (kind == GEQ0 and const < old):
+        rows[key] = const
+        return True
+    # a second equality or divisibility on the same reduced term differs in
+    # its constant, so the two cannot both hold
+    return kind == GEQ0 or old == const
+
+
+def _substituted(coeffs: tuple, const: int, var: str, num: tuple, num_const: int,
+                 den: int) -> tuple[tuple, int]:
+    """den * (coeffs . x + const) with var := (num . x + num_const) / den."""
+    d: dict[str, int] = {}
+    c = 0
+    for n, k in coeffs:
+        if n == var:
+            c = k
+        else:
+            d[n] = k * den
+    for n, k in num:
+        d[n] = d.get(n, 0) + c * k
+    return tuple(sorted((n, k) for n, k in d.items() if k)), const * den + c * num_const
+
+
+def _feasible(rows: dict) -> bool:
+    """Integer feasibility of normalized rows (see _add_row); consumes rows."""
+    if not _eliminate_equalities(rows):
+        return False
+    while rows:
+        # each variable's rows: lower bounds, upper bounds, divisibilities
+        roles: dict[str, tuple[list, list, list]] = {}
+        for key, const in rows.items():
+            for n, c in key[1]:
+                lists = roles.get(n)
+                if lists is None:
+                    lists = roles[n] = ([], [], [])
+                lists[2 if key[0] == DIV else 0 if c > 0 else 1].append((c, key, const))
+        best = None
+        for var in sorted(roles):
+            lows, ups, divs = roles[var]
+            if not divs and (not lows or not ups):
+                choice = (0, "drop")
+            elif not divs and (all(c == 1 for c, _, _ in lows)
+                               or all(c == -1 for c, _, _ in ups)):
+                choice = (1, "fm")
+            else:
+                choice = (_cooper_step(lows, ups, divs)[2], "cooper")
+            if best is None or choice[0] < best[0]:
+                best = (*choice, var)
+                if choice[0] == 0:
+                    break
+        _, step, var = best
+        lows, ups, divs = roles[var]
+        if step == "cooper":
+            return _cooper_branches(rows, var, lows, ups, divs)
+        for _, key, _ in lows + ups:
+            del rows[key]
+        if step == "drop":
+            continue
+        # exact Fourier-Motzkin: when the lower bounds x >= -s all have
+        # coefficient 1, the largest of them is an integer and a solution
+        # exactly when every upper bound admits it, so each lower bound is
+        # substituted into each upper bound; symmetrically for unit uppers
+        units, others = (lows, ups) if all(c == 1 for c, _, _ in lows) else (ups, lows)
+        for c, unit, unit_const in units:
+            num = tuple((n, -c * k) for n, k in unit[1] if n != var)
+            for _, (_, coeffs, _), const in others:
+                coeffs, const = _substituted(coeffs, const, var, num, -c * unit_const, 1)
+                if not _add_row(rows, GEQ0, coeffs, const, 0):
+                    return False
+    return True
+
+
+def _eliminate_equalities(rows: dict) -> bool:
+    """Solve each equality for its variable of smallest coefficient,
+    x = num/den, and substitute it with den | num, as semilinear's
+    _substitute_value does; False when the rows became infeasible."""
+    while True:
+        best = None
+        for key in rows:
+            if key[0] == EQ0:
+                for name, c in key[1]:
+                    if best is None or abs(c) < abs(best[2]):
+                        best = (key, name, c)
+        if best is None:
+            return True
+        key, var, c = best
+        const = rows.pop(key)
+        sign = 1 if c > 0 else -1
+        num = tuple((n, -sign * k) for n, k in key[1] if n != var)
+        num_const, den = -sign * const, abs(c)
+        old = dict(rows)
+        rows.clear()
+        if den > 1 and not _add_row(rows, DIV, num, num_const, den):
+            return False
+        for (kind, coeffs, modulus), const in old.items():
+            if any(n == var for n, _ in coeffs):
+                coeffs, const = _substituted(coeffs, const, var, num, num_const, den)
+                if kind == DIV:
+                    modulus *= den
+            if not _add_row(rows, kind, coeffs, const, modulus):
+                return False
+
+
+def _cooper_step(lows: list, ups: list, divs: list) -> tuple[int, int, int]:
+    """(l, delta, size) of one Cooper step on a variable: l is the lcm of its
+    coefficients, delta the lcm of the moduli once it is scaled to x = l*var,
+    and size = delta * (boundary points + 1) as _eliminate_exists counts it
+    for its budget."""
+    l = 1
+    for c, _, _ in lows + ups + divs:
+        l = math.lcm(l, abs(c))
+    delta = l
+    for c, key, _ in divs:
+        delta = math.lcm(delta, key[2] * (l // abs(c)))
+    return l, delta, delta * (min(len(lows), len(ups)) + 1)
+
+
+def _cooper_branches(rows: dict, var: str, lows: list, ups: list, divs: list) -> bool:
+    """Whether some Cooper test point of var leaves the rows feasible.
+
+    The rows of var are scaled so that var has coefficient +-1 and stands for
+    x = l*var, with l | x.  On the side with fewer bounds, x runs over
+    bound +- j for j in 1..delta; with no bound on that side, over one
+    residue system modulo delta, where every inequality on x holds.
+    """
+    l, delta, size = _cooper_step(lows, ups, divs)
+    if size > EXPANSION_BUDGET:
+        raise ExpansionBudgetError(
+            f"eliminating {var} needs {size} disjuncts, over the budget of {EXPANSION_BUDGET}")
+    scaled = []
+    for c, key, const in lows + ups + divs:
+        kind, coeffs, modulus = key
+        m = l // abs(c)
+        coeffs = tuple((n, (1 if k > 0 else -1) if n == var else k * m) for n, k in coeffs)
+        scaled.append((kind, coeffs, const * m, modulus * m))
+        del rows[key]
+    if l > 1:
+        scaled.append((DIV, ((var, 1),), 0, l))
+    use_lows = len(lows) <= len(ups)
+    bounds = scaled[:len(lows)] if use_lows else scaled[len(lows):len(lows) + len(ups)]
+    if bounds:
+        # e*x + rest >= 0 with e = +-1 gives x = -e*rest + e*(j - 1), j in 1..delta
+        e = 1 if use_lows else -1
+        points = [(tuple((n, -e * k) for n, k in coeffs if n != var), -e * const + e * j)
+                  for _, coeffs, const, _ in bounds for j in range(delta)]
+    else:
+        scaled = [row for row in scaled if row[0] == DIV]
+        points = [((), j) for j in range(delta)]
+    for num, num_const in points:
+        branch = dict(rows)
+        if all(_add_row(branch, kind, *_substituted(coeffs, const, var, num, num_const, 1),
+                        modulus)
+               for kind, coeffs, const, modulus in scaled) and _feasible(branch):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

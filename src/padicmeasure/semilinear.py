@@ -8,8 +8,8 @@ rectilinearization into affine images of N^m, fiber enumeration, and the
 closed-form summation engine used by the measure layer.
 
 All splits are exact partitions; every guard ever produced is a conjunction
-of integer atoms, and every branch is pruned by a quantifier-elimination
-satisfiability check so outputs stay canonical.
+of integer atoms, and every branch is pruned by an integer-feasibility check
+on its atoms (presburger.atoms_satisfiable) so outputs stay canonical.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .presburger import (
     NotQuantifierFreeError,
     OrF,
     TrueF,
+    atoms_satisfiable,
     conj,
     disj,
     divides,
@@ -48,7 +49,6 @@ from .presburger import (
     free_variables,
     geq0,
     is_quantifier_free,
-    is_satisfiable,
     nnf,
     simplify,
     simplify_atom,
@@ -113,10 +113,6 @@ class GuardedCell:
         )
 
 
-def _atoms_satisfiable(atoms: Sequence[Atom], extra: Formula = TrueF()) -> bool:
-    return is_satisfiable(conj([AtomF(a) for a in atoms] + [extra]))
-
-
 def _positivize(f: Formula) -> Formula:
     """NNF with all negations expanded into positive atoms (disjoint expansions)."""
     f = nnf(f)
@@ -179,7 +175,7 @@ def subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
     for atom in earlier:
         for comp in _complement_pieces(atom):
             cand = disjunct + prefix + comp
-            if _atoms_satisfiable(cand):
+            if atoms_satisfiable(cand):
                 out.append(cand)
         prefix.append(atom)
     return out
@@ -187,7 +183,7 @@ def subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
 
 def disjoint_conjunctions(f: Formula) -> list[list[Atom]]:
     """Pairwise disjoint satisfiable conjunctions whose union is f."""
-    disjuncts = [d for d in _dnf(_positivize(simplify(f))) if _atoms_satisfiable(d)]
+    disjuncts = [d for d in _dnf(_positivize(simplify(f))) if atoms_satisfiable(d)]
     disjoint: list[list[Atom]] = []
     for i, d in enumerate(disjuncts):
         pieces = [d]
@@ -212,7 +208,7 @@ def refine(
         present = set(atoms)
         missing = [a for a in guard if a not in present]
         inside = atoms + missing
-        if missing and not _atoms_satisfiable(inside):
+        if missing and not atoms_satisfiable(inside):
             out.append((atoms, value))
             continue
         out.append((inside, update(value)))
@@ -482,6 +478,7 @@ def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[T
     cached = _TOWER_CACHE.get(cache_key)
     if cached is not None:
         return cached
+    guard = list(_formula_to_atoms(cell.param_guard))
 
     def rec(atoms: list[Atom], vars_left: tuple[str, ...]) -> list[tuple[list[Atom], list[Level]]]:
         if not vars_left:
@@ -489,7 +486,7 @@ def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[T
         var = vars_left[-1]
         results = []
         for branch in _split_variable(atoms, var):
-            if not _atoms_satisfiable(branch.atoms, cell.param_guard):
+            if not atoms_satisfiable(branch.atoms + guard):
                 continue
             for param_atoms, levels in rec(branch.atoms, vars_left[:-1]):
                 results.append((param_atoms, levels + [branch.level]))
@@ -505,7 +502,7 @@ def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[T
                 continue
             seen.add(cleaned)
             guard_atoms.append(cleaned)
-        for a in _formula_to_atoms(cell.param_guard):
+        for a in guard:
             if a not in seen:
                 seen.add(a)
                 guard_atoms.append(a)
@@ -529,7 +526,7 @@ def towers_in_domain(
     for cell in cells:
         for tower in triangulate(cell, order):
             own = list(tower.guard)
-            guards = [own + piece for piece in domain if _atoms_satisfiable(own + piece)]
+            guards = [own + piece for piece in domain if atoms_satisfiable(own + piece)]
             if guards:
                 yield tower, guards
 

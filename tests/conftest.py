@@ -7,19 +7,22 @@ from padicmeasure import presburger
 
 @pytest.fixture
 def sat_queries(monkeypatch):
-    """Every formula passed to is_satisfiable during the test.
+    """Every query passed to the two satisfiability entry points during the
+    test: sat_queries["is_satisfiable"] holds the formulas,
+    sat_queries["atoms_satisfiable"] the atom sequences.
 
-    The package imports is_satisfiable by name, so the spy replaces it in
+    The package imports both by name, so each spy replaces its function in
     every padicmeasure module that binds it, not only in presburger.
     """
-    asked = []
-    original = presburger.is_satisfiable
+    asked = {"is_satisfiable": [], "atoms_satisfiable": []}
+    for entry, queries in asked.items():
+        original = getattr(presburger, entry)
 
-    def spy(f):
-        asked.append(f)
-        return original(f)
+        def spy(arg, original=original, queries=queries):
+            queries.append(arg)
+            return original(arg)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("padicmeasure") and getattr(module, "is_satisfiable", None) is original:
-            monkeypatch.setattr(module, "is_satisfiable", spy)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("padicmeasure") and getattr(module, entry, None) is original:
+                monkeypatch.setattr(module, entry, spy)
     return asked

@@ -135,6 +135,24 @@ def test_qe_expansion_budget_exit_two():
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("formula", [
+    "1000003 | l + 2*s /\\ l >= 0 /\\ 3*l <= s",
+    "1000003 | l /\\ l >= 0 /\\ l <= s",
+])
+def test_count_expansion_budget_exit_two(formula):
+    # the conjunctive feasibility test keeps Cooper's budget on a huge
+    # modulus; in a child process, so that a missing budget fails on the
+    # timeout instead of filling this process's memory
+    src = Path(padicmeasure.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "padicmeasure.cli", "count", "--formula", formula,
+         "--lambda-vars", "l", "-p", "2", "--at", "s=6"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
 def test_count_subcommand():
     args = ["count", "--formula", "0 <= l /\\ l < s /\\ 2 | l",
             "--lambda-vars", "l", "--domain", "s >= 0", "-p", "2"]

@@ -314,7 +314,7 @@ def test_make_exp_polynomial_asks_only_conjunctive_queries(sat_queries):
     for raw in RAW_TERM_LISTS:
         names = sorted(set().union(*(free_variables(g) for g, _, _ in raw)))
         make_exp_polynomial(2, names, raw)
-    assert sat_queries and all(_atom_conjunction(f) for f in sat_queries)
+    assert sat_queries["atoms_satisfiable"] and not sat_queries["is_satisfiable"]
 
 
 def test_make_exp_polynomial_regions_partition_and_keep_values():

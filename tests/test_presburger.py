@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,17 +6,22 @@ import pytest
 
 from padicmeasure.presburger import (
     AtomF,
+    ExpansionBudgetError,
     FormulaSyntaxError,
     LinearTerm,
     MissingAssignmentError,
+    NotF,
     NotQuantifierFreeError,
     ScopeError,
     TRUE,
+    atoms_satisfiable,
+    conj,
     divides,
     equivalent_on_box,
     evaluate_qf,
     format_formula,
     free_variables,
+    geq0,
     is_quantifier_free,
     is_satisfiable,
     parse,
@@ -24,8 +30,9 @@ from padicmeasure.presburger import (
     simplify,
 )
 from padicmeasure.oracle import BudgetExceededError, brute_force_qe
+from padicmeasure.semilinear import _complement_pieces
 
-from generators import random_formula
+from generators import random_atom, random_formula
 
 # table of (text, canonical reprint); parse then print must round-trip
 PARSE_TABLE = {
@@ -135,6 +142,47 @@ def test_is_satisfiable():
     assert is_satisfiable(parse("x > 5 /\\ 2 | x"))
     assert not is_satisfiable(parse("x > 5 /\\ x < 3"))
     assert is_satisfiable(parse("E x. 3*x = a") & parse("a = 6"))
+
+
+def _random_conjunction(rng):
+    """1 to 4 variables and 1 to 6 atoms; a negated atom is replaced by one
+    of the disjoint pieces of its complement, and half of the conjunctions
+    are confined to the box -5 <= v <= 5."""
+    names = ("a", "b", "c", "d")[:rng.randint(1, 4)]
+    atoms = []
+    for _ in range(rng.randint(1, 6)):
+        f = random_atom(rng, names)
+        atoms += rng.choice(_complement_pieces(f.arg.atom)) if isinstance(f, NotF) else [f.atom]
+    boxed = rng.random() < 0.5
+    if boxed:
+        for v in names:
+            atoms += [geq0(LinearTerm.make({v: 1}, 5)), geq0(LinearTerm.make({v: -1}, 5))]
+    return names, atoms, boxed
+
+
+def test_atoms_satisfiable_matches_cooper_and_enumeration():
+    # Pugh's example (1991): real solutions but no integer one, and no
+    # variable with a unit coefficient, so no real shadow decides it
+    pugh = parse("27 <= 11*x + 13*y /\\ 11*x + 13*y <= 45 /\\ "
+                 "-10 <= 7*x - 9*y /\\ 7*x - 9*y <= 4")
+    assert not atoms_satisfiable([a.atom for a in pugh.args])
+    assert not is_satisfiable(pugh)
+    rng = random.Random(20261018)
+    answers = []
+    for _ in range(250):
+        names, atoms, boxed = _random_conjunction(rng)
+        got = atoms_satisfiable(atoms)
+        try:
+            assert got == is_satisfiable(conj([AtomF(a) for a in atoms])), atoms
+        except ExpansionBudgetError:
+            pass  # Cooper over the whole conjunction may exceed its budget
+        if boxed:
+            points = itertools.product(range(-5, 6), repeat=len(names))
+            assert got == any(all(a.evaluate(dict(zip(names, p))) for a in atoms)
+                              for p in points), atoms
+        answers.append(got)
+    # both answers occur often, so neither side of the decision goes untested
+    assert 75 < sum(answers) < 175
 
 
 def test_qe_matches_brute_force_on_random_formulas():

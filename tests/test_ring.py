@@ -21,11 +21,7 @@ from padicmeasure.measure import (
 from padicmeasure.oracle import WindowTooSmallError, truncated_measure
 from padicmeasure.presburger import (
     TRUE,
-    AndF,
-    AtomF,
-    FalseF,
     LinearTerm,
-    TrueF,
     evaluate_qf,
     parse,
     simplify,
@@ -676,12 +672,6 @@ def test_disjunctive_domains_match_oracle_and_certify():
             assert result.value1 == mu(pres, point) != mu(changed, point) == result.value2
 
 
-def _atom_conjunction(f):
-    if isinstance(f, AndF):
-        return all(isinstance(a, AtomF) for a in f.args)
-    return isinstance(f, (AtomF, TrueF, FalseF))
-
-
 def test_measure_decide_and_normalize_ask_only_atom_conjunctions(sat_queries):
     doc = json.loads((Path(__file__).parent / "data" / "zero_coefficient_pair.json").read_text())
     pairs = [(from_document(doc["left"]), from_document(doc["right"]))]
@@ -690,4 +680,4 @@ def test_measure_decide_and_normalize_ask_only_atom_conjunctions(sat_queries):
         measure_function(left)
         decide_equal(left, right)
         normalize_to_basic(left)
-    assert sat_queries and all(_atom_conjunction(f) for f in sat_queries)
+    assert sat_queries["atoms_satisfiable"] and not sat_queries["is_satisfiable"]

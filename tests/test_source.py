@@ -51,3 +51,17 @@ def test_package_modules_import_no_private_names_from_each_other():
             found.extend(f"{path.name}:{node.lineno} {alias.name}"
                          for alias in node.names if alias.name.startswith("_"))
     assert not found, found
+
+
+def test_oracle_keeps_its_own_satisfiability_path():
+    # the oracle checks the engine, so it decides its probes with Cooper
+    # elimination and does not share the engine's conjunctive feasibility test
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "atoms_satisfiable" for alias in node.names))
+        or (isinstance(node, ast.Name) and node.id == "atoms_satisfiable")
+        or (isinstance(node, ast.Attribute) and node.attr == "atoms_satisfiable")
+    ]
+    assert not found, found
