@@ -232,7 +232,7 @@ def cell_to_weighted_sum(cell: BoxCell, ctx: PAdicContext):
     return cell.lambda_formula, Weight(r, base.c - r * level_sum, tuple(sorted(b.items())))
 
 
-def _lambda_vars_of(lam: Formula, weight: Weight, param_vars: Sequence[str]) -> tuple[str, ...]:
+def lambda_vars_of(lam: Formula, weight: Weight, param_vars: Sequence[str]) -> tuple[str, ...]:
     names = set(free_variables(lam)) - set(param_vars)
     names |= {n for n, _ in weight.b}
     return tuple(sorted(names))
@@ -517,7 +517,7 @@ def sum_closed_form(
     exponent increment is unbounded, and InputError when the weight is not
     integer-valued on the solution set over the parameter domain.
     """
-    lambda_vars = _lambda_vars_of(lam, weight, param_vars)
+    lambda_vars = lambda_vars_of(lam, weight, param_vars)
     wform = weight.affine()
     domain = disjoint_conjunctions(param_domain)
     raw_terms: list[tuple[Formula, Polynomial, LinearTerm]] = []

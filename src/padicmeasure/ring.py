@@ -3,8 +3,8 @@
 A Presentation is a rational combination of box cells over a shared parameter
 base.  Ring operations work generator-wise (sums concatenate, products take
 fiber products), the measure function maps a presentation to a guarded
-exponential polynomial, and equality is decided by testing that measure
-function for identical vanishing, which is faithful for the underlying ring.
+exponential polynomial, and equality is decided by testing the measure of the
+difference for identical vanishing, which is faithful for the underlying ring.
 
 normalize_to_basic clears every unbounded valuation direction out of a
 presentation: it splits cells into towers, peels geometric tails into
@@ -12,11 +12,11 @@ rational factors, and leaves only finite-fiber generators whose weight
 depends on the parameters alone.  Every transformation is recorded as a
 replayable certificate step.
 
-Replay checks that the steps chain (each before is the previous after) and
-that each step keeps the measure.  By linearity it measures only the
-difference of a step's two sides: cells that occur on both sides with equal
-total coefficients cancel, and the closed form of each distinct cell is
-computed once per replay.
+measure_function, decide_equal (a - b) and replay (each step's before -
+after, once the steps chain) share one generator-by-generator difference
+path: each distinct cell's closed form is computed once, cells that net to
+zero cancel, the rest are canonicalized once.  A NotEqual witness is any
+domain point where the two values differ.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import (
     LinearTerm,
-    Polynomial,
     Rat,
     format_rational,
     frac,
@@ -41,6 +40,7 @@ from .measure import (
     Coordinate,
     DegenerateCoordinate,
     DivergesError,
+    ExpPolynomial,
     ExpTerm,
     InputError,
     MeasureFunction,
@@ -48,9 +48,8 @@ from .measure import (
     Weight,
     cell_to_weighted_sum,
     checked_towers,
-    exp_poly_add,
     exp_poly_is_zero,
-    exp_poly_scale,
+    lambda_vars_of,
     make_exp_polynomial,
     sum_closed_form,
 )
@@ -216,29 +215,55 @@ def multiply(a: Presentation, b: Presentation) -> Presentation:
     return Presentation(a.ctx, a.param_vars, a.param_domain, tuple(gens))
 
 
-def _generator_terms(
-    cell: BoxCell, ctx: PAdicContext, param_vars: tuple[str, ...], param_domain: Formula
-) -> tuple[ExpTerm, ...]:
-    """Closed-form terms of one generator's cell over a base, unscaled; none
+def _generator_terms(cell: BoxCell, base: Presentation) -> tuple[ExpTerm, ...]:
+    """Closed-form terms of one generator's cell over base, unscaled; none
     for a negligible cell.  Raises as sum_closed_form does."""
-    converted = cell_to_weighted_sum(cell, ctx)
+    converted = cell_to_weighted_sum(cell, base.ctx)
     if converted is MEASURE_ZERO:
         return ()
     lam, weight = converted
-    return sum_closed_form(lam, weight, param_domain, ctx, param_vars).terms
+    return sum_closed_form(lam, weight, base.param_domain, base.ctx, base.param_vars).terms
+
+
+def _signed_measure(base: Presentation, sides: Sequence[tuple[int, Presentation]],
+                    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]]) -> ExpPolynomial:
+    """Measure of the sum of sign * side over base, generator by generator:
+    each distinct cell gets its net coefficient, cells that net to zero
+    cancel, and the rest go through one canonicalization.  closed_forms
+    memoizes each cell's closed form over base; it is computed even for a
+    cell that cancels, so a divergent cell (named by its index within its
+    side) or a non-integral weight raises."""
+    net: dict[BoxCell, Fraction] = {}
+    for sign, side in sides:
+        for index, (coeff, cell) in enumerate(side.generators):
+            if cell not in closed_forms:
+                try:
+                    closed_forms[cell] = _generator_terms(cell, base)
+                except DivergesError as err:
+                    raise DivergesError(err.variable, err.direction, generator=index) from err
+            net[cell] = net.get(cell, 0) + sign * coeff
+    raw = [
+        (t.guard, t.poly.scale(coeff), t.exponent)
+        for cell, coeff in net.items() if coeff != 0
+        for t in closed_forms[cell]
+    ]
+    return make_exp_polynomial(base.ctx.p, base.param_vars, raw)
 
 
 def measure_function(pres: Presentation) -> MeasureFunction:
     """Exact measure of each fiber, as a guarded exponential polynomial."""
-    raw: list[tuple[Formula, Polynomial, LinearTerm]] = []
-    for index, (coeff, cell) in enumerate(pres.generators):
-        try:
-            terms = _generator_terms(cell, pres.ctx, pres.param_vars, pres.param_domain)
-        except DivergesError as err:
-            raise DivergesError(err.variable, err.direction, generator=index) from err
-        raw.extend((t.guard, t.poly.scale(coeff), t.exponent) for t in terms)
-    expp = make_exp_polynomial(pres.ctx.p, pres.param_vars, raw)
+    expp = _signed_measure(pres, [(1, pres)], {})
     return MeasureFunction(expp, pres.param_domain, pres.param_vars, pres.ctx)
+
+
+def _value_at(pres: Presentation, closed_forms: Mapping, point: Mapping[str, int]) -> Fraction:
+    """measure_function(pres) at a domain point, from its cells' closed forms."""
+    total = Fraction(0)
+    for coeff, cell in pres.generators:
+        cell_measure = ExpPolynomial(pres.ctx.p, pres.param_vars, closed_forms[cell])
+        mf = MeasureFunction(cell_measure, pres.param_domain, pres.param_vars, pres.ctx)
+        total += coeff * mf.evaluate(point)
+    return total
 
 
 @dataclass(frozen=True)
@@ -262,22 +287,18 @@ class NotEqual:
 
 def decide_equal(a: Presentation, b: Presentation) -> Union[Equal, NotEqual]:
     """Equal iff the two measure functions agree at every parameter point;
-    otherwise a concrete witness with both exact values."""
+    otherwise a witness, any domain point where they differ, with both exact
+    values there."""
     _same_base(a, b)
-    mfa = measure_function(a)
-    mfb = measure_function(b)
-    diff = exp_poly_add(mfa.exp_poly, exp_poly_scale(mfb.exp_poly, Fraction(-1)))
+    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
+    diff = _signed_measure(a, [(1, a), (-1, b)], closed_forms)
     witness = exp_poly_is_zero(diff, a.param_domain, a.ctx)
     if witness is None:
         return Equal()
+    # the witness names every parameter: the zero test searches all of them
     point = witness.as_dict()
-    for v in a.param_vars:
-        point.setdefault(v, 0)
-    # fill unconstrained parameters with any domain point: zero works because
-    # the witness search only instantiates variables the difference mentions
-    return NotEqual(
-        tuple(sorted(point.items())), mfa.evaluate(point), mfb.evaluate(point)
-    )
+    return NotEqual(witness.point, _value_at(a, closed_forms, point),
+                    _value_at(b, closed_forms, point))
 
 
 # ---------------------------------------------------------------------------
@@ -302,38 +323,23 @@ def find_invalid_step(cert: Certificate) -> int | None:
 
     A step replays when its rule is allowed, its before is the previous
     step's after, both sides share one base, and before - after has measure
-    zero.  Measure is linear, so that difference is taken generator by
-    generator: each distinct cell gets its net coefficient (before minus
-    after), cells that net to zero cancel, and the closed forms of the rest
-    go through one canonicalization and one zero test.  Every generator
-    occurrence still has its closed form computed (once per distinct cell
-    and base in this call), so a divergent cell or a non-integral weight
-    rejects its step even when it cancels.
+    zero, taken generator by generator as in decide_equal; a divergent cell
+    or a non-integral weight rejects its step even when it cancels.  Every
+    step replayed shares step 0's base (steps chain, and each step's sides
+    share one base), so one memo of closed forms serves them all.
     """
-    closed_forms: dict[tuple, tuple[ExpTerm, ...]] = {}
+    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
     for i, step in enumerate(cert.steps):
         if step.rule not in ALLOWED_RULES:
             return i
         if i and step.before != cert.steps[i - 1].after:
             return i
         base = step.before
-        net: dict[tuple, Fraction] = {}
         try:
             _same_base(base, step.after)
-            for sign, side in ((1, base), (-1, step.after)):
-                for coeff, cell in side.generators:
-                    key = (cell, base.ctx, base.param_vars, base.param_domain)
-                    if key not in closed_forms:
-                        closed_forms[key] = _generator_terms(*key)
-                    net[key] = net.get(key, 0) + sign * coeff
+            diff = _signed_measure(base, [(1, base), (-1, step.after)], closed_forms)
         except (ContextMismatchError, DivergesError, InputError):
             return i
-        raw = [
-            (t.guard, t.poly.scale(coeff), t.exponent)
-            for key, coeff in net.items() if coeff != 0
-            for t in closed_forms[key]
-        ]
-        diff = make_exp_polynomial(base.ctx.p, base.param_vars, raw)
         if exp_poly_is_zero(diff, base.param_domain, base.ctx) is not None:
             return i
     return None
@@ -951,8 +957,7 @@ def weighted_presentation(
 ) -> Presentation:
     """The carrier of a weighted Presburger sum: measure is sum of p^weight
     over the fiber of lam."""
-    lambda_names = tuple(sorted(
-        (set(free_variables(lam)) - set(param_vars)) | {n for n, _ in weight.b}))
+    lambda_names = lambda_vars_of(lam, weight, param_vars)
     n = len(lambda_names)
     b = {name: dict(weight.b).get(name, 0) + weight.r for name in lambda_names}
     field = Weight.make(weight.r, weight.c + weight.r * n, b)

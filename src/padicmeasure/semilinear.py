@@ -121,14 +121,8 @@ def _positivize(f: Formula) -> Formula:
         if isinstance(g, AtomF) or isinstance(g, (TrueF, FalseF)):
             return g
         if isinstance(g, NotF):
-            atom = g.arg.atom  # nnf guarantees the argument is an atom
-            if atom.kind == EQ0:
-                return disj([AtomF(geq0(atom.term - 1)), AtomF(geq0(atom.term.scale(-1) - 1))])
-            if atom.kind == DIV:
-                return disj(
-                    [AtomF(divides(atom.modulus, atom.term - r)) for r in range(1, atom.modulus)]
-                )
-            raise AssertionError("nnf left a negated inequality")
+            # nnf guarantees the argument is an atom
+            return disj(AtomF(a) for (a,) in _complement_pieces(g.arg.atom))
         if isinstance(g, AndF):
             return conj(rec(a) for a in g.args)
         if isinstance(g, OrF):

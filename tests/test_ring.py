@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from padicmeasure import measure
+from padicmeasure import measure, ring
 from padicmeasure.measure import (
     BoxCell,
     Coordinate,
@@ -44,6 +44,7 @@ from padicmeasure.ring import (
     measure_function,
     multiply,
     normalize_to_basic,
+    permute_coordinates,
     presentation,
     raise_level,
     scalar_mul,
@@ -458,10 +459,16 @@ def _step(before_gens, after_gens):
 def test_replay_rejects_a_cancelled_divergent_generator():
     (one,) = unit_presentation(CTX2).generators
     (divergent,) = weighted_presentation(CTX2, parse("l >= 0"), Weight.constant(0)).generators
-    step = _step([one, divergent], [one, divergent])
+    step = _step([one, divergent], [divergent, one])
     assert find_invalid_step(Certificate((step,))) == 0
     with pytest.raises(DivergesError):
         measure_function(step.after)
+    # decide_equal takes the same difference and names the divergent
+    # generator by its index within the side where it is met first
+    for left, right, index in ((step.before, step.after, 1), (step.after, step.before, 0)):
+        with pytest.raises(DivergesError) as err:
+            decide_equal(left, right)
+        assert err.value.generator == index
 
 
 def test_replay_rejects_a_cancelled_non_integral_weight():
@@ -483,9 +490,63 @@ def test_replay_accepts_a_coefficient_moved_between_copies():
     assert find_invalid_step(Certificate((moved_wrong,))) == 0
 
 
-def test_permute_coordinates_rewrite():
-    from padicmeasure.ring import permute_coordinates
+def _equality_pairs():
+    """Rewrite, product and changed-coefficient pairs over shared bases."""
+    rng = random.Random(1010)
+    for _ in range(4):
+        ctx = rng.choice((CTX2, CTX3))
+        a = random_convergent_presentation(rng, ctx, max_generators=2)
+        ball = Presentation(ctx, a.param_vars, a.param_domain,
+                            ball_presentation(ctx, 1).generators)
+        coeff, cell = a.generators[0]
+        changed = Presentation(ctx, a.param_vars, a.param_domain,
+                               ((coeff + 1, cell),) + a.generators[1:])
+        yield a, with_unit_ball(a)[0]
+        yield a, permute_coordinates(a, 1)[0]
+        yield multiply(a, ball), scalar_mul(Fraction(1, ctx.p), a)
+        yield multiply(ball, a), a
+        yield a, changed
+        yield changed, shift_lambda(a, 2)[0]
 
+
+def test_decide_equal_agrees_with_one_step_replay():
+    verdicts = []
+    for a, b in _equality_pairs():
+        verdict = decide_equal(a, b)
+        step = CertificateStep("R1", "one step from a to b", a, b)
+        assert bool(verdict) == (find_invalid_step(Certificate((step,))) is None)
+        if not verdict:
+            point = verdict.witness_dict()
+            assert verdict.value1 == measure_function(a).evaluate(point)
+            assert verdict.value2 == measure_function(b).evaluate(point)
+            assert verdict.value1 != verdict.value2
+        verdicts.append(bool(verdict))
+    assert True in verdicts and False in verdicts
+
+
+def test_decide_equal_measures_each_distinct_cell_once(monkeypatch):
+    cells, canonicalizations = [], []
+    generator_terms, make_exp_polynomial = ring._generator_terms, ring.make_exp_polynomial
+
+    def terms_spy(cell, *base):
+        cells.append(cell)
+        return generator_terms(cell, *base)
+
+    def make_spy(*args):
+        canonicalizations.append(args)
+        return make_exp_polynomial(*args)
+
+    monkeypatch.setattr(ring, "_generator_terms", terms_spy)
+    monkeypatch.setattr(ring, "make_exp_polynomial", make_spy)
+    pres = _domain_integral_presentation()
+    gens = pres.generators * 2 + ball_presentation(CTX2, 1).generators
+    pres = Presentation(CTX2, pres.param_vars, pres.param_domain, gens)
+    assert bool(decide_equal(pres, pres))
+    assert len(cells) == len(set(cells)) == 2
+    assert len(canonicalizations) == 1
+
+
+def test_permute_coordinates_rewrite():
     base = multiply(ball_presentation(CTX3, 1), delta_presentation(CTX3, 1))
     rotated, step = permute_coordinates(base, 1)
     assert verify_certificate(Certificate((step,)))

@@ -65,3 +65,23 @@ def test_oracle_keeps_its_own_satisfiability_path():
         or (isinstance(node, ast.Attribute) and node.attr == "atoms_satisfiable")
     ]
     assert not found, found
+
+
+def test_ring_measures_signed_generators_in_one_function():
+    # measure_function, decide_equal and certificate replay share one path
+    # from signed generators to a measure; this keeps a second difference
+    # path from growing back in ring.py
+    tree = ast.parse((PACKAGE / "ring.py").read_text(encoding="utf-8"))
+    users: dict[str, set[str]] = {
+        "make_exp_polynomial": set(), "_generator_terms": set(),
+        "exp_poly_add": set(), "exp_poly_scale": set(),
+    }
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in users:
+                users[node.id].add(where)
+    assert users == {
+        "make_exp_polynomial": {"_signed_measure"}, "_generator_terms": {"_signed_measure"},
+        "exp_poly_add": set(), "exp_poly_scale": set(),
+    }, users
