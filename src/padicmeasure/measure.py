@@ -360,23 +360,6 @@ def exp_poly_eval(e: ExpPolynomial, point: Mapping[str, int], ctx: PAdicContext 
     return total
 
 
-def exp_poly_add(a: ExpPolynomial, b: ExpPolynomial) -> ExpPolynomial:
-    if a.p != b.p:
-        raise ValueError(f"cannot add exponential polynomials for p = {a.p} and p = {b.p}")
-    param_vars = tuple(sorted(set(a.param_vars) | set(b.param_vars)))
-    raw = [(t.guard, t.poly, t.exponent) for t in a.terms + b.terms]
-    return make_exp_polynomial(a.p, param_vars, raw)
-
-
-def exp_poly_scale(a: ExpPolynomial, k: Fraction) -> ExpPolynomial:
-    """k * a; scaling keeps guards, exponent classes and term order, so the
-    result stays canonical."""
-    if k == 0:
-        return ExpPolynomial(a.p, a.param_vars, ())
-    terms = tuple(ExpTerm(t.guard, t.poly.scale(k), t.exponent) for t in a.terms)
-    return ExpPolynomial(a.p, a.param_vars, terms)
-
-
 @dataclass(frozen=True)
 class NonZeroWitness:
     point: tuple[tuple[str, int], ...]
@@ -574,6 +557,3 @@ class MeasureFunction:
             return exp_poly_eval(self.exp_poly, point, self.ctx)
         except OutOfDomainError:
             return Fraction(0)
-
-    def is_zero(self) -> NonZeroWitness | None:
-        return exp_poly_is_zero(self.exp_poly, self.param_domain, self.ctx)

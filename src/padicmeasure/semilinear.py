@@ -7,9 +7,11 @@ range), and towers drive everything downstream: exact parametric counting,
 rectilinearization into affine images of N^m, fiber enumeration, and the
 closed-form summation engine used by the measure layer.
 
-All splits are exact partitions; every guard ever produced is a conjunction
-of integer atoms, and every branch is pruned by an integer-feasibility check
-on its atoms (presburger.atoms_satisfiable) so outputs stay canonical.
+All splits are exact partitions and every guard ever produced is a
+conjunction of integer atoms.  A branch whose new atom already simplifies to
+FALSE (simplify_atom's gcd and constant normalization) is never built; each
+remaining branch is checked by an integer-feasibility test on its atoms
+(presburger.atoms_satisfiable), so outputs stay canonical.
 """
 
 from __future__ import annotations
@@ -287,6 +289,19 @@ class _Branch:
     level: Level
 
 
+def _live(atoms: Iterable[Atom]) -> list[Atom] | None:
+    """The atoms that do not simplify to TRUE, or None when one simplifies to
+    FALSE; every fresh branch atom passes here, so a dead branch is never built."""
+    out = []
+    for a in atoms:
+        result = simplify_atom(a)
+        if isinstance(result, FalseF):
+            return None
+        if not isinstance(result, TrueF):
+            out.append(a)
+    return out
+
+
 def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
     """Resolve one variable into levels, emitting guard atoms over the rest."""
     with_var = [a for a in atoms if a.term.coeff(var) != 0]
@@ -300,12 +315,12 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
             num = t.scale(-1) if c > 0 else t
             den = abs(c)
             others = [x for x in with_var if x is not a]
-            new_atoms = list(rest)
-            if den > 1:
-                new_atoms.append(divides(den, num))
-            new_atoms.extend(_substitute_value(x, var, num, den) for x in others)
+            fresh = _live(([divides(den, num)] if den > 1 else [])
+                          + [_substitute_value(x, var, num, den) for x in others])
+            if fresh is None:
+                return []
             value = num.scale(Fraction(1, den))
-            return [_Branch(new_atoms, Level(var, "point", value))]
+            return [_Branch(rest + fresh, Level(var, "point", value))]
 
     # bounds as (numerator term, positive denominator)
     lowers: list[tuple[LinearTerm, int]] = []
@@ -326,32 +341,22 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
         (list(rest), [], [], 0, 1)  # atoms, lower forms, upper forms, residue, modulus
     ]
 
-    # make bounds affine by splitting numerators modulo denominators
-    for num, den in lowers:
+    # make bounds affine by splitting numerators modulo denominators: on
+    # num = r (mod den), ceil(num/den) is (num - r)/den + [r > 0] and
+    # floor(num/den) is (num - r)/den
+    bounds = [(n, d, True) for n, d in lowers] + [(n, d, False) for n, d in uppers]
+    for num, den, is_lower in bounds:
         new = []
         for atoms2, lows, ups, r0, m0 in branches:
-            if den == 1:
-                new.append((atoms2, lows + [num], ups, r0, m0))
-                continue
             for r in range(den):
-                ceil_form = (num - r).scale(Fraction(1, den))
-                if r != 0:
-                    ceil_form = ceil_form + 1
-                new.append(
-                    (atoms2 + [divides(den, num - r)], lows + [ceil_form], ups, r0, m0)
-                )
-        branches = new
-    for num, den in uppers:
-        new = []
-        for atoms2, lows, ups, r0, m0 in branches:
-            if den == 1:
-                new.append((atoms2, lows, ups + [num], r0, m0))
-                continue
-            for r in range(den):
-                floor_form = (num - r).scale(Fraction(1, den))
-                new.append(
-                    (atoms2 + [divides(den, num - r)], lows, ups + [floor_form], r0, m0)
-                )
+                fresh = _live([divides(den, num - r)]) if den > 1 else []
+                if fresh is None:
+                    continue
+                form = (num - r).scale(Fraction(1, den))
+                if is_lower:
+                    new.append((atoms2 + fresh, lows + [form + 1 if r else form], ups, r0, m0))
+                else:
+                    new.append((atoms2 + fresh, lows, ups + [form], r0, m0))
         branches = new
 
     # resolve congruences to a concrete residue class of var
@@ -369,8 +374,10 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
                 combined = _crt(r0, m0, r_var, m_red)
                 if combined is None:
                     continue
-                guard_atom = [divides(modulus, t - rho)] if modulus > 1 else []
-                new.append((atoms2 + guard_atom, lows, ups, combined[0], combined[1]))
+                fresh = _live([divides(modulus, t - rho)])
+                if fresh is None:
+                    continue
+                new.append((atoms2 + fresh, lows, ups, combined[0], combined[1]))
         branches = new
 
     out: list[_Branch] = []
@@ -390,7 +397,11 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
 def _extremum_split(
     forms: list[LinearTerm], want_max: bool
 ) -> list[tuple[list[Atom], LinearTerm | None]]:
-    """Disjoint branches selecting the max (or min) of affine forms."""
+    """Disjoint branches selecting the max (or min) of affine forms.
+
+    A pick that some other form beats outright (a constant comparison that
+    is FALSE) is left out.
+    """
     if not forms:
         return [([], None)]
     if len(forms) == 1:
@@ -405,20 +416,24 @@ def _extremum_split(
             term = diff.integer_term(diff.denominator_lcm())
             # strict for j < i, non-strict for j > i: a disjoint argmax choice
             atoms.append(geq0(term - 1) if j < i else geq0(term))
-        out.append((atoms, cand))
+        live = _live(atoms)
+        if live is not None:
+            out.append((live, cand))
     return out
 
 
 def _alignment_split(form: LinearTerm, modulus: int) -> list[tuple[list[Atom], int]]:
-    """Branches fixing the residue of an integer-valued affine form."""
+    """Branches fixing the residue of an integer-valued affine form; a
+    residue the form cannot take is left out."""
     if modulus == 1:
         return [([], 0)]
     den = form.denominator_lcm()
     term = form.integer_term(den)
     out = []
     for sigma in range(modulus):
-        out.append(([divides(den * modulus, term - den * sigma)] if den * modulus > 1 else [],
-                    sigma))
+        live = _live([divides(den * modulus, term - den * sigma)])
+        if live is not None:
+            out.append((live, sigma))
     return out
 
 
@@ -433,14 +448,17 @@ def _aligned_levels(
     """Produce level branches once bounds are affine and the residue is fixed."""
     out: list[_Branch] = []
     if low is not None and up is not None:
+        up_splits = _alignment_split(up, m_star)
         for atoms_l, sig_l in _alignment_split(low, m_star):
             start = low + ((r_star - sig_l) % m_star)
-            for atoms_u, sig_u in _alignment_split(up, m_star):
+            for atoms_u, sig_u in up_splits:
                 end = up - ((sig_u - r_star) % m_star)
                 count = (end - start).scale(Fraction(1, m_star)) + 1
                 den = count.denominator_lcm()
-                nonempty = geq0((count - 1).integer_term(den))
-                atoms3 = base_atoms + atoms_l + atoms_u + [nonempty]
+                nonempty = _live([geq0((count - 1).integer_term(den))])
+                if nonempty is None:
+                    continue
+                atoms3 = base_atoms + atoms_l + atoms_u + nonempty
                 out.append(
                     _Branch(atoms3, Level(var, "range", start, m_star, count))
                 )

@@ -11,12 +11,13 @@ from padicmeasure.measure import (
     Coordinate,
     DegenerateCoordinate,
     DivergesError,
+    ExpPolynomial,
+    ExpTerm,
     InputError,
     PAdicContext,
     Weight,
-    exp_poly_add,
     exp_poly_is_zero,
-    exp_poly_scale,
+    make_exp_polynomial,
 )
 from padicmeasure.oracle import WindowTooSmallError, truncated_measure
 from padicmeasure.presburger import (
@@ -402,6 +403,23 @@ def test_certificate_fuzzed_mutations_all_detected():
         assert find_invalid_step(fuzzed) == index, (trial, index, fuzzed.steps[index].rule)
 
 
+def _exp_poly_add(a, b):
+    if a.p != b.p:
+        raise ValueError(f"cannot add exponential polynomials for p = {a.p} and p = {b.p}")
+    param_vars = tuple(sorted(set(a.param_vars) | set(b.param_vars)))
+    raw = [(t.guard, t.poly, t.exponent) for t in a.terms + b.terms]
+    return make_exp_polynomial(a.p, param_vars, raw)
+
+
+def _exp_poly_scale(a, k):
+    """k * a; scaling keeps guards, exponent classes and term order, so the
+    result stays canonical."""
+    if k == 0:
+        return ExpPolynomial(a.p, a.param_vars, ())
+    terms = tuple(ExpTerm(t.guard, t.poly.scale(k), t.exponent) for t in a.terms)
+    return ExpPolynomial(a.p, a.param_vars, terms)
+
+
 def _whole_snapshot_invalid_step(cert):
     """Reference replay: the measure of each whole side of every step."""
     for i, step in enumerate(cert.steps):
@@ -417,7 +435,7 @@ def _whole_snapshot_invalid_step(cert):
             mfa, mfb = measure_function(before), measure_function(after)
         except (DivergesError, InputError):
             return i
-        diff = exp_poly_add(mfa.exp_poly, exp_poly_scale(mfb.exp_poly, Fraction(-1)))
+        diff = _exp_poly_add(mfa.exp_poly, _exp_poly_scale(mfb.exp_poly, Fraction(-1)))
         if exp_poly_is_zero(diff, before.param_domain, before.ctx) is not None:
             return i
     return None

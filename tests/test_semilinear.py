@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from padicmeasure import semilinear
 from padicmeasure.presburger import (
     TRUE,
     evaluate_on_grid,
@@ -19,6 +20,7 @@ from padicmeasure.semilinear import (
     enumerate_fiber,
     rectilinearize,
     to_cells,
+    triangulate,
 )
 
 from generators import random_atom, random_finite_family
@@ -215,8 +217,12 @@ def _families(seed, count):
 
 
 # seed 707 draws the count benchmark's families; its family 4 has two
-# parameters and 28 count pieces
-COUNT_FAMILIES = _families(707, 8) + _families(2024, 8)
+# parameters and 28 count pieces.  Families 446, 618 and 787 of that seed
+# hold two congruences each, whose residue branches once took seconds to
+# triangulate
+SEED_707 = _families(707, 800)
+SLOW_FAMILIES = [SEED_707[i] for i in (446, 618, 787)]
+COUNT_FAMILIES = SEED_707[:8] + _families(2024, 8) + SLOW_FAMILIES
 
 
 @pytest.mark.parametrize("index", range(len(COUNT_FAMILIES)))
@@ -230,6 +236,39 @@ def test_count_pieces_partition_the_domain_and_match_enumeration(index):
         assert len(hits) == evaluate_qf(domain, point), (f, point)
         if hits:
             assert hits[0].evaluate(point) == len(enumerate_fiber(cells, point)), (f, point)
+
+
+def _brute_force_count(f, lams, point):
+    # random_finite_family bounds each lambda variable below by -3 (a
+    # constant in [-3, 3], or the previous variable) and above by a parameter
+    # plus at most 4, a constant at most 11, or the previous variable plus at
+    # most 4, so the whole fiber lies in [-3, max(point, 7) + 4 * len(lams)]
+    top = max([7, *point.values()]) + 4 * len(lams)
+    box = itertools.product(range(-3, top + 1), repeat=len(lams))
+    return sum(evaluate_qf(f, {**point, **dict(zip(lams, values))}) for values in box)
+
+
+@pytest.mark.parametrize("index", range(len(SLOW_FAMILIES)))
+def test_count_matches_brute_force_on_two_congruence_families(index):
+    # counts the formula itself, sharing no triangulation with the engine
+    f, lams, params, domain = SLOW_FAMILIES[index]
+    pp = count_parametric(to_cells(f, lams, params), domain, params)
+    for values in itertools.product(range(0, 13 if len(params) == 1 else 9), repeat=len(params)):
+        point = dict(zip(params, values))
+        assert pp.evaluate(point) == _brute_force_count(f, lams, point), (f, point)
+
+
+def test_triangulate_skips_branches_with_a_false_atom(sat_queries, monkeypatch):
+    # family 618 once built 27,712 residue branches and asked one feasibility
+    # query for each; branches whose new atom simplifies to FALSE are now
+    # never built.  A fresh tower cache makes triangulate do the work here
+    f, lams, params, _ = SLOW_FAMILIES[1]
+    cells = to_cells(f, lams, params)
+    monkeypatch.setattr(semilinear, "_TOWER_CACHE", {})
+    before = len(sat_queries["atoms_satisfiable"])
+    for cell in cells:
+        triangulate(cell)
+    assert 0 < len(sat_queries["atoms_satisfiable"]) - before <= 500
 
 
 def test_count_parametric_asks_only_conjunctive_queries(sat_queries):
