@@ -31,10 +31,13 @@ def format_rational(q: Rat) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    """"a/b" or "a" as a Fraction; ValueError on bad text or a zero b."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 

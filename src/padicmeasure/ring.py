@@ -17,6 +17,10 @@ after, once the steps chain) share one generator-by-generator difference
 path: each distinct cell's closed form is computed once, cells that net to
 zero cancel, the rest are canonicalized once.  A NotEqual witness is any
 domain point where the two values differ.
+
+certificate_from_document parses each distinct cell and parameter domain of
+a document once, so snapshots that repeat a cell share one object; type
+checks, coefficients and Presentation.validate still run on every snapshot.
 """
 
 from __future__ import annotations
@@ -851,11 +855,25 @@ def _objects(entries, what: str) -> list[Mapping]:
 
 
 def from_document(doc: Mapping) -> Presentation:
+    return _from_document(doc, {})
+
+
+def _from_document(doc: Mapping, cells: dict) -> Presentation:
+    """Read one presentation document.  cells maps the type-checked fields
+    of a generator's cell (parsed coordinates, lambda_formula text, weight
+    as (r, c text, b tuple) or None) to the BoxCell built from them, and a
+    param_domain text to its parsed, simplified formula, so a caller that
+    reads many snapshots parses each distinct cell and domain once.  Type
+    checks, coefficients and Presentation.validate run for every document;
+    a cell whose construction raises is never stored."""
     doc = _typed(doc, Mapping, "a presentation")
     ctx = PAdicContext(_typed(doc["prime"], int, "prime"))
     param_vars = tuple(variable_name(_typed(v, str, "a parameter name"))
                        for v in _typed(doc.get("param_vars", []), list, "param_vars"))
-    param_domain = parse_domain(_typed(doc.get("param_domain", "true"), str, "param_domain"))
+    domain_text = _typed(doc.get("param_domain", "true"), str, "param_domain")
+    param_domain = cells.get(domain_text)
+    if param_domain is None:
+        param_domain = cells[domain_text] = simplify(parse_domain(domain_text))
     gens = []
     for g in _objects(doc.get("generators", ()), "generators"):
         coords: list[Union[Coordinate, DegenerateCoordinate]] = []
@@ -871,8 +889,8 @@ def from_document(doc: Mapping) -> Presentation:
                                          _typed(entry["ac"], int, "ac")))
         if _typed(g.get("dims", len(coords)), int, "dims") != len(coords):
             raise InputError("dims does not match the coords list")
-        lam = parse(_typed(g.get("lambda_formula", "true"), str, "lambda_formula"))
-        weight = None
+        lam_text = _typed(g.get("lambda_formula", "true"), str, "lambda_formula")
+        weight_key = None
         wdoc = g.get("weight")
         if wdoc is not None:
             wdoc = _typed(wdoc, Mapping, "weight")
@@ -880,12 +898,18 @@ def from_document(doc: Mapping) -> Presentation:
                       for v in _typed(wdoc.get("b", []), list, "weight b")]
             if len(b_list) != len(names):
                 raise InputError("weight b vector must match the lambda variables")
-            weight = Weight.make(_typed(wdoc["r"], int, "weight r"),
-                                 parse_term(_typed(wdoc["c"], str, "weight c")),
-                                 dict(zip(names, b_list)))
-        cell = BoxCell(tuple(coords), tuple(names), lam, weight)
+            weight_key = (_typed(wdoc["r"], int, "weight r"),
+                          _typed(wdoc["c"], str, "weight c"), tuple(b_list))
+        key = (tuple(coords), lam_text, weight_key)
+        cell = cells.get(key)
+        if cell is None:
+            weight = None
+            if weight_key is not None:
+                r, c_text, b = weight_key
+                weight = Weight.make(r, parse_term(c_text), dict(zip(names, b)))
+            cell = cells[key] = BoxCell(key[0], tuple(names), parse(lam_text), weight)
         gens.append((parse_rational(_typed(g["coeff"], str, "coeff")), cell))
-    pres = Presentation(ctx, param_vars, simplify(param_domain), tuple(gens))
+    pres = Presentation(ctx, param_vars, param_domain, tuple(gens))
     pres.validate()
     return pres
 
@@ -905,9 +929,13 @@ def certificate_to_document(cert: Certificate) -> dict:
 
 
 def certificate_from_document(doc: Mapping) -> Certificate:
+    """Read a certificate document; every snapshot shares one table of
+    cells, so each distinct cell is parsed once and equal cells are one
+    object."""
+    cells: dict = {}
     steps = tuple(
-        CertificateStep(str(s["rule"]), str(s.get("note", "")),
-                        from_document(s["before"]), from_document(s["after"]))
+        CertificateStep(_typed(s["rule"], str, "rule"), _typed(s.get("note", ""), str, "note"),
+                        _from_document(s["before"], cells), _from_document(s["after"], cells))
         for s in _objects(doc.get("steps", ()), "steps")
     )
     return Certificate(steps)

@@ -262,8 +262,25 @@ def test_non_object_document_exit_two(tmp_path, verb, text):
         {"coeff": "1", "coords": [], "lambda_formula": 5}]}),
     ("measure", {"prime": 2, "param_vars": 5}),
     ("measure", {"prime": [2]}),
+    ("measure", {"prime": 2, "generators": [{"coeff": "1/0", "coords": []}]}),
+    ("measure", {"prime": 2, "generators": [
+        {"coeff": "1", "coords": [{**_UNIT_COORD, "center": "1/0"}]}]}),
+    ("measure", {"prime": 2, "generators": [{"coeff": "1", "coords": [{"point": "1/0"}]}]}),
+    ("certify", {"steps": [{"rule": "R1", "before": {"prime": 2}, "after": {
+        "prime": 2, "generators": [{"coeff": "1/0", "coords": []}]}}]}),
+    ("certify", {"steps": [{"rule": "R1", "before": {"prime": 2}, "after": {
+        "prime": 2, "generators": [{"coeff": "1", "coords": [{"point": "1/0"}]}]}}]}),
+    # with a string rule and note these steps replay valid
+    ("certify", {"steps": [{"rule": 7, "before": {"prime": 2}, "after": {"prime": 2}}]}),
+    ("certify", {"steps": [{"rule": None, "before": {"prime": 2}, "after": {"prime": 2}}]}),
+    ("certify", {"steps": [{"rule": "R1", "note": 3, "before": {"prime": 2},
+                            "after": {"prime": 2}}]}),
+    ("certify", {"steps": [{"rule": "R1", "note": None, "before": {"prime": 2},
+                            "after": {"prime": 2}}]}),
 ], ids=["step", "steps", "before", "generator", "coord", "coords", "weight",
-        "coeff", "lambda_formula", "param_vars", "prime"])
+        "coeff", "lambda_formula", "param_vars", "prime", "zero_coeff", "zero_center",
+        "zero_point", "certify_zero_coeff", "certify_zero_point", "numeric_rule",
+        "null_rule", "numeric_note", "null_note"])
 def test_non_object_entry_exit_two(tmp_path, verb, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -646,6 +646,55 @@ def test_certificate_document_round_trip():
     assert len(back.steps) == len(cert.steps)
 
 
+_REPEATED_GENERATOR = {
+    "coeff": "1", "dims": 1, "coords": [{"center": "0", "level": 1, "ac": 1}],
+    "lambda_formula": "0 <= l1 /\\ l1 <= s", "weight": {"r": 1, "c": "s", "b": [-1]},
+}
+
+
+def _repeating_certificate(later: dict) -> dict:
+    # step 1 repeats step 0's cell verbatim, in a snapshot changed by later
+    snapshot = {"prime": 2, "param_vars": ["s"], "param_domain": "s >= 0",
+                "generators": [_REPEATED_GENERATOR]}
+    return {"steps": [{"rule": "R1", "note": "", "before": snapshot, "after": snapshot},
+                      {"rule": "R1", "note": "", "before": snapshot,
+                       "after": {**snapshot, **later}}]}
+
+
+def test_certificate_reading_shares_equal_cells():
+    cert = certificate_from_document(_repeating_certificate({}))
+    sides = [side for step in cert.steps for side in (step.before, step.after)]
+    assert all(side.generators[0][1] is sides[0].generators[0][1] for side in sides)
+    assert all(side.param_domain is sides[0].param_domain for side in sides)
+    assert verify_certificate(cert)
+    # separate documents share nothing
+    snapshot = _repeating_certificate({})["steps"][0]["before"]
+    first, second = from_document(snapshot), from_document(snapshot)
+    assert first == second
+    assert first.generators[0][1] is not second.generators[0][1]
+    assert first.param_domain is not second.param_domain
+
+
+@pytest.mark.parametrize("later,error", [
+    ({"param_vars": [], "param_domain": "true"}, InputError),
+    ({"generators": [{**_REPEATED_GENERATOR, "coeff": "1/0"}]}, ValueError),
+    ({"generators": [{**_REPEATED_GENERATOR, "coeff": "x"}]}, ValueError),
+    ({"generators": [{**_REPEATED_GENERATOR, "coeff": 1}]}, InputError),
+], ids=["undeclared_parameter", "zero_denominator", "bad_coeff", "numeric_coeff"])
+def test_certificate_reading_checks_every_snapshot(later, error):
+    with pytest.raises(error):
+        certificate_from_document(_repeating_certificate(later))
+
+
+def test_certificate_reading_stores_no_failed_cell():
+    cells: dict = {}
+    bad = {**_repeating_certificate({})["steps"][0]["before"],
+           "generators": [{**_REPEATED_GENERATOR, "weight": {"r": 0, "c": "s", "b": [-1]}}]}
+    with pytest.raises(InputError):
+        ring._from_document(bad, cells)
+    assert all(isinstance(key, str) for key in cells)
+
+
 def test_parameter_named_like_a_lambda_variable_is_rejected():
     # a document renames the lambda variable x to l1, which is a parameter here
     pres = weighted_presentation(CTX2, parse("0 <= x /\\ x <= l1"), Weight.constant(0),

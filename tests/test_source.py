@@ -82,3 +82,37 @@ def test_ring_measures_signed_generators_in_one_function():
     assert users == {
         "make_exp_polynomial": {"_signed_measure"}, "_generator_terms": {"_signed_measure"},
     }, users
+
+
+_CACHE_DECORATORS = {"lru_cache", "cache"}
+_DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict", "WeakKeyDictionary",
+                   "WeakValueDictionary"}
+
+
+def test_package_keeps_its_caches_in_two_named_dicts():
+    # one explicit cache policy: the satisfiability answers and the towers
+    # are the only tables that outlive a call, and functools memoization
+    # would add unbounded caches that no one can see or clear
+    found, tables = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found.extend(f"{path.name}:{node.lineno} {alias.name}"
+                             for alias in node.names if alias.name in _CACHE_DECORATORS)
+            elif (isinstance(node, ast.Attribute) and node.attr in _CACHE_DECORATORS
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.name}:{node.lineno} functools.{node.attr}")
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+                continue
+            value = node.value
+            empty_dict = isinstance(value, ast.Dict) and not value.keys
+            factory = isinstance(value, ast.Call) and (
+                getattr(value.func, "id", None) in _DICT_FACTORIES
+                or getattr(value.func, "attr", None) in _DICT_FACTORIES)
+            if empty_dict or factory:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                tables.update(f"{path.name} {ast.unparse(t)}" for t in targets)
+    assert not found, found
+    assert tables == {"presburger.py _SAT_RESULTS", "semilinear.py _TOWER_CACHE"}, tables
