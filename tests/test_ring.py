@@ -678,9 +678,8 @@ def test_certificate_reading_shares_equal_cells():
 @pytest.mark.parametrize("later,error", [
     ({"param_vars": [], "param_domain": "true"}, InputError),
     ({"generators": [{**_REPEATED_GENERATOR, "coeff": "1/0"}]}, ValueError),
-    ({"generators": [{**_REPEATED_GENERATOR, "coeff": "x"}]}, ValueError),
     ({"generators": [{**_REPEATED_GENERATOR, "coeff": 1}]}, InputError),
-], ids=["undeclared_parameter", "zero_denominator", "bad_coeff", "numeric_coeff"])
+], ids=["undeclared_parameter", "zero_denominator", "numeric_coeff"])
 def test_certificate_reading_checks_every_snapshot(later, error):
     with pytest.raises(error):
         certificate_from_document(_repeating_certificate(later))
