@@ -30,15 +30,21 @@ def format_rational(q: Rat) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# int() alone would also take digit-group underscores and non-ASCII digits
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:\s*/\s*([+-]?[0-9]+))?\Z")
+
+
 def parse_rational(text: str) -> Fraction:
-    """"a/b" or "a" as a Fraction; ValueError on bad text or a zero b."""
+    """"a/b" or "a" in ASCII digits as a Fraction; ValueError on bad text or
+    a zero b."""
     text = text.strip()
-    if "/" in text:
-        num, den = (int(part) for part in text.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    match = _RATIONAL_RE.match(text)
+    if match is None:
+        raise ValueError(f"bad rational {text!r}")
+    num, den = int(match[1]), int(match[2] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 VARIABLE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -332,15 +338,6 @@ def _mono_key(m: Monomial):
     return (sum(e for _, e in m), m)
 
 
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def power_fraction(base: int, exponent: Rat) -> Fraction:
     """Exact base**exponent for integer exponents (exponent must be integral)."""
     e = frac(exponent)
@@ -350,19 +347,6 @@ def power_fraction(base: int, exponent: Rat) -> Fraction:
     if n >= 0:
         return Fraction(base**n)
     return Fraction(1, base ** (-n))
-
-
-def geometric_tail_sums(q: Fraction, max_degree: int) -> list[Fraction]:
-    """T_j = sum_{i>=0} i^j q^i for j = 0..max_degree, requires 0 < q < 1."""
-    if not (0 < q < 1):
-        raise ValueError("geometric tail requires 0 < q < 1")
-    sums: list[Fraction] = [Fraction(1) / (1 - q)]
-    for j in range(1, max_degree + 1):
-        acc = Fraction(0)
-        for i in range(j):
-            acc += binomial(j, i) * sums[i]
-        sums.append(q * acc / (1 - q))
-    return sums
 
 
 def faulhaber(max_degree: int, upper: Polynomial) -> list[Polynomial]:
@@ -375,7 +359,7 @@ def faulhaber(max_degree: int, upper: Polynomial) -> list[Polynomial]:
     for j in range(max_degree + 1):
         acc = kplus1.power(j + 1)
         for i in range(j):
-            acc = acc - out[i].scale(binomial(j + 1, i))
+            acc = acc - out[i].scale(math.comb(j + 1, i))
         out.append(acc.scale(Fraction(1, j + 1)))
     return out
 
@@ -385,7 +369,8 @@ def bounded_power_sums(q: Fraction, max_degree: int) -> list[tuple[Fraction, lis
 
     Returns, for each j, a pair (A_j, B_j) with S_j(K) = A_j + q^{K+1} * B_j(K),
     where B_j is a polynomial in K given by its coefficient list (low degree
-    first).  The identity is algebraic in K and valid for every q != 1.
+    first).  The identity is algebraic in K and valid for every q != 1; for
+    0 < q < 1 the head A_j is the ray sum sum_{i>=0} i^j q^i.
     """
     if q == 1:
         raise ValueError("q = 1 handled by faulhaber")
@@ -399,7 +384,7 @@ def bounded_power_sums(q: Fraction, max_degree: int) -> list[tuple[Fraction, lis
             a = Fraction(0)
             b = [Fraction(0)] * (j + 1)
             for i in range(j):
-                c = binomial(j, i)
+                c = math.comb(j, i)
                 ai, bi = results[i]
                 a += c * ai
                 for d, coef in enumerate(bi):
@@ -408,6 +393,6 @@ def bounded_power_sums(q: Fraction, max_degree: int) -> list[tuple[Fraction, lis
             b = [q * coef / one_minus for coef in b]
             # subtract q^{K+1} (K+1)^j / (1-q): expand (K+1)^j in K
             for d in range(j + 1):
-                b[d] -= Fraction(binomial(j, d)) / one_minus
+                b[d] -= Fraction(math.comb(j, d)) / one_minus
         results.append((a, b))
     return results

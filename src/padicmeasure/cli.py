@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .algebra import format_rational, variable_name
+from .algebra import format_rational, parse_rational, variable_name
 from .measure import (
     DivergesError,
     ExpPolynomial,
@@ -110,7 +110,10 @@ def _parse_assignment(text: str | None) -> dict[str, int] | None:
             name, _, value = item.partition("=")
             if not _:
                 raise InputError(f"bad assignment entry {item!r}")
-            point[name.strip()] = int(value)
+            number = parse_rational(value)
+            if number.denominator != 1:
+                raise InputError(f"--at value {value.strip()} of {name.strip()} is not an integer")
+            point[name.strip()] = number.numerator
     return point
 
 

@@ -10,7 +10,6 @@ exponential polynomials.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -384,24 +383,14 @@ def exp_poly_is_zero(
             domain = simplify(conj([region] + [AtomF(a) for a in atoms]))
             svars = tuple(sorted(set(e.param_vars) | set(free_variables(domain))))
             # no cells means the region misses this piece of the domain
-            cells = to_cells(domain, svars, [])
-            if cells and not svars:
-                total = sum(
-                    (t.poly.evaluate({}) * power_fraction(p, t.exponent.evaluate({}))
-                     for t in terms),
-                    Fraction(0),
-                )
-                if total != 0:
-                    return NonZeroWitness((), total)
-                continue
-            for piece in rectilinearize(cells):
-                witness = _piece_witness(piece, terms, svars, p)
+            for piece in rectilinearize(to_cells(domain, svars, [])):
+                witness = _piece_witness(piece, terms, p)
                 if witness is not None:
                     return witness
     return None
 
 
-def _piece_witness(piece, terms, svars, p: int) -> NonZeroWitness | None:
+def _piece_witness(piece, terms, p: int) -> NonZeroWitness | None:
     m = piece.rank
     mu_vars = [f"@z{j}" for j in range(m)]
     substitutions = {}
@@ -413,7 +402,6 @@ def _piece_witness(piece, terms, svars, p: int) -> NonZeroWitness | None:
         substitutions[var] = form
 
     grouped: dict = {}
-    max_degree = 0
     for t in terms:
         exponent = t.exponent
         poly = t.poly
@@ -427,15 +415,11 @@ def _piece_witness(piece, terms, svars, p: int) -> NonZeroWitness | None:
         key = tuple(sorted((k, v) for k, v in coeffs.items()))
         scaled = poly.scale(power_fraction(p, const))
         grouped[key] = grouped.get(key, Polynomial(())) + scaled
-        max_degree = max(max_degree, poly.degree())
 
-    nonzero = {k: v for k, v in grouped.items() if not v.is_zero()}
-    if not nonzero:
+    grouped = {k: v for k, v in grouped.items() if not v.is_zero()}
+    if not grouped:
         return None
 
-    # concrete witness: scan N^m by increasing coordinate sum, then race the
-    # dominant exponent direction; termination is guaranteed because some
-    # grouped coefficient polynomial is nonzero.
     def value_at(mu: tuple[int, ...]) -> Fraction:
         env = {mu_vars[j]: mu[j] for j in range(m)}
         total = Fraction(0)
@@ -444,38 +428,28 @@ def _piece_witness(piece, terms, svars, p: int) -> NonZeroWitness | None:
             total += poly.evaluate(env) * power_fraction(p, exponent)
         return total
 
-    def witness_from(mu: tuple[int, ...], val: Fraction) -> NonZeroWitness:
-        env = {mu_vars[j]: mu[j] for j in range(m)}
-        point = tuple(
-            (var, int(substitutions[var].evaluate(env))) for var in sorted(piece.variables)
-        )
-        return NonZeroWitness(point, val)
-
-    if m == 0:
-        val = value_at(())
-        return witness_from((), val) if val != 0 else None
-
-    cap = 10 * (max_degree + 1) * max(1, len(terms))
-    for total in range(0, cap + 1):
+    # A nonzero sum of terms P_k(x) b_k^x with distinct bases b_k > 0 has at
+    # most T - 1 real zeros, T = sum_k (deg P_k + 1) (Polya and Szego, Part V,
+    # Problem 75).  By induction on the coordinates (fix the first m - 1 where
+    # some coefficient in the last one is nonzero), the box [0, T - 1]^m holds
+    # a witness, so a scan by coordinate sum up to m * (T - 1) finds one.
+    bound = sum(v.degree() + 1 for v in grouped.values()) - 1
+    for total in range(m * bound + 1):
         for mu in _compositions(total, m):
             val = value_at(mu)
             if val != 0:
-                return witness_from(mu, val)
-    stride = max(1, cap)
-    for _ in range(64):
-        base = tuple(stride for _ in range(m))
-        for offset in itertools.product(range(max_degree + 2), repeat=m):
-            mu = tuple(base[j] + offset[j] for j in range(m))
-            val = value_at(mu)
-            if val != 0:
-                return witness_from(mu, val)
-        stride *= 2
-    raise AssertionError("nonzero exponential polynomial without reachable witness")
+                env = {mu_vars[j]: mu[j] for j in range(m)}
+                point = tuple((var, int(substitutions[var].evaluate(env)))
+                              for var in sorted(piece.variables))
+                return NonZeroWitness(point, val)
+    raise AssertionError("nonzero exponential polynomial vanishes on its witness box")
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
+    """The tuples of parts naturals with sum total, in lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
         return
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):

@@ -304,7 +304,7 @@ def substitute(f: Formula, name: str, value: LinearTerm) -> Formula:
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<int>\d+)
+      | (?P<int>[0-9]+)
       | (?P<name>[A-Za-z][A-Za-z0-9_]*)
       | (?P<op>/\\|\\/|!=|<=|>=|<|>|=|\||\+|-|\*|\(|\)|\.|!)
     """,
@@ -584,44 +584,17 @@ def format_formula(f: Formula) -> str:
 # simplification
 
 def simplify_atom(atom: Atom) -> Formula:
+    """The atom in the normal form of _add_row: TRUE, FALSE or one atom."""
     term = atom.term
-    if term.is_constant():
-        if atom.kind == GEQ0:
-            return TRUE if term.const >= 0 else FALSE
-        if atom.kind == EQ0:
-            return TRUE if term.const == 0 else FALSE
-        return TRUE if term.const % atom.modulus == 0 else FALSE
-    g = 0
-    for _, c in term.coeffs:
-        g = math.gcd(g, c)
-    if atom.kind == GEQ0:
-        if g > 1:
-            coeffs = {n: c // g for n, c in term.coeffs}
-            const = term.const // g  # floor division: g*t' + c >= 0 iff t' >= ceil(-c/g)
-            term = LinearTerm.make(coeffs, const)
-        return AtomF(geq0(term))
-    if atom.kind == EQ0:
-        if g > 1:
-            if term.const % g != 0:
-                return FALSE
-            term = LinearTerm.make({n: c // g for n, c in term.coeffs}, term.const // g)
-        if term.coeffs[0][1] < 0:
-            term = term.scale(-1)
-        return AtomF(eq0(term))
-    m = atom.modulus
-    gm = math.gcd(g, m)
-    if gm > 1:
-        if term.const % gm != 0:
-            return FALSE
-        term = LinearTerm.make({n: c // gm for n, c in term.coeffs}, term.const // gm)
-        m //= gm
-        if m == 1:
-            return TRUE
-    coeffs = {n: c % m for n, c in term.coeffs}
-    term = LinearTerm.make(coeffs, term.const % m)
-    if term.is_constant():
-        return TRUE if term.const % m == 0 else FALSE
-    return AtomF(divides(m, term))
+    rows: dict = {}
+    if not _add_row(rows, atom.kind, term.coeffs, term.const, atom.modulus):
+        return FALSE
+    for (kind, coeffs, modulus), const in rows.items():
+        # an atom already in normal form is shared, not copied
+        if (coeffs, const, modulus) == (term.coeffs, term.const, atom.modulus):
+            return AtomF(atom)
+        return AtomF(Atom(kind, LinearTerm(coeffs, const), modulus))
+    return TRUE
 
 
 def simplify(f: Formula) -> Formula:
@@ -927,8 +900,8 @@ def is_satisfiable(f: Formula) -> bool:
 #
 # The decision works on rows: a conjunction is a dict mapping
 # (kind, coeffs, modulus) to const, where coeffs are sorted (name, int) pairs
-# without zeros, as in LinearTerm.coeffs, and every row is normalized as
-# simplify_atom normalizes its atom.
+# without zeros, as in LinearTerm.coeffs, and every row is in the one atom
+# normal form of _add_row, which simplify_atom also returns.
 
 
 def atoms_satisfiable(atoms: Sequence[Atom]) -> bool:
@@ -954,9 +927,12 @@ def atoms_satisfiable(atoms: Sequence[Atom]) -> bool:
 
 
 def _add_row(rows: dict, kind: str, coeffs: tuple, const: int, modulus: int) -> bool:
-    """Add an atom to the rows, normalized as simplify_atom does; False when
-    the conjunction is now infeasible.  A true atom adds nothing; of two
-    inequalities with one coefficient vector only the stronger is kept."""
+    """Add an atom to the rows in normal form; False when the conjunction is
+    now infeasible.  The normal form divides out the gcd of the coefficients
+    (and of a divisibility modulus), reduces a divisibility modulo its
+    modulus and makes an equality's first coefficient positive.  A true atom
+    adds nothing; of two inequalities with one coefficient vector only the
+    stronger is kept."""
     if not coeffs:
         if kind == GEQ0:
             return const >= 0

@@ -28,7 +28,6 @@ from .algebra import (
     bounded_power_sums,
     faulhaber,
     frac,
-    geometric_tail_sums,
 )
 from .presburger import (
     DIV,
@@ -478,6 +477,11 @@ def _aligned_levels(
     return out
 
 
+# Towers by (cell, variable order).  Operations that reuse cells hit it: the
+# two sides of an equality and a presentation's changed copy share most cells,
+# and replaying a certificate meets the cells that building it triangulated.
+# Without it, equality and certify ran fewer operations per second; counting,
+# whose families rarely repeat a cell, neither gained nor lost.
 _TOWER_CACHE: dict = {}
 
 
@@ -626,37 +630,34 @@ def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
         by_degree[d] = by_degree.get(d, Polynomial(())) + Polynomial(((restm, coeff),))
     max_deg = max(by_degree) if by_degree else 0
 
-    if level.kind == "ray":
-        if all(v.is_zero() for v in by_degree.values()):
+    # a ray sums to the head A of the bounded closed form (q^K B(K) -> 0)
+    ray = level.kind == "ray"
+    if ray:
+        if not by_degree:
             return []
         if p is None or gamma_int >= 0:
             raise UnboundedDirectionError(var, 1 if level.step > 0 else -1)
-        q = Fraction(p) ** gamma_int
-        tails = geometric_tail_sums(q, max_deg)
-        total = Polynomial(())
-        for d, coeff_poly in by_degree.items():
-            total = total + coeff_poly.scale(tails[d])
-        return [SumTerm(total, exp_rest)] if not total.is_zero() else []
+    else:
+        # bounded range, count points; K = count - 1
+        count = level.count
+        if count is None:
+            raise ValueError(f"range level along {var} has no count")
+        k_upper = (count - 1).to_polynomial()
+        if p is None or gamma_int == 0:
+            sums = faulhaber(max_deg, k_upper)
+            total = Polynomial(())
+            for d, coeff_poly in by_degree.items():
+                total = total + coeff_poly * sums[d]
+            return [SumTerm(total, exp_rest)] if not total.is_zero() else []
 
-    # bounded range, count points; K = count - 1
-    count = level.count
-    if count is None:
-        raise ValueError(f"range level along {var} has no count")
-    k_upper = (count - 1).to_polynomial()
-    if p is None or gamma_int == 0:
-        sums = faulhaber(max_deg, k_upper)
-        total = Polynomial(())
-        for d, coeff_poly in by_degree.items():
-            total = total + coeff_poly * sums[d]
-        return [SumTerm(total, exp_rest)] if not total.is_zero() else []
-
-    q = Fraction(p) ** gamma_int
-    closed = bounded_power_sums(q, max_deg)
+    closed = bounded_power_sums(Fraction(p) ** gamma_int, max_deg)
     head = Polynomial(())
     tail = Polynomial(())
     for d, coeff_poly in by_degree.items():
         a_d, b_d = closed[d]
         head = head + coeff_poly.scale(a_d)
+        if ray:
+            continue
         b_poly = Polynomial(())
         for e, c in enumerate(b_d):
             if c != 0:

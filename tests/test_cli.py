@@ -162,6 +162,14 @@ def test_count_subcommand():
     assert (code, out.strip()) == (0, "5")
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "9/2"])
+def test_count_at_takes_ascii_integers_only(value):
+    code, out, err = call(["count", "--formula", "0 <= l /\\ l < s", "--lambda-vars", "l",
+                           "-p", "2", "--at", f"s={value}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_count_at_names_missing_parameters():
     code, out, err = call(["count", "--formula", "l = 2*x /\\ l >= 0 /\\ l <= s",
                            "--lambda-vars", "l", "-p", "2", "--at", "s=6"])
@@ -266,6 +274,9 @@ def test_non_object_document_exit_two(tmp_path, verb, text):
     ("measure", {"prime": 2, "generators": [
         {"coeff": "1", "coords": [{**_UNIT_COORD, "center": "1/0"}]}]}),
     ("measure", {"prime": 2, "generators": [{"coeff": "1", "coords": [{"point": "1/0"}]}]}),
+    # int() alone reads these as 10 and 3
+    ("measure", {"prime": 2, "generators": [{"coeff": "1_0", "coords": []}]}),
+    ("measure", {"prime": 2, "generators": [{"coeff": "\u0663", "coords": []}]}),
     ("certify", {"steps": [{"rule": "R1", "before": {"prime": 2}, "after": {
         "prime": 2, "generators": [{"coeff": "1/0", "coords": []}]}}]}),
     ("certify", {"steps": [{"rule": "R1", "before": {"prime": 2}, "after": {
@@ -279,8 +290,8 @@ def test_non_object_document_exit_two(tmp_path, verb, text):
                             "after": {"prime": 2}}]}),
 ], ids=["step", "steps", "before", "generator", "coord", "coords", "weight",
         "coeff", "lambda_formula", "param_vars", "prime", "zero_coeff", "zero_center",
-        "zero_point", "certify_zero_coeff", "certify_zero_point", "numeric_rule",
-        "null_rule", "numeric_note", "null_note"])
+        "zero_point", "underscore_coeff", "arabic_indic_coeff", "certify_zero_coeff",
+        "certify_zero_point", "numeric_rule", "null_rule", "numeric_note", "null_note"])
 def test_non_object_entry_exit_two(tmp_path, verb, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

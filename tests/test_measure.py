@@ -216,6 +216,13 @@ def test_zero_test_witness():
     assert witness is not None
     point = witness.as_dict()
     assert exp_poly_eval(e, point, CTX2) == witness.value != 0
+    # s(s-1)...(s-5) vanishes on the first six points of its witness box
+    falling = Polynomial.constant(1)
+    for k in range(6):
+        falling = falling * (Polynomial.variable("s") - Polynomial.constant(k))
+    e = make_exp_polynomial(2, ("s",), [(g, falling, LinearTerm.constant(0))])
+    witness = exp_poly_is_zero(e, parse("s >= 0"), CTX2)
+    assert (witness.as_dict(), witness.value) == ({"s": 6}, 720)
 
 
 def test_zero_test_cross_guard_cancellation():

@@ -28,11 +28,12 @@ from padicmeasure.presburger import (
     parse_term,
     qe,
     simplify,
+    simplify_atom,
 )
 from padicmeasure.oracle import BudgetExceededError, brute_force_qe
 from padicmeasure.semilinear import _complement_pieces
 
-from generators import random_atom, random_formula
+from generators import FREE_NAMES, random_atom, random_formula
 
 # table of (text, canonical reprint); parse then print must round-trip
 PARSE_TABLE = {
@@ -71,6 +72,9 @@ def test_parse_errors_carry_positions():
         parse("x | y")  # modulus must be a literal
     with pytest.raises(ScopeError):
         parse("E x. E x. x = 0")
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("l >= \u0663")  # an Arabic-Indic three is no numeral
+    assert err.value.lineno == 1 and err.value.offset == 6
 
 
 def test_parse_term_round_trip():
@@ -136,6 +140,17 @@ def test_simplify_folds_and_dedups():
     assert simplify(parse("4 | 2*x + 2")) == parse("2 | x + 1")
     assert simplify(parse("2*x + 3 = 0")) == parse("false")
     assert simplify(parse("3*x - 6 = 0")) == parse("x - 2 = 0")
+    rng = random.Random(20261019)
+    for _ in range(300):
+        f = random_atom(rng, FREE_NAMES, rng.choice((4, 9)))
+        atom = f.arg.atom if isinstance(f, NotF) else f.atom
+        out = simplify_atom(atom)
+        if isinstance(out, AtomF):
+            assert simplify_atom(out.atom) == out
+        names = atom.term.variables()
+        for values in itertools.product(range(-6, 7), repeat=len(names)):
+            point = dict(zip(names, values))
+            assert evaluate_qf(out, point) == atom.evaluate(point), (atom, out, point)
 
 
 def test_is_satisfiable():

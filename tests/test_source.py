@@ -116,3 +116,29 @@ def test_package_keeps_its_caches_in_two_named_dicts():
                 tables.update(f"{path.name} {ast.unparse(t)}" for t in targets)
     assert not found, found
     assert tables == {"presburger.py _SAT_RESULTS", "semilinear.py _TOWER_CACHE"}, tables
+
+
+def test_presburger_normalizes_atoms_in_one_function():
+    # simplify_atom reads its normal form off _add_row, so the gcd reduction
+    # of atoms is written once and a second atom normal form cannot grow back
+    tree = ast.parse((PACKAGE / "presburger.py").read_text(encoding="utf-8"))
+    users = {
+        top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "gcd"
+    }
+    assert users == {"_add_row"}, users
+
+
+def test_package_regexes_match_ascii_digits_only():
+    # \d also matches non-ASCII digits, which int() then reads as numbers
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+        and node.args and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str) and "\\d" in node.args[0].value
+    ]
+    assert not found, found
