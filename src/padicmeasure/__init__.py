@@ -77,15 +77,12 @@ from .ring import (
     with_unit_ball,
 )
 from .semilinear import (
-    CappedError,
     GuardedCell,
     InfiniteFiberError,
     NotRectilinearizableError,
     OutOfDomainError,
     PiecewisePolynomial,
-    RectilinearPiece,
     count_parametric,
-    enumerate_fiber,
     rectilinearize,
     to_cells,
 )

@@ -49,9 +49,9 @@ def parse_rational(text: str) -> Fraction:
 
 VARIABLE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 RESERVED = {"E", "A", "true", "false"}
-# internal names no formula can spell: the summation index @i, the generator
-# coordinates @m<j> of rectilinear pieces and @z<j> of witness searches
-_PLACEHOLDER_RE = re.compile(r"@(?:i|[mz][0-9]+)\Z")
+# internal names no formula can spell: the summation index @i and the
+# generator coordinates @m<j> of rectilinear pieces
+_PLACEHOLDER_RE = re.compile(r"@(?:i|m[0-9]+)\Z")
 
 
 class MissingAssignmentError(KeyError):

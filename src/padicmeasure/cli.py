@@ -39,7 +39,6 @@ from .presburger import (
     qe,
 )
 from .semilinear import (
-    CappedError,
     InfiniteFiberError,
     NotRectilinearizableError,
     OutOfDomainError,
@@ -72,7 +71,6 @@ _USAGE_ERRORS = (
     NotRectilinearizableError,
     WindowTooSmallError,
     BudgetExceededError,
-    CappedError,
     ValueError,
     KeyError,
     OSError,
@@ -110,10 +108,13 @@ def _parse_assignment(text: str | None) -> dict[str, int] | None:
             name, _, value = item.partition("=")
             if not _:
                 raise InputError(f"bad assignment entry {item!r}")
+            name = variable_name(name.strip())
+            if name in point:
+                raise InputError(f"--at assigns {name} twice")
             number = parse_rational(value)
             if number.denominator != 1:
-                raise InputError(f"--at value {value.strip()} of {name.strip()} is not an integer")
-            point[name.strip()] = number.numerator
+                raise InputError(f"--at value {value.strip()} of {name} is not an integer")
+            point[name] = number.numerator
     return point
 
 

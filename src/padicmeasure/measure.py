@@ -383,29 +383,23 @@ def exp_poly_is_zero(
             domain = simplify(conj([region] + [AtomF(a) for a in atoms]))
             svars = tuple(sorted(set(e.param_vars) | set(free_variables(domain))))
             # no cells means the region misses this piece of the domain
-            for piece in rectilinearize(to_cells(domain, svars, [])):
-                witness = _piece_witness(piece, terms, p)
+            for forms in rectilinearize(to_cells(domain, svars, [])):
+                witness = _piece_witness(forms, terms, p)
                 if witness is not None:
                     return witness
     return None
 
 
-def _piece_witness(piece, terms, p: int) -> NonZeroWitness | None:
-    m = piece.rank
-    mu_vars = [f"@z{j}" for j in range(m)]
-    substitutions = {}
-    for i, var in enumerate(piece.variables):
-        form = piece.base[i]
-        for j in range(m):
-            if piece.generators[i][j]:
-                form = form + LinearTerm.variable(mu_vars[j]).scale(piece.generators[i][j])
-        substitutions[var] = form
+def _piece_witness(forms: Mapping[str, LinearTerm], terms, p: int) -> NonZeroWitness | None:
+    # the cells have no parameters, so the forms are over @m0, ..., @m<m-1> only
+    m = len({name for form in forms.values() for name in form.variables()})
+    mu_vars = [f"@m{j}" for j in range(m)]
 
     grouped: dict = {}
     for t in terms:
         exponent = t.exponent
         poly = t.poly
-        for var, form in substitutions.items():
+        for var, form in forms.items():
             exponent = exponent.substitute(var, form)
             poly = poly.substitute_affine(var, form)
         coeffs = dict(exponent.coeffs)
@@ -439,8 +433,7 @@ def _piece_witness(piece, terms, p: int) -> NonZeroWitness | None:
             val = value_at(mu)
             if val != 0:
                 env = {mu_vars[j]: mu[j] for j in range(m)}
-                point = tuple((var, int(substitutions[var].evaluate(env)))
-                              for var in sorted(piece.variables))
+                point = tuple((var, int(forms[var].evaluate(env))) for var in sorted(forms))
                 return NonZeroWitness(point, val)
     raise AssertionError("nonzero exponential polynomial vanishes on its witness box")
 

@@ -728,15 +728,6 @@ def _fold_point(state: _GenState, level: Level) -> _GenState:
     )
 
 
-def _drop_ray(state: _GenState, level: Level) -> _GenState:
-    # the geometric factor itself is applied by the caller through coeff
-    return _GenState(
-        state.coeff,
-        state.levels[:-1], list(state.kept), state.guard,
-        state.wtot.substitute(level.var, level.start),
-    )
-
-
 def _keep_range(state: _GenState, level: Level) -> _GenState:
     return _GenState(state.coeff, state.levels[:-1], [level] + state.kept,
                      state.guard, state.wtot)
@@ -778,7 +769,9 @@ def _peel_step(state: _GenState, level: Level, p: int) -> tuple[list[_GenState],
         if gamma.denominator != 1:
             raise InputError(f"non-integral increment {gamma} along {level.var}")
         n = -gamma.numerator
-        out = _drop_ray(state, level)
+        # no kept range references level.var, so folding its start changes
+        # only the weight; the geometric factor goes into coeff
+        out = _fold_point(state, level)
         out.coeff = state.coeff * Fraction(p**n, p**n - 1)
         return ([out], "GeomSum",
                 f"sum the geometric tail along {level.var} (ratio p^-{n})")

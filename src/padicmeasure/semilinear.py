@@ -4,8 +4,8 @@ Quantifier-free Presburger formulas are decomposed into disjoint guarded
 cells, cells are triangulated into "towers" (one resolved coordinate per
 level: a point, an upward/downward arithmetic ray, or a bounded arithmetic
 range), and towers drive everything downstream: exact parametric counting,
-rectilinearization into affine images of N^m, fiber enumeration, and the
-closed-form summation engine used by the measure layer.
+rectilinearization into affine images of N^m, and the closed-form
+summation engine used by the measure layer.
 
 All splits are exact partitions and every guard ever produced is a
 conjunction of integer atoms.  A branch whose new atom already simplifies to
@@ -27,7 +27,6 @@ from .algebra import (
     Polynomial,
     bounded_power_sums,
     faulhaber,
-    frac,
 )
 from .presburger import (
     DIV,
@@ -58,12 +57,6 @@ from .presburger import (
 _IOTA = "@i"  # internal summation index; cannot clash with parsed names
 
 V = TypeVar("V")
-
-
-class CappedError(Exception):
-    def __init__(self, cap: int):
-        super().__init__(f"fiber enumeration exceeded cap {cap}")
-        self.cap = cap
 
 
 class InfiniteFiberError(Exception):
@@ -254,9 +247,6 @@ class Tower:
     variables: tuple[str, ...]
     levels: tuple[Level, ...]
     guard: tuple[Atom, ...]  # conjunction over parameters only
-
-    def guard_formula(self) -> Formula:
-        return simplify(conj([AtomF(a) for a in self.guard]))
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -731,149 +721,29 @@ def count_parametric(
 
 
 # ---------------------------------------------------------------------------
-# fiber enumeration
-
-
-def enumerate_fiber(
-    cells: Sequence[GuardedCell], point: Mapping[str, int], cap: int = 100000
-) -> list[tuple[int, ...]]:
-    """List the fiber exactly, in sorted order; raises CappedError beyond cap."""
-    results: list[tuple[int, ...]] = []
-    env_base = {k: int(v) for k, v in point.items()}
-    for cell in cells:
-        if not evaluate_qf(cell.param_guard, env_base):
-            continue
-        for tower in triangulate(cell):
-            if not all(a.evaluate(env_base) for a in tower.guard):
-                continue
-            _walk_tower(tower, 0, dict(env_base), results, cap, cell.variables)
-    results.sort()
-    return results
-
-
-def _walk_tower(tower, idx, env, results, cap, out_vars):
-    if idx == len(tower.levels):
-        results.append(tuple(int(env[v]) for v in out_vars))
-        if len(results) > cap:
-            raise CappedError(cap)
-        return
-    level = tower.levels[idx]
-    start = level.start.evaluate(env)
-    if start.denominator != 1:
-        raise AssertionError("level start must be integral on its guard")
-    start = int(start)
-    if level.kind == "point":
-        env[level.var] = start
-        _walk_tower(tower, idx + 1, env, results, cap, out_vars)
-    elif level.kind == "range":
-        n = level.count.evaluate(env)
-        if n.denominator != 1:
-            raise AssertionError("level count must be integral on its guard")
-        for j in range(max(0, int(n))):
-            env[level.var] = start + level.step * j
-            _walk_tower(tower, idx + 1, env, results, cap, out_vars)
-    else:
-        j = 0
-        while True:
-            env[level.var] = start + level.step * j
-            _walk_tower(tower, idx + 1, env, results, cap, out_vars)
-            j += 1
-            if j > cap:
-                raise CappedError(cap)
-
-
-# ---------------------------------------------------------------------------
 # rectilinearization
 
 
-@dataclass(frozen=True)
-class RectilinearPiece:
-    """Injective affine image of N^m: var_i = base_i(params) + sum_j M[i][j]*mu_j.
-
-    Bases are rational affine forms in the parameters that take integer values
-    on the piece's guard; generator columns are integer and independent.
-    """
-
-    variables: tuple[str, ...]
-    base: tuple[LinearTerm, ...]
-    generators: tuple[tuple[int, ...], ...]  # one row per variable
-    param_guard: Formula
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators[0]) if self.generators else 0
-
-    def image_point(self, mu: Sequence[int], params: Mapping[str, int]) -> tuple[int, ...]:
-        out = []
-        for i in range(len(self.variables)):
-            val = self.base[i].evaluate(params)
-            for j, m in enumerate(self.generators[i]):
-                val += m * mu[j]
-            if val.denominator != 1:
-                raise ValueError(f"{self.variables[i]} is not integral at {dict(params)}")
-            out.append(int(val))
-        return tuple(out)
-
-    def contains(self, lam: Mapping[str, int], params: Mapping[str, int]) -> bool:
-        if not evaluate_qf(self.param_guard, params):
-            return False
-        mu = self._solve(lam, params)
-        return mu is not None
-
-    def _solve(self, lam: Mapping[str, int], params: Mapping[str, int]):
-        """Invert the echelon system for mu in N^m, or None."""
-        residual = [frac(lam[v]) - self.base[i].evaluate(params)
-                    for i, v in enumerate(self.variables)]
-        m = self.rank
-        mu = [None] * m
-        # columns are echelon by construction: column j has its pivot at the
-        # first row where it is nonzero and later columns vanish above it
-        rows = len(self.variables)
-        solved: list[Fraction] = []
-        for j in range(m):
-            pivot_row = None
-            for i in range(rows):
-                if self.generators[i][j] != 0 and all(
-                    self.generators[i][k] == 0 for k in range(j + 1, m)
-                ):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return None
-            val = residual[pivot_row]
-            for k in range(j):
-                val -= self.generators[pivot_row][k] * solved[k]
-            val = val / self.generators[pivot_row][j]
-            if val.denominator != 1 or val < 0:
-                return None
-            solved.append(val)
-        for i in range(rows):
-            acc = Fraction(0)
-            for j in range(m):
-                acc += self.generators[i][j] * solved[j]
-            if acc != residual[i]:
-                return None
-        return [int(v) for v in solved]
-
-
-def _pieces_from_tower(tower: Tower, out_order: Sequence[str]) -> list[RectilinearPiece]:
-    guard = tower.guard_formula()
-    branches: list[tuple[dict[str, LinearTerm], list[str]]] = [({}, [])]
+def _pieces_from_tower(tower: Tower, out_order: Sequence[str]) -> list[dict[str, LinearTerm]]:
+    """The tower's points as injective affine images of N^m, one mapping per
+    piece: each variable of out_order goes to a form over the parameters and
+    N-valued @m0, @m1, ... (one per ray), each range of constant width being
+    expanded into its points."""
+    branches: list[tuple[dict[str, LinearTerm], int]] = [({}, 0)]
     for level in tower.levels:
         new_branches = []
-        for forms, mus in branches:
+        for forms, rays in branches:
             start = level.start
             for v, f in forms.items():
                 start = start.substitute(v, f)
             if level.kind == "point":
                 forms2 = dict(forms)
                 forms2[level.var] = start
-                new_branches.append((forms2, mus))
+                new_branches.append((forms2, rays))
             elif level.kind == "ray":
-                mu = f"@m{len(mus)}"
                 forms2 = dict(forms)
-                forms2[level.var] = start + LinearTerm.variable(mu).scale(level.step)
-                new_branches.append((forms2, mus + [mu]))
+                forms2[level.var] = start + LinearTerm.variable(f"@m{rays}").scale(level.step)
+                new_branches.append((forms2, rays + 1))
             else:
                 count = level.count
                 for v, f in forms.items():
@@ -888,25 +758,15 @@ def _pieces_from_tower(tower: Tower, out_order: Sequence[str]) -> list[Rectiline
                 for j in range(int(n)):
                     forms2 = dict(forms)
                     forms2[level.var] = start + level.step * j
-                    new_branches.append((forms2, mus))
+                    new_branches.append((forms2, rays))
         branches = new_branches
 
     pieces = []
-    for forms, mus in branches:
-        base = []
-        rows = []
+    for forms, _ in branches:
         for v in out_order:
-            f = forms[v]
-            base.append(LinearTerm.make(
-                {n: c for n, c in f.coeffs if not n.startswith("@m")}, f.const))
-            row = []
-            for mu in mus:
-                c = f.coeff(mu)
-                if c.denominator != 1:
-                    raise NotRectilinearizableError("fractional generator entry")
-                row.append(c.numerator)
-            rows.append(tuple(row))
-        pieces.append(RectilinearPiece(tuple(out_order), tuple(base), tuple(rows), guard))
+            if any(c.denominator != 1 for n, c in forms[v].coeffs if n.startswith("@m")):
+                raise NotRectilinearizableError("fractional generator entry")
+        pieces.append({v: forms[v] for v in out_order})
     return pieces
 
 
@@ -916,14 +776,17 @@ def variable_orders(variables: Sequence[str]) -> list[tuple[str, ...]]:
     return [identity] + [p for p in sorted(itertools.permutations(identity)) if p != identity]
 
 
-def rectilinearize(cells: Sequence[GuardedCell]) -> list[RectilinearPiece]:
-    """Rewrite disjoint cells as disjoint affine images of N^m.
+def rectilinearize(cells: Sequence[GuardedCell]) -> list[dict[str, LinearTerm]]:
+    """Rewrite disjoint cells as disjoint affine images of N^m, each a mapping
+    from the cell variables to affine forms (see _pieces_from_tower).
 
     Bounded directions are expanded only when their width is constant; a cell
     whose every variable order leaves a parametric width raises
-    NotRectilinearizableError.
+    NotRectilinearizableError.  The towers' parameter guards are not kept, so
+    over parameters a piece holds only where its tower's guard does; the zero
+    test passes cells without parameters.
     """
-    pieces: list[RectilinearPiece] = []
+    pieces: list[dict[str, LinearTerm]] = []
     for cell in cells:
         last_error: Exception | None = None
         for order in variable_orders(cell.variables):

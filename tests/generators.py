@@ -15,6 +15,9 @@ from padicmeasure import (
     presentation,
 )
 from padicmeasure.presburger import (
+    DIV,
+    EQ0,
+    AndF,
     AtomF,
     ExistsF,
     Formula,
@@ -150,6 +153,47 @@ def random_finite_family(rng: random.Random):
             atoms.append(AtomF(divides(m, var - rng.randint(0, m - 1))))
     domain = parse(" /\\ ".join(f"{v} >= 0" for v in params))
     return conj(atoms), lams, params, domain
+
+
+def grid_fiber_counts(formula: Formula, lams, params, high: int):
+    """Fiber sizes of a random_finite_family formula at every parameter point
+    of [0, high]^k, as a numpy int64 array indexed by the parameter values.
+
+    Counts by brute force: the formula's atoms are evaluated with numpy int64
+    over the box [-3, top]^n of lambda values, top = max(high, 7) + 4n, which
+    holds every fiber.  random_finite_family bounds lambda 1 below by a
+    constant in [-3, 3] and each later lambda i by that or by lambda i - 1,
+    so every lambda value is at least -3.  It bounds lambda i above by a
+    parameter plus at most 4, by lambda i - 1 plus at most 4, or by its
+    constant lower bound plus at most 8, so at most 11; by induction lambda i
+    is at most max(high, 7) + 4i.
+    """
+    # imported here: perfbench loads this module and would otherwise pay for numpy
+    import numpy as np
+
+    atoms = [f.atom for f in (formula.args if isinstance(formula, AndF) else (formula,))]
+    top = max(high, 7) + 4 * len(lams)
+    axes = [np.arange(high + 1, dtype=np.int64)] * (len(params) - 1)
+    axes += [np.arange(-3, top + 1, dtype=np.int64)] * len(lams)
+    grid = dict(zip(list(params[1:]) + list(lams),
+                    np.meshgrid(*axes, indexing="ij", sparse=True)))
+    shape = tuple(len(axis) for axis in axes)
+    lam_axes = tuple(range(len(params) - 1, len(axes)))
+    counts = np.zeros((high + 1,) * len(params), dtype=np.int64)
+    # one parameter value at a time keeps the arrays small
+    for first in range(high + 1):
+        env = {params[0]: first, **grid}
+        inside = np.ones(shape, dtype=bool)
+        for atom in atoms:
+            value = atom.term.const + sum(c * env[name] for name, c in atom.term.coeffs)
+            if atom.kind == DIV:
+                inside &= value % atom.modulus == 0
+            elif atom.kind == EQ0:
+                inside &= value == 0
+            else:
+                inside &= value >= 0
+        counts[first] = inside.sum(axis=lam_axes)
+    return counts
 
 
 def random_unit(rng: random.Random, p: int, level: int = 1) -> int:

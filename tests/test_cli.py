@@ -170,6 +170,17 @@ def test_count_at_takes_ascii_integers_only(value):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("at, error", [
+    ("s=1,s=2", "--at assigns s twice"),
+    ("s=1,1x=3", "bad variable name '1x'"),
+    ("s=1,E=1", "bad variable name 'E'"),
+])
+def test_count_at_rejects_malformed_names(at, error):
+    code, out, err = call(["count", "--formula", "0 <= l /\\ l < s", "--lambda-vars", "l",
+                           "-p", "2", "--at", at])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_count_at_names_missing_parameters():
     code, out, err = call(["count", "--formula", "l = 2*x /\\ l >= 0 /\\ l <= s",
                            "--lambda-vars", "l", "-p", "2", "--at", "s=6"])
@@ -186,6 +197,17 @@ def test_count_quantified_formula():
 def test_count_infinite_fiber_exit_three():
     code, _, err = call(["count", "--formula", "l >= s", "--lambda-vars", "l", "-p", "2"])
     assert code == 3
+
+
+def test_eq_needs_constant_range_widths(tmp_path):
+    # the zero test rewrites the domain as affine images of N^m; no variable
+    # order of this cone has constant range widths, so eq stops with exit 2
+    domain = parse("0 <= s /\\ s <= t /\\ t <= 2*s")
+    ball = ball_presentation(CTX2, 0, param_vars=("s", "t"), param_domain=domain)
+    left = write(tmp_path, "l.json", ball)
+    right = write(tmp_path, "r.json", scalar_mul(2, ball))
+    code, out, err = call(["eq", left, right, "-p", "2"])
+    assert (code, out, err) == (2, "", "error: parametric range width along s\n")
 
 
 def test_measure_divergence_exit_three(tmp_path):

@@ -223,6 +223,16 @@ def test_zero_test_witness():
     e = make_exp_polynomial(2, ("s",), [(g, falling, LinearTerm.constant(0))])
     witness = exp_poly_is_zero(e, parse("s >= 0"), CTX2)
     assert (witness.as_dict(), witness.value) == ({"s": 6}, 720)
+    # a piece with a constant-width range and a ray: s is expanded into
+    # s = 0, 1, 2 and t = @m0; s*t*(t-1)*2^-t vanishes on s = 0 and at t = 0, 1
+    domain = parse("0 <= s /\\ s <= 2 /\\ t >= 0")
+    s_poly, t_poly = Polynomial.variable("s"), Polynomial.variable("t")
+    e = make_exp_polynomial(
+        2, ("s", "t"),
+        [(domain, s_poly * t_poly * (t_poly - Polynomial.constant(1)), LinearTerm.make({"t": -1}))],
+    )
+    witness = exp_poly_is_zero(e, domain, CTX2)
+    assert (witness.as_dict(), witness.value) == ({"s": 1, "t": 2}, Fraction(1, 2))
 
 
 def test_zero_test_cross_guard_cancellation():

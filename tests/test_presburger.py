@@ -269,9 +269,10 @@ def test_linear_term_keeps_rational_coefficients():
     with pytest.raises(ValueError):
         t.integer_term(3)
     # the internal placeholders build; other names outside the grammar do not
-    assert LinearTerm.make({"@i": 1, "@m0": 2, "@z12": 3}).variables() == ("@i", "@m0", "@z12")
-    with pytest.raises(ValueError):
-        LinearTerm.make({"@x": 1})
+    assert LinearTerm.make({"@i": 1, "@m0": 2, "@m12": 3}).variables() == ("@i", "@m0", "@m12")
+    for name in ("@x", "@z12"):
+        with pytest.raises(ValueError):
+            LinearTerm.make({name: 1})
 
 
 def test_atom_invariants():

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,23 +9,23 @@ import pytest
 from padicmeasure import semilinear
 from padicmeasure.presburger import (
     TRUE,
+    LinearTerm,
+    conj,
     evaluate_on_grid,
     evaluate_qf,
     parse,
 )
 from padicmeasure.semilinear import (
-    CappedError,
     InfiniteFiberError,
     NotRectilinearizableError,
     OutOfDomainError,
     count_parametric,
-    enumerate_fiber,
     rectilinearize,
     to_cells,
     triangulate,
 )
 
-from generators import random_atom, random_finite_family
+from generators import grid_fiber_counts, random_atom, random_finite_family
 
 
 def cells_of(text, lams, params):
@@ -109,54 +111,67 @@ def test_count_guards_disjoint_and_cover():
         assert len(hits) == 1
 
 
-def test_enumerate_fiber_examples():
-    assert enumerate_fiber(cells_of("0 <= l /\\ l < 3", ["l"], ["s"]), {"s": 7}) == [
-        (0,), (1,), (2,)
-    ]
-    assert enumerate_fiber(
-        cells_of("0 <= l /\\ l < s /\\ 2 | l", ["l"], ["s"]), {"s": 5}
-    ) == [(0,), (2,), (4,)]
-    with pytest.raises(CappedError):
-        enumerate_fiber(cells_of("l >= 0", ["l"], []), {}, cap=10)
-
-
 def test_rectilinearize_examples():
-    p1 = rectilinearize(cells_of("l >= 3", ["l"], []))
-    assert len(p1) == 1 and p1[0].generators == ((1,),)
-    assert p1[0].base[0].const == 3
+    make = LinearTerm.make
+    assert rectilinearize(cells_of("l >= 3", ["l"], [])) == [{"l": make({"@m0": 1}, 3)}]
+    assert rectilinearize(cells_of("l >= 0 /\\ 2 | l", ["l"], [])) == [{"l": make({"@m0": 2})}]
+    assert rectilinearize(cells_of("0 <= l1 /\\ l1 <= l2", ["l1", "l2"], [])) == [
+        {"l1": make({"@m0": 1}), "l2": make({"@m0": 1, "@m1": 1})}
+    ]
+    # a constant width is expanded into points; the rays below stay
+    cells = cells_of("0 <= l1 /\\ l1 <= 1 /\\ l2 >= 2*l1 - 3", ["l1", "l2"], [])
+    assert rectilinearize(cells) == [
+        {"l1": make({}, 0), "l2": make({"@m0": 1}, -3)},
+        {"l1": make({}, 1), "l2": make({"@m0": 1}, -1)},
+    ]
 
-    p2 = rectilinearize(cells_of("l >= 0 /\\ 2 | l", ["l"], []))
-    assert p2[0].generators == ((2,),)
-    assert p2[0].base[0].const == 0
 
-    p3 = rectilinearize(cells_of("0 <= l1 /\\ l1 <= l2", ["l1", "l2"], []))
-    assert len(p3) == 1
-    assert p3[0].generators == ((1, 0), (1, 1))
+def _coordinates(forms):
+    return sorted({name for form in forms.values() for name in form.variables()})
+
+
+def _image_counts(pieces, variables, lo, hi, mu_box):
+    """How often the forms, over mu in [0, mu_box)^m, hit each point of [lo, hi]^n."""
+    counts = np.zeros((hi - lo + 1,) * len(variables), dtype=np.int64)
+    for forms in pieces:
+        coords = _coordinates(forms)
+        mu = dict(zip(coords, np.meshgrid(*[np.arange(mu_box)] * len(coords), indexing="ij")))
+        shape = (mu_box,) * len(coords)
+        images = []
+        for v in variables:
+            form = forms[v]
+            assert all(type(c) is int for _, c in form.coeffs) and type(form.const) is int
+            images.append(np.full(shape, form.const, dtype=np.int64)
+                          + sum(c * mu[name] for name, c in form.coeffs))
+        points = np.stack(images, axis=-1).reshape(-1, len(variables))
+        inside = ((points >= lo) & (points <= hi)).all(axis=1)
+        np.add.at(counts, tuple((points[inside] - lo).T), 1)
+    return counts
 
 
 def test_rectilinearize_membership_randomized():
+    # random_finite_family formulas on their domain, every variable a lambda
+    # variable, so that parameters turn into rays; the images of a mu-box
+    # hit each formula point of the grid exactly once and no other grid point
+    # (a box too small to reach some grid point fails, it cannot pass)
     rng = random.Random(77)
-    grid = range(-8, 15)
+    lo, hi = -4, 9
+    checked = 0
     for _ in range(40):
         f, lams, params, domain = random_finite_family(rng)
-        if params != ["s"]:
+        variables = lams + params
+        if len(variables) > 3:
             continue
-        cells = to_cells(f, lams, params)
         try:
-            pieces = rectilinearize(cells)
+            pieces = rectilinearize(to_cells(conj([f, domain]), variables, []))
         except NotRectilinearizableError:
             continue  # parametric widths are out of scope for pieces
-        for s in (0, 3, 7):
-            for point in _grid_points(lams, grid):
-                want = evaluate_qf(f, {**point, "s": s})
-                got = sum(p.contains(point, {"s": s}) for p in pieces)
-                assert got == (1 if want else 0), (f, point, s)
-
-
-def _grid_points(lams, grid):
-    if len(lams) == 1:
-        return [{lams[0]: v} for v in grid]
-    return [{lams[0]: v, lams[1]: w} for v in grid for w in grid]
+        axes = {v: np.arange(lo, hi + 1) for v in variables}
+        want = evaluate_on_grid(conj([f, domain]), axes).astype(np.int64)
+        got = _image_counts(pieces, variables, lo, hi, 24)
+        assert (got == want).all(), f
+        checked += 1
+    assert checked >= 30
 
 
 def test_rectilinear_injectivity_random_pairs():
@@ -164,16 +179,21 @@ def test_rectilinear_injectivity_random_pairs():
     pieces = rectilinearize(
         cells_of("0 <= l1 /\\ l1 <= l2 /\\ 3 | l2 - l1", ["l1", "l2"], [])
     )
-    for piece in pieces:
-        m = piece.rank
-        if m == 0:
-            continue
+    assert len(pieces) == 3
+    for forms in pieces:
+        coords = _coordinates(forms)
+        assert len(coords) == 2
+
+        def image(mu):
+            env = dict(zip(coords, mu))
+            return tuple(forms[v].evaluate(env) for v in ("l1", "l2"))
+
         for _ in range(1000):
-            mu1 = tuple(rng.randint(0, 30) for _ in range(m))
-            mu2 = tuple(rng.randint(0, 30) for _ in range(m))
+            mu1 = tuple(rng.randint(0, 30) for _ in coords)
+            mu2 = tuple(rng.randint(0, 30) for _ in coords)
             if mu1 == mu2:
                 continue
-            assert piece.image_point(mu1, {}) != piece.image_point(mu2, {})
+            assert image(mu1) != image(mu2)
 
 
 def test_parametric_width_not_piece_expressible():
@@ -187,28 +207,50 @@ def test_counting_matches_enumeration_randomized():
         f, lams, params, domain = random_finite_family(rng)
         cells = to_cells(f, lams, params)
         pp = count_parametric(cells, domain, params)
-        points = (
-            [{params[0]: s} for s in range(0, 21)]
-            if len(params) == 1
-            else [{params[0]: s, params[1]: t} for s in range(0, 9) for t in range(0, 9)]
+        high = 20 if len(params) == 1 else 8
+        want = grid_fiber_counts(f, lams, params, high)
+        for values in itertools.product(range(high + 1), repeat=len(params)):
+            point = dict(zip(params, values))
+            assert pp.evaluate(point) == want[values], (f, point)
+
+
+def _tower_points(tower, s):
+    # the tower at s, its levels' forms expanded into points; none when the
+    # guard fails at s
+    if not all(a.evaluate({"s": s}) for a in tower.guard):
+        return []
+    at_s = LinearTerm.constant(s)
+    levels = tuple(
+        dataclasses.replace(
+            level,
+            start=level.start.substitute("s", at_s),
+            count=level.count.substitute("s", at_s) if level.count is not None else None,
         )
-        for point in points:
-            assert pp.evaluate(point) == len(enumerate_fiber(cells, point)), (f, point)
+        for level in tower.levels
+    )
+    pieces = semilinear._pieces_from_tower(
+        dataclasses.replace(tower, levels=levels, guard=()), tower.variables)
+    return [tuple(forms[v].evaluate({}) for v in tower.variables) for forms in pieces]
 
 
 def test_towers_partition_the_cell():
-    # enumerate_fiber lists each tower's points, duplicates kept; the fiber
-    # lies inside the box, so equality with the brute-force list means every
-    # cell point is in exactly one tower and no tower holds anything else
+    # the towers of the symbolic cell, taken at s, list their points with
+    # duplicates kept; the fiber lies inside the box, so equality with the
+    # brute-force list means every cell point is in exactly one tower and no
+    # tower holds anything else
     cells = cells_of("0 <= l1 /\\ l1 <= l2 /\\ l2 < s /\\ 2 | l2", ["l1", "l2"], ["s"])
+    (cell,) = cells
+    towers = triangulate(cell)
+    assert towers and all(t.variables == ("l1", "l2") for t in towers)
     for s in (0, 1, 4, 7):
         box = [
             (l1, l2)
             for l1 in range(-3, 10)
             for l2 in range(-3, 10)
-            if evaluate_qf(cells[0].formula(), {"l1": l1, "l2": l2, "s": s})
+            if evaluate_qf(cell.formula(), {"l1": l1, "l2": l2, "s": s})
         ]
-        assert enumerate_fiber(cells, {"s": s}) == box
+        points = [pt for tower in towers for pt in _tower_points(tower, s)]
+        assert Counter(points) == Counter(box)
 
 
 def _families(seed, count):
@@ -230,22 +272,13 @@ def test_count_pieces_partition_the_domain_and_match_enumeration(index):
     f, lams, params, domain = COUNT_FAMILIES[index]
     cells = to_cells(f, lams, params)
     pp = count_parametric(cells, domain, params)
+    want = grid_fiber_counts(f, lams, params, 12)
     for values in itertools.product(range(-2, 13), repeat=len(params)):
         point = dict(zip(params, values))
         hits = [poly for guard, poly in pp.pieces if evaluate_qf(guard, point)]
         assert len(hits) == evaluate_qf(domain, point), (f, point)
         if hits:
-            assert hits[0].evaluate(point) == len(enumerate_fiber(cells, point)), (f, point)
-
-
-def _brute_force_count(f, lams, point):
-    # random_finite_family bounds each lambda variable below by -3 (a
-    # constant in [-3, 3], or the previous variable) and above by a parameter
-    # plus at most 4, a constant at most 11, or the previous variable plus at
-    # most 4, so the whole fiber lies in [-3, max(point, 7) + 4 * len(lams)]
-    top = max([7, *point.values()]) + 4 * len(lams)
-    box = itertools.product(range(-3, top + 1), repeat=len(lams))
-    return sum(evaluate_qf(f, {**point, **dict(zip(lams, values))}) for values in box)
+            assert hits[0].evaluate(point) == want[values], (f, point)
 
 
 @pytest.mark.parametrize("index", range(len(SLOW_FAMILIES)))
@@ -253,9 +286,11 @@ def test_count_matches_brute_force_on_two_congruence_families(index):
     # counts the formula itself, sharing no triangulation with the engine
     f, lams, params, domain = SLOW_FAMILIES[index]
     pp = count_parametric(to_cells(f, lams, params), domain, params)
-    for values in itertools.product(range(0, 13 if len(params) == 1 else 9), repeat=len(params)):
+    high = 12 if len(params) == 1 else 8
+    want = grid_fiber_counts(f, lams, params, high)
+    for values in itertools.product(range(high + 1), repeat=len(params)):
         point = dict(zip(params, values))
-        assert pp.evaluate(point) == _brute_force_count(f, lams, point), (f, point)
+        assert pp.evaluate(point) == want[values], (f, point)
 
 
 def test_triangulate_skips_branches_with_a_false_atom(sat_queries, monkeypatch):

@@ -142,3 +142,18 @@ def test_package_regexes_match_ascii_digits_only():
         and isinstance(node.args[0].value, str) and "\\d" in node.args[0].value
     ]
     assert not found, found
+
+
+def test_package_walks_towers_in_two_functions():
+    # counting and the measure layer reach towers through towers_in_domain,
+    # the zero test through rectilinearize; a third walker of the towers
+    # would be a second decomposition path to keep in step with the first
+    callers = {
+        f"{path.name} {top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else '<module>'}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and "triangulate" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"semilinear.py towers_in_domain", "semilinear.py rectilinearize"}, callers
