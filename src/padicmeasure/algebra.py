@@ -234,23 +234,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == () for m, _ in self.terms)
-
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for m, _ in self.terms:
-            out.update(n for n, _ in m)
-        return out
-
-    def degree(self, name: str | None = None) -> int:
-        best = 0
-        for m, _ in self.terms:
-            if name is None:
-                best = max(best, sum(e for _, e in m))
-            else:
-                best = max(best, dict(m).get(name, 0))
-        return best
+    def degree(self) -> int:
+        return max((sum(e for _, e in m) for m, _ in self.terms), default=0)
 
     def __add__(self, other: Polynomial) -> Polynomial:
         d = dict(self.terms)

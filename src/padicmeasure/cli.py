@@ -126,9 +126,7 @@ def _print_exp_poly(e: ExpPolynomial) -> None:
         print(f"sum[ {format_formula(term.guard)} ; {term.poly} ; p^({term.exponent}) ]")
 
 
-def _require_point(point: dict[str, int] | None, names: Sequence[str]) -> dict[str, int]:
-    if point is None:
-        raise InputError("--at is required here")
+def _require_point(point: dict[str, int], names: Sequence[str]) -> dict[str, int]:
     missing = [v for v in names if v not in point]
     if missing:
         raise InputError(f"--at misses parameters {missing}")
@@ -230,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, prime_required=True):
-        p.add_argument("-p", "--prime", type=int, required=prime_required)
+    def add_common(p):
+        p.add_argument("-p", "--prime", type=int, required=True)
         p.add_argument("--at", nargs="?", const="", default=None,
                        help="parameter point, e.g. s=3,t=5 (empty for none)")
 

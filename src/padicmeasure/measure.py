@@ -135,13 +135,6 @@ class Weight:
     def affine(self) -> LinearTerm:
         return (self.c + LinearTerm.make(dict(self.b))).scale(Fraction(1, self.r))
 
-    def shift(self, delta: LinearTerm, scale_r: int = 1) -> Weight:
-        """Weight for nu + delta/scale_r over the same lambda variables."""
-        r = self.r * scale_r
-        c = self.c.scale(scale_r) + delta.scale(self.r)
-        b = {n: v * scale_r for n, v in self.b}
-        return Weight.make(r, c, b)
-
 
 @dataclass(frozen=True)
 class Coordinate:

@@ -42,6 +42,7 @@ from .presburger import (
     free_variables,
     geq0,
     is_satisfiable,
+    qe,
     simplify,
     substitute,
 )
@@ -55,6 +56,11 @@ class WindowTooSmallError(Exception):
 
 class BudgetExceededError(Exception):
     pass
+
+
+# Most integer points that one enumeration window may hold: the grid of a
+# cell, or the scan and residue-class tails of a one-variable fiber.
+GRID_BUDGET = 3 * 10**7
 
 
 @dataclass(frozen=True)
@@ -76,11 +82,6 @@ class Bracket:
         if k < 0:
             lo, hi = hi, lo
         return Bracket(lo, hi, self.depth, self.valuation_window)
-
-    def __add__(self, other: Bracket) -> Bracket:
-        return Bracket(self.lower + other.lower, self.upper + other.upper,
-                       min(self.depth, other.depth),
-                       min(self.valuation_window, other.valuation_window))
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +110,16 @@ def _weighted_box_bracket(
             return v, Fraction(0)
         return Fraction(0), Fraction(0)
 
+    if (2 * window + 1) ** n > GRID_BUDGET:
+        raise BudgetExceededError(
+            f"a window of {window} over {n} coordinates exceeds {GRID_BUDGET} points")
     values = np.arange(-window, window + 1, dtype=np.int64)
     axes = {v: values for v in names}
     mask = evaluate_on_grid(lam, axes)
 
     # exact window sum: weights are integers on the fiber, so collect the
     # integer exponent r*w per satisfying point and bin by value
-    r = 1
-    for _, c in weight.coeffs:
-        r = math.lcm(r, c.denominator)
-    r = math.lcm(r, weight.const.denominator)
+    r = weight.denominator_lcm()
     scaled = np.full(mask.shape, int(weight.const * r), dtype=np.int64)
     for i, v in enumerate(names):
         coef = int(weight.coeff(v) * r)
@@ -135,10 +136,10 @@ def _weighted_box_bracket(
                 raise WindowTooSmallError("weight not integral on the window")
             total += cnt * power_fraction(p, e // r)
 
-    # tail bounds per direction and sign, using satisfiability-probed
-    # coordinate ranges so coupled cells (diagonals, shears) stay sharp
+    # tail bounds per direction and sign, using the exact coordinate ranges
+    # so coupled cells (diagonals, shears) stay sharp
     tail = Fraction(0)
-    p_const = power_fraction(p, _ceil(weight.const))
+    p_const = power_fraction(p, math.ceil(weight.const))
     ranges = {v: _coordinate_range(lam, v, window) for v in names}
     for v in names:
         beta = weight.coeff(v)
@@ -175,45 +176,24 @@ def _weighted_box_bracket(
 
 def _coordinate_range(lam: Formula, var: str, window: int):
     """(min, max) of a coordinate over the fiber; None marks an unbounded or
-    beyond-window end.  Decided exactly by satisfiability probes."""
+    beyond-window end, and an empty window gives (window + 1, -window - 1).
 
-    def sat_leq(t: int) -> bool:
-        return is_satisfiable(conj([lam, AtomF(geq0(LinearTerm.constant(t)
-                                                    - LinearTerm.variable(var)))]))
-
-    def sat_geq(t: int) -> bool:
-        return is_satisfiable(conj([lam, AtomF(geq0(LinearTerm.variable(var) - t))]))
-
-    lo: int | None
-    hi: int | None
-    if sat_leq(-window - 1):
-        lo = None
-    else:
-        a, b = -window, window  # smallest t with sat_leq(t)
-        if not sat_leq(b):
-            lo = window + 1  # no points at all in the window; harmless
-        else:
-            while a < b:
-                mid = (a + b) // 2
-                if sat_leq(mid):
-                    b = mid
-                else:
-                    a = mid + 1
-            lo = a
-    if sat_geq(window + 1):
-        hi = None
-    else:
-        a, b = -window, window  # largest t with sat_geq(t)
-        if not sat_geq(a):
-            hi = -window - 1
-        else:
-            while a < b:
-                mid = (a + b + 1) // 2
-                if sat_geq(mid):
-                    a = mid
-                else:
-                    b = mid - 1
-            hi = a
+    Two satisfiability probes decide whether the fiber reaches past the
+    window; the in-window ends are read off the fiber's shadow on var, the
+    Cooper elimination of every other coordinate.
+    """
+    x = LinearTerm.variable(var)
+    below = is_satisfiable(conj([lam, AtomF(geq0(LinearTerm.constant(-window - 1) - x))]))
+    above = is_satisfiable(conj([lam, AtomF(geq0(x - (window + 1)))]))
+    if below and above:
+        return None, None
+    shadow = lam
+    for v in sorted(free_variables(lam) - {var}):
+        shadow = ExistsF(v, shadow)
+    shadow = qe(shadow)
+    inside = [t for t in range(-window, window + 1) if evaluate_qf(shadow, {var: t})]
+    lo = None if below else (inside[0] if inside else window + 1)
+    hi = None if above else (inside[-1] if inside else -window - 1)
     return lo, hi
 
 
@@ -230,7 +210,7 @@ def _line_mass(beta: Fraction, lo: int | None, hi: int | None, p: int) -> Fracti
         if lo is None:
             raise ValueError("divergent weight over an unbounded line")
         den = beta.denominator
-        head = power_fraction(p, _ceil(beta * lo))
+        head = power_fraction(p, math.ceil(beta * lo))
         if hi is not None and beta.denominator == 1:
             # exact finite geometric sum
             q = power_fraction(p, beta)
@@ -240,10 +220,6 @@ def _line_mass(beta: Fraction, lo: int | None, hi: int | None, p: int) -> Fracti
                           None if hi is None else -hi,
                           None if lo is None else -lo, p)
     return mirrored
-
-
-def _ceil(q: Fraction) -> int:
-    return -((-q).__floor__())
 
 
 def partial_sum(
@@ -294,6 +270,9 @@ def _exact_1d_bracket(
             rest = abs(atom.term.const)
             boundary = max(boundary, -(-rest // abs(c)))
     v_st = max(window, boundary + 1)
+    if 2 * v_st + 1 + 2 * modulus > GRID_BUDGET:
+        raise BudgetExceededError(
+            f"scanning {var} to {v_st} with modulus {modulus} exceeds {GRID_BUDGET} points")
     beta = weight.coeff(var)
     total = Fraction(0)
     for x in range(-v_st, v_st + 1):
@@ -330,7 +309,8 @@ def truncated_measure(
     unions of full residue classes past the last constraint boundary); higher
     cells get window sums plus geometric tail bounds, and the window grows
     until the bracket width is at most p^(n - depth).  WindowTooSmallError is
-    raised when a tail cannot be bounded or the target is unreachable.
+    raised when a tail cannot be bounded or the target is unreachable, and
+    BudgetExceededError when a window would hold more than GRID_BUDGET points.
     """
     ctx = pres.ctx
     p = ctx.p
@@ -372,7 +352,7 @@ def truncated_measure(
             if bracket.width <= target:
                 return bracket
         v_eff = v_eff * 2
-        if (2 * v_eff + 1) ** max(1, n_max) > 3 * 10**7:
+        if (2 * v_eff + 1) ** max(1, n_max) > GRID_BUDGET:
             break
     if last_error is not None:
         raise last_error

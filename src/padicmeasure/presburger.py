@@ -872,11 +872,12 @@ _SAT_RESULTS: dict = {}
 def is_satisfiable(f: Formula) -> bool:
     """Exact satisfiability over the integers via quantifier elimination.
 
-    Its callers are the brute-force oracle (the probes of
-    _weighted_box_bracket and _coordinate_range, which stay on Cooper
-    elimination to remain an independent check) and library users with
-    quantified or disjunctive formulas.  The engine's own queries are
-    conjunctions of atoms and go to atoms_satisfiable.
+    Its callers are the brute-force oracle (the point probe of
+    _weighted_box_bracket and the two beyond-window probes of
+    _coordinate_range, which stay on Cooper elimination to remain an
+    independent check) and library users with quantified or disjunctive
+    formulas.  The engine's own queries are conjunctions of atoms and go to
+    atoms_satisfiable.
     """
     cached = _SAT_RESULTS.get(f)
     if cached is not None:

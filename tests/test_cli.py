@@ -254,6 +254,31 @@ def test_parameter_named_like_a_lambda_variable_exit_two(tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _bounded_document(**generator):
+    # measures 15/16 at -p 2 until a field below breaks it
+    return {"prime": 2, "generators": [{"coeff": "1", "coords": [_UNIT_COORD],
+                                        "lambda_formula": "0 <= l1 /\\ l1 <= 3", **generator}]}
+
+
+@pytest.mark.parametrize("verb, doc, at", [
+    ("measure", _bounded_document(coords=[{**_UNIT_COORD, "level": 0}]), ""),
+    ("measure", _bounded_document(coords=[{**_UNIT_COORD, "ac": 2}]), ""),
+    ("measure", _bounded_document(dims=3), ""),
+    ("measure", _bounded_document(weight={"r": 1, "c": "0", "b": [1, 1]}), ""),
+    ("measure", _bounded_document(weight={"r": 0, "c": "0", "b": [1]}), ""),
+    ("measure", {**_bounded_document(), "prime": 3}, ""),
+    ("certify", {"steps": [{"rule": "R1", "before": {"prime": 3}, "after": {"prime": 3}}]}, ""),
+    ("measure", _bounded_document(), "s"),
+], ids=["level_zero", "ac_not_a_unit", "dims", "weight_b_length", "weight_r_zero",
+        "document_prime", "certificate_prime", "at_without_value"])
+def test_input_error_exit_two(tmp_path, verb, doc, at):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = call([verb, str(path), "-p", "2", "--at", at])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_oracle_subcommand(tmp_path):
     path = write(tmp_path, "d1.json", delta_presentation(CTX2, 1))
     code, out, _ = call(["oracle", path, "-p", "2", "--at", "--depth", "8", "--window", "12"])

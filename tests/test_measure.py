@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicmeasure.algebra import Polynomial
+from padicmeasure.algebra import Polynomial, bounded_power_sums
 from padicmeasure.measure import (
     BoxCell,
     Coordinate,
@@ -121,6 +121,15 @@ def test_sum_geometric_tail():
     w = Weight.make(1, LinearTerm.constant(-1), {"l": -1})
     e = sum_closed_form(parse("l >= 0"), w, TRUE, CTX3, [])
     assert exp_poly_eval(e, {}, CTX3) == Fraction(1, 2)
+
+
+def test_bounded_power_sums_match_summation():
+    # S_j(K) = sum of i^j q^i over 0 <= i <= K equals A_j + q^(K+1) B_j(K)
+    for q in (Fraction(1, 4), Fraction(1, 2), Fraction(3)):
+        for j, (head, tail) in enumerate(bounded_power_sums(q, 3)):
+            for k in range(9):
+                closed = head + q ** (k + 1) * sum(c * k**d for d, c in enumerate(tail))
+                assert closed == sum(i**j * q**i for i in range(k + 1)), (q, j, k)
 
 
 def test_sum_divergence():

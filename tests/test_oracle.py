@@ -1,10 +1,15 @@
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from padicmeasure import oracle
+from padicmeasure.cli import run
 from padicmeasure.measure import DivergesError, PAdicContext, Weight
 from padicmeasure.oracle import (
+    GRID_BUDGET,
     BudgetExceededError,
     WindowTooSmallError,
     brute_force_qe,
@@ -25,6 +30,7 @@ from padicmeasure.ring import (
     measure_function,
     multiply,
     scalar_mul,
+    to_document,
     unit_presentation,
     weighted_presentation,
 )
@@ -64,6 +70,68 @@ def test_bracket_window_too_small_on_divergence():
     bad = weighted_presentation(CTX2, parse("l >= 0"), Weight.constant(0))
     with pytest.raises(WindowTooSmallError):
         truncated_measure(bad, {})
+
+
+def test_coordinate_ranges_take_two_probes_per_coordinate(sat_queries, monkeypatch):
+    # one probe for each end beyond the window; the shadow gives the rest
+    coordinates = []
+    real = oracle._weighted_box_bracket
+
+    def spy(lam, weight, names, *rest):
+        coordinates.append(len(names))
+        return real(lam, weight, names, *rest)
+
+    monkeypatch.setattr(oracle, "_weighted_box_bracket", spy)
+    for ctx in (CTX2, CTX3):
+        truncated_measure(delta_presentation(ctx, 2), {})
+    assert 0 < len(sat_queries["is_satisfiable"]) <= 2 * sum(coordinates)
+
+
+@pytest.fixture
+def grid_budget_spies(monkeypatch):
+    """Fail as soon as the oracle starts a grid of more than GRID_BUDGET
+    points, or scans a point that no window within the budget holds, so an
+    unchecked window fails fast instead of filling memory."""
+    real_grid, real_qf = oracle.evaluate_on_grid, oracle.evaluate_qf
+
+    def grid(f, axes):
+        if math.prod(len(values) for values in axes.values()) > GRID_BUDGET:
+            pytest.fail("grid over the budget")
+        return real_grid(f, axes)
+
+    def qf(f, assignment):
+        if any(2 * abs(v) + 1 > GRID_BUDGET for v in assignment.values()):
+            pytest.fail("scan beyond the budget")
+        return real_qf(f, assignment)
+
+    monkeypatch.setattr(oracle, "evaluate_on_grid", grid)
+    monkeypatch.setattr(oracle, "evaluate_qf", qf)
+
+
+# over the budget: the grid of a first window, and the scan of a one-variable
+# cell up to its constraint boundary
+OVER_BUDGET = [
+    (delta_presentation(CTX2, 2), 100000),
+    (weighted_presentation(CTX2, parse("l >= 1000000000"),
+                           Weight.make(1, LinearTerm.constant(0), {"l": -1})), 12),
+]
+
+
+@pytest.mark.parametrize("pres, window", OVER_BUDGET, ids=["grid", "scan"])
+def test_bracket_stops_at_the_grid_budget(grid_budget_spies, pres, window):
+    with pytest.raises(BudgetExceededError):
+        truncated_measure(pres, {}, window=window)
+
+
+@pytest.mark.parametrize("pres, window", OVER_BUDGET, ids=["grid", "scan"])
+def test_oracle_command_stops_at_the_grid_budget(grid_budget_spies, tmp_path, capsys,
+                                                 pres, window):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(to_document(pres)))
+    code = run(["oracle", str(path), "-p", "2", "--at", "--window", str(window)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_partial_sum_examples():

@@ -58,6 +58,7 @@ from padicmeasure.ring import (
     weighted_presentation,
     with_unit_ball,
 )
+from padicmeasure.semilinear import NotRectilinearizableError
 
 from generators import random_convergent_presentation
 
@@ -286,6 +287,31 @@ def test_normalize_parametric_shear():
     ell, basic, cert = normalize_to_basic(pres)
     assert bool(decide_equal(scalar_mul(ell, pres), basic.presentation))
     assert verify_certificate(cert)
+
+
+def test_normalize_retries_a_blocked_variable_order(monkeypatch):
+    # summing a first would leave b's kept range referencing a, so the
+    # order (a, b) blocks and normalization goes on with (b, a)
+    w = Weight.make(1, LinearTerm.constant(0), {"a": -2})
+    pres = weighted_presentation(CTX2, parse("0 <= b /\\ b <= a"), w)
+    assert mu(pres) == Fraction(16, 9)
+    ell, basic, cert = normalize_to_basic(pres)
+    assert (ell, mu(basic.presentation)) == (9, 16)
+    assert find_invalid_step(cert) is None
+    monkeypatch.setattr(ring, "variable_orders", lambda names: [tuple(names)])
+    with pytest.raises(NotRectilinearizableError, match="no variable order"):
+        normalize_to_basic(pres)
+
+
+def test_normalize_splits_a_range_whose_weight_increases():
+    # the exponent grows along l, so the range is split from its top end
+    w = Weight.make(1, LinearTerm.constant(0), {"l": 1})
+    pres = weighted_presentation(CTX2, parse("0 <= l /\\ l <= 3"), w)
+    assert mu(pres) == 15
+    ell, basic, cert = normalize_to_basic(pres)
+    assert (ell, mu(basic.presentation)) == (1, 15)
+    assert [step.rule for step in cert.steps] == ["CellSplit", "CellSplit", "GeomSum", "GeomSum"]
+    assert find_invalid_step(cert) is None
 
 
 def test_normalize_drops_empty_and_degenerate_generators():
@@ -525,6 +551,14 @@ def _equality_pairs():
         yield multiply(ball, a), a
         yield a, changed
         yield changed, shift_lambda(a, 2)[0]
+
+
+def test_decide_equal_on_a_domain_with_a_pinned_parameter():
+    # the domain's tower pins s to 2*t, a point level of the zero test
+    domain = parse("s = 2*t /\\ t >= 0")
+    ball = ball_presentation(CTX2, 0, param_vars=("s", "t"), param_domain=domain)
+    assert decide_equal(ball, scalar_mul(2, ball)) == NotEqual(
+        (("s", 0), ("t", 0)), Fraction(1), Fraction(2))
 
 
 def test_decide_equal_agrees_with_one_step_replay():

@@ -281,18 +281,6 @@ def test_count_pieces_partition_the_domain_and_match_enumeration(index):
             assert hits[0].evaluate(point) == want[values], (f, point)
 
 
-@pytest.mark.parametrize("index", range(len(SLOW_FAMILIES)))
-def test_count_matches_brute_force_on_two_congruence_families(index):
-    # counts the formula itself, sharing no triangulation with the engine
-    f, lams, params, domain = SLOW_FAMILIES[index]
-    pp = count_parametric(to_cells(f, lams, params), domain, params)
-    high = 12 if len(params) == 1 else 8
-    want = grid_fiber_counts(f, lams, params, high)
-    for values in itertools.product(range(high + 1), repeat=len(params)):
-        point = dict(zip(params, values))
-        assert pp.evaluate(point) == want[values], (f, point)
-
-
 def test_triangulate_skips_branches_with_a_false_atom(sat_queries, monkeypatch):
     # family 618 once built 27,712 residue branches and asked one feasibility
     # query for each; branches whose new atom simplifies to FALSE are now
