@@ -445,6 +445,12 @@ def _compositions(total: int, parts: int):
 # ---------------------------------------------------------------------------
 # closed-form summation
 
+# Closed forms by sum_closed_form's arguments, which a cell's centers and
+# angular components do not reach, oldest first.  Only returned results are
+# kept, so a cell that raises raises on every call.
+_CLOSED_FORMS: dict = {}
+CLOSED_FORMS_BOUND = 256
+
 
 def sum_closed_form(
     lam: Formula,
@@ -460,6 +466,9 @@ def sum_closed_form(
     exponent increment is unbounded, and InputError when the weight is not
     integer-valued on the solution set over the parameter domain.
     """
+    key = (lam, weight, param_domain, ctx.p, tuple(param_vars))
+    if (cached := _CLOSED_FORMS.get(key)) is not None:
+        return cached
     lambda_vars = lambda_vars_of(lam, weight, param_vars)
     wform = weight.affine()
     domain = disjoint_conjunctions(param_domain)
@@ -476,7 +485,11 @@ def sum_closed_form(
             for t in terms:
                 _require_integral_on(t.exponent, guard, f"exponent {t.exponent}")
                 raw_terms.append((guard_formula, t.poly, t.exponent))
-    return make_exp_polynomial(ctx.p, param_vars, raw_terms)
+    result = make_exp_polynomial(ctx.p, param_vars, raw_terms)
+    while len(_CLOSED_FORMS) >= CLOSED_FORMS_BOUND:
+        del _CLOSED_FORMS[next(iter(_CLOSED_FORMS))]
+    _CLOSED_FORMS[key] = result
+    return result
 
 
 def _check_tower_weight(tower: Tower, wform: LinearTerm, guard: list[Atom]) -> None:

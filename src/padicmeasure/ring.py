@@ -225,18 +225,18 @@ def _generator_terms(cell: BoxCell, base: Presentation) -> tuple[ExpTerm, ...]:
     converted = cell_to_weighted_sum(cell, base.ctx)
     if converted is MEASURE_ZERO:
         return ()
-    lam, weight = converted
-    return sum_closed_form(lam, weight, base.param_domain, base.ctx, base.param_vars).terms
+    return sum_closed_form(*converted, base.param_domain, base.ctx, base.param_vars).terms
 
 
-def _signed_measure(base: Presentation, sides: Sequence[tuple[int, Presentation]],
-                    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]]) -> ExpPolynomial:
+def _signed_measure(base: Presentation,
+                    sides: Sequence[tuple[int, Presentation]]) -> tuple[ExpPolynomial, dict]:
     """Measure of the sum of sign * side over base, generator by generator:
     each distinct cell gets its net coefficient, cells that net to zero
-    cancel, and the rest go through one canonicalization.  closed_forms
-    memoizes each cell's closed form over base; it is computed even for a
-    cell that cancels, so a divergent cell (named by its index within its
-    side) or a non-integral weight raises."""
+    cancel, and the rest go through one canonicalization.  Also returns each
+    cell's closed-form terms over base, which are computed even for a cell
+    that cancels, so a divergent cell (named by its index within its side)
+    or a non-integral weight raises."""
+    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
     net: dict[BoxCell, Fraction] = {}
     for sign, side in sides:
         for index, (coeff, cell) in enumerate(side.generators):
@@ -251,12 +251,12 @@ def _signed_measure(base: Presentation, sides: Sequence[tuple[int, Presentation]
         for cell, coeff in net.items() if coeff != 0
         for t in closed_forms[cell]
     ]
-    return make_exp_polynomial(base.ctx.p, base.param_vars, raw)
+    return make_exp_polynomial(base.ctx.p, base.param_vars, raw), closed_forms
 
 
 def measure_function(pres: Presentation) -> MeasureFunction:
     """Exact measure of each fiber, as a guarded exponential polynomial."""
-    expp = _signed_measure(pres, [(1, pres)], {})
+    expp, _ = _signed_measure(pres, [(1, pres)])
     return MeasureFunction(expp, pres.param_domain, pres.param_vars, pres.ctx)
 
 
@@ -292,10 +292,9 @@ class NotEqual:
 def decide_equal(a: Presentation, b: Presentation) -> Union[Equal, NotEqual]:
     """Equal iff the two measure functions agree at every parameter point;
     otherwise a witness, any domain point where they differ, with both exact
-    values there."""
+    values there.  A cell met by an earlier call reuses its closed form."""
     _same_base(a, b)
-    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
-    diff = _signed_measure(a, [(1, a), (-1, b)], closed_forms)
+    diff, closed_forms = _signed_measure(a, [(1, a), (-1, b)])
     witness = exp_poly_is_zero(diff, a.param_domain, a.ctx)
     if witness is None:
         return Equal()
@@ -328,11 +327,9 @@ def find_invalid_step(cert: Certificate) -> int | None:
     A step replays when its rule is allowed, its before is the previous
     step's after, both sides share one base, and before - after has measure
     zero, taken generator by generator as in decide_equal; a divergent cell
-    or a non-integral weight rejects its step even when it cancels.  Every
-    step replayed shares step 0's base (steps chain, and each step's sides
-    share one base), so one memo of closed forms serves them all.
+    or a non-integral weight rejects its step even when it cancels.  Steps
+    that share a cell share its closed form, from sum_closed_form's table.
     """
-    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
     for i, step in enumerate(cert.steps):
         if step.rule not in ALLOWED_RULES:
             return i
@@ -341,7 +338,7 @@ def find_invalid_step(cert: Certificate) -> int | None:
         base = step.before
         try:
             _same_base(base, step.after)
-            diff = _signed_measure(base, [(1, base), (-1, step.after)], closed_forms)
+            diff, _ = _signed_measure(base, [(1, base), (-1, step.after)])
         except (ContextMismatchError, DivergesError, InputError):
             return i
         if exp_poly_is_zero(diff, base.param_domain, base.ctx) is not None:

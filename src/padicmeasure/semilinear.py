@@ -467,23 +467,11 @@ def _aligned_levels(
     return out
 
 
-# Towers by (cell, variable order).  Operations that reuse cells hit it: the
-# two sides of an equality and a presentation's changed copy share most cells,
-# and replaying a certificate meets the cells that building it triangulated.
-# Without it, equality and certify ran fewer operations per second; counting,
-# whose families rarely repeat a cell, neither gained nor lost.
-_TOWER_CACHE: dict = {}
-
-
 def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[Tower]:
     """Split one cell into disjoint towers, resolving variables last-to-first."""
     variables = tuple(order) if order is not None else cell.variables
     if set(variables) != set(cell.variables):
         raise ValueError("order must permute the cell variables")
-    cache_key = (cell, variables)
-    cached = _TOWER_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
     guard = list(_formula_to_atoms(cell.param_guard))
 
     def rec(atoms: list[Atom], vars_left: tuple[str, ...]) -> list[tuple[list[Atom], list[Level]]]:
@@ -513,7 +501,6 @@ def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[T
                 seen.add(a)
                 guard_atoms.append(a)
         towers.append(Tower(variables, tuple(levels), tuple(guard_atoms)))
-    _TOWER_CACHE[cache_key] = towers
     return towers
 
 
@@ -782,23 +769,23 @@ def rectilinearize(cells: Sequence[GuardedCell]) -> list[dict[str, LinearTerm]]:
 
     Bounded directions are expanded only when their width is constant; a cell
     whose every variable order leaves a parametric width raises
-    NotRectilinearizableError.  The towers' parameter guards are not kept, so
-    over parameters a piece holds only where its tower's guard does; the zero
-    test passes cells without parameters.
+    NotRectilinearizableError.  The forms keep no guard, so a cell with
+    parameters raises ValueError.
     """
     pieces: list[dict[str, LinearTerm]] = []
     for cell in cells:
-        last_error: Exception | None = None
+        params = sorted(free_variables(cell.formula()) - set(cell.variables))
+        if params:
+            raise ValueError(f"rectilinearize takes no parameters, got {params}")
         for order in variable_orders(cell.variables):
             try:
-                got = []
-                for tower in triangulate(cell, order):
-                    got.extend(_pieces_from_tower(tower, cell.variables))
-                pieces.extend(got)
-                last_error = None
-                break
-            except NotRectilinearizableError as e:
-                last_error = e
-        if last_error is not None:
+                got = [piece for tower in triangulate(cell, order)
+                       for piece in _pieces_from_tower(tower, cell.variables)]
+            except NotRectilinearizableError as err:
+                last_error = err
+                continue
+            pieces.extend(got)
+            break
+        else:
             raise last_error
     return pieces

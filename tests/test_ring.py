@@ -784,11 +784,80 @@ def test_measure_function_decomposes_each_generator_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(measure, "to_cells", spy)
+    # an empty table of closed forms, so that no earlier test's cell hits
+    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
     pres = _domain_integral_presentation()
     point = BoxCell((DegenerateCoordinate(Fraction(1)),), (), TRUE, None)
     gens = pres.generators + delta_presentation(CTX2, 2).generators + ((Fraction(1), point),)
     measure_function(Presentation(CTX2, pres.param_vars, pres.param_domain, gens))
     assert len(calls) == 2
+
+
+def test_a_second_comparison_reuses_every_closed_form(monkeypatch):
+    # counts the to_cells calls of sum_closed_form, which name the
+    # parameters; the zero test's calls on the difference name none
+    calls = []
+    original = measure.to_cells
+
+    def spy(f, lambda_vars, param_vars):
+        if param_vars:
+            calls.append(f)
+        return original(f, lambda_vars, param_vars)
+
+    monkeypatch.setattr(measure, "to_cells", spy)
+    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
+    rng = random.Random(1616)
+    checked = 0
+    while checked < 3:
+        pres = random_convergent_presentation(rng, CTX2, max_generators=3)
+        if not pres.param_vars:
+            continue
+        derived = shift_lambda(with_unit_ball(pres)[0], 2)[0]
+        coeff, cell = derived.generators[0]
+        changed = Presentation(CTX2, pres.param_vars, pres.param_domain,
+                               ((coeff + 1, cell),) + derived.generators[1:])
+        del calls[:]
+        assert bool(decide_equal(pres, derived))
+        assert calls
+        del calls[:]
+        assert not decide_equal(pres, changed)
+        assert bool(decide_equal(pres, translate_centers(pres, 1)[0]))
+        assert calls == []
+        checked += 1
+
+
+def test_a_divergent_cell_raises_on_every_call_and_is_not_kept(monkeypatch):
+    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
+    bad = weighted_presentation(CTX2, parse("l >= 0"), Weight.constant(0))
+    bad = add(unit_presentation(CTX2), bad)
+    for _ in range(2):
+        with pytest.raises(DivergesError) as err:
+            decide_equal(unit_presentation(CTX2), bad)
+        assert err.value.generator == 1
+    # only the unit cell, which returned, is kept
+    assert len(measure._CLOSED_FORMS) == 1
+
+
+def test_bounded_closed_forms_give_the_unbounded_measures(monkeypatch):
+    rng = random.Random(1717)
+    presentations = [random_convergent_presentation(rng, rng.choice((CTX2, CTX3)),
+                                                    max_generators=3) for _ in range(12)]
+    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
+    want = [measure_function(pres) for pres in presentations]
+    sizes = []
+    original = ring.sum_closed_form
+
+    def spy(*args):
+        result = original(*args)
+        sizes.append(len(measure._CLOSED_FORMS))
+        return result
+
+    monkeypatch.setattr(ring, "sum_closed_form", spy)
+    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
+    monkeypatch.setattr(measure, "CLOSED_FORMS_BOUND", 4)
+    for _ in range(2):
+        assert [measure_function(pres) for pres in presentations] == want
+    assert max(sizes) == 4
 
 
 def test_zero_coefficient_generator_decides_not_equal():

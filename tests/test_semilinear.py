@@ -197,7 +197,17 @@ def test_rectilinear_injectivity_random_pairs():
 
 
 def test_parametric_width_not_piece_expressible():
+    # the cone l1 <= l2 <= 2*l1: each variable order leaves a range whose
+    # width grows with the other variable
     with pytest.raises(NotRectilinearizableError):
+        rectilinearize(cells_of("0 <= l1 /\\ l1 <= l2 /\\ l2 <= 2*l1", ["l1", "l2"], []))
+
+
+def test_rectilinearize_rejects_parameters():
+    # the forms would keep no guard: l = s holds only for 0 <= s <= 3
+    with pytest.raises(ValueError, match=r"\['s'\]"):
+        rectilinearize(cells_of("l = s /\\ 0 <= l /\\ l <= 3", ["l"], ["s"]))
+    with pytest.raises(ValueError, match=r"\['s'\]"):
         rectilinearize(cells_of("0 <= l /\\ l < s", ["l"], ["s"]))
 
 
@@ -281,13 +291,12 @@ def test_count_pieces_partition_the_domain_and_match_enumeration(index):
             assert hits[0].evaluate(point) == want[values], (f, point)
 
 
-def test_triangulate_skips_branches_with_a_false_atom(sat_queries, monkeypatch):
+def test_triangulate_skips_branches_with_a_false_atom(sat_queries):
     # family 618 once built 27,712 residue branches and asked one feasibility
     # query for each; branches whose new atom simplifies to FALSE are now
-    # never built.  A fresh tower cache makes triangulate do the work here
+    # never built
     f, lams, params, _ = SLOW_FAMILIES[1]
     cells = to_cells(f, lams, params)
-    monkeypatch.setattr(semilinear, "_TOWER_CACHE", {})
     before = len(sat_queries["atoms_satisfiable"])
     for cell in cells:
         triangulate(cell)

@@ -90,9 +90,11 @@ _DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict", "WeakKeyDictionary",
 
 
 def test_package_keeps_its_caches_in_two_named_dicts():
-    # one explicit cache policy: the satisfiability answers and the towers
-    # are the only tables that outlive a call, and functools memoization
-    # would add unbounded caches that no one can see or clear
+    # one explicit cache policy: the satisfiability answers and the cells'
+    # closed forms are the only tables that outlive a call (a table of towers
+    # beside the closed forms mostly repeated their hits and raised peak
+    # memory), and functools memoization would add unbounded caches that no
+    # one can see or clear
     found, tables = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -115,7 +117,7 @@ def test_package_keeps_its_caches_in_two_named_dicts():
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 tables.update(f"{path.name} {ast.unparse(t)}" for t in targets)
     assert not found, found
-    assert tables == {"presburger.py _SAT_RESULTS", "semilinear.py _TOWER_CACHE"}, tables
+    assert tables == {"presburger.py _SAT_RESULTS", "measure.py _CLOSED_FORMS"}, tables
 
 
 def test_presburger_normalizes_atoms_in_one_function():
