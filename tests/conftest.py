@@ -2,7 +2,14 @@ import sys
 
 import pytest
 
-from padicmeasure import presburger
+from padicmeasure import measure, presburger
+
+
+@pytest.fixture(autouse=True)
+def empty_closed_forms(monkeypatch):
+    """Every test starts from an empty table of closed forms, so what it
+    checks of sum_closed_form does not depend on the tests run before it."""
+    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
 
 
 @pytest.fixture

@@ -784,8 +784,6 @@ def test_measure_function_decomposes_each_generator_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(measure, "to_cells", spy)
-    # an empty table of closed forms, so that no earlier test's cell hits
-    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
     pres = _domain_integral_presentation()
     point = BoxCell((DegenerateCoordinate(Fraction(1)),), (), TRUE, None)
     gens = pres.generators + delta_presentation(CTX2, 2).generators + ((Fraction(1), point),)
@@ -805,7 +803,6 @@ def test_a_second_comparison_reuses_every_closed_form(monkeypatch):
         return original(f, lambda_vars, param_vars)
 
     monkeypatch.setattr(measure, "to_cells", spy)
-    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
     rng = random.Random(1616)
     checked = 0
     while checked < 3:
@@ -826,8 +823,7 @@ def test_a_second_comparison_reuses_every_closed_form(monkeypatch):
         checked += 1
 
 
-def test_a_divergent_cell_raises_on_every_call_and_is_not_kept(monkeypatch):
-    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
+def test_a_divergent_cell_raises_on_every_call_and_is_not_kept():
     bad = weighted_presentation(CTX2, parse("l >= 0"), Weight.constant(0))
     bad = add(unit_presentation(CTX2), bad)
     for _ in range(2):
@@ -842,7 +838,6 @@ def test_bounded_closed_forms_give_the_unbounded_measures(monkeypatch):
     rng = random.Random(1717)
     presentations = [random_convergent_presentation(rng, rng.choice((CTX2, CTX3)),
                                                     max_generators=3) for _ in range(12)]
-    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
     want = [measure_function(pres) for pres in presentations]
     sizes = []
     original = ring.sum_closed_form
@@ -853,6 +848,7 @@ def test_bounded_closed_forms_give_the_unbounded_measures(monkeypatch):
         return result
 
     monkeypatch.setattr(ring, "sum_closed_form", spy)
+    # the unbounded pass above filled the table
     monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
     monkeypatch.setattr(measure, "CLOSED_FORMS_BOUND", 4)
     for _ in range(2):

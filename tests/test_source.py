@@ -92,9 +92,9 @@ _DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict", "WeakKeyDictionary",
 def test_package_keeps_its_caches_in_two_named_dicts():
     # one explicit cache policy: the satisfiability answers and the cells'
     # closed forms are the only tables that outlive a call (a table of towers
-    # beside the closed forms mostly repeated their hits and raised peak
-    # memory), and functools memoization would add unbounded caches that no
-    # one can see or clear
+    # beside them was dropped for memory and simplicity, at about 4% of the
+    # equality benchmark's ops/s), and functools memoization would add
+    # unbounded caches that no one can see or clear
     found, tables = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
