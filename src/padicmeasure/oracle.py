@@ -23,7 +23,6 @@ from .measure import (
     cell_to_weighted_sum,
 )
 from .presburger import (
-    Atom,
     AtomF,
     AndF,
     DIV,
@@ -36,12 +35,9 @@ from .presburger import (
     NotF,
     OrF,
     TrueF,
-    conj,
     evaluate_on_grid,
     evaluate_qf,
     free_variables,
-    geq0,
-    is_satisfiable,
     qe,
     simplify,
     substitute,
@@ -102,7 +98,7 @@ def _weighted_box_bracket(
     p = ctx.p
     n = len(names)
     if n == 0:
-        if is_satisfiable(lam):
+        if isinstance(qe(lam), TrueF):
             e = weight.evaluate({})
             if e.denominator != 1:
                 raise WindowTooSmallError("non-integer weight on an assigned point")
@@ -178,23 +174,51 @@ def _coordinate_range(lam: Formula, var: str, window: int):
     """(min, max) of a coordinate over the fiber; None marks an unbounded or
     beyond-window end, and an empty window gives (window + 1, -window - 1).
 
-    Two satisfiability probes decide whether the fiber reaches past the
-    window; the in-window ends are read off the fiber's shadow on var, the
-    Cooper elimination of every other coordinate.
+    Everything is read off the fiber's shadow on var, the Cooper elimination
+    of every other coordinate.  The shadow holds beyond the window on a side
+    exactly when it holds at one of the first period points past the window
+    or past a root there, since between two roots its truth repeats with the
+    period.
     """
-    x = LinearTerm.variable(var)
-    below = is_satisfiable(conj([lam, AtomF(geq0(LinearTerm.constant(-window - 1) - x))]))
-    above = is_satisfiable(conj([lam, AtomF(geq0(x - (window + 1)))]))
-    if below and above:
-        return None, None
     shadow = lam
     for v in sorted(free_variables(lam) - {var}):
         shadow = ExistsF(v, shadow)
     shadow = qe(shadow)
+    roots, period = _roots_and_period(shadow, var)
+    if 2 * period * (2 * len(roots) + 1) > GRID_BUDGET:
+        raise BudgetExceededError(
+            f"probing {var} at {len(roots)} roots, period {period}, exceeds {GRID_BUDGET} points")
+
+    def beyond(sign: int) -> bool:
+        # each run of integers on which no comparison changes starts past the
+        # window or at a root's floor or the integer after it
+        starts = {window + 1} | {math.floor(sign * r) + d for r in roots for d in (0, 1)}
+        return any(evaluate_qf(shadow, {var: sign * (a + j)})
+                   for a in sorted(starts) if a > window for j in range(period))
+
+    below, above = beyond(-1), beyond(1)
+    if below and above:
+        return None, None
     inside = [t for t in range(-window, window + 1) if evaluate_qf(shadow, {var: t})]
     lo = None if below else (inside[0] if inside else window + 1)
     hi = None if above else (inside[-1] if inside else -window - 1)
     return lo, hi
+
+
+def _roots_and_period(f: Formula, var: str) -> tuple[list[Fraction], int]:
+    """The roots -k/c of the comparisons c*var + k of a one-variable formula,
+    and the lcm of its moduli: between two roots its truth repeats with it."""
+    roots = set()
+    period = 1
+    for atom in (g.atom for g in _subformulas(f) if isinstance(g, AtomF)):
+        c = atom.term.coeff(var)
+        if c == 0:
+            continue
+        if atom.kind == DIV:
+            period = math.lcm(period, atom.modulus)
+        else:
+            roots.add(Fraction(-atom.term.const, c))
+    return sorted(roots), period
 
 
 def _line_mass(beta: Fraction, lo: int | None, hi: int | None, p: int) -> Fraction:
@@ -258,18 +282,8 @@ def _exact_1d_bracket(
     """Exact sum of p^weight over a one-variable fiber: enumerate up to the
     last constraint boundary, then sum each residue class tail exactly."""
     p = ctx.p
-    modulus = 1
-    boundary = 0
-    for atom in _atoms_of(lam):
-        c = atom.term.coeff(var)
-        if c == 0:
-            continue
-        if atom.kind == DIV:
-            modulus = math.lcm(modulus, atom.modulus)
-        else:
-            rest = abs(atom.term.const)
-            boundary = max(boundary, -(-rest // abs(c)))
-    v_st = max(window, boundary + 1)
+    roots, modulus = _roots_and_period(lam, var)
+    v_st = max(window, max((math.ceil(abs(r)) for r in roots), default=0) + 1)
     if 2 * v_st + 1 + 2 * modulus > GRID_BUDGET:
         raise BudgetExceededError(
             f"scanning {var} to {v_st} with modulus {modulus} exceeds {GRID_BUDGET} points")
@@ -406,32 +420,16 @@ def _quantifier_depth(f: Formula) -> int:
     return 1 + _quantifier_depth(f.body)
 
 
-def _atoms_of(f: Formula) -> list[Atom]:
-    if isinstance(f, AtomF):
-        return [f.atom]
+def _subformulas(f: Formula):
+    """f and every formula inside it, in preorder."""
+    yield f
     if isinstance(f, NotF):
-        return _atoms_of(f.arg)
-    if isinstance(f, (AndF, OrF)):
-        out = []
+        yield from _subformulas(f.arg)
+    elif isinstance(f, (AndF, OrF)):
         for a in f.args:
-            out.extend(_atoms_of(a))
-        return out
-    if isinstance(f, (ExistsF, ForallF)):
-        return _atoms_of(f.body)
-    return []
-
-
-def _quantified_vars(f: Formula) -> list[str]:
-    if isinstance(f, (TrueF, FalseF, AtomF)):
-        return []
-    if isinstance(f, NotF):
-        return _quantified_vars(f.arg)
-    if isinstance(f, (AndF, OrF)):
-        out = []
-        for a in f.args:
-            out.extend(_quantified_vars(a))
-        return out
-    return [f.var] + _quantified_vars(f.body)
+            yield from _subformulas(a)
+    elif isinstance(f, (ExistsF, ForallF)):
+        yield from _subformulas(f.body)
 
 
 def witness_ranges(f: Formula, bound: int, rounds: int = 8) -> dict[str, int]:
@@ -441,8 +439,8 @@ def witness_ranges(f: Formula, bound: int, rounds: int = 8) -> dict[str, int]:
     |coef|*R(other)) / |coef_v| to a post-fixpoint; BudgetExceededError when
     the iteration does not stabilize (mutually unbounded quantifiers).
     """
-    atoms = _atoms_of(f)
-    qvars = _quantified_vars(f)
+    atoms = [g.atom for g in _subformulas(f) if isinstance(g, AtomF)]
+    qvars = [g.var for g in _subformulas(f) if isinstance(g, (ExistsF, ForallF))]
     ranges: dict[str, int] = {v: bound for v in free_variables(f)}
     delta: dict[str, int] = {}
     for v in qvars:
@@ -496,7 +494,7 @@ def brute_force_qe(
 
     axis_of: dict[str, int] = {v: i for i, v in enumerate(fvars)}
     sizes: list[int] = [2 * bound + 1] * len(fvars)
-    for v in _quantified_vars(f):
+    for v in (g.var for g in _subformulas(f) if isinstance(g, (ExistsF, ForallF))):
         axis_of[v] = len(sizes)
         sizes.append(2 * qranges[v] + 1)
 

@@ -864,36 +864,23 @@ def qe(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# Answers of is_satisfiable, keyed by formula, and of atoms_satisfiable,
-# keyed by the tuple of atoms; a tuple never equals a Formula.
-_SAT_RESULTS: dict = {}
-
-
 def is_satisfiable(f: Formula) -> bool:
     """Exact satisfiability over the integers via quantifier elimination.
 
-    Its callers are the brute-force oracle (the point probe of
-    _weighted_box_bracket and the two beyond-window probes of
-    _coordinate_range, which stay on Cooper elimination to remain an
-    independent check) and library users with quantified or disjunctive
-    formulas.  The engine's own queries are conjunctions of atoms and go to
-    atoms_satisfiable.
+    For library users with quantified or disjunctive formulas; no package
+    module calls it, and its answers are not cached.  The engine's queries
+    are conjunctions of atoms and go to atoms_satisfiable, and the oracle
+    reads its answers off qe directly.
     """
-    cached = _SAT_RESULTS.get(f)
-    if cached is not None:
-        return cached
     g = f
     for v in sorted(free_variables(f)):
         g = ExistsF(v, g)
     result = simplify(qe(g))
     if isinstance(result, TrueF):
-        out = True
-    elif isinstance(result, FalseF):
-        out = False
-    else:
-        raise AssertionError("qe of a sentence must be ground")
-    _SAT_RESULTS[f] = out
-    return out
+        return True
+    if isinstance(result, FalseF):
+        return False
+    raise AssertionError("qe of a sentence must be ground")
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +890,9 @@ def is_satisfiable(f: Formula) -> bool:
 # (kind, coeffs, modulus) to const, where coeffs are sorted (name, int) pairs
 # without zeros, as in LinearTerm.coeffs, and every row is in the one atom
 # normal form of _add_row, which simplify_atom also returns.
+
+# Answers of atoms_satisfiable, keyed by the tuple of atoms.
+_SAT_RESULTS: dict = {}
 
 
 def atoms_satisfiable(atoms: Sequence[Atom]) -> bool:

@@ -14,14 +14,16 @@ def empty_closed_forms(monkeypatch):
 
 @pytest.fixture
 def sat_queries(monkeypatch):
-    """Every query passed to the two satisfiability entry points during the
-    test: sat_queries["is_satisfiable"] holds the formulas,
-    sat_queries["atoms_satisfiable"] the atom sequences.
+    """Every query passed to the two satisfiability entry points and to
+    quantifier elimination during the test: sat_queries["is_satisfiable"] and
+    sat_queries["qe"] hold the formulas, sat_queries["atoms_satisfiable"] the
+    atom sequences.
 
-    The package imports both by name, so each spy replaces its function in
-    every padicmeasure module that binds it, not only in presburger.
+    The package imports them by name, so each spy replaces its function in
+    every padicmeasure module that binds it, not only in presburger (where
+    the qe spy also sees qe's recursive calls).
     """
-    asked = {"is_satisfiable": [], "atoms_satisfiable": []}
+    asked = {"is_satisfiable": [], "atoms_satisfiable": [], "qe": []}
     for entry, queries in asked.items():
         original = getattr(presburger, entry)
 

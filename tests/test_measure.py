@@ -341,6 +341,7 @@ def test_make_exp_polynomial_asks_only_conjunctive_queries(sat_queries):
         names = sorted(set().union(*(free_variables(g) for g, _, _ in raw)))
         make_exp_polynomial(2, names, raw)
     assert sat_queries["atoms_satisfiable"] and not sat_queries["is_satisfiable"]
+    assert not sat_queries["qe"]
 
 
 def test_make_exp_polynomial_regions_partition_and_keep_values():

@@ -72,19 +72,63 @@ def test_bracket_window_too_small_on_divergence():
         truncated_measure(bad, {})
 
 
-def test_coordinate_ranges_take_two_probes_per_coordinate(sat_queries, monkeypatch):
-    # one probe for each end beyond the window; the shadow gives the rest
-    coordinates = []
-    real = oracle._weighted_box_bracket
+def test_coordinate_ranges_read_one_shadow_per_coordinate(sat_queries, monkeypatch):
+    # each coordinate's range, beyond-window ends included, comes from one
+    # Cooper elimination of the other coordinates; the spy sits on the
+    # oracle's binding only, so qe's own recursion is not counted
+    coordinates, shadows = [], []
+    real_bracket, real_qe = oracle._weighted_box_bracket, oracle.qe
 
-    def spy(lam, weight, names, *rest):
+    def bracket(lam, weight, names, *rest):
         coordinates.append(len(names))
-        return real(lam, weight, names, *rest)
+        return real_bracket(lam, weight, names, *rest)
 
-    monkeypatch.setattr(oracle, "_weighted_box_bracket", spy)
+    def shadow(f):
+        shadows.append(f)
+        return real_qe(f)
+
+    monkeypatch.setattr(oracle, "_weighted_box_bracket", bracket)
+    monkeypatch.setattr(oracle, "qe", shadow)
     for ctx in (CTX2, CTX3):
         truncated_measure(delta_presentation(ctx, 2), {})
-    assert 0 < len(sat_queries["is_satisfiable"]) <= 2 * sum(coordinates)
+    assert not sat_queries["is_satisfiable"]
+    assert 0 < len(shadows) == sum(coordinates)
+
+
+W12 = Weight.make(1, LinearTerm.constant(0), {"l1": -1, "l2": -1})
+
+
+# the parent's answers on fibers whose constants lie far past any window: a
+# design that scans every point up to the largest constant runs out of
+# budget on the first and crawls on the second
+@pytest.mark.parametrize("text", [
+    "l1 >= 1000000000 /\\ l2 >= 0",
+    "l1 - l2 >= 100000 /\\ l2 >= 0 /\\ 3 | l1 + l2",
+])
+def test_bracket_probes_past_far_roots(text):
+    b = truncated_measure(weighted_presentation(CTX2, parse(text), W12), {})
+    assert (b.lower, b.upper) == (0, Fraction(8193, 16777216))
+
+
+@pytest.mark.parametrize("text, direction", [
+    ("40 <= l1 /\\ l1 <= 60 /\\ 7 | l1 - 3 /\\ 0 <= l2 /\\ l2 <= 1", -1),
+    ("l1 >= 40 /\\ 7 | l1 - 3 /\\ 0 <= l2 /\\ l2 <= l1", -1),
+    ("l1 <= -40 /\\ 5 | l1 + l2 /\\ 0 <= l2 /\\ l2 <= 2", 1),
+])
+def test_fiber_beyond_the_window_only_behind_a_root_and_a_modulus(text, direction):
+    # no point of the fiber lies within one period of the window's edge, so
+    # only a probe from the root on finds the tail
+    weight = Weight.make(1, LinearTerm.constant(0), {"l1": direction, "l2": -1})
+    pres = weighted_presentation(CTX2, parse(text), weight)
+    b = truncated_measure(pres, {})
+    assert b.upper > 0 and measure_function(pres).evaluate({}) in b
+
+
+def test_zero_coordinate_cell_with_a_quantified_formula():
+    pres = weighted_presentation(CTX2, parse("E x. 2*x = s"), Weight.constant(0),
+                                 param_vars=("s",))
+    assert [truncated_measure(pres, {"s": s}).lower for s in (3, 4)] == [0, 1]
+    assert [truncated_measure(pres, {"s": s}).upper for s in (3, 4)] == [0, 1]
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicmeasure import presburger
 from padicmeasure.presburger import (
     AtomF,
     ExpansionBudgetError,
@@ -157,6 +158,14 @@ def test_is_satisfiable():
     assert is_satisfiable(parse("x > 5 /\\ 2 | x"))
     assert not is_satisfiable(parse("x > 5 /\\ x < 3"))
     assert is_satisfiable(parse("E x. 3*x = a") & parse("a = 6"))
+
+
+def test_satisfiability_table_holds_only_atom_tuples(monkeypatch):
+    monkeypatch.setattr(presburger, "_SAT_RESULTS", {})
+    f = parse("x > 5 /\\ 2 | x")
+    assert is_satisfiable(f) and is_satisfiable(f)
+    assert atoms_satisfiable([a.atom for a in f.args])
+    assert list(presburger._SAT_RESULTS) == [tuple(a.atom for a in f.args)]
 
 
 def _random_conjunction(rng):

@@ -907,3 +907,4 @@ def test_measure_decide_and_normalize_ask_only_atom_conjunctions(sat_queries):
         decide_equal(left, right)
         normalize_to_basic(left)
     assert sat_queries["atoms_satisfiable"] and not sat_queries["is_satisfiable"]
+    assert not sat_queries["qe"]

@@ -309,3 +309,4 @@ def test_count_parametric_asks_only_conjunctive_queries(sat_queries):
     for args in cells:
         count_parametric(*args)
     assert sat_queries["atoms_satisfiable"] and not sat_queries["is_satisfiable"]
+    assert not sat_queries["qe"]
