@@ -176,7 +176,13 @@ def _cmd_normalize(args) -> int:
 def _cmd_count(args) -> int:
     PAdicContext(args.prime)  # the prime is validated even though counting is p-free
     f = parse_domain(args.formula)
-    lambda_vars = [variable_name(v.strip()) for v in args.lambda_vars.split(",") if v.strip()]
+    lambda_vars: list[str] = []
+    for item in args.lambda_vars.split(","):
+        if item.strip():
+            name = variable_name(item.strip())
+            if name in lambda_vars:
+                raise InputError(f"--lambda-vars names {name} twice")
+            lambda_vars.append(name)
     domain = parse_domain(args.domain)
     params = sorted((set(free_variables(f)) | set(free_variables(domain)))
                     - set(lambda_vars))

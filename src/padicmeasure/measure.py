@@ -292,17 +292,22 @@ def make_exp_polynomial(
     """Canonicalize raw (guard, poly, exponent) triples.
 
     Guards are refined into disjoint conjunctions of atoms, starting from the
-    whole parameter space; within a region, terms whose exponents differ by
-    an integer constant are merged (the integer power of p moves into the
-    polynomial), zero polynomials are dropped, and terms are sorted by
-    exponent.
+    whole parameter space.  Each distinct guard is refined once, in the order
+    of its first term with a nonzero polynomial, and adds all of its terms to
+    the regions inside it: refining again by a guard already applied changes
+    no region, so the regions are those of refining term by term.  Within a
+    region, terms whose exponents differ by an integer constant are merged
+    (the integer power of p moves into the polynomial), zero polynomials are
+    dropped, and terms are sorted by exponent.
     """
-    regions: list[tuple[list[Atom], list[tuple[Polynomial, LinearTerm]]]] = [([], [])]
+    by_guard: dict[Formula, list[tuple[Polynomial, LinearTerm]]] = {}
     for guard, poly, exponent in raw_terms:
-        if poly.is_zero():
-            continue
+        if not poly.is_zero():
+            by_guard.setdefault(guard, []).append((poly, exponent))
+    regions: list[tuple[list[Atom], list[tuple[Polynomial, LinearTerm]]]] = [([], [])]
+    for guard, pairs in by_guard.items():
         for piece in disjoint_conjunctions(guard):
-            regions = refine(regions, piece, lambda acc: acc + [(poly, exponent)])
+            regions = refine(regions, piece, lambda acc: acc + pairs)
 
     out: list[ExpTerm] = []
     for atoms, acc in regions:

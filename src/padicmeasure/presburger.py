@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .algebra import RESERVED, LinearTerm, MissingAssignmentError
 
@@ -499,13 +499,27 @@ def _make_divisibility(modulus: int, term: LinearTerm) -> Formula:
     return AtomF(divides(m, term))
 
 
-def parse(text: str) -> Formula:
-    """Parse formula text into its AST; raises FormulaSyntaxError with position."""
-    parser = _Parser(text)
-    f = parser.parse_formula()
+T = TypeVar("T")
+
+
+def _read_all(parser: _Parser, rule: Callable[[], T]) -> T:
+    """rule's result, which must read all of the parser's text.  Nesting too
+    deep for the recursive descent (a RecursionError) is a FormulaSyntaxError
+    at the token reached."""
+    try:
+        result = rule()
+    except RecursionError:
+        raise parser.fail("nesting too deep to parse") from None
     end = parser.peek()
     if end.kind != "end":
         raise FormulaSyntaxError(f"trailing input starting at {end.text!r}", end.line, end.column)
+    return result
+
+
+def parse(text: str) -> Formula:
+    """Parse formula text into its AST; raises FormulaSyntaxError with position."""
+    parser = _Parser(text)
+    f = _read_all(parser, parser.parse_formula)
     check_scopes(f)
     return f
 
@@ -520,11 +534,7 @@ def parse_domain(text: str) -> Formula:
 
 def parse_term(text: str) -> LinearTerm:
     parser = _Parser(text)
-    t = parser.parse_term()
-    end = parser.peek()
-    if end.kind != "end":
-        raise FormulaSyntaxError(f"trailing input starting at {end.text!r}", end.line, end.column)
-    return t
+    return _read_all(parser, parser.parse_term)
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,19 @@ class Presentation:
     generators: tuple[tuple[Fraction, BoxCell], ...]
 
     def validate(self) -> None:
+        declared = set(self.param_vars)
+        if len(declared) != len(self.param_vars):
+            twice = sorted(v for v in declared if self.param_vars.count(v) > 1)
+            raise InputError(f"parameters {twice} are declared twice")
+        stray = free_variables(self.param_domain) - declared
+        if stray:
+            raise InputError(f"param_domain references undeclared parameters {sorted(stray)}")
         for _, cell in self.generators:
             cell.validate(self.ctx)
-            stray = set(cell.param_variables()) - set(self.param_vars)
+            stray = set(cell.param_variables()) - declared
             if stray:
                 raise InputError(f"generator references undeclared parameters {sorted(stray)}")
-            shadowed = set(cell.lambda_vars) & set(self.param_vars)
+            shadowed = set(cell.lambda_vars) & declared
             if shadowed:
                 raise InputError(f"lambda variables {sorted(shadowed)} are also parameters")
 

@@ -269,14 +269,38 @@ def _bounded_document(**generator):
     ("measure", {**_bounded_document(), "prime": 3}, ""),
     ("certify", {"steps": [{"rule": "R1", "before": {"prime": 3}, "after": {"prime": 3}}]}, ""),
     ("measure", _bounded_document(), "s"),
+    ("measure", {**_bounded_document(), "param_vars": ["s", "s"]}, ""),
+    ("measure", {**_bounded_document(), "param_vars": ["s"], "param_domain": "t >= 0"}, ""),
 ], ids=["level_zero", "ac_not_a_unit", "dims", "weight_b_length", "weight_r_zero",
-        "document_prime", "certificate_prime", "at_without_value"])
+        "document_prime", "certificate_prime", "at_without_value", "repeated_parameter",
+        "undeclared_domain_variable"])
 def test_input_error_exit_two(tmp_path, verb, doc, at):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, out, err = call([verb, str(path), "-p", "2", "--at", at])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["qe", "--formula", "(" * 3000 + "x = 1" + ")" * 3000], None),
+    (["measure"], _bounded_document(lambda_formula="(" * 2000 + "0 <= l1" + ")" * 2000)),
+], ids=["qe_formula", "lambda_formula"])
+def test_deeply_nested_formula_exit_two(tmp_path, argv, doc):
+    # past the parser's recursion depth: one error line, not a traceback
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path), "-p", "2"]
+    code, out, err = call(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: nesting too deep to parse") and err.count("\n") == 1
+
+
+def test_count_rejects_repeated_lambda_variables():
+    code, out, err = call(["count", "--formula", "0 <= l /\\ l < s", "--lambda-vars", "l,l",
+                           "-p", "2"])
+    assert (code, out, err) == (2, "", "error: --lambda-vars names l twice\n")
 
 
 def test_oracle_subcommand(tmp_path):

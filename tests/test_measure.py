@@ -1,15 +1,19 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from padicmeasure import measure
 from padicmeasure.algebra import Polynomial, bounded_power_sums
 from padicmeasure.measure import (
     BoxCell,
     Coordinate,
     DegenerateCoordinate,
     DivergesError,
+    ExpPolynomial,
+    ExpTerm,
     InputError,
     INFINITY,
     MEASURE_ZERO,
@@ -31,9 +35,14 @@ from padicmeasure.presburger import (
     AtomF,
     LinearTerm,
     TrueF,
+    conj,
+    disj,
+    divides,
     evaluate_qf,
     free_variables,
+    neg,
     parse,
+    simplify,
 )
 from padicmeasure.ring import (
     Certificate,
@@ -43,9 +52,9 @@ from padicmeasure.ring import (
     normalize_to_basic,
     presentation,
 )
-from padicmeasure.semilinear import OutOfDomainError
+from padicmeasure.semilinear import OutOfDomainError, disjoint_conjunctions, refine
 
-from generators import random_finite_family, random_formula
+from generators import random_atom, random_finite_family, random_formula, random_term
 
 CTX2 = PAdicContext(2)
 CTX3 = PAdicContext(3)
@@ -328,6 +337,75 @@ def _random_raw_terms(rng):
 
 
 RAW_TERM_LISTS = [_random_raw_terms(random.Random(f"raw:{i}")) for i in range(24)]
+
+
+def _pooled_raw_terms(rng):
+    """Six to ten raw terms whose guards come from a pool of three, so guards
+    repeat and interleave; the pool is drawn from a disjunction, a negated
+    conjunction, a divisibility atom and a random quantifier-free formula."""
+    scope = ("a", "b")
+    pool = [
+        disj([random_atom(rng, scope), random_atom(rng, scope)]),
+        neg(conj([random_atom(rng, scope), random_atom(rng, scope)])),
+        AtomF(divides(rng.randint(2, 4), random_term(rng, scope))),
+        random_formula(rng, max_quantifiers=0, max_free=2),
+    ]
+    pool = rng.sample(pool, 3)
+    raw = []
+    for _ in range(rng.randint(6, 10)):
+        poly = Polynomial.constant(rng.randint(-2, 2))
+        if rng.random() < 0.3:
+            poly = poly * Polynomial.variable(rng.choice(scope))
+        exponent = LinearTerm.make({rng.choice(scope): rng.randint(-1, 1)}, rng.randint(-1, 1))
+        raw.append((rng.choice(pool), poly, exponent))
+    return raw
+
+
+POOLED_RAW_TERM_LISTS = [_pooled_raw_terms(random.Random(f"pooled:{i}")) for i in range(24)]
+
+
+def _refined_term_by_term(p, param_vars, raw):
+    """make_exp_polynomial's canonical form, refined once per raw term in
+    input order: each term is moved to its exponent's representative with
+    constant in [0, 1) before the terms of a region are summed."""
+    regions = [([], [])]
+    for guard, poly, exponent in raw:
+        if poly.is_zero():
+            continue
+        for piece in disjoint_conjunctions(guard):
+            regions = refine(regions, piece, lambda acc: acc + [(poly, exponent)])
+    terms = []
+    for atoms, acc in regions:
+        merged = {}
+        for poly, exponent in acc:
+            shift = math.floor(exponent.const)
+            key = exponent - shift
+            merged[key] = merged.get(key, Polynomial.constant(0)) + poly.scale(Fraction(p) ** shift)
+        guard = simplify(conj([AtomF(a) for a in atoms]))
+        terms.extend(ExpTerm(guard, poly, exponent)
+                     for exponent, poly in merged.items() if not poly.is_zero())
+    terms.sort(key=lambda t: (str(t.guard), measure._exponent_key(t.exponent)))
+    return ExpPolynomial(p, tuple(param_vars), tuple(terms))
+
+
+def test_grouped_guards_give_the_term_by_term_canonical_form():
+    for raw in POOLED_RAW_TERM_LISTS + RAW_TERM_LISTS:
+        assert make_exp_polynomial(2, ("a", "b"), raw) == _refined_term_by_term(2, ("a", "b"), raw)
+
+
+def test_make_exp_polynomial_refines_each_distinct_guard_once(monkeypatch):
+    asked = []
+
+    def spy(guard):
+        asked.append(guard)
+        return disjoint_conjunctions(guard)
+
+    monkeypatch.setattr(measure, "disjoint_conjunctions", spy)
+    for raw in POOLED_RAW_TERM_LISTS:
+        asked.clear()
+        make_exp_polynomial(2, ("a", "b"), raw)
+        distinct = list(dict.fromkeys(g for g, poly, _ in raw if not poly.is_zero()))
+        assert asked == distinct
 
 
 def _atom_conjunction(f):

@@ -713,10 +713,23 @@ def test_certificate_reading_shares_equal_cells():
     ({"param_vars": [], "param_domain": "true"}, InputError),
     ({"generators": [{**_REPEATED_GENERATOR, "coeff": "1/0"}]}, ValueError),
     ({"generators": [{**_REPEATED_GENERATOR, "coeff": 1}]}, InputError),
-], ids=["undeclared_parameter", "zero_denominator", "numeric_coeff"])
+    ({"param_vars": ["s", "s"]}, InputError),
+    ({"param_domain": "s >= 0 /\\ t >= 0"}, InputError),
+], ids=["undeclared_parameter", "zero_denominator", "numeric_coeff", "repeated_parameter",
+        "undeclared_domain_variable"])
 def test_certificate_reading_checks_every_snapshot(later, error):
     with pytest.raises(error):
         certificate_from_document(_repeating_certificate(later))
+
+
+def test_domain_names_only_declared_parameters():
+    # the bound x of a quantified domain is not a parameter
+    quantified = presentation(CTX2, [], ["s"], parse("E x. s = 2*x"))
+    assert quantified.param_vars == ("s",)
+    with pytest.raises(InputError, match="undeclared parameters \\['t'\\]"):
+        presentation(CTX2, [], ["s"], parse("t >= 0"))
+    with pytest.raises(InputError, match="declared twice"):
+        presentation(CTX2, [], ["s", "s"])
 
 
 def test_certificate_reading_stores_no_failed_cell():
