@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -180,10 +180,9 @@ class LinearTerm:
         return out
 
     def to_polynomial(self) -> Polynomial:
-        terms = {(): self.const} if self.const != 0 else {}
-        for n, c in self.coeffs:
-            terms[((n, 1),)] = c
-        return Polynomial.make(terms)
+        # already canonical: the constant first, then the variables by name
+        head = (((), self.const),) if self.const != 0 else ()
+        return Polynomial(head + tuple((((n, 1),), c) for n, c in self.coeffs))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -208,28 +207,45 @@ Monomial = tuple[tuple[str, int], ...]  # sorted by variable, exponents >= 1
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Multivariate polynomial with Fraction coefficients, canonical storage."""
+    """Multivariate polynomial with exact coefficients, canonical storage.
 
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    Terms are sorted by total degree, then by monomial; no coefficient is
+    zero, and, as in LinearTerm, an integral coefficient is stored as an int
+    and every other one as a Fraction.  Sums, products and substitutions
+    collect their terms in one dict, as combine does, and canonicalize it
+    once; only this module builds a Polynomial from raw terms.
+    """
+
+    terms: tuple[tuple[Monomial, Rat], ...]
+
+    @staticmethod
+    def combine(pairs: Iterable[tuple[Rat, Polynomial]]) -> Polynomial:
+        """sum c * P over the (c, P) pairs, canonicalized once."""
+        acc: dict[Monomial, Rat] = {}
+        for c, poly in pairs:
+            _accumulate(acc, c, (), poly)
+        return _collect(acc)
 
     @staticmethod
     def make(terms: Mapping[Monomial, Rat]) -> Polynomial:
-        cleaned = {}
+        """The polynomial of {monomial: coefficient}; a monomial may list its
+        variables in any order and repeat them."""
+        acc: dict[Monomial, Rat] = {}
         for mono, c in terms.items():
-            c = frac(c)
-            if c != 0:
-                cleaned[tuple(sorted(mono))] = c
-        ordered = tuple(sorted(cleaned.items(), key=lambda kv: _mono_key(kv[0])))
-        return Polynomial(ordered)
+            merged: dict[str, int] = {}
+            for n, e in mono:
+                merged[n] = merged.get(n, 0) + e
+            _accumulate(acc, c, tuple(sorted((n, e) for n, e in merged.items() if e)), _ONE)
+        return _collect(acc)
 
     @staticmethod
     def constant(c: Rat) -> Polynomial:
-        c = frac(c)
+        c = _exact(c)
         return Polynomial(((((), c)),) if c != 0 else ())
 
     @staticmethod
     def variable(name: str) -> Polynomial:
-        return Polynomial(((((name, 1),), Fraction(1)),))
+        return Polynomial(((((name, 1),), 1),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -237,61 +253,61 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(e for _, e in m) for m, _ in self.terms), default=0)
 
+    def degree_in(self, name: str) -> int:
+        return max((e for m, _ in self.terms for n, e in m if n == name), default=0)
+
     def __add__(self, other: Polynomial) -> Polynomial:
-        d = dict(self.terms)
-        for m, c in other.terms:
-            d[m] = d.get(m, Fraction(0)) + c
-        return Polynomial.make(d)
+        return Polynomial.combine(((1, self), (1, other)))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + other.scale(-1)
+        return Polynomial.combine(((1, self), (-1, other)))
 
     def __mul__(self, other: Polynomial) -> Polynomial:
-        d: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _mono_mul(m1, m2)
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
-        return Polynomial.make(d)
+        acc: dict[Monomial, Rat] = {}
+        for m, c in self.terms:
+            _accumulate(acc, c, m, other)
+        return _collect(acc)
 
     def scale(self, k: Rat) -> Polynomial:
-        k = frac(k)
+        k = _exact(k)
         if k == 0:
             return Polynomial(())
-        return Polynomial(tuple((m, c * k) for m, c in self.terms))
+        if k == 1:
+            return self
+        return Polynomial(tuple((m, _exact(c * k)) for m, c in self.terms))
 
-    def power(self, e: int) -> Polynomial:
-        out = Polynomial.constant(1)
-        for _ in range(e):
-            out = out * self
-        return out
+    def substitute_powers(self, name: str, powers: Sequence[Polynomial]) -> Polynomial:
+        """self with each name^e replaced by powers[e], which must exist for
+        every e up to degree_in(name)."""
+        acc: dict[Monomial, Rat] = {}
+        for m, c in self.terms:
+            for i, (n, e) in enumerate(m):
+                if n == name:
+                    _accumulate(acc, c, m[:i] + m[i + 1:], powers[e])
+                    break
+            else:
+                _accumulate(acc, c, m, powers[0])
+        return _collect(acc)
 
     def substitute_affine(self, name: str, value: LinearTerm) -> Polynomial:
         """Replace a variable by an affine form, expanding powers."""
+        degree = self.degree_in(name)
+        if degree == 0:
+            return self
         vp = value.to_polynomial()
-        out = Polynomial(())
-        powers = {0: Polynomial.constant(1)}
-        for m, c in self.terms:
-            md = dict(m)
-            e = md.pop(name, 0)
-            if e not in powers:
-                prev = max(powers)
-                cur = powers[prev]
-                for k in range(prev + 1, e + 1):
-                    cur = cur * vp
-                    powers[k] = cur
-            rest = Polynomial(((tuple(sorted(md.items())), c),))
-            out = out + rest * powers[e]
-        return out
+        powers = [_ONE]
+        for _ in range(degree):
+            powers.append(powers[-1] * vp)
+        return self.substitute_powers(name, powers)
 
     def evaluate(self, point: Mapping[str, Rat]) -> Fraction:
-        total = Fraction(0)
+        total: Rat = 0
         for m, c in self.terms:
             val = c
             for n, e in m:
-                val *= frac(point[n]) ** e
+                val *= _exact(point[n]) ** e
             total += val
-        return total
+        return frac(total)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -312,14 +328,49 @@ class Polynomial:
         return out
 
 
+_ONE = Polynomial((((), 1),))
+
+
+def _accumulate(acc: dict[Monomial, Rat], c: Rat, mono: Monomial, poly: Polynomial) -> None:
+    """Add c * mono * poly into acc, a dict of canonical monomials whose
+    values are ints and Fractions."""
+    c = _exact(c)
+    if c == 0:
+        return
+    unit = c == 1
+    for m, a in poly.terms:
+        if mono:
+            m = _mono_mul(mono, m)
+        if not unit:
+            a = c * a
+        # not acc.get(m, 0) + a: adding a Fraction to the int 0 is slow
+        if m in acc:
+            acc[m] += a
+        else:
+            acc[m] = a
+
+
+def _collect(acc: dict[Monomial, Rat]) -> Polynomial:
+    """The canonical Polynomial of an accumulated dict: zeros dropped, ints
+    where integral, sorted once."""
+    items = [(m, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+             for m, c in acc.items() if c]
+    items.sort(key=_term_key)
+    return Polynomial(tuple(items))
+
+
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m2:
+        return m1
     d = dict(m1)
     for n, e in m2:
         d[n] = d.get(n, 0) + e
     return tuple(sorted(d.items()))
 
 
-def _mono_key(m: Monomial):
+def _term_key(term: tuple[Monomial, Rat]):
+    # total degree first, then the monomial
+    m = term[0]
     return (sum(e for _, e in m), m)
 
 
@@ -334,18 +385,20 @@ def power_fraction(base: int, exponent: Rat) -> Fraction:
     return Fraction(1, base ** (-n))
 
 
-def faulhaber(max_degree: int, upper: Polynomial) -> list[Polynomial]:
-    """F_j = sum_{i=0}^{K} i^j as polynomials in K, for j = 0..max_degree.
+def faulhaber(max_degree: int) -> list[list[Rat]]:
+    """F_j(K) = sum_{i=0}^{K} i^j for j = 0..max_degree, each a polynomial in
+    K given by its coefficient list (low degree first).
 
     Uses the telescoping identity (K+1)^{j+1} = sum_i C(j+1,i) F_i(K).
     """
-    kplus1 = upper + Polynomial.constant(1)
-    out: list[Polynomial] = []
+    out: list[list[Rat]] = []
     for j in range(max_degree + 1):
-        acc = kplus1.power(j + 1)
+        acc: list[Rat] = [math.comb(j + 1, d) for d in range(j + 2)]
         for i in range(j):
-            acc = acc - out[i].scale(math.comb(j + 1, i))
-        out.append(acc.scale(Fraction(1, j + 1)))
+            c = math.comb(j + 1, i)
+            for d, coef in enumerate(out[i]):
+                acc[d] -= c * coef
+        out.append([_exact(Fraction(coef, j + 1)) for coef in acc])
     return out
 
 

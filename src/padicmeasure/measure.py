@@ -314,27 +314,19 @@ def make_exp_polynomial(
         if not acc:
             continue
         region = simplify(conj([AtomF(a) for a in atoms]))
+        # each class goes to its canonical representative, the exponent with
+        # fractional constant in [0, 1); the integer shift scales the poly
         merged: dict = {}
         for poly, exponent in acc:
-            key = _exponent_key(exponent)
-            if key in merged:
-                rep_exp, rep_poly = merged[key]
-                shift = exponent.const - rep_exp.const
-                if shift.denominator != 1:
-                    raise AssertionError("one exponent class with a fractional shift")
-                merged[key] = (rep_exp, rep_poly + poly.scale(power_fraction(p, shift)))
-            else:
-                merged[key] = (exponent, poly)
-        for key in sorted(merged):
-            exponent, poly = merged[key]
-            if poly.is_zero():
-                continue
-            # canonical representative: fractional constant in [0, 1)
             shift = math.floor(exponent.const)
-            if shift != 0:
-                poly = poly.scale(power_fraction(p, shift))
-                exponent = exponent - shift
-            out.append(ExpTerm(region, poly, exponent))
+            rep = exponent - shift
+            _, pairs = merged.setdefault(_exponent_key(rep), (rep, []))
+            pairs.append((power_fraction(p, shift), poly))
+        for key in sorted(merged):
+            exponent, pairs = merged[key]
+            poly = Polynomial.combine(pairs)
+            if not poly.is_zero():
+                out.append(ExpTerm(region, poly, exponent))
     out.sort(key=lambda t: (str(t.guard), _exponent_key(t.exponent)))
     return ExpPolynomial(p, tuple(param_vars), tuple(out))
 
@@ -405,9 +397,9 @@ def _piece_witness(forms: Mapping[str, LinearTerm], terms, p: int) -> NonZeroWit
         if const.denominator != 1 or any(v.denominator != 1 for v in coeffs.values()):
             raise AssertionError("exponent not integral on rectilinear piece")
         key = tuple(sorted((k, v) for k, v in coeffs.items()))
-        scaled = poly.scale(power_fraction(p, const))
-        grouped[key] = grouped.get(key, Polynomial(())) + scaled
+        grouped.setdefault(key, []).append((power_fraction(p, const), poly))
 
+    grouped = {k: Polynomial.combine(pairs) for k, pairs in grouped.items()}
     grouped = {k: v for k, v in grouped.items() if not v.is_zero()}
     if not grouped:
         return None

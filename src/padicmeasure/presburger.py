@@ -28,6 +28,10 @@ class FormulaSyntaxError(SyntaxError):
         self.lineno = line
         self.offset = column
 
+    def __str__(self) -> str:
+        # SyntaxError's own __str__ would append "(line N)" to the message
+        return self.msg
+
 
 class NotQuantifierFreeError(ValueError):
     pass

@@ -599,18 +599,14 @@ def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
         )
     gamma_int = gamma.numerator
 
-    by_degree: dict[int, Polynomial] = {}
-    for mono, coeff in poly.terms:
-        md = dict(mono)
-        d = md.pop(_IOTA, 0)
-        restm = tuple(sorted(md.items()))
-        by_degree[d] = by_degree.get(d, Polynomial(())) + Polynomial(((restm, coeff),))
-    max_deg = max(by_degree) if by_degree else 0
+    # each power @i^d of the summation index is replaced by its sum over the
+    # level, a polynomial in K built from one table of the powers of K
+    max_deg = poly.degree_in(_IOTA)
 
     # a ray sums to the head A of the bounded closed form (q^K B(K) -> 0)
     ray = level.kind == "ray"
     if ray:
-        if not by_degree:
+        if poly.is_zero():
             return []
         if p is None or gamma_int >= 0:
             raise UnboundedDirectionError(var, 1 if level.step > 0 else -1)
@@ -620,44 +616,34 @@ def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
         if count is None:
             raise ValueError(f"range level along {var} has no count")
         k_upper = (count - 1).to_polynomial()
+        k_powers = [Polynomial.constant(1)]
+        for _ in range(max_deg + 1):
+            k_powers.append(k_powers[-1] * k_upper)
+
         if p is None or gamma_int == 0:
-            sums = faulhaber(max_deg, k_upper)
-            total = Polynomial(())
-            for d, coeff_poly in by_degree.items():
-                total = total + coeff_poly * sums[d]
+            sums = [Polynomial.combine(zip(f, k_powers)) for f in faulhaber(max_deg)]
+            total = poly.substitute_powers(_IOTA, sums)
             return [SumTerm(total, exp_rest)] if not total.is_zero() else []
 
     closed = bounded_power_sums(Fraction(p) ** gamma_int, max_deg)
-    head = Polynomial(())
-    tail = Polynomial(())
-    for d, coeff_poly in by_degree.items():
-        a_d, b_d = closed[d]
-        head = head + coeff_poly.scale(a_d)
-        if ray:
-            continue
-        b_poly = Polynomial(())
-        for e, c in enumerate(b_d):
-            if c != 0:
-                b_poly = b_poly + k_upper.power(e).scale(c)
-        tail = tail + coeff_poly * b_poly
     out = []
+    head = poly.substitute_powers(_IOTA, [Polynomial.constant(a) for a, _ in closed])
     if not head.is_zero():
         out.append(SumTerm(head, exp_rest))
-    if not tail.is_zero():
-        out.append(SumTerm(tail, exp_rest + count.scale(gamma_int)))
+    if not ray:
+        tails = [Polynomial.combine(zip(b, k_powers)) for _, b in closed]
+        tail = poly.substitute_powers(_IOTA, tails)
+        if not tail.is_zero():
+            out.append(SumTerm(tail, exp_rest + count.scale(gamma_int)))
     return out
 
 
 def _merge_terms(terms: Iterable[SumTerm]) -> list[SumTerm]:
-    acc: dict[LinearTerm, Polynomial] = {}
-    order: list[LinearTerm] = []
+    by_exponent: dict[LinearTerm, list[tuple[int, Polynomial]]] = {}
     for t in terms:
-        if t.exponent not in acc:
-            acc[t.exponent] = t.poly
-            order.append(t.exponent)
-        else:
-            acc[t.exponent] = acc[t.exponent] + t.poly
-    return [SumTerm(acc[e], e) for e in order if not acc[e].is_zero()]
+        by_exponent.setdefault(t.exponent, []).append((1, t.poly))
+    merged = [SumTerm(Polynomial.combine(pairs), e) for e, pairs in by_exponent.items()]
+    return [t for t in merged if not t.poly.is_zero()]
 
 
 # ---------------------------------------------------------------------------
@@ -691,17 +677,16 @@ def count_parametric(
                 collected |= set(a.term.variables()) - lam
         param_vars = tuple(sorted(collected))
     domain = disjoint_conjunctions(param_domain)
-    regions = [(atoms, Polynomial(())) for atoms in domain]
+    regions = [(atoms, Polynomial.constant(0)) for atoms in domain]
     # towers outside the domain are skipped before the ray check
     for tower, _ in towers_in_domain(cells, domain):
         for level in tower.levels:
             if level.kind == "ray":
                 raise InfiniteFiberError(level.var, 1 if level.step > 0 else -1)
-        poly = Polynomial(())
-        for t in sum_over_tower(tower, LinearTerm.constant(0), None):
-            if t.exponent != LinearTerm.constant(0):
-                raise AssertionError("a point count picked up a power of p")
-            poly = poly + t.poly
+        summed = sum_over_tower(tower, LinearTerm.constant(0), None)
+        if any(t.exponent != LinearTerm.constant(0) for t in summed):
+            raise AssertionError("a point count picked up a power of p")
+        poly = Polynomial.combine((1, t.poly) for t in summed)
         regions = refine(regions, list(tower.guard), lambda acc, poly=poly: acc + poly)
     pieces = tuple((simplify(conj([AtomF(a) for a in atoms])), acc) for atoms, acc in regions)
     return PiecewisePolynomial(tuple(param_vars), pieces)

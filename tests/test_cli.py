@@ -122,6 +122,12 @@ def test_qe_subcommand():
     assert code == 2
 
 
+def test_syntax_error_names_its_position_once():
+    code, out, err = call(["qe", "--formula", "x = "])
+    assert (code, out) == (2, "")
+    assert err == "error: expected a term, found 'end of input' (line 1, column 5)\n"
+
+
 def test_qe_expansion_budget_exit_two():
     # in a child process, so that a missing budget fails on the timeout
     # instead of filling this process's memory

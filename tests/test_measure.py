@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padicmeasure import measure
-from padicmeasure.algebra import Polynomial, bounded_power_sums
+from padicmeasure.algebra import Polynomial, bounded_power_sums, faulhaber
 from padicmeasure.measure import (
     BoxCell,
     Coordinate,
@@ -52,7 +52,13 @@ from padicmeasure.ring import (
     normalize_to_basic,
     presentation,
 )
-from padicmeasure.semilinear import OutOfDomainError, disjoint_conjunctions, refine
+from padicmeasure.semilinear import (
+    OutOfDomainError,
+    count_parametric,
+    disjoint_conjunctions,
+    refine,
+    to_cells,
+)
 
 from generators import random_atom, random_finite_family, random_formula, random_term
 
@@ -139,6 +145,98 @@ def test_bounded_power_sums_match_summation():
             for k in range(9):
                 closed = head + q ** (k + 1) * sum(c * k**d for d, c in enumerate(tail))
                 assert closed == sum(i**j * q**i for i in range(k + 1)), (q, j, k)
+
+
+def test_faulhaber_matches_summation():
+    # F_j(K) = sum of i^j over 0 <= i <= K, as a coefficient list in K
+    sums = faulhaber(6)
+    assert len(sums) == 7
+    for j, coeffs in enumerate(sums):
+        assert len(coeffs) == j + 2
+        for k in range(21):
+            assert sum(c * k**d for d, c in enumerate(coeffs)) == sum(i**j for i in range(k + 1))
+
+
+def _random_raw_polynomial(rng, names):
+    """{monomial: coefficient} with up to five terms of degree at most three,
+    rational coefficients and monomials listed in canonical form."""
+    raw = {}
+    for _ in range(rng.randint(0, 5)):
+        exps = {n: rng.randint(0, 2) for n in names}
+        mono = tuple((n, e) for n, e in sorted(exps.items()) if e)
+        if sum(e for _, e in mono) <= 3:
+            raw[mono] = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+    return raw
+
+
+def _value(raw, point):
+    """Exact value of a raw {monomial: coefficient} at an integer point."""
+    return sum((c * math.prod(Fraction(point[n]) ** e for n, e in m) for m, c in raw.items()),
+               Fraction(0))
+
+
+def _assert_canonical(poly):
+    # nonzero coefficients, ints where integral and Fractions in lowest terms
+    # otherwise, monomials sorted by degree and then by variables
+    assert [m for m, _ in poly.terms] == sorted(
+        (m for m, _ in poly.terms), key=lambda m: (sum(e for _, e in m), m))
+    for mono, c in poly.terms:
+        assert list(mono) == sorted(dict(mono).items()) and all(e >= 1 for _, e in mono)
+        assert c != 0
+        if type(c) is not int:
+            assert type(c) is Fraction and c.denominator > 1
+            assert math.gcd(c.numerator, c.denominator) == 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_polynomial_arithmetic_matches_exact_evaluation(seed):
+    rng = random.Random(f"poly:{seed}")
+    names = ["x", "y", "z"][:rng.choice((2, 3))]
+    raws = [_random_raw_polynomial(rng, names) for _ in range(3)]
+    polys = [Polynomial.make(raw) for raw in raws]
+    coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in raws]
+    name = rng.choice(names)
+    form = LinearTerm.make({n: rng.randint(-2, 2) for n in names},
+                           Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+    combined = Polynomial.combine(zip(coeffs, polys))
+    results = [combined, polys[0] + polys[1], polys[0] - polys[1], polys[0] * polys[1],
+               polys[2].substitute_affine(name, form)]
+    for poly in polys + results:
+        _assert_canonical(poly)
+    for _ in range(6):
+        point = {n: rng.randint(-4, 4) for n in names}
+        a, b, c = (_value(raw, point) for raw in raws)
+        moved = {**point, name: form.evaluate(point)}
+        want = [sum(k * _value(raw, point) for k, raw in zip(coeffs, raws)),
+                a + b, a - b, a * b, _value(raws[2], moved)]
+        assert [poly.evaluate(point) for poly in results] == want, point
+
+
+def test_polynomial_coefficients_are_ints_where_integral():
+    half = Polynomial.make({(("x", 1),): Fraction(1, 2), (): Fraction(4, 2)})
+    assert half.terms == (((), 2), ((("x", 1),), Fraction(1, 2)))
+    assert type(half.terms[0][1]) is int
+    doubled = half.scale(2)
+    assert doubled.terms == (((), 4), ((("x", 1),), 1))
+    assert all(type(c) is int for _, c in doubled.terms)
+    assert all(type(c) is int for _, c in (half + half).terms)
+    assert (half - half).terms == ()
+    assert Polynomial.combine([(Fraction(2, 3), half), (3, Polynomial.variable("x"))]).terms == (
+        ((), Fraction(4, 3)), ((("x", 1),), Fraction(10, 3)))
+    assert type(Polynomial.constant(Fraction(6, 3)).terms[0][1]) is int
+    assert type(LinearTerm.make({"x": 3}, -1).to_polynomial().terms[0][1]) is int
+    for _, poly in count_parametric(to_cells(parse("0 <= l /\\ 2*l <= s"), ["l"], ["s"]),
+                                    parse("s >= 0"), ["s"]).pieces:
+        _assert_canonical(poly)
+
+
+def test_polynomial_make_merges_repeated_monomials():
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    # x*y listed in both orders: the coefficients add up
+    assert Polynomial.make({(("x", 1), ("y", 1)): 1, (("y", 1), ("x", 1)): 2}) == (x * y).scale(3)
+    # a repeated variable is one power
+    square = Polynomial.make({(("x", 1), ("x", 1)): 1})
+    assert square == x * x and str(square) == "x^2"
 
 
 def test_sum_divergence():

@@ -53,6 +53,20 @@ def test_package_modules_import_no_private_names_from_each_other():
     assert not found, found
 
 
+def test_only_algebra_builds_polynomials_from_raw_terms():
+    # the raw constructor skips canonicalization (merged monomials, no zero
+    # coefficients, ints where integral, one order), so other modules build
+    # polynomials through Polynomial.constant, Polynomial.combine and the rest
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "algebra.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "Polynomial" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not found, found
+
+
 def test_oracle_keeps_its_own_satisfiability_path():
     # the oracle checks the engine, so it decides its probes with Cooper
     # elimination and does not share the engine's conjunctive feasibility
