@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 from typing import Iterable, Mapping, Sequence, Union
@@ -77,8 +76,46 @@ def _exact(x: Rat) -> Rat:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class LinearTerm:
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in __slots__, in order, and sets them in its
+    own __init__ with object.__setattr__; every other assignment or deletion
+    raises AttributeError.  Two values are equal when they have the same
+    class and equal fields, and a value hashes as its field tuple.  The
+    classes on hot paths write out __eq__ and __hash__ with the same
+    meaning, which is faster than the generic ones here.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ bars
+        return type(self), self._fields()
+
+
+class LinearTerm(Value):
     """Exact affine form  sum_i c_i * x_i + const  over named variables.
 
     Coefficients are ints, or Fractions where a division made them; an
@@ -87,8 +124,19 @@ class LinearTerm:
     weights, level bounds and exponents may carry rational coefficients.
     """
 
-    coeffs: tuple[tuple[str, Rat], ...]  # sorted by name, no zero coefficients
-    const: Rat
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: tuple[tuple[str, Rat], ...], const: Rat):
+        object.__setattr__(self, "coeffs", coeffs)  # sorted by name, no zero coefficients
+        object.__setattr__(self, "const", const)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coeffs, self.const) == (other.coeffs, other.const)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.const))
 
     @staticmethod
     def make(coeffs: Mapping[str, Rat] | None = None, const: Rat = 0) -> LinearTerm:
@@ -205,8 +253,7 @@ class LinearTerm:
 Monomial = tuple[tuple[str, int], ...]  # sorted by variable, exponents >= 1
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Value):
     """Multivariate polynomial with exact coefficients, canonical storage.
 
     Terms are sorted by total degree, then by monomial; no coefficient is
@@ -216,7 +263,18 @@ class Polynomial:
     once; only this module builds a Polynomial from raw terms.
     """
 
-    terms: tuple[tuple[Monomial, Rat], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Monomial, Rat], ...]):
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.terms,) == (other.terms,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @staticmethod
     def combine(pairs: Iterable[tuple[Rat, Polynomial]]) -> Polynomial:

@@ -11,11 +11,10 @@ exponential polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .algebra import LinearTerm, Polynomial, frac, power_fraction
+from .algebra import LinearTerm, Polynomial, Value, frac, power_fraction
 from .presburger import (
     Atom,
     AtomF,
@@ -61,16 +60,16 @@ class DivergesError(Exception):
         self.generator = generator
 
 
-@dataclass(frozen=True)
-class PAdicContext:
+class PAdicContext(Value):
     """The residue characteristic; Haar measure is normalized so that the
     n-fold product of the valuation ring has measure 1."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
-            raise ValueError(f"p must be prime, got {self.p}")
+    def __init__(self, p: int):
+        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            raise ValueError(f"p must be prime, got {p}")
+        object.__setattr__(self, "p", p)
 
 
 def valuation(q: Union[int, Fraction], ctx: PAdicContext):
@@ -112,14 +111,24 @@ def ac_level(q: Union[int, Fraction], level: int, ctx: PAdicContext) -> int:
 # weights and box cells
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """nu(s, lambda) = (c(s) + sum_i b_i * lambda_i) / r, integer-valued on its
     attached domain."""
 
-    r: int
-    c: LinearTerm  # over the parameters
-    b: tuple[tuple[str, int], ...]  # per lambda variable, sorted by name
+    __slots__ = ("r", "c", "b")
+
+    def __init__(self, r: int, c: LinearTerm, b: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", c)  # over the parameters
+        object.__setattr__(self, "b", b)  # per lambda variable, sorted by name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.r, self.c, self.b) == (other.r, other.c, other.b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.c, self.b))
 
     @staticmethod
     def make(r: int, c: LinearTerm, b: Mapping[str, int] | None = None) -> Weight:
@@ -136,13 +145,23 @@ class Weight:
         return (self.c + LinearTerm.make(dict(self.b))).scale(Fraction(1, self.r))
 
 
-@dataclass(frozen=True)
-class Coordinate:
+class Coordinate(Value):
     """Non-degenerate coordinate: center + { y : ac_level(y) = ac, v(y) free }."""
 
-    center: Fraction
-    level: int
-    ac: int
+    __slots__ = ("center", "level", "ac")
+
+    def __init__(self, center: Fraction, level: int, ac: int):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "ac", ac)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.center, self.level, self.ac) == (other.center, other.level, other.ac)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.center, self.level, self.ac))
 
     def validate(self, ctx: PAdicContext) -> None:
         if self.level < 1:
@@ -152,15 +171,16 @@ class Coordinate:
             raise InputError(f"ac value {self.ac} is not a unit modulo {mod}")
 
 
-@dataclass(frozen=True)
-class DegenerateCoordinate:
+class DegenerateCoordinate(Value):
     """Coordinate pinned to a single point x_i = point (dimension drop)."""
 
-    point: Fraction
+    __slots__ = ("point",)
+
+    def __init__(self, point: Fraction):
+        object.__setattr__(self, "point", point)
 
 
-@dataclass(frozen=True)
-class BoxCell:
+class BoxCell(Value):
     """Product-like cell: per-coordinate angular conditions plus a joint
     Presburger condition on the valuation tuple.
 
@@ -169,10 +189,24 @@ class BoxCell:
     parameters.  The optional weight adds p^nu to the natural cell volume.
     """
 
-    coords: tuple[Union[Coordinate, DegenerateCoordinate], ...]
-    lambda_vars: tuple[str, ...]
-    lambda_formula: Formula
-    weight: Weight | None = None
+    __slots__ = ("coords", "lambda_vars", "lambda_formula", "weight")
+
+    def __init__(self, coords: tuple[Union[Coordinate, DegenerateCoordinate], ...],
+                 lambda_vars: tuple[str, ...], lambda_formula: Formula,
+                 weight: Weight | None = None):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "lambda_vars", lambda_vars)
+        object.__setattr__(self, "lambda_formula", lambda_formula)
+        object.__setattr__(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.coords, self.lambda_vars, self.lambda_formula, self.weight)
+                    == (other.coords, other.lambda_vars, other.lambda_formula, other.weight))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.lambda_vars, self.lambda_formula, self.weight))
 
     def validate(self, ctx: PAdicContext) -> None:
         live = [c for c in self.coords if isinstance(c, Coordinate)]
@@ -255,18 +289,19 @@ def _require_integral_on(form: LinearTerm, guard: list[Atom], what: str) -> None
 # exponential polynomials
 
 
-@dataclass(frozen=True)
-class ExpTerm:
+class ExpTerm(Value):
     """On guard: poly(s) * p^(exponent(s)); the exponent is integer-valued on
     the guard (its coefficients may be rational)."""
 
-    guard: Formula
-    poly: Polynomial
-    exponent: LinearTerm
+    __slots__ = ("guard", "poly", "exponent")
+
+    def __init__(self, guard: Formula, poly: Polynomial, exponent: LinearTerm):
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class ExpPolynomial:
+class ExpPolynomial(Value):
     """Canonical guarded sum of exponential-polynomial terms.
 
     Guards of distinct terms are pairwise disjoint regions; within a region
@@ -274,9 +309,12 @@ class ExpPolynomial:
     over the terms whose guard holds (zero when the term list is empty).
     """
 
-    p: int
-    param_vars: tuple[str, ...]
-    terms: tuple[ExpTerm, ...]
+    __slots__ = ("p", "param_vars", "terms")
+
+    def __init__(self, p: int, param_vars: tuple[str, ...], terms: tuple[ExpTerm, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "param_vars", param_vars)
+        object.__setattr__(self, "terms", terms)
 
 
 def _exponent_key(exponent: LinearTerm):
@@ -349,10 +387,12 @@ def exp_poly_eval(e: ExpPolynomial, point: Mapping[str, int], ctx: PAdicContext 
     return total
 
 
-@dataclass(frozen=True)
-class NonZeroWitness:
-    point: tuple[tuple[str, int], ...]
-    value: Fraction
+class NonZeroWitness(Value):
+    __slots__ = ("point", "value")
+
+    def __init__(self, point: tuple[tuple[str, int], ...], value: Fraction):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "value", value)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.point)
@@ -511,14 +551,17 @@ def _check_tower_weight(tower: Tower, wform: LinearTerm, guard: list[Atom]) -> N
 # measure functions
 
 
-@dataclass(frozen=True)
-class MeasureFunction:
+class MeasureFunction(Value):
     """An exponential polynomial together with its parameter domain."""
 
-    exp_poly: ExpPolynomial
-    param_domain: Formula
-    param_vars: tuple[str, ...]
-    ctx: PAdicContext
+    __slots__ = ("exp_poly", "param_domain", "param_vars", "ctx")
+
+    def __init__(self, exp_poly: ExpPolynomial, param_domain: Formula,
+                 param_vars: tuple[str, ...], ctx: PAdicContext):
+        object.__setattr__(self, "exp_poly", exp_poly)
+        object.__setattr__(self, "param_domain", param_domain)
+        object.__setattr__(self, "param_vars", param_vars)
+        object.__setattr__(self, "ctx", ctx)
 
     def evaluate(self, point: Mapping[str, int]) -> Fraction:
         if not evaluate_qf(self.param_domain, point):

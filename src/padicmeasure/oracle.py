@@ -10,11 +10,10 @@ they are deliberately simple and budgeted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import LinearTerm, frac, power_fraction
+from .algebra import LinearTerm, Value, frac, power_fraction
 from .measure import (
     MEASURE_ZERO,
     DivergesError,
@@ -59,12 +58,14 @@ class BudgetExceededError(Exception):
 GRID_BUDGET = 3 * 10**7
 
 
-@dataclass(frozen=True)
-class Bracket:
-    lower: Fraction
-    upper: Fraction
-    depth: int
-    valuation_window: int
+class Bracket(Value):
+    __slots__ = ("lower", "upper", "depth", "valuation_window")
+
+    def __init__(self, lower: Fraction, upper: Fraction, depth: int, valuation_window: int):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "valuation_window", valuation_window)
 
     @property
     def width(self) -> Fraction:
@@ -383,13 +384,15 @@ def _window_error(variable: str, sign: int) -> WindowTooSmallError:
 # brute-force quantifier elimination tables
 
 
-@dataclass(frozen=True)
-class BoxTable:
+class BoxTable(Value):
     """Finite truth table of a formula over [-bound, bound]^n."""
 
-    variables: tuple[str, ...]
-    bound: int
-    values: np.ndarray
+    __slots__ = ("variables", "bound", "values")
+
+    def __init__(self, variables: tuple[str, ...], bound: int, values: np.ndarray):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "values", values)
 
     def on_grid(self, axes: Mapping[str, np.ndarray]) -> np.ndarray:
         import numpy as np

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .algebra import RESERVED, LinearTerm, MissingAssignmentError
+from .algebra import RESERVED, LinearTerm, MissingAssignmentError, Value
 
 
 class FormulaSyntaxError(SyntaxError):
@@ -60,21 +59,30 @@ EQ0 = "eq0"
 DIV = "div"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     """t >= 0, t = 0, or m | t (modulus m >= 2)."""
 
-    kind: str
-    term: LinearTerm
-    modulus: int = 0
+    __slots__ = ("kind", "term", "modulus")
 
-    def __post_init__(self):
-        if self.kind not in (GEQ0, EQ0, DIV):
-            raise ValueError(f"bad atom kind {self.kind}")
-        if self.kind == DIV and self.modulus < 2:
+    def __init__(self, kind: str, term: LinearTerm, modulus: int = 0):
+        if kind not in (GEQ0, EQ0, DIV):
+            raise ValueError(f"bad atom kind {kind}")
+        if kind == DIV and modulus < 2:
             raise ValueError("divisibility modulus must be >= 2")
-        if self.kind != DIV and self.modulus != 0:
+        if kind != DIV and modulus != 0:
             raise ValueError("modulus only allowed on divisibility atoms")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.term, self.modulus)
+                    == (other.kind, other.term, other.modulus))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.term, self.modulus))
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
         v = self.term.evaluate(assignment)
@@ -108,10 +116,12 @@ def divides(modulus: int, term: LinearTerm) -> Atom:
 # formulas
 
 
-class Formula:
-    """Base class; concrete nodes below are frozen dataclasses."""
+class Formula(Value):
+    """Base class of the formula nodes below, immutable values that compare
+    and hash by class and fields."""
 
     __slots__ = ()
+    __repr__ = object.__repr__
 
     def __and__(self, other: Formula) -> Formula:
         return conj([self, other])
@@ -126,52 +136,120 @@ class Formula:
         return format_formula(self)
 
 
-@dataclass(frozen=True, repr=False)
 class TrueF(Formula):
     __slots__ = ()
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
 
-@dataclass(frozen=True, repr=False)
+    def __hash__(self) -> int:
+        return hash(())
+
+
 class FalseF(Formula):
     __slots__ = ()
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
 
-@dataclass(frozen=True, repr=False)
+    def __hash__(self) -> int:
+        return hash(())
+
+
 class AtomF(Formula):
     __slots__ = ("atom",)
-    atom: Atom
+
+    def __init__(self, atom: Atom):
+        object.__setattr__(self, "atom", atom)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.atom,) == (other.atom,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.atom,))
 
 
-@dataclass(frozen=True, repr=False)
 class NotF(Formula):
     __slots__ = ("arg",)
-    arg: Formula
+
+    def __init__(self, arg: Formula):
+        object.__setattr__(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.arg,) == (other.arg,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.arg,))
 
 
-@dataclass(frozen=True, repr=False)
 class AndF(Formula):
     __slots__ = ("args",)
-    args: tuple[Formula, ...]
+
+    def __init__(self, args: tuple[Formula, ...]):
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.args,) == (other.args,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.args,))
 
 
-@dataclass(frozen=True, repr=False)
 class OrF(Formula):
     __slots__ = ("args",)
-    args: tuple[Formula, ...]
+
+    def __init__(self, args: tuple[Formula, ...]):
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.args,) == (other.args,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.args,))
 
 
-@dataclass(frozen=True, repr=False)
 class ExistsF(Formula):
     __slots__ = ("var", "body")
-    var: str
-    body: Formula
+
+    def __init__(self, var: str, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var, self.body) == (other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.body))
 
 
-@dataclass(frozen=True, repr=False)
 class ForallF(Formula):
     __slots__ = ("var", "body")
-    var: str
-    body: Formula
+
+    def __init__(self, var: str, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var, self.body) == (other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.body))
 
 
 TRUE = TrueF()
@@ -316,12 +394,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "name" | "op" | "end"
-    text: str
-    line: int
-    column: int
+# a token is (kind, text, line, column), kind "int", "name", "op" or "end"
+_Token = tuple[str, str, int, int]
+
+
+def _syntax_error(message: str, tok: _Token) -> FormulaSyntaxError:
+    return FormulaSyntaxError(message, tok[2], tok[3])
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -335,7 +413,7 @@ def _tokenize(text: str) -> list[_Token]:
         kind = m.lastgroup
         value = m.group()
         if kind != "ws":
-            tokens.append(_Token(kind, value, line, col))
+            tokens.append((kind, value, line, col))
         newlines = value.count("\n")
         if newlines:
             line += newlines
@@ -343,7 +421,7 @@ def _tokenize(text: str) -> list[_Token]:
         else:
             col += len(value)
         pos = m.end()
-    tokens.append(_Token("end", "", line, col))
+    tokens.append(("end", "", line, col))
     return tokens
 
 
@@ -357,100 +435,96 @@ class _Parser:
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.pos += 1
         return tok
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
-        if tok.text != text:
-            raise FormulaSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                                     tok.line, tok.column)
+        if tok[1] != text:
+            raise _syntax_error(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
     def fail(self, message: str) -> FormulaSyntaxError:
-        tok = self.peek()
-        return FormulaSyntaxError(message, tok.line, tok.column)
+        return _syntax_error(message, self.peek())
 
     # precedence: ! > /\ > \/ > quantifiers
     def parse_formula(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text in ("E", "A") and self.peek(1).kind == "name":
+        kind, text = self.peek()[:2]
+        if kind == "name" and text in ("E", "A") and self.peek(1)[0] == "name":
             self.next()
             var = self.next()
-            if var.text in RESERVED:
-                raise FormulaSyntaxError(f"{var.text!r} is reserved", var.line, var.column)
+            if var[1] in RESERVED:
+                raise _syntax_error(f"{var[1]!r} is reserved", var)
             self.expect(".")
             body = self.parse_formula()
-            node = ExistsF(var.text, body) if tok.text == "E" else ForallF(var.text, body)
-            return node
+            return ExistsF(var[1], body) if text == "E" else ForallF(var[1], body)
         return self.parse_or()
 
     def parse_or(self) -> Formula:
         args = [self.parse_and()]
-        while self.peek().text == "\\/":
+        while self.peek()[1] == "\\/":
             self.next()
             args.append(self.parse_and())
         return args[0] if len(args) == 1 else OrF(tuple(args))
 
     def parse_and(self) -> Formula:
         args = [self.parse_not()]
-        while self.peek().text == "/\\":
+        while self.peek()[1] == "/\\":
             self.next()
             args.append(self.parse_not())
         return args[0] if len(args) == 1 else AndF(tuple(args))
 
     def parse_not(self) -> Formula:
-        if self.peek().text == "!":
+        if self.peek()[1] == "!":
             self.next()
             return neg(self.parse_not())
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "(":
+        kind, text = self.peek()[:2]
+        if text == "(":
             self.next()
             inner = self.parse_formula()
             self.expect(")")
             return inner
-        if tok.kind == "name" and tok.text == "true":
+        if kind == "name" and text == "true":
             self.next()
             return TRUE
-        if tok.kind == "name" and tok.text == "false":
+        if kind == "name" and text == "false":
             self.next()
             return FALSE
         left = self.parse_term()
         op = self.peek()
-        if op.text == "|":
+        if op[1] == "|":
             if not left.is_constant():
-                raise FormulaSyntaxError("divisibility modulus must be an integer literal",
-                                         op.line, op.column)
+                raise _syntax_error("divisibility modulus must be an integer literal", op)
             self.next()
             term = self.parse_term()
             return _make_divisibility(left.const, term)
-        if op.text in ("<", "<=", "=", ">=", ">", "!="):
+        if op[1] in ("<", "<=", "=", ">=", ">", "!="):
             self.next()
             right = self.parse_term()
-            return _make_comparison(left, op.text, right)
+            return _make_comparison(left, op[1], right)
         raise self.fail("expected a comparison or divisibility operator")
 
     def parse_term(self) -> LinearTerm:
         term = self.parse_signed_factor()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.peek()[1] in ("+", "-"):
+            op = self.next()[1]
             rhs = self.parse_signed_factor()
             term = term + rhs if op == "+" else term - rhs
         return term
 
     def parse_signed_factor(self) -> LinearTerm:
-        if self.peek().text == "-":
+        if self.peek()[1] == "-":
             self.next()
             return self.parse_signed_factor().scale(-1)
         return self.parse_factor()
 
     def parse_factor(self) -> LinearTerm:
         left = self.parse_primary()
-        while self.peek().text == "*":
+        while self.peek()[1] == "*":
             star = self.next()
             right = self.parse_primary_signed()
             if left.is_constant():
@@ -458,26 +532,25 @@ class _Parser:
             elif right.is_constant():
                 left = left.scale(right.const)
             else:
-                raise FormulaSyntaxError("products must be integer * variable",
-                                         star.line, star.column)
+                raise _syntax_error("products must be integer * variable", star)
         return left
 
     def parse_primary_signed(self) -> LinearTerm:
-        if self.peek().text == "-":
+        if self.peek()[1] == "-":
             self.next()
             return self.parse_primary_signed().scale(-1)
         return self.parse_primary()
 
     def parse_primary(self) -> LinearTerm:
         tok = self.next()
-        if tok.kind == "int":
-            return LinearTerm.constant(int(tok.text))
-        if tok.kind == "name":
-            if tok.text in RESERVED:
-                raise FormulaSyntaxError(f"{tok.text!r} is reserved", tok.line, tok.column)
-            return LinearTerm.variable(tok.text)
-        raise FormulaSyntaxError(f"expected a term, found {tok.text or 'end of input'!r}",
-                                 tok.line, tok.column)
+        kind, text = tok[:2]
+        if kind == "int":
+            return LinearTerm.constant(int(text))
+        if kind == "name":
+            if text in RESERVED:
+                raise _syntax_error(f"{text!r} is reserved", tok)
+            return LinearTerm.variable(text)
+        raise _syntax_error(f"expected a term, found {text or 'end of input'!r}", tok)
 
 
 def _make_comparison(left: LinearTerm, op: str, right: LinearTerm) -> Formula:
@@ -515,8 +588,8 @@ def _read_all(parser: _Parser, rule: Callable[[], T]) -> T:
     except RecursionError:
         raise parser.fail("nesting too deep to parse") from None
     end = parser.peek()
-    if end.kind != "end":
-        raise FormulaSyntaxError(f"trailing input starting at {end.text!r}", end.line, end.column)
+    if end[0] != "end":
+        raise _syntax_error(f"trailing input starting at {end[1]!r}", end)
     return result
 
 

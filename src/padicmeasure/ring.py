@@ -26,13 +26,13 @@ checks, coefficients and Presentation.validate still run on every snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import (
     LinearTerm,
     Rat,
+    Value,
     format_rational,
     frac,
     parse_rational,
@@ -108,12 +108,15 @@ ALLOWED_RULES = (
 )
 
 
-@dataclass(frozen=True)
-class Presentation:
-    ctx: PAdicContext
-    param_vars: tuple[str, ...]
-    param_domain: Formula
-    generators: tuple[tuple[Fraction, BoxCell], ...]
+class Presentation(Value):
+    __slots__ = ("ctx", "param_vars", "param_domain", "generators")
+
+    def __init__(self, ctx: PAdicContext, param_vars: tuple[str, ...], param_domain: Formula,
+                 generators: tuple[tuple[Fraction, BoxCell], ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "param_vars", param_vars)
+        object.__setattr__(self, "param_domain", param_domain)
+        object.__setattr__(self, "generators", generators)
 
     def validate(self) -> None:
         declared = set(self.param_vars)
@@ -277,17 +280,20 @@ def _value_at(pres: Presentation, closed_forms: Mapping, point: Mapping[str, int
     return total
 
 
-@dataclass(frozen=True)
-class Equal:
+class Equal(Value):
+    __slots__ = ()
+
     def __bool__(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class NotEqual:
-    witness: tuple[tuple[str, int], ...]
-    value1: Fraction
-    value2: Fraction
+class NotEqual(Value):
+    __slots__ = ("witness", "value1", "value2")
+
+    def __init__(self, witness: tuple[tuple[str, int], ...], value1: Fraction, value2: Fraction):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "value1", value1)
+        object.__setattr__(self, "value2", value2)
 
     def __bool__(self) -> bool:
         return False
@@ -315,17 +321,21 @@ def decide_equal(a: Presentation, b: Presentation) -> Union[Equal, NotEqual]:
 # certificates
 
 
-@dataclass(frozen=True)
-class CertificateStep:
-    rule: str
-    note: str
-    before: Presentation
-    after: Presentation
+class CertificateStep(Value):
+    __slots__ = ("rule", "note", "before", "after")
+
+    def __init__(self, rule: str, note: str, before: Presentation, after: Presentation):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    steps: tuple[CertificateStep, ...]
+class Certificate(Value):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[CertificateStep, ...]):
+        object.__setattr__(self, "steps", steps)
 
 
 def find_invalid_step(cert: Certificate) -> int | None:
@@ -478,22 +488,28 @@ def shift_lambda(pres: Presentation, offset: int) -> tuple[Presentation, Certifi
 # normalization to basic presentations
 
 
-@dataclass(frozen=True)
-class BasicPresentation:
+class BasicPresentation(Value):
     """A presentation whose generators all have finite fibers and
     parameter-only weights, with the counting certificates attached."""
 
-    presentation: Presentation
-    fiber_counts: tuple[PiecewisePolynomial, ...]
+    __slots__ = ("presentation", "fiber_counts")
+
+    def __init__(self, presentation: Presentation,
+                 fiber_counts: tuple[PiecewisePolynomial, ...]):
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "fiber_counts", fiber_counts)
 
 
-@dataclass
 class _GenState:
-    coeff: Fraction
-    levels: list[Level]
-    kept: list[Level]
-    guard: tuple[Atom, ...]
-    wtot: LinearTerm  # total exponent over level variables and parameters
+    __slots__ = ("coeff", "levels", "kept", "guard", "wtot")
+
+    def __init__(self, coeff: Fraction, levels: list[Level], kept: list[Level],
+                 guard: tuple[Atom, ...], wtot: LinearTerm):
+        self.coeff = coeff
+        self.levels = levels
+        self.kept = kept
+        self.guard = guard
+        self.wtot = wtot  # total exponent over level variables and parameters
 
 
 def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
@@ -851,20 +867,32 @@ def _objects(entries, what: str) -> list[Mapping]:
     return list(entries)
 
 
+def _missing(err: KeyError, where: str) -> InputError:
+    """InputError naming the missing field (err's key) and the object that
+    lacks it (where)."""
+    return InputError(f"{where} has no field {err.args[0]!r}")
+
+
 def from_document(doc: Mapping) -> Presentation:
     return _from_document(doc, {})
 
 
-def _from_document(doc: Mapping, cells: dict) -> Presentation:
-    """Read one presentation document.  cells maps the type-checked fields
-    of a generator's cell (parsed coordinates, lambda_formula text, weight
-    as (r, c text, b tuple) or None) to the BoxCell built from them, and a
-    param_domain text to its parsed, simplified formula, so a caller that
-    reads many snapshots parses each distinct cell and domain once.  Type
-    checks, coefficients and Presentation.validate run for every document;
-    a cell whose construction raises is never stored."""
+def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -> Presentation:
+    """Read one presentation document, which where describes in errors.
+    cells maps the type-checked fields of a generator's cell (parsed
+    coordinates, lambda_formula text, weight as (r, c text, b tuple) or
+    None) to the BoxCell built from them, and a param_domain text to its
+    parsed, simplified formula, so a caller that reads many snapshots parses
+    each distinct cell and domain once.  Type checks, coefficients and
+    Presentation.validate run for every document; a cell whose construction
+    raises is never stored.  A missing required field is caught as the
+    KeyError of its lookup, so reading checks no field twice."""
     doc = _typed(doc, Mapping, "a presentation")
-    ctx = PAdicContext(_typed(doc["prime"], int, "prime"))
+    try:
+        prime = doc["prime"]
+    except KeyError as err:
+        raise _missing(err, where) from None
+    ctx = PAdicContext(_typed(prime, int, "prime"))
     param_vars = tuple(variable_name(_typed(v, str, "a parameter name"))
                        for v in _typed(doc.get("param_vars", []), list, "param_vars"))
     domain_text = _typed(doc.get("param_domain", "true"), str, "param_domain")
@@ -873,17 +901,25 @@ def _from_document(doc: Mapping, cells: dict) -> Presentation:
         param_domain = cells[domain_text] = simplify(parse_domain(domain_text))
     gens = []
     for g in _objects(doc.get("generators", ()), "generators"):
+        try:
+            coord_docs, coeff = g["coords"], g["coeff"]
+        except KeyError as err:
+            raise _missing(err, f"generator {len(gens)} of {where}") from None
         coords: list[Union[Coordinate, DegenerateCoordinate]] = []
         names: list[str] = []
-        for entry in _objects(g["coords"], "coords"):
+        for entry in _objects(coord_docs, "coords"):
             if "point" in entry:
                 point = _typed(entry["point"], str, "point")
                 coords.append(DegenerateCoordinate(parse_rational(point)))
-            else:
-                names.append(f"l{len(names) + 1}")
-                coords.append(Coordinate(parse_rational(_typed(entry["center"], str, "center")),
-                                         _typed(entry["level"], int, "level"),
-                                         _typed(entry["ac"], int, "ac")))
+                continue
+            try:
+                center, level, ac = entry["center"], entry["level"], entry["ac"]
+            except KeyError as err:
+                raise _missing(
+                    err, f"coordinate {len(coords)} of generator {len(gens)} of {where}") from None
+            names.append(f"l{len(names) + 1}")
+            coords.append(Coordinate(parse_rational(_typed(center, str, "center")),
+                                     _typed(level, int, "level"), _typed(ac, int, "ac")))
         if _typed(g.get("dims", len(coords)), int, "dims") != len(coords):
             raise InputError("dims does not match the coords list")
         lam_text = _typed(g.get("lambda_formula", "true"), str, "lambda_formula")
@@ -895,8 +931,12 @@ def _from_document(doc: Mapping, cells: dict) -> Presentation:
                       for v in _typed(wdoc.get("b", []), list, "weight b")]
             if len(b_list) != len(names):
                 raise InputError("weight b vector must match the lambda variables")
-            weight_key = (_typed(wdoc["r"], int, "weight r"),
-                          _typed(wdoc["c"], str, "weight c"), tuple(b_list))
+            try:
+                r, c_text = wdoc["r"], wdoc["c"]
+            except KeyError as err:
+                raise _missing(err, f"the weight of generator {len(gens)} of {where}") from None
+            weight_key = (_typed(r, int, "weight r"), _typed(c_text, str, "weight c"),
+                          tuple(b_list))
         key = (tuple(coords), lam_text, weight_key)
         cell = cells.get(key)
         if cell is None:
@@ -905,7 +945,7 @@ def _from_document(doc: Mapping, cells: dict) -> Presentation:
                 r, c_text, b = weight_key
                 weight = Weight.make(r, parse_term(c_text), dict(zip(names, b)))
             cell = cells[key] = BoxCell(key[0], tuple(names), parse(lam_text), weight)
-        gens.append((parse_rational(_typed(g["coeff"], str, "coeff")), cell))
+        gens.append((parse_rational(_typed(coeff, str, "coeff")), cell))
     pres = Presentation(ctx, param_vars, param_domain, tuple(gens))
     pres.validate()
     return pres
@@ -929,13 +969,24 @@ def certificate_from_document(doc: Mapping) -> Certificate:
     """Read a certificate document; every snapshot shares one table of
     cells, so each distinct cell is parsed once and equal cells are one
     object."""
+    doc = _typed(doc, Mapping, "a certificate")
+    try:
+        step_docs = doc["steps"]
+    except KeyError as err:
+        raise _missing(err, "the certificate") from None
     cells: dict = {}
-    steps = tuple(
-        CertificateStep(_typed(s["rule"], str, "rule"), _typed(s.get("note", ""), str, "note"),
-                        _from_document(s["before"], cells), _from_document(s["after"], cells))
-        for s in _objects(doc.get("steps", ()), "steps")
-    )
-    return Certificate(steps)
+    steps = []
+    for s in _objects(step_docs, "steps"):
+        i = len(steps)
+        try:
+            rule, before, after = s["rule"], s["before"], s["after"]
+        except KeyError as err:
+            raise _missing(err, f"step {i}") from None
+        steps.append(CertificateStep(
+            _typed(rule, str, "rule"), _typed(s.get("note", ""), str, "note"),
+            _from_document(before, cells, f"the before of step {i}"),
+            _from_document(after, cells, f"the after of step {i}")))
+    return Certificate(tuple(steps))
 
 
 # ---------------------------------------------------------------------------

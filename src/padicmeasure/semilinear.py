@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .algebra import (
     LinearTerm,
     Polynomial,
+    Value,
     bounded_power_sums,
     faulhaber,
 )
@@ -89,13 +89,16 @@ class OutOfDomainError(Exception):
 # guarded cells
 
 
-@dataclass(frozen=True)
-class GuardedCell:
+class GuardedCell(Value):
     """Conjunctive constraints over ordered lambda variables and parameters."""
 
-    variables: tuple[str, ...]
-    constraints: tuple[Atom, ...]
-    param_guard: Formula
+    __slots__ = ("variables", "constraints", "param_guard")
+
+    def __init__(self, variables: tuple[str, ...], constraints: tuple[Atom, ...],
+                 param_guard: Formula):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "param_guard", param_guard)
 
     def formula(self) -> Formula:
         return conj([AtomF(a) for a in self.constraints] + [self.param_guard])
@@ -231,22 +234,29 @@ def to_cells(
 # towers
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(Value):
     """One resolved coordinate: value x = start (+ step * i [, i < count])."""
 
-    var: str
-    kind: str  # "point" | "ray" | "range"
-    start: LinearTerm  # over earlier variables and parameters; exact on guards
-    step: int = 0  # point: 0; ray: any nonzero; range: >= 1
-    count: LinearTerm | None = None  # range only; >= 1 on the guard
+    __slots__ = ("var", "kind", "start", "step", "count")
+
+    def __init__(self, var: str, kind: str, start: LinearTerm, step: int = 0,
+                 count: LinearTerm | None = None):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "kind", kind)  # "point" | "ray" | "range"
+        # over earlier variables and parameters; exact on guards
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "step", step)  # point: 0; ray: any nonzero; range: >= 1
+        object.__setattr__(self, "count", count)  # range only; >= 1 on the guard
 
 
-@dataclass(frozen=True)
-class Tower:
-    variables: tuple[str, ...]
-    levels: tuple[Level, ...]
-    guard: tuple[Atom, ...]  # conjunction over parameters only
+class Tower(Value):
+    __slots__ = ("variables", "levels", "guard")
+
+    def __init__(self, variables: tuple[str, ...], levels: tuple[Level, ...],
+                 guard: tuple[Atom, ...]):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "guard", guard)  # conjunction over parameters only
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -272,10 +282,12 @@ def _substitute_value(atom: Atom, var: str, num: LinearTerm, den: int) -> Atom:
     return Atom(atom.kind, term)
 
 
-@dataclass
 class _Branch:
-    atoms: list[Atom]
-    level: Level
+    __slots__ = ("atoms", "level")
+
+    def __init__(self, atoms: list[Atom], level: Level):
+        self.atoms = atoms
+        self.level = level
 
 
 def _live(atoms: Iterable[Atom]) -> list[Atom] | None:
@@ -552,12 +564,14 @@ def _formula_to_atoms(f: Formula) -> tuple[Atom, ...]:
 # closed-form summation over towers
 
 
-@dataclass(frozen=True)
-class SumTerm:
+class SumTerm(Value):
     """poly * p^exponent, both over parameters (plus not-yet-summed variables)."""
 
-    poly: Polynomial
-    exponent: LinearTerm
+    __slots__ = ("poly", "exponent")
+
+    def __init__(self, poly: Polynomial, exponent: LinearTerm):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "exponent", exponent)
 
 
 def sum_over_tower(
@@ -650,12 +664,15 @@ def _merge_terms(terms: Iterable[SumTerm]) -> list[SumTerm]:
 # parametric counting
 
 
-@dataclass(frozen=True)
-class PiecewisePolynomial:
+class PiecewisePolynomial(Value):
     """Disjoint guards covering the parameter domain, one polynomial each."""
 
-    param_vars: tuple[str, ...]
-    pieces: tuple[tuple[Formula, Polynomial], ...]
+    __slots__ = ("param_vars", "pieces")
+
+    def __init__(self, param_vars: tuple[str, ...],
+                 pieces: tuple[tuple[Formula, Polynomial], ...]):
+        object.__setattr__(self, "param_vars", param_vars)
+        object.__setattr__(self, "pieces", pieces)
 
     def evaluate(self, point: Mapping[str, int]) -> Fraction:
         for guard, poly in self.pieces:

@@ -365,16 +365,55 @@ def test_non_object_document_exit_two(tmp_path, verb, text):
                             "after": {"prime": 2}}]}),
     ("certify", {"steps": [{"rule": "R1", "note": None, "before": {"prime": 2},
                             "after": {"prime": 2}}]}),
+    # a certificate lists its steps, even when it has none
+    ("certify", {}),
+    ("certify", _bounded_document()),
 ], ids=["step", "steps", "before", "generator", "coord", "coords", "weight",
         "coeff", "lambda_formula", "param_vars", "prime", "zero_coeff", "zero_center",
         "zero_point", "underscore_coeff", "arabic_indic_coeff", "certify_zero_coeff",
-        "certify_zero_point", "numeric_rule", "null_rule", "numeric_note", "null_note"])
+        "certify_zero_point", "numeric_rule", "null_rule", "numeric_note", "null_note",
+        "certify_no_steps", "certify_presentation"])
 def test_non_object_entry_exit_two(tmp_path, verb, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, out, err = call([verb, str(path), "-p", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_certificate_with_no_steps_is_valid(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"steps": []}))
+    assert call(["certify", str(path), "-p", "2"]) == (0, "valid\n", "")
+
+
+_STEP = {"rule": "R1", "before": {"prime": 2}, "after": {"prime": 2}}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("measure", _bounded_document(coords=[{"center": "0", "level": 1}]),
+     "coordinate 0 of generator 0 of the presentation has no field 'ac'"),
+    ("measure", _bounded_document(coords=[{"point": "1"}, {"level": 1, "ac": 1}]),
+     "coordinate 1 of generator 0 of the presentation has no field 'center'"),
+    ("measure", _bounded_document(weight={"c": "0", "b": [1]}),
+     "the weight of generator 0 of the presentation has no field 'r'"),
+    ("measure", {"prime": 2, "generators": [{"coeff": "1", "coords": []}, {"coords": []}]},
+     "generator 1 of the presentation has no field 'coeff'"),
+    ("certify", {"steps": [_STEP, {"rule": "R1", "before": {"prime": 2}}]},
+     "step 1 has no field 'after'"),
+    ("certify", {"steps": [{**_STEP, "before": {}}]},
+     "the before of step 0 has no field 'prime'"),
+    ("certify", {"steps": [{**_STEP, "after": _bounded_document(weight={"r": 1, "b": [0]})}]},
+     "the weight of generator 0 of the after of step 0 has no field 'c'"),
+    ("certify", {}, "the certificate has no field 'steps'"),
+], ids=["coordinate_ac", "coordinate_center", "weight_r", "generator_coeff", "step_after",
+        "step_prime", "step_weight_c", "certificate_steps"])
+def test_missing_field_is_named(tmp_path, verb, doc, message):
+    # a required field that is not there is named with the object that lacks
+    # it, not printed as the bare key of a KeyError
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert call([verb, str(path), "-p", "2"]) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("verb", ["measure", "eq", "count"])

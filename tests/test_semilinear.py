@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -17,8 +16,10 @@ from padicmeasure.presburger import (
 )
 from padicmeasure.semilinear import (
     InfiniteFiberError,
+    Level,
     NotRectilinearizableError,
     OutOfDomainError,
+    Tower,
     count_parametric,
     rectilinearize,
     to_cells,
@@ -231,15 +232,11 @@ def _tower_points(tower, s):
         return []
     at_s = LinearTerm.constant(s)
     levels = tuple(
-        dataclasses.replace(
-            level,
-            start=level.start.substitute("s", at_s),
-            count=level.count.substitute("s", at_s) if level.count is not None else None,
-        )
+        Level(level.var, level.kind, level.start.substitute("s", at_s), level.step,
+              level.count.substitute("s", at_s) if level.count is not None else None)
         for level in tower.levels
     )
-    pieces = semilinear._pieces_from_tower(
-        dataclasses.replace(tower, levels=levels, guard=()), tower.variables)
+    pieces = semilinear._pieces_from_tower(Tower(tower.variables, levels, ()), tower.variables)
     return [tuple(forms[v].evaluate({}) for v in tower.variables) for forms in pieces]
 
 

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import padicmeasure
@@ -175,3 +178,29 @@ def test_package_walks_towers_in_two_functions():
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert callers == {"semilinear.py towers_in_domain", "semilinear.py rectilinearize"}, callers
+
+
+def test_package_imports_no_dataclasses():
+    # the value classes write their methods out in source, so importing the
+    # package compiles no generated code (see algebra.Value)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "dataclasses")
+        or (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names))
+    ]
+    assert not found, found
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    # every padic-measure command pays for what importing the CLI imports;
+    # dataclasses, which also imports inspect, took most of it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, padicmeasure.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
