@@ -454,3 +454,68 @@ def test_usage_error_exit_two():
     assert code == 2
     code, _, _ = call(["bogus"])
     assert code == 2
+
+
+# Measures whose guards carry divisibility atoms, over parameter domains of
+# two pieces, and count pieces over such domains: the printed guards, their
+# atom order and the order of the terms are pinned byte for byte.
+_GOLDEN_MEASURES = [
+    (["s"], "s >= 0 \\/ -s - 3 >= 0", "l1 >= 0 /\\ -l1 + s - 1 >= 0 /\\ 3 | l1 - 1",
+     "sum[ 3 | s + 1 /\\ s - 2 >= 0 ; 4/7 ; p^(0) ]\n"
+     "sum[ 3 | s + 1 /\\ s - 2 >= 0 ; -2/7 ; p^(-s) ]\n"
+     "sum[ 3 | s + 2 /\\ s - 4 >= 0 ; 4/7 ; p^(0) ]\n"
+     "sum[ 3 | s + 2 /\\ s - 4 >= 0 ; -8/7 ; p^(-s) ]\n"
+     "sum[ 3 | s /\\ s - 3 >= 0 ; 4/7 ; p^(0) ]\n"
+     "sum[ 3 | s /\\ s - 3 >= 0 ; -4/7 ; p^(-s) ]\n"),
+    (["s"], "s >= 0 \\/ -s - 3 >= 0", "l1 - s >= 0 /\\ 3 | l1",
+     "sum[ 3 | s + 1 /\\ -s - 3 >= 0 ; 4/7 ; p^(-s) ]\n"
+     "sum[ 3 | s + 1 /\\ s >= 0 ; 4/7 ; p^(-s) ]\n"
+     "sum[ 3 | s + 2 /\\ -s - 3 >= 0 ; 2/7 ; p^(-s) ]\n"
+     "sum[ 3 | s + 2 /\\ s >= 0 ; 2/7 ; p^(-s) ]\n"
+     "sum[ 3 | s /\\ -s - 3 >= 0 ; 8/7 ; p^(-s) ]\n"
+     "sum[ 3 | s /\\ s >= 0 ; 8/7 ; p^(-s) ]\n"),
+    (["s", "t"], "2 | s \\/ s - 5 >= 0 /\\ t >= 0 /\\ -t + 1 >= 0",
+     "l1 >= 0 /\\ -l1 + s + t >= 0 /\\ 2 | l1 + t",
+     "sum[ 2 | t + 1 /\\ 2 | s + t + 1 /\\ s + t - 1 >= 0 /\\ 2 | s ; 2/3 ; p^(0) ]\n"
+     "sum[ 2 | t + 1 /\\ 2 | s + t + 1 /\\ s + t - 1 >= 0 /\\ 2 | s ; -1/3 ; p^(-s - t) ]\n"
+     "sum[ 2 | t + 1 /\\ 2 | s + t /\\ s + t - 2 >= 0 /\\ s - 5 >= 0 /\\ t >= 0 /\\ -t + 1 >= 0"
+     " /\\ 2 | s + 1 ; 2/3 ; p^(0) ]\n"
+     "sum[ 2 | t + 1 /\\ 2 | s + t /\\ s + t - 2 >= 0 /\\ s - 5 >= 0 /\\ t >= 0 /\\ -t + 1 >= 0"
+     " /\\ 2 | s + 1 ; -2/3 ; p^(-s - t) ]\n"
+     "sum[ 2 | t /\\ 2 | s + t + 1 /\\ s + t - 1 >= 0 /\\ s - 5 >= 0 /\\ t >= 0 /\\ -t + 1 >= 0"
+     " /\\ 2 | s + 1 ; 4/3 ; p^(0) ]\n"
+     "sum[ 2 | t /\\ 2 | s + t + 1 /\\ s + t - 1 >= 0 /\\ s - 5 >= 0 /\\ t >= 0 /\\ -t + 1 >= 0"
+     " /\\ 2 | s + 1 ; -2/3 ; p^(-s - t) ]\n"
+     "sum[ 2 | t /\\ 2 | s + t /\\ s + t >= 0 /\\ 2 | s ; 4/3 ; p^(0) ]\n"
+     "sum[ 2 | t /\\ 2 | s + t /\\ s + t >= 0 /\\ 2 | s ; -1/3 ; p^(-s - t) ]\n"),
+]
+
+_GOLDEN_COUNTS = [
+    ("0 <= l /\\ l < s /\\ 3 | l - 1", "s >= 0 \\/ s <= -3",
+     "count[ s - 4 >= 0 /\\ 3 | s + 2 ; -1/3 + 1/3*s ]\n"
+     "count[ s - 2 >= 0 /\\ 3 | s + 1 ; 1/3 + 1/3*s ]\n"
+     "count[ s - 3 >= 0 /\\ 3 | s ; 1/3*s ]\n"
+     "count[ s >= 0 /\\ 3 | s /\\ -s + 2 >= 0 ; 0 ]\n"
+     "count[ s >= 0 /\\ 3 | s + 2 /\\ -s + 3 >= 0 ; 0 ]\n"
+     "count[ -s - 3 >= 0 ; 0 ]\n"),
+    ("0 <= l /\\ l <= s /\\ 2 | l + s", "2 | s \\/ s >= 5",
+     "count[ 2 | s /\\ s >= 0 ; 1 + 1/2*s ]\n"
+     "count[ 2 | s /\\ -s - 1 >= 0 ; 0 ]\n"
+     "count[ s - 5 >= 0 /\\ 2 | s + 1 ; 1/2 + 1/2*s ]\n"),
+]
+
+
+@pytest.mark.parametrize("params, domain, lam, printed", _GOLDEN_MEASURES,
+                         ids=["three_classes", "two_domain_pieces", "two_parameters"])
+def test_measure_printout_is_pinned(tmp_path, params, domain, lam, printed):
+    path = _one_coordinate_document(
+        tmp_path, param_vars=params, param_domain=domain,
+        generator={"lambda_formula": lam, "weight": {"r": 1, "c": "1", "b": [0]}})
+    assert call(["measure", path, "-p", "2"]) == (0, printed, "")
+
+
+@pytest.mark.parametrize("formula, domain, printed", _GOLDEN_COUNTS,
+                         ids=["congruence", "parity"])
+def test_count_printout_is_pinned(formula, domain, printed):
+    argv = ["count", "--formula", formula, "--lambda-vars", "l", "--domain", domain, "-p", "2"]
+    assert call(argv) == (0, printed, "")
