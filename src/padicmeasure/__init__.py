@@ -43,6 +43,7 @@ from .presburger import (
     LinearTerm,
     MissingAssignmentError,
     NotQuantifierFreeError,
+    conjunction_formula,
     equivalent_on_box,
     evaluate_qf,
     format_formula,

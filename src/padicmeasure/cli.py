@@ -32,6 +32,7 @@ from .presburger import (
     MissingAssignmentError,
     NotQuantifierFreeError,
     ScopeError,
+    conjunction_formula,
     format_formula,
     free_variables,
     parse,
@@ -93,7 +94,7 @@ def _read_document(path: str) -> dict:
 
 
 def _load_presentation(path: str, prime: int) -> Presentation:
-    pres = from_document({"prime": prime, **_read_document(path)})
+    pres = from_document({"prime": prime, **_read_document(path)}, f"document {path}")
     if pres.ctx.p != prime:
         raise InputError(f"document prime {pres.ctx.p} does not match --prime {prime}")
     return pres
@@ -123,13 +124,17 @@ def _print_exp_poly(e: ExpPolynomial) -> None:
         print("0")
         return
     for term in e.terms:
-        print(f"sum[ {format_formula(term.guard)} ; {term.poly} ; p^({term.exponent}) ]")
+        guard = format_formula(conjunction_formula(term.guard))
+        print(f"sum[ {guard} ; {term.poly} ; p^({term.exponent}) ]")
 
 
 def _require_point(point: dict[str, int], names: Sequence[str]) -> dict[str, int]:
     missing = [v for v in names if v not in point]
     if missing:
         raise InputError(f"--at misses parameters {missing}")
+    unknown = [v for v in point if v not in names]
+    if unknown:
+        raise InputError(f"--at names {unknown}, which are not parameters")
     return point
 
 
@@ -193,7 +198,7 @@ def _cmd_count(args) -> int:
         print(format_rational(piecewise.evaluate(_require_point(point, params))))
         return 0
     for guard, poly in piecewise.pieces:
-        print(f"count[ {format_formula(guard)} ; {poly} ]")
+        print(f"count[ {format_formula(conjunction_formula(guard))} ; {poly} ]")
     return 0
 
 

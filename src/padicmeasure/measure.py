@@ -17,13 +17,13 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .algebra import LinearTerm, Polynomial, Value, frac, power_fraction
 from .presburger import (
     Atom,
-    AtomF,
     Formula,
-    conj,
+    atoms_satisfiable,
+    conjunction_formula,
     divides,
     evaluate_qf,
     free_variables,
-    simplify,
+    simplify_conjunction,
 )
 from .semilinear import (
     GuardedCell,
@@ -38,6 +38,8 @@ from .semilinear import (
     to_cells,
     towers_in_domain,
 )
+
+Guard = tuple[Atom, ...]
 
 INFINITY = float("inf")
 
@@ -291,11 +293,12 @@ def _require_integral_on(form: LinearTerm, guard: list[Atom], what: str) -> None
 
 class ExpTerm(Value):
     """On guard: poly(s) * p^(exponent(s)); the exponent is integer-valued on
-    the guard (its coefficients may be rational)."""
+    the guard (its coefficients may be rational).  The guard is an atom tuple
+    from simplify_conjunction; conjunction_formula(guard) prints it."""
 
     __slots__ = ("guard", "poly", "exponent")
 
-    def __init__(self, guard: Formula, poly: Polynomial, exponent: LinearTerm):
+    def __init__(self, guard: Guard, poly: Polynomial, exponent: LinearTerm):
         object.__setattr__(self, "guard", guard)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "exponent", exponent)
@@ -325,33 +328,36 @@ def _exponent_key(exponent: LinearTerm):
 def make_exp_polynomial(
     p: int,
     param_vars: Sequence[str],
-    raw_terms: Iterable[tuple[Formula, Polynomial, LinearTerm]],
+    raw_terms: Iterable[tuple[Guard | Formula, Polynomial, LinearTerm]],
 ) -> ExpPolynomial:
     """Canonicalize raw (guard, poly, exponent) triples.
 
-    Guards are refined into disjoint conjunctions of atoms, starting from the
-    whole parameter space.  Each distinct guard is refined once, in the order
-    of its first term with a nonzero polynomial, and adds all of its terms to
-    the regions inside it: refining again by a guard already applied changes
-    no region, so the regions are those of refining term by term.  Within a
+    A guard is a canonical atom tuple, as in ExpTerm, or a quantifier-free
+    Formula, which is cut into disjoint conjunctions of atoms here, once.
+    These pieces are refined into disjoint regions, starting from the whole
+    parameter space.  Each distinct guard is refined once, in the order of its
+    first term with a nonzero polynomial, and adds all of its terms to the
+    regions inside it: refining again by a guard already applied changes no
+    region, so the regions are those of refining term by term.  Within a
     region, terms whose exponents differ by an integer constant are merged
     (the integer power of p moves into the polynomial), zero polynomials are
-    dropped, and terms are sorted by exponent.
+    dropped, and terms are sorted by exponent; regions by printed guard.
     """
-    by_guard: dict[Formula, list[tuple[Polynomial, LinearTerm]]] = {}
+    by_guard: dict = {}
     for guard, poly, exponent in raw_terms:
         if not poly.is_zero():
             by_guard.setdefault(guard, []).append((poly, exponent))
     regions: list[tuple[list[Atom], list[tuple[Polynomial, LinearTerm]]]] = [([], [])]
     for guard, pairs in by_guard.items():
-        for piece in disjoint_conjunctions(guard):
+        pieces = disjoint_conjunctions(guard) if isinstance(guard, Formula) else [guard]
+        for piece in pieces:
             regions = refine(regions, piece, lambda acc: acc + pairs)
 
-    out: list[ExpTerm] = []
+    printed: list[tuple[str, list[ExpTerm]]] = []
     for atoms, acc in regions:
         if not acc:
             continue
-        region = simplify(conj([AtomF(a) for a in atoms]))
+        region = simplify_conjunction(atoms)
         # each class goes to its canonical representative, the exponent with
         # fractional constant in [0, 1); the integer shift scales the poly
         merged: dict = {}
@@ -360,13 +366,17 @@ def make_exp_polynomial(
             rep = exponent - shift
             _, pairs = merged.setdefault(_exponent_key(rep), (rep, []))
             pairs.append((power_fraction(p, shift), poly))
+        terms = []
         for key in sorted(merged):
             exponent, pairs = merged[key]
             poly = Polynomial.combine(pairs)
             if not poly.is_zero():
-                out.append(ExpTerm(region, poly, exponent))
-    out.sort(key=lambda t: (str(t.guard), _exponent_key(t.exponent)))
-    return ExpPolynomial(p, tuple(param_vars), tuple(out))
+                terms.append(ExpTerm(region, poly, exponent))
+        if terms:
+            printed.append((str(conjunction_formula(region)), terms))
+    # distinct regions are disjoint, so no two print alike
+    printed.sort(key=lambda item: item[0])
+    return ExpPolynomial(p, tuple(param_vars), tuple(t for _, terms in printed for t in terms))
 
 
 def exp_poly_eval(e: ExpPolynomial, point: Mapping[str, int], ctx: PAdicContext | None = None) -> Fraction:
@@ -376,7 +386,7 @@ def exp_poly_eval(e: ExpPolynomial, point: Mapping[str, int], ctx: PAdicContext 
     hit = False
     total = Fraction(0)
     for term in e.terms:
-        if evaluate_qf(term.guard, point):
+        if all(a.evaluate(point) for a in term.guard):
             hit = True
             exponent = term.exponent.evaluate(point)
             if exponent.denominator != 1:
@@ -404,16 +414,17 @@ def exp_poly_is_zero(
     """None when e vanishes at every integer point of param_domain; otherwise
     a concrete witness point with its nonzero exact value."""
     p = ctx.p if ctx is not None else e.p
-    by_region: dict[Formula, list[ExpTerm]] = {}
+    by_region: dict[Guard, list[ExpTerm]] = {}
     for term in e.terms:
         by_region.setdefault(term.guard, []).append(term)
     domain_pieces = disjoint_conjunctions(param_domain)
     for region, terms in by_region.items():
-        for atoms in domain_pieces:
-            domain = simplify(conj([region] + [AtomF(a) for a in atoms]))
-            svars = tuple(sorted(set(e.param_vars) | set(free_variables(domain))))
-            # no cells means the region misses this piece of the domain
-            for forms in rectilinearize(to_cells(domain, svars, [])):
+        for piece in domain_pieces:
+            atoms = simplify_conjunction(region + tuple(piece))
+            if atoms is None or not atoms_satisfiable(atoms):
+                continue  # the region misses this piece of the domain
+            svars = tuple(sorted(set(e.param_vars).union(*(a.term.variables() for a in atoms))))
+            for forms in rectilinearize([GuardedCell(svars, atoms, ())]):
                 witness = _piece_witness(forms, terms, p)
                 if witness is not None:
                     return witness
@@ -509,7 +520,7 @@ def sum_closed_form(
     lambda_vars = lambda_vars_of(lam, weight, param_vars)
     wform = weight.affine()
     domain = disjoint_conjunctions(param_domain)
-    raw_terms: list[tuple[Formula, Polynomial, LinearTerm]] = []
+    raw_terms: list[tuple[Guard, Polynomial, LinearTerm]] = []
     for tower, guards in checked_towers(to_cells(lam, lambda_vars, param_vars), wform, domain):
         try:
             terms = sum_over_tower(tower, wform, ctx.p)
@@ -518,10 +529,10 @@ def sum_closed_form(
         except ValueError as err:
             raise InputError(str(err)) from err
         for guard in guards:
-            guard_formula = simplify(conj([AtomF(a) for a in guard]))
+            canonical = simplify_conjunction(guard)
             for t in terms:
                 _require_integral_on(t.exponent, guard, f"exponent {t.exponent}")
-                raw_terms.append((guard_formula, t.poly, t.exponent))
+                raw_terms.append((canonical, t.poly, t.exponent))
     result = make_exp_polynomial(ctx.p, param_vars, raw_terms)
     while len(_CLOSED_FORMS) >= CLOSED_FORMS_BOUND:
         del _CLOSED_FORMS[next(iter(_CLOSED_FORMS))]

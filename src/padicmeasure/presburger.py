@@ -274,6 +274,13 @@ def conj(args: Iterable[Formula]) -> Formula:
     return AndF(tuple(flat))
 
 
+def conjunction_formula(atoms: Iterable[Atom]) -> Formula:
+    """TRUE, the one atom, or the AndF of the atoms in order: where a guard,
+    an atom tuple, becomes a formula to print, write out or hand to a caller.
+    On simplify_conjunction's atoms it gives what simplify gives."""
+    return conj([AtomF(a) for a in atoms])
+
+
 def disj(args: Iterable[Formula]) -> Formula:
     flat: list[Formula] = []
     for a in args:
@@ -728,11 +735,12 @@ def simplify(f: Formula) -> Formula:
             if neg(a) in seen:
                 return FALSE if is_and else TRUE
         if is_and:
-            folded = _fold_geq_and(args)
-            if folded is not None:
-                args = folded
-            else:
+            unwrapped = [a.atom if isinstance(a, AtomF) else a for a in args]
+            folded = _fold_geq_and(unwrapped)
+            if folded is None:
                 return FALSE
+            if folded is not unwrapped:
+                args = [AtomF(a) if isinstance(a, Atom) else a for a in folded]
         if not args:
             return TRUE if is_and else FALSE
         if len(args) == 1:
@@ -741,28 +749,44 @@ def simplify(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _fold_geq_and(args: list[Formula]) -> list[Formula] | None:
-    """Merge geq0 atoms with identical coefficient vectors; None if infeasible."""
+def simplify_conjunction(atoms: Iterable[Atom]) -> tuple[Atom, ...] | None:
+    """The atoms of simplify(conjunction_formula(atoms)), in the order
+    simplify gives them (first appearance), worked out on the atoms: () for
+    TRUE, None for FALSE.  This is the canonical form of a guard."""
+    kept: dict[Atom, None] = {}
+    for a in atoms:
+        result = simplify_atom(a)
+        if isinstance(result, FalseF):
+            return None
+        if isinstance(result, AtomF):
+            kept[result.atom] = None
+    folded = _fold_geq_and(list(kept))
+    return None if folded is None else tuple(folded)
+
+
+def _fold_geq_and(args: list) -> list | None:
+    """Merge the geq0 atoms among args (atoms and formulas) with identical
+    coefficient vectors into the strongest, at the place of the first; None
+    if two opposite bounds leave no integer."""
     lows: dict[tuple, int] = {}
+    bounds = 0
     for a in args:
-        if isinstance(a, AtomF) and a.atom.kind == GEQ0:
-            key = a.atom.term.coeffs
-            c = a.atom.term.const
-            lows[key] = min(lows.get(key, c), c)
+        if isinstance(a, Atom) and a.kind == GEQ0:
+            bounds += 1
+            key = a.term.coeffs
+            lows[key] = min(lows.get(key, a.term.const), a.term.const)
     for key, c in lows.items():
         nkey = tuple((n, -v) for n, v in key)
         if nkey in lows and c + lows[nkey] < 0:
             return None
-    merged: list[Formula] = []
-    used = set()
+    if bounds == len(lows):
+        return args  # no two bounds share a coefficient vector
+    merged = []
     for a in args:
-        if isinstance(a, AtomF) and a.atom.kind == GEQ0:
-            key = a.atom.term.coeffs
-            if key not in used:
-                used.add(key)
-                merged.append(AtomF(geq0(LinearTerm(key, lows[key]))))
-        else:
+        if not (isinstance(a, Atom) and a.kind == GEQ0):
             merged.append(a)
+        elif (c := lows.pop(a.term.coeffs, None)) is not None:
+            merged.append(a if c == a.term.const else geq0(LinearTerm(a.term.coeffs, c)))
     return merged
 
 

@@ -63,6 +63,7 @@ from .presburger import (
     Formula,
     TRUE,
     conj,
+    conjunction_formula,
     divides,
     eq0,
     format_formula,
@@ -542,7 +543,7 @@ def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
             else:
                 atoms.append(geq0(v.scale(den2) - end_term))
     atoms.extend(state.guard)
-    lam = simplify(conj([AtomF(a) for a in atoms]))
+    lam = simplify(conjunction_formula(atoms))
     n = len(levels)
     # recover the weight field: cell_to_weighted_sum subtracts each lambda and
     # each level (all levels are 1 here), so add them back
@@ -873,8 +874,9 @@ def _missing(err: KeyError, where: str) -> InputError:
     return InputError(f"{where} has no field {err.args[0]!r}")
 
 
-def from_document(doc: Mapping) -> Presentation:
-    return _from_document(doc, {})
+def from_document(doc: Mapping, where: str = "the presentation") -> Presentation:
+    """Read one presentation document; errors name the document as where."""
+    return _from_document(doc, {}, where)
 
 
 def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -> Presentation:

@@ -42,16 +42,15 @@ from .presburger import (
     OrF,
     TrueF,
     atoms_satisfiable,
-    conj,
-    disj,
+    conjunction_formula,
     divides,
-    evaluate_qf,
     free_variables,
     geq0,
     is_quantifier_free,
     nnf,
     simplify,
     simplify_atom,
+    simplify_conjunction,
 )
 
 _IOTA = "@i"  # internal summation index; cannot clash with parsed names
@@ -90,64 +89,45 @@ class OutOfDomainError(Exception):
 
 
 class GuardedCell(Value):
-    """Conjunctive constraints over ordered lambda variables and parameters."""
+    """Conjunctive constraints over ordered lambda variables and parameters,
+    and a guard over the parameters, both from simplify_conjunction."""
 
     __slots__ = ("variables", "constraints", "param_guard")
 
     def __init__(self, variables: tuple[str, ...], constraints: tuple[Atom, ...],
-                 param_guard: Formula):
+                 param_guard: tuple[Atom, ...]):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "param_guard", param_guard)
 
     def formula(self) -> Formula:
-        return conj([AtomF(a) for a in self.constraints] + [self.param_guard])
+        return conjunction_formula(self.constraints + self.param_guard)
 
     def contains(self, lam: Mapping[str, int], params: Mapping[str, int]) -> bool:
         env = {**params, **lam}
-        return all(a.evaluate(env) for a in self.constraints) and evaluate_qf(
-            self.param_guard, params
-        )
-
-
-def _positivize(f: Formula) -> Formula:
-    """NNF with all negations expanded into positive atoms (disjoint expansions)."""
-    f = nnf(f)
-
-    def rec(g: Formula) -> Formula:
-        if isinstance(g, AtomF) or isinstance(g, (TrueF, FalseF)):
-            return g
-        if isinstance(g, NotF):
-            # nnf guarantees the argument is an atom
-            return disj(AtomF(a) for (a,) in _complement_pieces(g.arg.atom))
-        if isinstance(g, AndF):
-            return conj(rec(a) for a in g.args)
-        if isinstance(g, OrF):
-            return disj(rec(a) for a in g.args)
-        raise NotQuantifierFreeError("cell decomposition needs a quantifier-free formula")
-
-    return rec(f)
+        return all(a.evaluate(env) for a in self.constraints + self.param_guard)
 
 
 def _dnf(f: Formula) -> list[list[Atom]]:
+    """The disjuncts of a formula in NNF, each negated atom expanded into the
+    disjoint pieces of its complement."""
     if isinstance(f, TrueF):
         return [[]]
     if isinstance(f, FalseF):
         return []
     if isinstance(f, AtomF):
         return [[f.atom]]
+    if isinstance(f, NotF):
+        return _complement_pieces(f.arg.atom)  # nnf negates atoms only
     if isinstance(f, OrF):
-        out = []
-        for a in f.args:
-            out.extend(_dnf(a))
-        return out
+        return [d for a in f.args for d in _dnf(a)]
     if isinstance(f, AndF):
         out = [[]]
         for a in f.args:
             branch = _dnf(a)
             out = [left + right for left in out for right in branch]
         return out
-    raise AssertionError("positivized formula expected")
+    raise NotQuantifierFreeError("cell decomposition needs a quantifier-free formula")
 
 
 def _complement_pieces(atom: Atom) -> list[list[Atom]]:
@@ -174,7 +154,7 @@ def subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
 
 def disjoint_conjunctions(f: Formula) -> list[list[Atom]]:
     """Pairwise disjoint satisfiable conjunctions whose union is f."""
-    disjuncts = [d for d in _dnf(_positivize(simplify(f))) if atoms_satisfiable(d)]
+    disjuncts = [d for d in _dnf(nnf(simplify(f))) if atoms_satisfiable(d)]
     disjoint: list[list[Atom]] = []
     for i, d in enumerate(disjuncts):
         pieces = [d]
@@ -224,9 +204,8 @@ def to_cells(
         cell_atoms, guard_atoms = [], []
         for a in atoms:
             (cell_atoms if set(a.term.variables()) & lam else guard_atoms).append(a)
-        folded = simplify(conj([AtomF(a) for a in cell_atoms]))
-        guard = simplify(conj([AtomF(a) for a in guard_atoms]))
-        cells.append(GuardedCell(tuple(lambda_vars), _formula_to_atoms(folded), guard))
+        cells.append(GuardedCell(tuple(lambda_vars), simplify_conjunction(cell_atoms),
+                                 simplify_conjunction(guard_atoms)))
     return cells
 
 
@@ -484,7 +463,7 @@ def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[T
     variables = tuple(order) if order is not None else cell.variables
     if set(variables) != set(cell.variables):
         raise ValueError("order must permute the cell variables")
-    guard = list(_formula_to_atoms(cell.param_guard))
+    guard = list(cell.param_guard)
 
     def rec(atoms: list[Atom], vars_left: tuple[str, ...]) -> list[tuple[list[Atom], list[Level]]]:
         if not vars_left:
@@ -500,19 +479,10 @@ def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[T
 
     towers = []
     for param_atoms, levels in rec(list(cell.constraints), variables):
-        guard_atoms = []
-        seen = set()
-        for a in param_atoms:
-            cleaned = _simplify_guard_atom(a)
-            if cleaned is None or cleaned in seen:
-                continue
-            seen.add(cleaned)
-            guard_atoms.append(cleaned)
-        for a in guard:
-            if a not in seen:
-                seen.add(a)
-                guard_atoms.append(a)
-        towers.append(Tower(variables, tuple(levels), tuple(guard_atoms)))
+        # the cleaned atoms, then the cell's guard, each atom once in order
+        kept = dict.fromkeys(c for c in map(_simplify_guard_atom, param_atoms) if c is not None)
+        kept.update(dict.fromkeys(guard))
+        towers.append(Tower(variables, tuple(levels), tuple(kept)))
     return towers
 
 
@@ -544,20 +514,6 @@ def _simplify_guard_atom(atom: Atom) -> Atom | None:
     if isinstance(result, FalseF):
         raise AssertionError("unsatisfiable guard atom survived pruning")
     return result.atom
-
-
-def _formula_to_atoms(f: Formula) -> tuple[Atom, ...]:
-    """Flatten a conjunctive formula into atoms (guards are always conjunctive)."""
-    if isinstance(f, TrueF):
-        return ()
-    if isinstance(f, AtomF):
-        return (f.atom,)
-    if isinstance(f, AndF):
-        out: list[Atom] = []
-        for a in f.args:
-            out.extend(_formula_to_atoms(a))
-        return tuple(out)
-    raise ValueError("expected a conjunction of atoms")
 
 
 # ---------------------------------------------------------------------------
@@ -665,18 +621,19 @@ def _merge_terms(terms: Iterable[SumTerm]) -> list[SumTerm]:
 
 
 class PiecewisePolynomial(Value):
-    """Disjoint guards covering the parameter domain, one polynomial each."""
+    """Disjoint guards covering the parameter domain, one polynomial each;
+    guards are atom tuples from simplify_conjunction."""
 
     __slots__ = ("param_vars", "pieces")
 
     def __init__(self, param_vars: tuple[str, ...],
-                 pieces: tuple[tuple[Formula, Polynomial], ...]):
+                 pieces: tuple[tuple[tuple[Atom, ...], Polynomial], ...]):
         object.__setattr__(self, "param_vars", param_vars)
         object.__setattr__(self, "pieces", pieces)
 
     def evaluate(self, point: Mapping[str, int]) -> Fraction:
         for guard, poly in self.pieces:
-            if evaluate_qf(guard, point):
+            if all(a.evaluate(point) for a in guard):
                 return poly.evaluate(point)
         raise OutOfDomainError(f"{dict(point)} lies outside the declared domain")
 
@@ -688,10 +645,8 @@ def count_parametric(
     if param_vars is None:
         collected = set(free_variables(param_domain))
         for c in cells:
-            collected |= set(free_variables(c.param_guard))
-            lam = set(c.variables)
-            for a in c.constraints:
-                collected |= set(a.term.variables()) - lam
+            for a in c.constraints + c.param_guard:
+                collected |= set(a.term.variables()) - set(c.variables)
         param_vars = tuple(sorted(collected))
     domain = disjoint_conjunctions(param_domain)
     regions = [(atoms, Polynomial.constant(0)) for atoms in domain]
@@ -705,7 +660,7 @@ def count_parametric(
             raise AssertionError("a point count picked up a power of p")
         poly = Polynomial.combine((1, t.poly) for t in summed)
         regions = refine(regions, list(tower.guard), lambda acc, poly=poly: acc + poly)
-    pieces = tuple((simplify(conj([AtomF(a) for a in atoms])), acc) for atoms, acc in regions)
+    pieces = tuple((simplify_conjunction(atoms), acc) for atoms, acc in regions)
     return PiecewisePolynomial(tuple(param_vars), pieces)
 
 
@@ -776,7 +731,8 @@ def rectilinearize(cells: Sequence[GuardedCell]) -> list[dict[str, LinearTerm]]:
     """
     pieces: list[dict[str, LinearTerm]] = []
     for cell in cells:
-        params = sorted(free_variables(cell.formula()) - set(cell.variables))
+        params = sorted({n for a in cell.constraints + cell.param_guard
+                         for n in a.term.variables()} - set(cell.variables))
         if params:
             raise ValueError(f"rectilinearize takes no parameters, got {params}")
         for order in variable_orders(cell.variables):

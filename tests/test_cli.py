@@ -266,26 +266,42 @@ def _bounded_document(**generator):
                                         "lambda_formula": "0 <= l1 /\\ l1 <= 3", **generator}]}
 
 
-@pytest.mark.parametrize("verb, doc, at", [
-    ("measure", _bounded_document(coords=[{**_UNIT_COORD, "level": 0}]), ""),
-    ("measure", _bounded_document(coords=[{**_UNIT_COORD, "ac": 2}]), ""),
-    ("measure", _bounded_document(dims=3), ""),
-    ("measure", _bounded_document(weight={"r": 1, "c": "0", "b": [1, 1]}), ""),
-    ("measure", _bounded_document(weight={"r": 0, "c": "0", "b": [1]}), ""),
-    ("measure", {**_bounded_document(), "prime": 3}, ""),
-    ("certify", {"steps": [{"rule": "R1", "before": {"prime": 3}, "after": {"prime": 3}}]}, ""),
-    ("measure", _bounded_document(), "s"),
-    ("measure", {**_bounded_document(), "param_vars": ["s", "s"]}, ""),
-    ("measure", {**_bounded_document(), "param_vars": ["s"], "param_domain": "t >= 0"}, ""),
+_COUNT = ["count", "--formula", "0 <= l /\\ l <= 3", "--lambda-vars", "l"]
+
+
+@pytest.mark.parametrize("argv, doc, at", [
+    (["measure"], _bounded_document(coords=[{**_UNIT_COORD, "level": 0}]), ""),
+    (["measure"], _bounded_document(coords=[{**_UNIT_COORD, "ac": 2}]), ""),
+    (["measure"], _bounded_document(dims=3), ""),
+    (["measure"], _bounded_document(weight={"r": 1, "c": "0", "b": [1, 1]}), ""),
+    (["measure"], _bounded_document(weight={"r": 0, "c": "0", "b": [1]}), ""),
+    (["measure"], {**_bounded_document(), "prime": 3}, ""),
+    (["certify"], {"steps": [{"rule": "R1", "before": {"prime": 3}, "after": {"prime": 3}}]}, ""),
+    (["measure"], _bounded_document(), "s"),
+    (["measure"], {**_bounded_document(), "param_vars": ["s", "s"]}, ""),
+    (["measure"], {**_bounded_document(), "param_vars": ["s"], "param_domain": "t >= 0"}, ""),
+    (["measure"], _bounded_document(), "s=1"),
+    (_COUNT, None, "s=1"),
+    (["oracle"], _bounded_document(), "s=1"),
 ], ids=["level_zero", "ac_not_a_unit", "dims", "weight_b_length", "weight_r_zero",
         "document_prime", "certificate_prime", "at_without_value", "repeated_parameter",
-        "undeclared_domain_variable"])
-def test_input_error_exit_two(tmp_path, verb, doc, at):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = call([verb, str(path), "-p", "2", "--at", at])
+        "undeclared_domain_variable", "measure_at_non_parameter", "count_at_non_parameter",
+        "oracle_at_non_parameter"])
+def test_input_error_exit_two(tmp_path, argv, doc, at):
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    code, out, err = call(argv + ["-p", "2", "--at", at])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_at_names_no_other_variable(tmp_path):
+    # a name that is not a parameter was once ignored, and measure printed 1/3
+    path = write(tmp_path, "delta.json", delta_presentation(CTX2, 1))
+    assert call(["measure", path, "-p", "2", "--at", "s=1,t=2"]) == (
+        2, "", "error: --at names ['s', 't'], which are not parameters\n")
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -392,13 +408,13 @@ _STEP = {"rule": "R1", "before": {"prime": 2}, "after": {"prime": 2}}
 
 @pytest.mark.parametrize("verb, doc, message", [
     ("measure", _bounded_document(coords=[{"center": "0", "level": 1}]),
-     "coordinate 0 of generator 0 of the presentation has no field 'ac'"),
+     "coordinate 0 of generator 0 of document {path} has no field 'ac'"),
     ("measure", _bounded_document(coords=[{"point": "1"}, {"level": 1, "ac": 1}]),
-     "coordinate 1 of generator 0 of the presentation has no field 'center'"),
+     "coordinate 1 of generator 0 of document {path} has no field 'center'"),
     ("measure", _bounded_document(weight={"c": "0", "b": [1]}),
-     "the weight of generator 0 of the presentation has no field 'r'"),
+     "the weight of generator 0 of document {path} has no field 'r'"),
     ("measure", {"prime": 2, "generators": [{"coeff": "1", "coords": []}, {"coords": []}]},
-     "generator 1 of the presentation has no field 'coeff'"),
+     "generator 1 of document {path} has no field 'coeff'"),
     ("certify", {"steps": [_STEP, {"rule": "R1", "before": {"prime": 2}}]},
      "step 1 has no field 'after'"),
     ("certify", {"steps": [{**_STEP, "before": {}}]},
@@ -410,9 +426,10 @@ _STEP = {"rule": "R1", "before": {"prime": 2}, "after": {"prime": 2}}
         "step_prime", "step_weight_c", "certificate_steps"])
 def test_missing_field_is_named(tmp_path, verb, doc, message):
     # a required field that is not there is named with the object that lacks
-    # it, not printed as the bare key of a KeyError
+    # it and the document it sits in, not printed as the bare key of a KeyError
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
+    message = message.format(path=path)
     assert call([verb, str(path), "-p", "2"]) == (2, "", f"error: {message}\n")
 
 
@@ -519,3 +536,12 @@ def test_measure_printout_is_pinned(tmp_path, params, domain, lam, printed):
 def test_count_printout_is_pinned(formula, domain, printed):
     argv = ["count", "--formula", formula, "--lambda-vars", "l", "--domain", domain, "-p", "2"]
     assert call(argv) == (0, printed, "")
+
+
+def test_eq_names_the_document_with_the_error(tmp_path):
+    good = write(tmp_path, "good.json", delta_presentation(CTX2, 1))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_bounded_document(coords=[{"center": "0", "level": 1}])))
+    line = f"error: coordinate 0 of generator 0 of document {bad} has no field 'ac'\n"
+    assert call(["eq", good, str(bad), "-p", "2"]) == (2, "", line)
+    assert call(["eq", str(bad), good, "-p", "2"]) == (2, "", line)

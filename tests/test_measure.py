@@ -31,18 +31,19 @@ from padicmeasure.measure import (
 from padicmeasure.oracle import WindowTooSmallError, truncated_measure
 from padicmeasure.presburger import (
     TRUE,
-    AndF,
+    Atom,
     AtomF,
     LinearTerm,
-    TrueF,
     conj,
+    conjunction_formula,
     disj,
     divides,
     evaluate_qf,
+    format_formula,
     free_variables,
     neg,
     parse,
-    simplify,
+    simplify_conjunction,
 )
 from padicmeasure.ring import (
     Certificate,
@@ -479,10 +480,11 @@ def _refined_term_by_term(p, param_vars, raw):
             shift = math.floor(exponent.const)
             key = exponent - shift
             merged[key] = merged.get(key, Polynomial.constant(0)) + poly.scale(Fraction(p) ** shift)
-        guard = simplify(conj([AtomF(a) for a in atoms]))
+        guard = simplify_conjunction(atoms)
         terms.extend(ExpTerm(guard, poly, exponent)
                      for exponent, poly in merged.items() if not poly.is_zero())
-    terms.sort(key=lambda t: (str(t.guard), measure._exponent_key(t.exponent)))
+    terms.sort(key=lambda t: (str(conjunction_formula(t.guard)),
+                              measure._exponent_key(t.exponent)))
     return ExpPolynomial(p, tuple(param_vars), tuple(terms))
 
 
@@ -501,15 +503,13 @@ def test_make_exp_polynomial_refines_each_distinct_guard_once(monkeypatch):
     monkeypatch.setattr(measure, "disjoint_conjunctions", spy)
     for raw in POOLED_RAW_TERM_LISTS:
         asked.clear()
-        make_exp_polynomial(2, ("a", "b"), raw)
+        e = make_exp_polynomial(2, ("a", "b"), raw)
         distinct = list(dict.fromkeys(g for g, poly, _ in raw if not poly.is_zero()))
         assert asked == distinct
-
-
-def _atom_conjunction(f):
-    if isinstance(f, AndF):
-        return all(isinstance(a, AtomF) for a in f.args)
-    return isinstance(f, (AtomF, TrueF))
+        # an atom-tuple guard is its own one piece and is not cut again
+        asked.clear()
+        make_exp_polynomial(2, ("a", "b"), [(t.guard, t.poly, t.exponent) for t in e.terms])
+        assert asked == []
 
 
 def test_make_exp_polynomial_asks_only_conjunctive_queries(sat_queries):
@@ -525,10 +525,12 @@ def test_make_exp_polynomial_regions_partition_and_keep_values():
         names = sorted(set().union(*(free_variables(g) for g, _, _ in raw)))
         e = make_exp_polynomial(2, names, raw)
         guards = list(dict.fromkeys(t.guard for t in e.terms))
-        assert all(_atom_conjunction(g) for g in guards), guards
+        assert all(isinstance(a, Atom) for g in guards for a in g), guards
+        assert all(simplify_conjunction(g) == g for g in guards), guards
+        formulas = [conjunction_formula(g) for g in guards]
         for values in itertools.product(range(-3, 13), repeat=len(names)):
             point = dict(zip(names, values))
-            assert sum(evaluate_qf(g, point) for g in guards) <= 1, (guards, point)
+            assert sum(evaluate_qf(g, point) for g in formulas) <= 1, (guards, point)
             want = sum(
                 (poly.evaluate(point) * Fraction(2) ** exponent.evaluate(point)
                  for guard, poly, exponent in raw if evaluate_qf(guard, point)),
@@ -539,3 +541,56 @@ def test_make_exp_polynomial_regions_partition_and_keep_values():
             except OutOfDomainError:
                 got = Fraction(0)
             assert got == want, (raw, point)
+
+
+def _as_atom_tuples(raw):
+    """raw with each formula guard replaced by its disjoint pieces, one raw
+    term per piece, each piece in canonical atom order."""
+    return [(simplify_conjunction(piece), poly, exponent)
+            for guard, poly, exponent in raw for piece in disjoint_conjunctions(guard)]
+
+
+def test_formula_guards_give_what_their_atom_tuples_give():
+    # library callers may pass formula guards, disjunctions and negations
+    # included; they are cut once at entry into the pieces that atom-tuple
+    # guards name directly
+    negated = neg(AtomF(divides(3, LinearTerm.make({"a": 1}, 1))))
+    either = disj([parse("a >= 4"), parse("b <= -1 /\\ 2 | a")])
+    extra = [[(negated, Polynomial.constant(2), LinearTerm.make({"a": -1})),
+              (either, Polynomial.variable("b"), LinearTerm.constant(0)),
+              (parse("a >= 0 /\\ b >= 0"), Polynomial.constant(-1), LinearTerm.make({"a": -1}))]]
+    for raw in extra + POOLED_RAW_TERM_LISTS + RAW_TERM_LISTS:
+        want = make_exp_polynomial(2, ("a", "b"), raw)
+        assert make_exp_polynomial(2, ("a", "b"), _as_atom_tuples(raw)) == want, raw
+
+
+def test_atom_tuple_guards_evaluate_as_their_printed_formulas():
+    # exp_poly_eval and PiecewisePolynomial.evaluate test the atoms; the
+    # printed guard, read back, must hold at exactly the same points
+    def printed(guard):
+        return parse(format_formula(conjunction_formula(guard)))
+
+    for raw in RAW_TERM_LISTS[:8]:
+        e = make_exp_polynomial(2, ("a", "b"), raw)
+        formulas = {t.guard: printed(t.guard) for t in e.terms}
+        for point in (dict(zip("ab", v)) for v in itertools.product(range(-4, 9), repeat=2)):
+            hit = [t for t in e.terms if evaluate_qf(formulas[t.guard], point)]
+            try:
+                got = exp_poly_eval(e, point, CTX2)
+            except OutOfDomainError:
+                assert not hit, point
+                continue
+            assert got == sum((t.poly.evaluate(point) * Fraction(2) ** t.exponent.evaluate(point)
+                               for t in hit), Fraction(0)), point
+    rng = random.Random(7)
+    for _ in range(12):
+        f, lams, params, domain = random_finite_family(rng)
+        pp = count_parametric(to_cells(f, lams, params), domain, params)
+        for values in itertools.product(range(-2, 9), repeat=len(params)):
+            point = dict(zip(params, values))
+            hits = [poly for guard, poly in pp.pieces if evaluate_qf(printed(guard), point)]
+            if not hits:
+                with pytest.raises(OutOfDomainError):
+                    pp.evaluate(point)
+                continue
+            assert len(hits) == 1 and pp.evaluate(point) == hits[0].evaluate(point), point

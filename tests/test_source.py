@@ -204,3 +204,70 @@ def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def _top_level_name(top: ast.stmt) -> str:
+    return top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+
+
+def test_package_builds_guard_formulas_in_one_helper():
+    # guards travel as atom tuples; conjunction_formula is the one place that
+    # conjoins atoms into a formula, for printing and for callers
+    found = {
+        f"{path.name} {_top_level_name(top)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "conj"
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.ListComp, ast.GeneratorExp))
+        and isinstance(inner.elt, ast.Call) and getattr(inner.elt.func, "id", None) == "AtomF"
+    }
+    assert found == {"presburger.py conjunction_formula"}, found
+
+
+def _mentions_guard(node: ast.AST, tainted: set[str]) -> bool:
+    return any((isinstance(n, ast.Attribute) and n.attr == "guard")
+               or (isinstance(n, ast.Name) and n.id in tainted) for n in ast.walk(node))
+
+
+def _guard_names(func: ast.FunctionDef) -> set[str]:
+    """The names a function binds to something read off a `.guard`: assigned
+    or iterated from it, or a container whose method is handed one."""
+    tainted: set[str] = set()
+    while True:
+        before = len(tainted)
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if node.value is not None and _mentions_guard(node.value, tainted):
+                    tainted.update(n.id for t in targets for n in ast.walk(t)
+                                   if isinstance(n, ast.Name))
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                if _mentions_guard(node.iter, tainted):
+                    tainted.update(n.id for n in ast.walk(node.target) if isinstance(n, ast.Name))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)
+                  and any(_mentions_guard(a, tainted) for a in node.args)):
+                tainted.add(node.func.value.id)
+        if len(tainted) == before:
+            return tainted
+
+
+def test_package_cuts_no_guard_back_into_pieces():
+    # an ExpTerm's or a tower's guard is already one conjunction of atoms;
+    # handing it (or a formula built from it) to to_cells or
+    # disjoint_conjunctions would make the round trip from atoms to a
+    # formula and back that guards no longer take
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            tainted = _guard_names(func)
+            found.extend(
+                f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                if isinstance(node, ast.Call) and node.args
+                and getattr(node.func, "id", None) in ("to_cells", "disjoint_conjunctions")
+                and _mentions_guard(node.args[0], tainted))
+    assert not found, found

@@ -55,12 +55,12 @@ WEIGHT = Weight.make(2, LinearTerm.make({"s": 1}), {"l1": -1})
 COORD = Coordinate(Fraction(1, 3), 2, 1)
 POINT = DegenerateCoordinate(Fraction(0))
 CELL = BoxCell((COORD, POINT), ("l1",), TRUE)
-EXP_TERM = ExpTerm(TRUE, POLY, TERM)
+EXP_TERM = ExpTerm((ATOM,), POLY, TERM)
 EXP_POLY = ExpPolynomial(2, ("s",), (EXP_TERM,))
 PRES = Presentation(CTX, ("s",), TRUE, ((Fraction(1), CELL),))
 STEP = CertificateStep("R1", "note", PRES, PRES)
 LEVEL = Level("l1", "range", TERM, 1, LinearTerm.constant(4))
-PIECEWISE = PiecewisePolynomial(("s",), ((TRUE, POLY),))
+PIECEWISE = PiecewisePolynomial(("s",), (((ATOM,), POLY),))
 
 # one instance of every value class, with its field names in order
 VALUES = [
@@ -94,7 +94,8 @@ VALUES = [
     (STEP, ("rule", "note", "before", "after")),
     (Certificate((STEP,)), ("steps",)),
     (BasicPresentation(PRES, (PIECEWISE,)), ("presentation", "fiber_counts")),
-    (GuardedCell(("l1",), (ATOM,), TRUE), ("variables", "constraints", "param_guard")),
+    (GuardedCell(("l1",), (ATOM,), (divides(3, LinearTerm.make({"s": 1})),)),
+     ("variables", "constraints", "param_guard")),
     (LEVEL, ("var", "kind", "start", "step", "count")),
     (Tower(("l1",), (LEVEL,), (ATOM,)), ("variables", "levels", "guard")),
     (SumTerm(POLY, TERM), ("poly", "exponent")),
