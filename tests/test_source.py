@@ -206,15 +206,11 @@ def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-def _top_level_name(top: ast.stmt) -> str:
-    return top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-
-
 def test_package_builds_guard_formulas_in_one_helper():
     # guards travel as atom tuples; conjunction_formula is the one place that
     # conjoins atoms into a formula, for printing and for callers
     found = {
-        f"{path.name} {_top_level_name(top)}"
+        f"{path.name} {top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else '<module>'}"
         for path in sorted(PACKAGE.glob("*.py"))
         for top in ast.parse(path.read_text(encoding="utf-8")).body
         for node in ast.walk(top)
