@@ -43,7 +43,7 @@ from .presburger import (
     LinearTerm,
     MissingAssignmentError,
     NotQuantifierFreeError,
-    conjunction_formula,
+    conj,
     equivalent_on_box,
     evaluate_qf,
     format_formula,

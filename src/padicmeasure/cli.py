@@ -20,7 +20,6 @@ from .measure import (
     ExpPolynomial,
     InputError,
     PAdicContext,
-    ZeroInputError,
 )
 from .oracle import (
     BudgetExceededError,
@@ -29,10 +28,7 @@ from .oracle import (
 )
 from .presburger import (
     FormulaSyntaxError,
-    MissingAssignmentError,
-    NotQuantifierFreeError,
-    ScopeError,
-    conjunction_formula,
+    conj,
     format_formula,
     free_variables,
     parse,
@@ -47,7 +43,6 @@ from .semilinear import (
     to_cells,
 )
 from .ring import (
-    ContextMismatchError,
     NotEqual,
     Presentation,
     certificate_from_document,
@@ -62,12 +57,6 @@ from .ring import (
 
 _USAGE_ERRORS = (
     FormulaSyntaxError,
-    NotQuantifierFreeError,
-    MissingAssignmentError,
-    ScopeError,
-    InputError,
-    ZeroInputError,
-    ContextMismatchError,
     OutOfDomainError,
     NotRectilinearizableError,
     WindowTooSmallError,
@@ -75,7 +64,6 @@ _USAGE_ERRORS = (
     ValueError,
     KeyError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -124,7 +112,7 @@ def _print_exp_poly(e: ExpPolynomial) -> None:
         print("0")
         return
     for term in e.terms:
-        guard = format_formula(conjunction_formula(term.guard))
+        guard = format_formula(conj(term.guard))
         print(f"sum[ {guard} ; {term.poly} ; p^({term.exponent}) ]")
 
 
@@ -198,7 +186,7 @@ def _cmd_count(args) -> int:
         print(format_rational(piecewise.evaluate(_require_point(point, params))))
         return 0
     for guard, poly in piecewise.pieces:
-        print(f"count[ {format_formula(conjunction_formula(guard))} ; {poly} ]")
+        print(f"count[ {format_formula(conj(guard))} ; {poly} ]")
     return 0
 
 

@@ -19,7 +19,7 @@ from .presburger import (
     Atom,
     Formula,
     atoms_satisfiable,
-    conjunction_formula,
+    conj,
     divides,
     evaluate_qf,
     free_variables,
@@ -62,6 +62,36 @@ class DivergesError(Exception):
         self.generator = generator
 
 
+# Miller-Rabin with these twelve bases decides primality exactly for every
+# n < 3.3 * 10^24 (Sorenson and Webster, 2015), so below PRIME_BOUND.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 2**64
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < PRIME_BOUND."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PAdicContext(Value):
     """The residue characteristic; Haar measure is normalized so that the
     n-fold product of the valuation ring has measure 1."""
@@ -69,7 +99,9 @@ class PAdicContext(Value):
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"p must be a prime below 2^64, got {p}")
+        if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         object.__setattr__(self, "p", p)
 
@@ -294,7 +326,7 @@ def _require_integral_on(form: LinearTerm, guard: list[Atom], what: str) -> None
 class ExpTerm(Value):
     """On guard: poly(s) * p^(exponent(s)); the exponent is integer-valued on
     the guard (its coefficients may be rational).  The guard is an atom tuple
-    from simplify_conjunction; conjunction_formula(guard) prints it."""
+    from simplify_conjunction; conj(guard) prints it."""
 
     __slots__ = ("guard", "poly", "exponent")
 
@@ -373,7 +405,7 @@ def make_exp_polynomial(
             if not poly.is_zero():
                 terms.append(ExpTerm(region, poly, exponent))
         if terms:
-            printed.append((str(conjunction_formula(region)), terms))
+            printed.append((str(conj(region)), terms))
     # distinct regions are disjoint, so no two print alike
     printed.sort(key=lambda item: item[0])
     return ExpPolynomial(p, tuple(param_vars), tuple(t for _, terms in printed for t in terms))

@@ -22,8 +22,8 @@ from .measure import (
     cell_to_weighted_sum,
 )
 from .presburger import (
-    AtomF,
     AndF,
+    Atom,
     DIV,
     EQ0,
     ExistsF,
@@ -211,7 +211,7 @@ def _roots_and_period(f: Formula, var: str) -> tuple[list[Fraction], int]:
     and the lcm of its moduli: between two roots its truth repeats with it."""
     roots = set()
     period = 1
-    for atom in (g.atom for g in _subformulas(f) if isinstance(g, AtomF)):
+    for atom in (g for g in _subformulas(f) if isinstance(g, Atom)):
         c = atom.term.coeff(var)
         if c == 0:
             continue
@@ -414,7 +414,7 @@ class BoxTable(Value):
 
 
 def _quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (TrueF, FalseF, AtomF)):
+    if isinstance(f, (TrueF, FalseF, Atom)):
         return 0
     if isinstance(f, NotF):
         return _quantifier_depth(f.arg)
@@ -442,7 +442,7 @@ def witness_ranges(f: Formula, bound: int, rounds: int = 8) -> dict[str, int]:
     |coef|*R(other)) / |coef_v| to a post-fixpoint; BudgetExceededError when
     the iteration does not stabilize (mutually unbounded quantifiers).
     """
-    atoms = [g.atom for g in _subformulas(f) if isinstance(g, AtomF)]
+    atoms = [g for g in _subformulas(f) if isinstance(g, Atom)]
     qvars = [g.var for g in _subformulas(f) if isinstance(g, (ExistsF, ForallF))]
     ranges: dict[str, int] = {v: bound for v in free_variables(f)}
     delta: dict[str, int] = {}
@@ -503,7 +503,7 @@ def brute_force_qe(
 
     # budget: peak tensor size along any quantifier nesting path
     def path_cells(g: Formula, cells: int) -> int:
-        if isinstance(g, (TrueF, FalseF, AtomF)):
+        if isinstance(g, (TrueF, FalseF, Atom)):
             return cells
         if isinstance(g, NotF):
             return path_cells(g.arg, cells)
@@ -531,16 +531,15 @@ def brute_force_qe(
             return np.ones((1,) * naxes, dtype=bool)
         if isinstance(g, FalseF):
             return np.zeros((1,) * naxes, dtype=bool)
-        if isinstance(g, AtomF):
-            atom = g.atom
-            total = np.full((1,) * naxes, atom.term.const, dtype=np.int64)
-            for n2, c2 in atom.term.coeffs:
+        if isinstance(g, Atom):
+            total = np.full((1,) * naxes, g.term.const, dtype=np.int64)
+            for n2, c2 in g.term.coeffs:
                 total = total + c2 * grid(n2)
-            if atom.kind == GEQ0:
+            if g.kind == GEQ0:
                 return total >= 0
-            if atom.kind == EQ0:
+            if g.kind == EQ0:
                 return total == 0
-            return (total % atom.modulus) == 0
+            return (total % g.modulus) == 0
         if isinstance(g, NotF):
             return ~rec(g.arg)
         if isinstance(g, AndF):

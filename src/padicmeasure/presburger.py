@@ -1,13 +1,13 @@
 """Presburger formulas over the integers: AST, parser, printer, evaluation,
 and total quantifier elimination.
 
-Atoms are kept normalized as  t >= 0,  t = 0  and  m | t  with integer linear
-terms t; all comparison operators are folded into these three shapes at parse
-time.  Quantifier elimination is Cooper-style: it introduces divisibility
-constraints instead of computing disjunctive normal forms, handles "forall"
-as not-exists-not, and eliminates the innermost quantifier first.  A
-conjunction of atoms is decided by atoms_satisfiable instead, which works on
-the atoms and builds no formula.
+Atoms, the leaves of every formula, are kept normalized as  t >= 0,  t = 0
+and  m | t  with integer linear terms t; all comparison operators are folded
+into these three shapes at parse time.  Quantifier elimination is
+Cooper-style: it introduces divisibility constraints instead of computing
+disjunctive normal forms, handles "forall" as not-exists-not, and eliminates
+the innermost quantifier first.  A conjunction of atoms is decided by
+atoms_satisfiable instead, which works on the atoms and builds no formula.
 """
 
 from __future__ import annotations
@@ -51,7 +51,29 @@ class ExpansionBudgetError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# atoms
+# formulas
+
+
+class Formula(Value):
+    """Base class of the formula nodes below, immutable values that compare
+    and hash by class and fields and print as formulas.  Atom, the leaf that
+    carries a term, keeps the fields repr of a Value; the other nodes keep
+    object's repr."""
+
+    __slots__ = ()
+    __repr__ = object.__repr__
+
+    def __and__(self, other: Formula) -> Formula:
+        return conj([self, other])
+
+    def __or__(self, other: Formula) -> Formula:
+        return disj([self, other])
+
+    def __invert__(self) -> Formula:
+        return neg(self)
+
+    def __str__(self) -> str:
+        return format_formula(self)
 
 
 GEQ0 = "geq0"
@@ -59,10 +81,11 @@ EQ0 = "eq0"
 DIV = "div"
 
 
-class Atom(Value):
+class Atom(Formula):
     """t >= 0, t = 0, or m | t (modulus m >= 2)."""
 
     __slots__ = ("kind", "term", "modulus")
+    __repr__ = Value.__repr__
 
     def __init__(self, kind: str, term: LinearTerm, modulus: int = 0):
         if kind not in (GEQ0, EQ0, DIV):
@@ -112,30 +135,6 @@ def divides(modulus: int, term: LinearTerm) -> Atom:
     return Atom(DIV, term, modulus)
 
 
-# ---------------------------------------------------------------------------
-# formulas
-
-
-class Formula(Value):
-    """Base class of the formula nodes below, immutable values that compare
-    and hash by class and fields."""
-
-    __slots__ = ()
-    __repr__ = object.__repr__
-
-    def __and__(self, other: Formula) -> Formula:
-        return conj([self, other])
-
-    def __or__(self, other: Formula) -> Formula:
-        return disj([self, other])
-
-    def __invert__(self) -> Formula:
-        return neg(self)
-
-    def __str__(self) -> str:
-        return format_formula(self)
-
-
 class TrueF(Formula):
     __slots__ = ()
 
@@ -158,21 +157,6 @@ class FalseF(Formula):
 
     def __hash__(self) -> int:
         return hash(())
-
-
-class AtomF(Formula):
-    __slots__ = ("atom",)
-
-    def __init__(self, atom: Atom):
-        object.__setattr__(self, "atom", atom)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.atom,) == (other.atom,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.atom,))
 
 
 class NotF(Formula):
@@ -274,13 +258,6 @@ def conj(args: Iterable[Formula]) -> Formula:
     return AndF(tuple(flat))
 
 
-def conjunction_formula(atoms: Iterable[Atom]) -> Formula:
-    """TRUE, the one atom, or the AndF of the atoms in order: where a guard,
-    an atom tuple, becomes a formula to print, write out or hand to a caller.
-    On simplify_conjunction's atoms it gives what simplify gives."""
-    return conj([AtomF(a) for a in atoms])
-
-
 def disj(args: Iterable[Formula]) -> Formula:
     flat: list[Formula] = []
     for a in args:
@@ -312,8 +289,8 @@ def neg(f: Formula) -> Formula:
 def free_variables(f: Formula) -> frozenset[str]:
     if isinstance(f, (TrueF, FalseF)):
         return frozenset()
-    if isinstance(f, AtomF):
-        return frozenset(f.atom.term.variables())
+    if isinstance(f, Atom):
+        return frozenset(f.term.variables())
     if isinstance(f, NotF):
         return free_variables(f.arg)
     if isinstance(f, (AndF, OrF)):
@@ -327,7 +304,7 @@ def free_variables(f: Formula) -> frozenset[str]:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (TrueF, FalseF, AtomF)):
+    if isinstance(f, (TrueF, FalseF, Atom)):
         return True
     if isinstance(f, NotF):
         return is_quantifier_free(f.arg)
@@ -355,8 +332,8 @@ def evaluate_qf(f: Formula, assignment: Mapping[str, int]) -> bool:
         return True
     if isinstance(f, FalseF):
         return False
-    if isinstance(f, AtomF):
-        return f.atom.evaluate(assignment)
+    if isinstance(f, Atom):
+        return f.evaluate(assignment)
     if isinstance(f, NotF):
         return not evaluate_qf(f.arg, assignment)
     if isinstance(f, AndF):
@@ -371,9 +348,8 @@ def evaluate_qf(f: Formula, assignment: Mapping[str, int]) -> bool:
 def substitute(f: Formula, name: str, value: LinearTerm) -> Formula:
     if isinstance(f, (TrueF, FalseF)):
         return f
-    if isinstance(f, AtomF):
-        t = f.atom.term.substitute(name, value)
-        return AtomF(Atom(f.atom.kind, t, f.atom.modulus))
+    if isinstance(f, Atom):
+        return Atom(f.kind, f.term.substitute(name, value), f.modulus)
     if isinstance(f, NotF):
         return neg(substitute(f.arg, name, value))
     if isinstance(f, AndF):
@@ -562,25 +538,25 @@ class _Parser:
 
 def _make_comparison(left: LinearTerm, op: str, right: LinearTerm) -> Formula:
     if op == "<":
-        return AtomF(geq0(right - left - 1))
+        return geq0(right - left - 1)
     if op == "<=":
-        return AtomF(geq0(right - left))
+        return geq0(right - left)
     if op == ">":
-        return AtomF(geq0(left - right - 1))
+        return geq0(left - right - 1)
     if op == ">=":
-        return AtomF(geq0(left - right))
+        return geq0(left - right)
     if op == "=":
-        return AtomF(eq0(left - right))
-    return neg(AtomF(eq0(left - right)))  # !=
+        return eq0(left - right)
+    return neg(eq0(left - right))  # !=
 
 
 def _make_divisibility(modulus: int, term: LinearTerm) -> Formula:
     m = abs(modulus)
     if m == 0:
-        return AtomF(eq0(term))
+        return eq0(term)
     if m == 1:
         return TRUE
-    return AtomF(divides(m, term))
+    return divides(m, term)
 
 
 T = TypeVar("T")
@@ -648,8 +624,8 @@ def format_formula(f: Formula) -> str:
         return "true"
     if isinstance(f, FalseF):
         return "false"
-    if isinstance(f, AtomF):
-        return str(f.atom)
+    if isinstance(f, Atom):
+        return str(f)
     if isinstance(f, NotF):
         inner = format_formula(f.arg)
         if _level(f.arg) <= _LEVEL_AND:
@@ -686,8 +662,8 @@ def simplify_atom(atom: Atom) -> Formula:
     for (kind, coeffs, modulus), const in rows.items():
         # an atom already in normal form is shared, not copied
         if (coeffs, const, modulus) == (term.coeffs, term.const, atom.modulus):
-            return AtomF(atom)
-        return AtomF(Atom(kind, LinearTerm(coeffs, const), modulus))
+            return atom
+        return Atom(kind, LinearTerm(coeffs, const), modulus)
     return TRUE
 
 
@@ -696,8 +672,8 @@ def simplify(f: Formula) -> Formula:
     flattening, deduplication, absorption, and one-variable interval checks."""
     if isinstance(f, (TrueF, FalseF)):
         return f
-    if isinstance(f, AtomF):
-        return simplify_atom(f.atom)
+    if isinstance(f, Atom):
+        return simplify_atom(f)
     if isinstance(f, NotF):
         inner = simplify(f.arg)
         return neg(inner)
@@ -735,12 +711,9 @@ def simplify(f: Formula) -> Formula:
             if neg(a) in seen:
                 return FALSE if is_and else TRUE
         if is_and:
-            unwrapped = [a.atom if isinstance(a, AtomF) else a for a in args]
-            folded = _fold_geq_and(unwrapped)
-            if folded is None:
+            args = _fold_geq_and(args)
+            if args is None:
                 return FALSE
-            if folded is not unwrapped:
-                args = [AtomF(a) if isinstance(a, Atom) else a for a in folded]
         if not args:
             return TRUE if is_and else FALSE
         if len(args) == 1:
@@ -750,7 +723,7 @@ def simplify(f: Formula) -> Formula:
 
 
 def simplify_conjunction(atoms: Iterable[Atom]) -> tuple[Atom, ...] | None:
-    """The atoms of simplify(conjunction_formula(atoms)), in the order
+    """The atoms of simplify(conj(atoms)), in the order
     simplify gives them (first appearance), worked out on the atoms: () for
     TRUE, None for FALSE.  This is the canonical form of a guard."""
     kept: dict[Atom, None] = {}
@@ -758,14 +731,14 @@ def simplify_conjunction(atoms: Iterable[Atom]) -> tuple[Atom, ...] | None:
         result = simplify_atom(a)
         if isinstance(result, FalseF):
             return None
-        if isinstance(result, AtomF):
-            kept[result.atom] = None
+        if isinstance(result, Atom):
+            kept[result] = None
     folded = _fold_geq_and(list(kept))
     return None if folded is None else tuple(folded)
 
 
 def _fold_geq_and(args: list) -> list | None:
-    """Merge the geq0 atoms among args (atoms and formulas) with identical
+    """Merge the geq0 atoms among the formulas args with identical
     coefficient vectors into the strongest, at the place of the first; None
     if two opposite bounds leave no integer."""
     lows: dict[tuple, int] = {}
@@ -799,11 +772,11 @@ def nnf(f: Formula, negate: bool = False) -> Formula:
         return FALSE if negate else TRUE
     if isinstance(f, FalseF):
         return TRUE if negate else FALSE
-    if isinstance(f, AtomF):
+    if isinstance(f, Atom):
         if not negate:
             return f
-        if f.atom.kind == GEQ0:
-            return AtomF(geq0(f.atom.term.scale(-1) - 1))
+        if f.kind == GEQ0:
+            return geq0(f.term.scale(-1) - 1)
         return NotF(f)
     if isinstance(f, NotF):
         return nnf(f.arg, not negate)
@@ -825,14 +798,14 @@ def nnf(f: Formula, negate: bool = False) -> Formula:
 # ---------------------------------------------------------------------------
 # Cooper quantifier elimination
 
-def _literals_with(f: Formula, var: str) -> Iterator[tuple[Formula, Atom, bool]]:
-    """Yield (literal node, atom, negated) for literals mentioning var (NNF input)."""
-    if isinstance(f, AtomF):
-        if f.atom.term.coeff(var) != 0:
-            yield (f, f.atom, False)
-    elif isinstance(f, NotF) and isinstance(f.arg, AtomF):
-        if f.arg.atom.term.coeff(var) != 0:
-            yield (f, f.arg.atom, True)
+def _literals_with(f: Formula, var: str) -> Iterator[tuple[Atom, bool]]:
+    """Yield (atom, negated) for literals mentioning var (NNF input)."""
+    if isinstance(f, Atom):
+        if f.term.coeff(var) != 0:
+            yield (f, False)
+    elif isinstance(f, NotF) and isinstance(f.arg, Atom):
+        if f.arg.term.coeff(var) != 0:
+            yield (f.arg, True)
     elif isinstance(f, (AndF, OrF)):
         for a in f.args:
             yield from _literals_with(a, var)
@@ -842,10 +815,10 @@ def _map_literals(f: Formula, fn) -> Formula:
     """Rebuild an NNF formula, transforming each literal through fn."""
     if isinstance(f, (TrueF, FalseF)):
         return f
-    if isinstance(f, AtomF):
-        return fn(f.atom, False)
-    if isinstance(f, NotF) and isinstance(f.arg, AtomF):
-        return fn(f.arg.atom, True)
+    if isinstance(f, Atom):
+        return fn(f, False)
+    if isinstance(f, NotF) and isinstance(f.arg, Atom):
+        return fn(f.arg, True)
     if isinstance(f, AndF):
         return conj(_map_literals(a, fn) for a in f.args)
     if isinstance(f, OrF):
@@ -861,14 +834,13 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
 
     # 1. normalize coefficients of var to +-l, then set w = l*var
     l = 1
-    for _, atom, _ in _literals_with(body, var):
+    for atom, _ in _literals_with(body, var):
         l = math.lcm(l, atom.term.coeff(var))
 
     def rescale(atom: Atom, negated: bool) -> Formula:
         c = atom.term.coeff(var)
         if c == 0:
-            lit: Formula = AtomF(atom)
-            return neg(lit) if negated else lit
+            return neg(atom) if negated else atom
         m = l // abs(c)
         term = atom.term.scale(m)
         # replace m*c*var (= +-l * var) by a unit-coefficient occurrence
@@ -879,16 +851,15 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
             new = Atom(DIV, term, atom.modulus * m)
         else:
             new = Atom(atom.kind, term)
-        lit = AtomF(new)
-        return neg(lit) if negated else lit
+        return neg(new) if negated else new
 
     body = _map_literals(body, rescale)
     if l > 1:
-        body = conj([body, AtomF(divides(l, LinearTerm.variable(var)))])
+        body = conj([body, divides(l, LinearTerm.variable(var))])
 
     # 2. delta = lcm of divisibility moduli on var
     delta = 1
-    for _, atom, _ in _literals_with(body, var):
+    for atom, _ in _literals_with(body, var):
         if atom.kind == DIV:
             delta = math.lcm(delta, atom.modulus)
 
@@ -897,7 +868,7 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
     a_set: list[LinearTerm] = []
     seen_b: set = set()
     seen_a: set = set()
-    for _, atom, negated in _literals_with(body, var):
+    for atom, negated in _literals_with(body, var):
         c = atom.term.coeff(var)
         rest = atom.term.drop(var)
         if atom.kind == DIV:
@@ -931,12 +902,8 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
 
     def limit_literal(atom: Atom, negated: bool) -> Formula:
         c = atom.term.coeff(var)
-        if c == 0:
-            lit: Formula = AtomF(atom)
-            return neg(lit) if negated else lit
-        if atom.kind == DIV:
-            lit = AtomF(atom)
-            return neg(lit) if negated else lit
+        if c == 0 or atom.kind == DIV:
+            return neg(atom) if negated else atom
         if atom.kind == EQ0:
             return TRUE if negated else FALSE
         # geq0: +-var + rest >= 0
@@ -959,7 +926,7 @@ def _eliminate_exists(var: str, body: Formula) -> Formula:
 
 def qe(f: Formula) -> Formula:
     """Total quantifier elimination; output is equivalent and quantifier-free."""
-    if isinstance(f, (TrueF, FalseF, AtomF)):
+    if isinstance(f, (TrueF, FalseF, Atom)):
         return simplify(f)
     if isinstance(f, NotF):
         return simplify(neg(qe(f.arg)))
@@ -1250,19 +1217,18 @@ def evaluate_on_grid(f: Formula, axes: Mapping[str, np.ndarray]) -> np.ndarray:
             return np.ones(shape, dtype=bool)
         if isinstance(g, FalseF):
             return np.zeros(shape, dtype=bool)
-        if isinstance(g, AtomF):
-            atom = g.atom
-            total = np.full((1,) * len(names), atom.term.const, dtype=object)
-            for n, c in atom.term.coeffs:
+        if isinstance(g, Atom):
+            total = np.full((1,) * len(names), g.term.const, dtype=object)
+            for n, c in g.term.coeffs:
                 if n not in grids:
                     raise MissingAssignmentError(n)
                 total = total + c * grids[n].astype(object)
-            if atom.kind == GEQ0:
+            if g.kind == GEQ0:
                 out = total >= 0
-            elif atom.kind == EQ0:
+            elif g.kind == EQ0:
                 out = total == 0
             else:
-                out = (total % atom.modulus) == 0
+                out = (total % g.modulus) == 0
             return np.broadcast_to(np.asarray(out, dtype=bool), shape).copy()
         if isinstance(g, NotF):
             return ~rec(g.arg)

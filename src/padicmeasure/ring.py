@@ -59,11 +59,9 @@ from .measure import (
 )
 from .presburger import (
     Atom,
-    AtomF,
     Formula,
     TRUE,
     conj,
-    conjunction_formula,
     divides,
     eq0,
     format_formula,
@@ -379,7 +377,7 @@ def with_unit_ball(pres: Presentation) -> tuple[Presentation, CertificateStep]:
     for coeff, cell in pres.generators:
         taken = set(pres.param_vars) | set(cell.lambda_vars)
         new = _fresh_names(taken, ("l",))["l"]
-        lam = simplify(conj([cell.lambda_formula, AtomF(geq0(LinearTerm.variable(new)))]))
+        lam = simplify(conj([cell.lambda_formula, geq0(LinearTerm.variable(new))]))
         for xi in range(1, p):
             gens.append(
                 (coeff, BoxCell(
@@ -543,7 +541,7 @@ def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
             else:
                 atoms.append(geq0(v.scale(den2) - end_term))
     atoms.extend(state.guard)
-    lam = simplify(conjunction_formula(atoms))
+    lam = simplify(conj(atoms))
     n = len(levels)
     # recover the weight field: cell_to_weighted_sum subtracts each lambda and
     # each level (all levels are 1 here), so add them back
@@ -1006,9 +1004,9 @@ def delta_presentation(ctx: PAdicContext, n: int, param_vars: Sequence[str] = ()
                        param_domain: Formula = TRUE) -> Presentation:
     """P(Delta_n): equal valuations along the diagonal, measure 1/(p^n - 1)."""
     names = _canonical_lambda_names(n)
-    atoms = [AtomF(geq0(LinearTerm.variable(names[0])))]
+    atoms = [geq0(LinearTerm.variable(names[0]))]
     for a, b in zip(names, names[1:]):
-        atoms.append(AtomF(eq0(LinearTerm.variable(a) - LinearTerm.variable(b))))
+        atoms.append(eq0(LinearTerm.variable(a) - LinearTerm.variable(b)))
     cell = BoxCell(tuple(Coordinate(Fraction(0), 1, 1) for _ in range(n)),
                    names, simplify(conj(atoms)), None)
     return presentation(ctx, [(1, cell)], param_vars, param_domain)
@@ -1018,7 +1016,7 @@ def ball_presentation(ctx: PAdicContext, c: int, center: Fraction = Fraction(0),
                       param_vars: Sequence[str] = (),
                       param_domain: Formula = TRUE) -> Presentation:
     """The ball center + p^c Zp, measure p^(-c), as p-1 angular classes."""
-    lam = AtomF(geq0(LinearTerm.variable("l1") - c))
+    lam = geq0(LinearTerm.variable("l1") - c)
     gens = []
     for xi in range(1, ctx.p):
         cell = BoxCell((Coordinate(center, 1, xi),), ("l1",), lam, None)

@@ -34,7 +34,6 @@ from .presburger import (
     GEQ0,
     AndF,
     Atom,
-    AtomF,
     FalseF,
     Formula,
     NotF,
@@ -42,7 +41,7 @@ from .presburger import (
     OrF,
     TrueF,
     atoms_satisfiable,
-    conjunction_formula,
+    conj,
     divides,
     free_variables,
     geq0,
@@ -101,7 +100,7 @@ class GuardedCell(Value):
         object.__setattr__(self, "param_guard", param_guard)
 
     def formula(self) -> Formula:
-        return conjunction_formula(self.constraints + self.param_guard)
+        return conj(self.constraints + self.param_guard)
 
     def contains(self, lam: Mapping[str, int], params: Mapping[str, int]) -> bool:
         env = {**params, **lam}
@@ -115,10 +114,10 @@ def _dnf(f: Formula) -> list[list[Atom]]:
         return [[]]
     if isinstance(f, FalseF):
         return []
-    if isinstance(f, AtomF):
-        return [[f.atom]]
+    if isinstance(f, Atom):
+        return [[f]]
     if isinstance(f, NotF):
-        return _complement_pieces(f.arg.atom)  # nnf negates atoms only
+        return _complement_pieces(f.arg)  # nnf negates atoms only
     if isinstance(f, OrF):
         return [d for a in f.args for d in _dnf(a)]
     if isinstance(f, AndF):
@@ -513,7 +512,7 @@ def _simplify_guard_atom(atom: Atom) -> Atom | None:
         return None
     if isinstance(result, FalseF):
         raise AssertionError("unsatisfiable guard atom survived pruning")
-    return result.atom
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from padicmeasure.presburger import (
     DIV,
     EQ0,
     AndF,
-    AtomF,
+    Atom,
     ExistsF,
     Formula,
     ForallF,
@@ -56,29 +56,26 @@ def random_atom(rng: random.Random, scope, coeff_bound: int = 5) -> Formula:
         op = rng.choice(("<", "<=", "=", ">=", ">", "!="))
         rhs = LinearTerm.constant(rng.randint(-coeff_bound, coeff_bound))
         if op == "<":
-            return AtomF(geq0(rhs - t - 1))
+            return geq0(rhs - t - 1)
         if op == "<=":
-            return AtomF(geq0(rhs - t))
+            return geq0(rhs - t)
         if op == ">":
-            return AtomF(geq0(t - rhs - 1))
+            return geq0(t - rhs - 1)
         if op == ">=":
-            return AtomF(geq0(t - rhs))
+            return geq0(t - rhs)
         if op == "=":
-            return AtomF(eq0(t - rhs))
-        return neg(AtomF(eq0(t - rhs)))
-    return AtomF(divides(rng.randint(2, 5), t))
+            return eq0(t - rhs)
+        return neg(eq0(t - rhs))
+    return divides(rng.randint(2, 5), t)
 
 
 def _atom_mentioning(rng: random.Random, scope, var: str, coeff_bound: int) -> Formula:
     atom = random_atom(rng, scope, coeff_bound)
     inner = atom.arg if hasattr(atom, "arg") else atom
-    if inner.atom.term.coeff(var) != 0:
+    if inner.term.coeff(var) != 0:
         return atom
     extra = LinearTerm.make({var: rng.choice((-2, -1, 1, 2))})
-    rebuilt = inner.atom.term + extra
-    from padicmeasure.presburger import Atom, AtomF as AF
-
-    return AF(Atom(inner.atom.kind, rebuilt, inner.atom.modulus))
+    return Atom(inner.kind, inner.term + extra, inner.modulus)
 
 
 def random_formula(
@@ -137,9 +134,9 @@ def random_finite_family(rng: random.Random):
         var = LinearTerm.variable(name)
         lower = rng.randint(-3, 3)
         if i > 0 and rng.random() < 0.4:
-            atoms.append(AtomF(geq0(var - LinearTerm.variable(lams[i - 1]))))
+            atoms.append(geq0(var - LinearTerm.variable(lams[i - 1])))
         else:
-            atoms.append(AtomF(geq0(var - lower)))
+            atoms.append(geq0(var - lower))
         roll = rng.random()
         if roll < 0.6:
             upper = LinearTerm.variable(rng.choice(params)) + rng.randint(0, 4)
@@ -147,10 +144,10 @@ def random_finite_family(rng: random.Random):
             upper = LinearTerm.variable(lams[i - 1]) + rng.randint(0, 4)
         else:
             upper = LinearTerm.constant(lower + rng.randint(0, 8))
-        atoms.append(AtomF(geq0(upper - var)))
+        atoms.append(geq0(upper - var))
         if rng.random() < 0.35:
             m = rng.randint(2, 4)
-            atoms.append(AtomF(divides(m, var - rng.randint(0, m - 1))))
+            atoms.append(divides(m, var - rng.randint(0, m - 1)))
     domain = parse(" /\\ ".join(f"{v} >= 0" for v in params))
     return conj(atoms), lams, params, domain
 
@@ -171,7 +168,7 @@ def grid_fiber_counts(formula: Formula, lams, params, high: int):
     # imported here: perfbench loads this module and would otherwise pay for numpy
     import numpy as np
 
-    atoms = [f.atom for f in (formula.args if isinstance(formula, AndF) else (formula,))]
+    atoms = formula.args if isinstance(formula, AndF) else (formula,)
     top = max(high, 7) + 4 * len(lams)
     axes = [np.arange(high + 1, dtype=np.int64)] * (len(params) - 1)
     axes += [np.arange(-3, top + 1, dtype=np.int64)] * len(lams)
@@ -223,15 +220,15 @@ def random_convergent_presentation(
         for i, name in enumerate(lams):
             var = LinearTerm.variable(name)
             lower = rng.randint(-2, 2)
-            atoms.append(AtomF(geq0(var - lower)))
+            atoms.append(geq0(var - lower))
             roll = rng.random()
             if roll < 0.4 and params:
-                atoms.append(AtomF(geq0(LinearTerm.variable("s") + rng.randint(0, 3) - var)))
+                atoms.append(geq0(LinearTerm.variable("s") + rng.randint(0, 3) - var))
             elif roll < 0.65:
-                atoms.append(AtomF(geq0(LinearTerm.constant(lower + rng.randint(0, 5)) - var)))
+                atoms.append(geq0(LinearTerm.constant(lower + rng.randint(0, 5)) - var))
             if rng.random() < 0.3:
                 m = rng.randint(2, 3)
-                atoms.append(AtomF(divides(m, var - rng.randint(0, m - 1))))
+                atoms.append(divides(m, var - rng.randint(0, m - 1)))
             b[name] = rng.randint(-2, 0)  # keeps every tail direction contracting
         c = LinearTerm.constant(rng.randint(-2, 2))
         if params and rng.random() < 0.4:

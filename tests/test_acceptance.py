@@ -80,14 +80,14 @@ def _random_level_lambda(rng):
     for i, name in enumerate(lams):
         var = LinearTerm.variable(name)
         lower = rng.randint(-2, 2)
-        from padicmeasure.presburger import AtomF, divides, geq0
+        from padicmeasure.presburger import divides, geq0
 
-        atoms.append(AtomF(geq0(var - lower)))
+        atoms.append(geq0(var - lower))
         if rng.random() < 0.5:
-            atoms.append(AtomF(geq0(LinearTerm.constant(lower + rng.randint(0, 4)) - var)))
+            atoms.append(geq0(LinearTerm.constant(lower + rng.randint(0, 4)) - var))
         if rng.random() < 0.3:
             m = rng.randint(2, 3)
-            atoms.append(AtomF(divides(m, var - rng.randint(0, m - 1))))
+            atoms.append(divides(m, var - rng.randint(0, m - 1)))
     return lams, conj(atoms)
 
 

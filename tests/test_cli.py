@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import padicmeasure
-from padicmeasure.cli import run
+from padicmeasure.cli import _USAGE_ERRORS, run
 from padicmeasure.measure import PAdicContext, Weight
 from padicmeasure.presburger import LinearTerm, parse
 from padicmeasure.ring import (
@@ -69,6 +69,18 @@ def test_prime_validation_exit_two(tmp_path):
     path = write(tmp_path, "d3.json", delta_presentation(CTX2, 3))
     code, _, err = call(["measure", path, "-p", "4", "--at"])
     assert code == 2 and "prime" in err
+
+
+def test_prime_past_the_bound_exit_two(tmp_path):
+    path = write(tmp_path, "d1.json", delta_presentation(CTX2, 1))
+    assert call(["measure", path, "-p", str(2**64 + 13)]) == (
+        2, "", "error: p must be a prime below 2^64, got 18446744073709551629\n")
+
+
+def test_usage_errors_name_no_subclass_of_another_entry():
+    # an entry under another one is caught by that one already
+    assert not [(a, b) for a in _USAGE_ERRORS for b in _USAGE_ERRORS
+                if a is not b and issubclass(a, b)]
 
 
 def test_measure_symbolic_output(family):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,10 +33,8 @@ from padicmeasure.oracle import WindowTooSmallError, truncated_measure
 from padicmeasure.presburger import (
     TRUE,
     Atom,
-    AtomF,
     LinearTerm,
     conj,
-    conjunction_formula,
     disj,
     divides,
     evaluate_qf,
@@ -68,11 +67,19 @@ CTX3 = PAdicContext(3)
 
 
 def test_prime_validation():
-    with pytest.raises(ValueError):
-        PAdicContext(4)
-    with pytest.raises(ValueError):
-        PAdicContext(1)
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    for n in (0, 1, -3, 4, 561, 3215031751):
+        with pytest.raises(ValueError, match="must be prime"):
+            PAdicContext(n)
     PAdicContext(97)
+    # trial division up to sqrt(p) would take about a minute on these
+    start = time.perf_counter()
+    for p in (10**18 + 3, 10**18 + 9):
+        assert PAdicContext(p).p == p
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match=r"below 2\^64"):
+        PAdicContext(2**64 + 13)
 
 
 @pytest.mark.parametrize(
@@ -389,12 +396,12 @@ def test_canonicalization_idempotent():
 def test_monotonicity_in_weights():
     # coefficientwise-smaller weights give pointwise-smaller sums on
     # nonnegative fibers
-    from padicmeasure.presburger import AtomF, conj, geq0
+    from padicmeasure.presburger import conj, geq0
 
     rng = random.Random(5)
     for _ in range(15):
         f, lams, params, domain = random_finite_family(rng)
-        f = conj([f] + [AtomF(geq0(LinearTerm.variable(v))) for v in lams])
+        f = conj([f] + [geq0(LinearTerm.variable(v)) for v in lams])
         b_small = {v: rng.randint(-3, -1) for v in lams}
         b_big = {v: b_small[v] + rng.randint(0, 2) for v in lams}
         c_small = rng.randint(-3, 0)
@@ -446,7 +453,7 @@ def _pooled_raw_terms(rng):
     pool = [
         disj([random_atom(rng, scope), random_atom(rng, scope)]),
         neg(conj([random_atom(rng, scope), random_atom(rng, scope)])),
-        AtomF(divides(rng.randint(2, 4), random_term(rng, scope))),
+        divides(rng.randint(2, 4), random_term(rng, scope)),
         random_formula(rng, max_quantifiers=0, max_free=2),
     ]
     pool = rng.sample(pool, 3)
@@ -483,7 +490,7 @@ def _refined_term_by_term(p, param_vars, raw):
         guard = simplify_conjunction(atoms)
         terms.extend(ExpTerm(guard, poly, exponent)
                      for exponent, poly in merged.items() if not poly.is_zero())
-    terms.sort(key=lambda t: (str(conjunction_formula(t.guard)),
+    terms.sort(key=lambda t: (str(conj(t.guard)),
                               measure._exponent_key(t.exponent)))
     return ExpPolynomial(p, tuple(param_vars), tuple(terms))
 
@@ -527,7 +534,7 @@ def test_make_exp_polynomial_regions_partition_and_keep_values():
         guards = list(dict.fromkeys(t.guard for t in e.terms))
         assert all(isinstance(a, Atom) for g in guards for a in g), guards
         assert all(simplify_conjunction(g) == g for g in guards), guards
-        formulas = [conjunction_formula(g) for g in guards]
+        formulas = [conj(g) for g in guards]
         for values in itertools.product(range(-3, 13), repeat=len(names)):
             point = dict(zip(names, values))
             assert sum(evaluate_qf(g, point) for g in formulas) <= 1, (guards, point)
@@ -554,7 +561,7 @@ def test_formula_guards_give_what_their_atom_tuples_give():
     # library callers may pass formula guards, disjunctions and negations
     # included; they are cut once at entry into the pieces that atom-tuple
     # guards name directly
-    negated = neg(AtomF(divides(3, LinearTerm.make({"a": 1}, 1))))
+    negated = neg(divides(3, LinearTerm.make({"a": 1}, 1)))
     either = disj([parse("a >= 4"), parse("b <= -1 /\\ 2 | a")])
     extra = [[(negated, Polynomial.constant(2), LinearTerm.make({"a": -1})),
               (either, Polynomial.variable("b"), LinearTerm.constant(0)),
@@ -568,7 +575,7 @@ def test_atom_tuple_guards_evaluate_as_their_printed_formulas():
     # exp_poly_eval and PiecewisePolynomial.evaluate test the atoms; the
     # printed guard, read back, must hold at exactly the same points
     def printed(guard):
-        return parse(format_formula(conjunction_formula(guard)))
+        return parse(format_formula(conj(guard)))
 
     for raw in RAW_TERM_LISTS[:8]:
         e = make_exp_polynomial(2, ("a", "b"), raw)

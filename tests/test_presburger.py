@@ -6,7 +6,7 @@ import pytest
 
 from padicmeasure import presburger
 from padicmeasure.presburger import (
-    AtomF,
+    Atom,
     ExpansionBudgetError,
     FormulaSyntaxError,
     LinearTerm,
@@ -144,10 +144,10 @@ def test_simplify_folds_and_dedups():
     rng = random.Random(20261019)
     for _ in range(300):
         f = random_atom(rng, FREE_NAMES, rng.choice((4, 9)))
-        atom = f.arg.atom if isinstance(f, NotF) else f.atom
+        atom = f.arg if isinstance(f, NotF) else f
         out = simplify_atom(atom)
-        if isinstance(out, AtomF):
-            assert simplify_atom(out.atom) == out
+        if isinstance(out, Atom):
+            assert simplify_atom(out) is out
         names = atom.term.variables()
         for values in itertools.product(range(-6, 7), repeat=len(names)):
             point = dict(zip(names, values))
@@ -164,8 +164,8 @@ def test_satisfiability_table_holds_only_atom_tuples(monkeypatch):
     monkeypatch.setattr(presburger, "_SAT_RESULTS", {})
     f = parse("x > 5 /\\ 2 | x")
     assert is_satisfiable(f) and is_satisfiable(f)
-    assert atoms_satisfiable([a.atom for a in f.args])
-    assert list(presburger._SAT_RESULTS) == [tuple(a.atom for a in f.args)]
+    assert atoms_satisfiable(f.args)
+    assert list(presburger._SAT_RESULTS) == [f.args]
 
 
 def _random_conjunction(rng):
@@ -176,7 +176,7 @@ def _random_conjunction(rng):
     atoms = []
     for _ in range(rng.randint(1, 6)):
         f = random_atom(rng, names)
-        atoms += rng.choice(_complement_pieces(f.arg.atom)) if isinstance(f, NotF) else [f.atom]
+        atoms += rng.choice(_complement_pieces(f.arg)) if isinstance(f, NotF) else [f]
     boxed = rng.random() < 0.5
     if boxed:
         for v in names:
@@ -189,7 +189,7 @@ def test_atoms_satisfiable_matches_cooper_and_enumeration():
     # variable with a unit coefficient, so no real shadow decides it
     pugh = parse("27 <= 11*x + 13*y /\\ 11*x + 13*y <= 45 /\\ "
                  "-10 <= 7*x - 9*y /\\ 7*x - 9*y <= 4")
-    assert not atoms_satisfiable([a.atom for a in pugh.args])
+    assert not atoms_satisfiable(pugh.args)
     assert not is_satisfiable(pugh)
     rng = random.Random(20261018)
     answers = []
@@ -197,7 +197,7 @@ def test_atoms_satisfiable_matches_cooper_and_enumeration():
         names, atoms, boxed = _random_conjunction(rng)
         got = atoms_satisfiable(atoms)
         try:
-            assert got == is_satisfiable(conj([AtomF(a) for a in atoms])), atoms
+            assert got == is_satisfiable(conj(atoms)), atoms
         except ExpansionBudgetError:
             pass  # Cooper over the whole conjunction may exceed its budget
         if boxed:
@@ -288,4 +288,4 @@ def test_atom_invariants():
     with pytest.raises(ValueError):
         divides(1, LinearTerm.variable("x"))
     atom = divides(4, LinearTerm.make({"x": 6}, 2))
-    assert simplify(AtomF(atom)) == AtomF(divides(2, LinearTerm.make({"x": 1}, 1)))
+    assert simplify(atom) == divides(2, LinearTerm.make({"x": 1}, 1))

@@ -10,7 +10,6 @@ from padicmeasure.presburger import (
     TRUE,
     LinearTerm,
     conj,
-    conjunction_formula,
     evaluate_on_grid,
     evaluate_qf,
     parse,
@@ -109,7 +108,7 @@ def test_count_guards_disjoint_and_cover():
         cells_of("0 <= l /\\ l < s /\\ 3 | l - 1", ["l"], ["s"]), parse("s >= 0")
     )
     for s in range(0, 41):
-        hits = [g for g, _ in pp.pieces if evaluate_qf(conjunction_formula(g), {"s": s})]
+        hits = [g for g, _ in pp.pieces if evaluate_qf(conj(g), {"s": s})]
         assert len(hits) == 1
 
 
@@ -284,7 +283,7 @@ def test_count_pieces_partition_the_domain_and_match_enumeration(index):
     for values in itertools.product(range(-2, 13), repeat=len(params)):
         point = dict(zip(params, values))
         hits = [poly for guard, poly in pp.pieces
-                if evaluate_qf(conjunction_formula(guard), point)]
+                if evaluate_qf(conj(guard), point)]
         assert len(hits) == evaluate_qf(domain, point), (f, point)
         if hits:
             assert hits[0].evaluate(point) == want[values], (f, point)

@@ -206,20 +206,34 @@ def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-def test_package_builds_guard_formulas_in_one_helper():
-    # guards travel as atom tuples; conjunction_formula is the one place that
-    # conjoins atoms into a formula, for printing and for callers
-    found = {
-        f"{path.name} {top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else '<module>'}"
+def test_atoms_are_formula_nodes_with_no_wrapper():
+    # an Atom is itself the formula leaf: no node wraps one, so nothing in
+    # the package reads an attribute named atom, and the formula node
+    # classes are exactly these eight
+    reads = [
+        f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for top in ast.parse(path.read_text(encoding="utf-8")).body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "conj"
-        for inner in ast.walk(node)
-        if isinstance(inner, (ast.ListComp, ast.GeneratorExp))
-        and isinstance(inner.elt, ast.Call) and getattr(inner.elt.func, "id", None) == "AtomF"
-    }
-    assert found == {"presburger.py conjunction_formula"}, found
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "atom"
+    ]
+    assert not reads, reads
+    classes = [
+        (path.name, node.name, {getattr(base, "id", None) for base in node.bases})
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    nodes = {("presburger.py", "Formula")}
+    while True:
+        names = {name for _, name in nodes}
+        grown = nodes | {(path, name) for path, name, bases in classes if bases & names}
+        if grown == nodes:
+            break
+        nodes = grown
+    assert nodes - {("presburger.py", "Formula")} == {
+        ("presburger.py", name)
+        for name in ("TrueF", "FalseF", "Atom", "NotF", "AndF", "OrF", "ExistsF", "ForallF")
+    }, nodes
 
 
 def _mentions_guard(node: ast.AST, tainted: set[str]) -> bool:

@@ -27,13 +27,15 @@ from padicmeasure.presburger import (
     TRUE,
     AndF,
     Atom,
-    AtomF,
     ExistsF,
     ForallF,
     Formula,
     NotF,
     OrF,
     divides,
+    format_formula,
+    geq0,
+    parse,
 )
 from padicmeasure.ring import (
     BasicPresentation,
@@ -48,8 +50,7 @@ from padicmeasure.semilinear import GuardedCell, Level, PiecewisePolynomial, Sum
 TERM = LinearTerm.make({"s": 1, "l1": -2}, 3)
 POLY = Polynomial.make({(("s", 1),): Fraction(1, 2), (): 1})
 ATOM = Atom(GEQ0, TERM)
-ATOM_F = AtomF(ATOM)
-ARGS = (ATOM_F, AtomF(divides(3, TERM)))
+ARGS = (ATOM, divides(3, TERM))
 CTX = PAdicContext(2)
 WEIGHT = Weight.make(2, LinearTerm.make({"s": 1}), {"l1": -1})
 COORD = Coordinate(Fraction(1, 3), 2, 1)
@@ -69,12 +70,11 @@ VALUES = [
     (ATOM, ("kind", "term", "modulus")),
     (TRUE, ()),
     (FALSE, ()),
-    (ATOM_F, ("atom",)),
-    (NotF(ATOM_F), ("arg",)),
+    (NotF(ATOM), ("arg",)),
     (AndF(ARGS), ("args",)),
     (OrF(ARGS), ("args",)),
-    (ExistsF("l1", ATOM_F), ("var", "body")),
-    (ForallF("l1", ATOM_F), ("var", "body")),
+    (ExistsF("l1", ATOM), ("var", "body")),
+    (ForallF("l1", ATOM), ("var", "body")),
     (CTX, ("p",)),
     (WEIGHT, ("r", "c", "b")),
     (COORD, ("center", "level", "ac")),
@@ -140,7 +140,7 @@ def test_values_copy_and_pickle(value, names):
 
 def test_equal_fields_of_other_classes_differ():
     assert AndF(ARGS) != OrF(ARGS)
-    assert ExistsF("l1", ATOM_F) != ForallF("l1", ATOM_F)
+    assert ExistsF("l1", ATOM) != ForallF("l1", ATOM)
     assert TRUE != FALSE and TRUE == type(TRUE)()
     assert ATOM != (ATOM.kind, ATOM.term, ATOM.modulus)
     assert Atom(GEQ0, TERM) == ATOM and Atom(GEQ0, TERM, 0) == ATOM
@@ -168,14 +168,25 @@ def test_value_reprs_are_unchanged():
         "NotEqual(witness=(('s', 3),), value1=Fraction(1, 2), value2=Fraction(0, 1))")
     assert repr(Bracket(Fraction(1, 4), Fraction(1, 2), 8, 12)) == (
         "Bracket(lower=Fraction(1, 4), upper=Fraction(1, 2), depth=8, valuation_window=12)")
-    # formula nodes print as formulas with str and keep object's repr
-    for node in (TRUE, ATOM_F, AndF(ARGS)):
+    assert repr(ATOM) == (
+        "Atom(kind='geq0', term=LinearTerm(coeffs=(('l1', -2), ('s', 1)), const=3), modulus=0)")
+    # formula nodes other than atoms print as formulas with str and keep object's repr
+    for node in (TRUE, NotF(ATOM), AndF(ARGS)):
         assert repr(node).startswith(f"<padicmeasure.presburger.{type(node).__name__} object at ")
+
+
+def test_atom_is_the_formula_leaf():
+    # an atom is one object in formulas, guards and satisfiability rows alike
+    assert isinstance(ATOM, Formula)
+    assert str(ATOM) == format_formula(ATOM) == "-2*l1 + s + 3 >= 0"
+    assert parse("2*x + 1 >= 0") == geq0(LinearTerm.make({"x": 2}, 1))
+    assert NotF(ATOM) != ATOM and ATOM != NotF(ATOM)
+    assert AndF((ATOM,)) != ATOM
 
 
 @pytest.mark.parametrize("value, names", VALUES, ids=IDS)
 def test_value_repr_lists_the_fields(value, names):
-    if isinstance(value, Formula):
+    if isinstance(value, Formula) and not isinstance(value, Atom):
         return
     fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
     assert repr(value) == f"{type(value).__name__}({fields})"
