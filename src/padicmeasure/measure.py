@@ -214,13 +214,23 @@ class DegenerateCoordinate(Value):
         object.__setattr__(self, "point", point)
 
 
-class BoxCell(Value):
+class _HashSlot(Value):
+    """Base of a value class that stores its hash in _hash on first use.
+    The slot sits here so that the subclass's own __slots__ still name
+    exactly its fields, which Value's equality, repr, copy and pickle read."""
+
+    __slots__ = ("_hash",)
+
+
+class BoxCell(_HashSlot):
     """Product-like cell: per-coordinate angular conditions plus a joint
     Presburger condition on the valuation tuple.
 
     lambda_vars names the valuation variables of the non-degenerate
     coordinates, in coordinate order; lambda_formula may also mention
     parameters.  The optional weight adds p^nu to the natural cell volume.
+    The hash, which covers the whole formula tree, is computed once: cells
+    are dict keys on every measure, replay and document path.
     """
 
     __slots__ = ("coords", "lambda_vars", "lambda_formula", "weight")
@@ -234,13 +244,20 @@ class BoxCell(Value):
         object.__setattr__(self, "weight", weight)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return ((self.coords, self.lambda_vars, self.lambda_formula, self.weight)
                     == (other.coords, other.lambda_vars, other.lambda_formula, other.weight))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.coords, self.lambda_vars, self.lambda_formula, self.weight))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.coords, self.lambda_vars, self.lambda_formula, self.weight))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def validate(self, ctx: PAdicContext) -> None:
         live = [c for c in self.coords if isinstance(c, Coordinate)]

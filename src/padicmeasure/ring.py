@@ -15,19 +15,23 @@ replayable certificate step.
 measure_function, decide_equal (a - b) and replay (each step's before -
 after, once the steps chain) share one generator-by-generator difference
 path: each distinct cell's closed form is computed once, cells that net to
-zero cancel, the rest are canonicalized once.  A NotEqual witness is any
-domain point where the two values differ.
+zero cancel, the rest are canonicalized once.  Replay keeps one table of
+closed forms for the whole certificate.  A NotEqual witness is any domain
+point where the two values differ.
 
-certificate_from_document parses each distinct cell and parameter domain of
-a document once, so snapshots that repeat a cell share one object; type
-checks, coefficients and Presentation.validate still run on every snapshot.
+Certificates are written, read and replayed once per distinct cell, not
+once per snapshot: certificate_to_document formats each distinct cell once,
+and certificate_from_document parses and checks each distinct cell, lambda
+formula and parameter domain once, so snapshots that repeat a cell share
+one object.  Type checks and coefficients still run on every snapshot.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .algebra import (
     LinearTerm,
@@ -118,6 +122,12 @@ class Presentation(Value):
         object.__setattr__(self, "generators", generators)
 
     def validate(self) -> None:
+        self._validate(set())
+
+    def _validate(self, checked: set[BoxCell]) -> None:
+        """validate, skipping the per-cell checks of each cell in checked,
+        which passed them before over this prime and these parameters; each
+        cell that passes them is added."""
         declared = set(self.param_vars)
         if len(declared) != len(self.param_vars):
             twice = sorted(v for v in declared if self.param_vars.count(v) > 1)
@@ -126,6 +136,8 @@ class Presentation(Value):
         if stray:
             raise InputError(f"param_domain references undeclared parameters {sorted(stray)}")
         for _, cell in self.generators:
+            if cell in checked:
+                continue
             cell.validate(self.ctx)
             stray = set(cell.param_variables()) - declared
             if stray:
@@ -133,6 +145,7 @@ class Presentation(Value):
             shadowed = set(cell.lambda_vars) & declared
             if shadowed:
                 raise InputError(f"lambda variables {sorted(shadowed)} are also parameters")
+            checked.add(cell)
 
 
 def presentation(
@@ -237,15 +250,14 @@ def _generator_terms(cell: BoxCell, base: Presentation) -> tuple[ExpTerm, ...]:
     return sum_closed_form(*converted, base.param_domain, base.ctx, base.param_vars).terms
 
 
-def _signed_measure(base: Presentation,
-                    sides: Sequence[tuple[int, Presentation]]) -> tuple[ExpPolynomial, dict]:
+def _signed_measure(base: Presentation, sides: Sequence[tuple[int, Presentation]],
+                    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]]) -> ExpPolynomial:
     """Measure of the sum of sign * side over base, generator by generator:
     each distinct cell gets its net coefficient, cells that net to zero
-    cancel, and the rest go through one canonicalization.  Also returns each
-    cell's closed-form terms over base, which are computed even for a cell
-    that cancels, so a divergent cell (named by its index within its side)
-    or a non-integral weight raises."""
-    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
+    cancel, and the rest go through one canonicalization.  closed_forms maps
+    cells to their closed-form terms over base; each cell it lacks is added,
+    and is computed even when it cancels, so a divergent cell (named by its
+    index within its side) or a non-integral weight raises."""
     net: dict[BoxCell, Fraction] = {}
     for sign, side in sides:
         for index, (coeff, cell) in enumerate(side.generators):
@@ -260,12 +272,12 @@ def _signed_measure(base: Presentation,
         for cell, coeff in net.items() if coeff != 0
         for t in closed_forms[cell]
     ]
-    return make_exp_polynomial(base.ctx.p, base.param_vars, raw), closed_forms
+    return make_exp_polynomial(base.ctx.p, base.param_vars, raw)
 
 
 def measure_function(pres: Presentation) -> MeasureFunction:
     """Exact measure of each fiber, as a guarded exponential polynomial."""
-    expp, _ = _signed_measure(pres, [(1, pres)])
+    expp = _signed_measure(pres, [(1, pres)], {})
     return MeasureFunction(expp, pres.param_domain, pres.param_vars, pres.ctx)
 
 
@@ -306,7 +318,8 @@ def decide_equal(a: Presentation, b: Presentation) -> Union[Equal, NotEqual]:
     otherwise a witness, any domain point where they differ, with both exact
     values there.  A cell met by an earlier call reuses its closed form."""
     _same_base(a, b)
-    diff, closed_forms = _signed_measure(a, [(1, a), (-1, b)])
+    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
+    diff = _signed_measure(a, [(1, a), (-1, b)], closed_forms)
     witness = exp_poly_is_zero(diff, a.param_domain, a.ctx)
     if witness is None:
         return Equal()
@@ -343,9 +356,13 @@ def find_invalid_step(cert: Certificate) -> int | None:
     A step replays when its rule is allowed, its before is the previous
     step's after, both sides share one base, and before - after has measure
     zero, taken generator by generator as in decide_equal; a divergent cell
-    or a non-integral weight rejects its step even when it cancels.  Steps
-    that share a cell share its closed form, from sum_closed_form's table.
+    or a non-integral weight rejects the first step that holds it, even when
+    it cancels there.  Every step that replays this far has the base of step
+    0 (the steps chain, and each step's sides share a base), so the whole
+    certificate keeps one table of closed forms: each distinct cell's is
+    computed once, and a cell met again costs one lookup.
     """
+    closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
     for i, step in enumerate(cert.steps):
         if step.rule not in ALLOWED_RULES:
             return i
@@ -354,7 +371,7 @@ def find_invalid_step(cert: Certificate) -> int | None:
         base = step.before
         try:
             _same_base(base, step.after)
-            diff, _ = _signed_measure(base, [(1, base), (-1, step.after)])
+            diff = _signed_measure(base, [(1, base), (-1, step.after)], closed_forms)
         except (ContextMismatchError, DivergesError, InputError):
             return i
         if exp_poly_is_zero(diff, base.param_domain, base.ctx) is not None:
@@ -812,34 +829,54 @@ def _canonical_lambda_names(n: int) -> tuple[str, ...]:
 def to_document(pres: Presentation) -> dict:
     """Serialize with canonical per-cell lambda names l1..ln (coordinate order);
     InputError when a parameter has one of those names."""
+    return _to_document(pres, {})
+
+
+def _written_cell(cell: BoxCell) -> tuple:
+    """The document fields of a cell: its canonical lambda names, its
+    coordinates, its lambda_formula text and its weight, as (r, c text, b
+    tuple) or None."""
+    names = _canonical_lambda_names(len(cell.lambda_vars))
+    lam = _rename(cell.lambda_formula, dict(zip(cell.lambda_vars, names)))
+    coords = tuple(
+        (format_rational(c.center), c.level, c.ac) if isinstance(c, Coordinate)
+        else format_rational(c.point)
+        for c in cell.coords
+    )
+    weight = None
+    if cell.weight is not None:
+        by_name = dict(cell.weight.b)
+        weight = (cell.weight.r, str(cell.weight.c),
+                  tuple(by_name.get(old, 0) for old in cell.lambda_vars))
+    return names, coords, format_formula(lam), weight
+
+
+def _to_document(pres: Presentation, written: dict) -> dict:
+    """to_document, where written maps each cell to its _written_cell fields,
+    so a caller that writes many snapshots formats each distinct cell once.
+    The document is built from fresh dicts and lists, so documents written
+    with one table share no mutable object."""
+    params = set(pres.param_vars)
     gens = []
     for coeff, cell in pres.generators:
-        names = _canonical_lambda_names(len(cell.lambda_vars))
-        captured = set(names) & set(pres.param_vars)
+        fields = written.get(cell)
+        if fields is None:
+            fields = written[cell] = _written_cell(cell)
+        names, coords, lam_text, weight = fields
+        captured = params.intersection(names)
         if captured:
             raise InputError(f"parameters {sorted(captured)} clash with lambda names")
-        lam = _rename(cell.lambda_formula, dict(zip(cell.lambda_vars, names)))
-        coords = []
-        for c in cell.coords:
-            if isinstance(c, Coordinate):
-                coords.append({"center": format_rational(c.center),
-                               "level": c.level, "ac": c.ac})
-            else:
-                coords.append({"point": format_rational(c.point)})
-        weight = None
-        if cell.weight is not None:
-            by_name = dict(cell.weight.b)
-            weight = {
-                "r": cell.weight.r,
-                "c": str(cell.weight.c),
-                "b": [by_name.get(old, 0) for old in cell.lambda_vars],
-            }
         gens.append({
             "coeff": format_rational(coeff),
-            "dims": len(cell.coords),
-            "coords": coords,
-            "lambda_formula": format_formula(lam),
-            "weight": weight,
+            "dims": len(coords),
+            "coords": [
+                {"center": c[0], "level": c[1], "ac": c[2]} if isinstance(c, tuple)
+                else {"point": c}
+                for c in coords
+            ],
+            "lambda_formula": lam_text,
+            "weight": None if weight is None else {"r": weight[0], "c": weight[1],
+                                                   "b": list(weight[2])},
         })
     return {
         "prime": pres.ctx.p,
@@ -879,14 +916,21 @@ def from_document(doc: Mapping, where: str = "the presentation") -> Presentation
 
 def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -> Presentation:
     """Read one presentation document, which where describes in errors.
-    cells maps the type-checked fields of a generator's cell (parsed
-    coordinates, lambda_formula text, weight as (r, c text, b tuple) or
-    None) to the BoxCell built from them, and a param_domain text to its
-    parsed, simplified formula, so a caller that reads many snapshots parses
-    each distinct cell and domain once.  Type checks, coefficients and
-    Presentation.validate run for every document; a cell whose construction
-    raises is never stored.  A missing required field is caught as the
-    KeyError of its lookup, so reading checks no field twice."""
+    cells lets a caller that reads many snapshots do the work of each
+    distinct cell, formula and domain once; its entries differ in key shape:
+    - a param_domain text: its parsed, simplified formula;
+    - ("lambda_formula", text): that formula, parsed;
+    - a generator's type-checked cell fields (coordinates as _written_cell
+      gives them, lambda_formula text, weight as (r, c text, b tuple) or
+      None): the BoxCell built from them;
+    - (prime, param_vars): the cells that passed Presentation's per-cell
+      checks over that base.
+    Type checks and coefficients run for every document, and so does
+    Presentation.validate, which skips only the cells that passed it before;
+    a cell's texts are parsed when it is first built, after its generator's
+    type checks, and a cell whose construction raises is never stored.  A
+    missing required field is caught as the KeyError of its lookup, so
+    reading checks no field twice."""
     doc = _typed(doc, Mapping, "a presentation")
     try:
         prime = doc["prime"]
@@ -905,21 +949,20 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -
             coord_docs, coeff = g["coords"], g["coeff"]
         except KeyError as err:
             raise _missing(err, f"generator {len(gens)} of {where}") from None
-        coords: list[Union[Coordinate, DegenerateCoordinate]] = []
-        names: list[str] = []
+        coords: list[Union[tuple[str, int, int], str]] = []
+        live = 0
         for entry in _objects(coord_docs, "coords"):
             if "point" in entry:
-                point = _typed(entry["point"], str, "point")
-                coords.append(DegenerateCoordinate(parse_rational(point)))
+                coords.append(_typed(entry["point"], str, "point"))
                 continue
             try:
                 center, level, ac = entry["center"], entry["level"], entry["ac"]
             except KeyError as err:
                 raise _missing(
                     err, f"coordinate {len(coords)} of generator {len(gens)} of {where}") from None
-            names.append(f"l{len(names) + 1}")
-            coords.append(Coordinate(parse_rational(_typed(center, str, "center")),
-                                     _typed(level, int, "level"), _typed(ac, int, "ac")))
+            live += 1
+            coords.append((_typed(center, str, "center"), _typed(level, int, "level"),
+                           _typed(ac, int, "ac")))
         if _typed(g.get("dims", len(coords)), int, "dims") != len(coords):
             raise InputError("dims does not match the coords list")
         lam_text = _typed(g.get("lambda_formula", "true"), str, "lambda_formula")
@@ -929,7 +972,7 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -
             wdoc = _typed(wdoc, Mapping, "weight")
             b_list = [_typed(v, int, "a weight b entry")
                       for v in _typed(wdoc.get("b", []), list, "weight b")]
-            if len(b_list) != len(names):
+            if len(b_list) != live:
                 raise InputError("weight b vector must match the lambda variables")
             try:
                 r, c_text = wdoc["r"], wdoc["c"]
@@ -940,25 +983,39 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -
         key = (tuple(coords), lam_text, weight_key)
         cell = cells.get(key)
         if cell is None:
+            built = tuple(
+                Coordinate(parse_rational(c[0]), c[1], c[2]) if isinstance(c, tuple)
+                else DegenerateCoordinate(parse_rational(c))
+                for c in coords
+            )
+            names = _canonical_lambda_names(live)
             weight = None
             if weight_key is not None:
                 r, c_text, b = weight_key
                 weight = Weight.make(r, parse_term(c_text), dict(zip(names, b)))
-            cell = cells[key] = BoxCell(key[0], tuple(names), parse(lam_text), weight)
+            lam = cells.get(("lambda_formula", lam_text))
+            if lam is None:
+                lam = cells["lambda_formula", lam_text] = parse(lam_text)
+            cell = cells[key] = BoxCell(built, names, lam, weight)
         gens.append((parse_rational(_typed(coeff, str, "coeff")), cell))
     pres = Presentation(ctx, param_vars, param_domain, tuple(gens))
-    pres.validate()
+    checked = cells.get((ctx.p, param_vars), set())
+    pres._validate(checked)
+    cells[ctx.p, param_vars] = checked
     return pres
 
 
 def certificate_to_document(cert: Certificate) -> dict:
+    """The certificate's document; each distinct cell is formatted once for
+    all its snapshots, and no two snapshots share a mutable object."""
+    written: dict = {}
     return {
         "steps": [
             {
                 "rule": s.rule,
                 "note": s.note,
-                "before": to_document(s.before),
-                "after": to_document(s.after),
+                "before": _to_document(s.before, written),
+                "after": _to_document(s.after, written),
             }
             for s in cert.steps
         ]
@@ -966,9 +1023,10 @@ def certificate_to_document(cert: Certificate) -> dict:
 
 
 def certificate_from_document(doc: Mapping) -> Certificate:
-    """Read a certificate document; every snapshot shares one table of
-    cells, so each distinct cell is parsed once and equal cells are one
-    object."""
+    """Read a certificate document.  Every snapshot shares one table (see
+    _from_document), so each distinct cell is built and checked once, each
+    distinct lambda formula and parameter domain parsed once, and a cell
+    repeated in the document is one object."""
     doc = _typed(doc, Mapping, "a certificate")
     try:
         step_docs = doc["steps"]

@@ -41,7 +41,6 @@ from .presburger import (
     OrF,
     TrueF,
     atoms_satisfiable,
-    conj,
     divides,
     free_variables,
     geq0,
@@ -98,9 +97,6 @@ class GuardedCell(Value):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "param_guard", param_guard)
-
-    def formula(self) -> Formula:
-        return conj(self.constraints + self.param_guard)
 
     def contains(self, lam: Mapping[str, int], params: Mapping[str, int]) -> bool:
         env = {**params, **lam}

@@ -741,6 +741,130 @@ def test_certificate_reading_stores_no_failed_cell():
     assert all(isinstance(key, str) for key in cells)
 
 
+def _rewrite_chain():
+    """A certificate whose steps repeat cells, and whose distinct cells share
+    lambda formulas (the unit ball's p - 1 angular classes)."""
+    cur, steps = ball_presentation(CTX3, 1), []
+    for rewrite in (with_unit_ball, lambda q: translate_centers(q, Fraction(5, 3)),
+                    lambda q: raise_level(q, 2), lambda q: permute_coordinates(q, 1)):
+        cur, step = rewrite(cur)
+        steps.append(step)
+    return Certificate(tuple(steps))
+
+
+def _distinct_cells(cert):
+    return {cell for step in cert.steps for side in (step.before, step.after)
+            for _, cell in side.generators}
+
+
+def test_replay_measures_each_distinct_cell_once_per_certificate(monkeypatch):
+    cells = []
+    generator_terms = ring._generator_terms
+
+    def spy(cell, *base):
+        cells.append(cell)
+        return generator_terms(cell, *base)
+
+    monkeypatch.setattr(ring, "_generator_terms", spy)
+    w = Weight.make(1, LinearTerm.constant(-1), {"l": -1})
+    xi = weighted_presentation(CTX2, parse("0 <= l /\\ l < s"), w, ["s"], parse("s >= 0"))
+    for cert in (normalize_to_basic(xi)[2], _rewrite_chain()):
+        del cells[:]
+        assert find_invalid_step(cert) is None
+        held = sum(len(side.generators) for step in cert.steps
+                   for side in (step.before, step.after))
+        assert len(cells) == len(set(cells)) < held
+        assert set(cells) == _distinct_cells(cert)
+
+
+def test_certificate_reading_parses_and_checks_each_distinct_cell_once(monkeypatch):
+    cert = _rewrite_chain()
+    doc = certificate_to_document(cert)
+    gens = [g for step in doc["steps"] for side in ("before", "after")
+            for g in step[side]["generators"]]
+    texts = {g["lambda_formula"] for g in gens}
+    cells = {json.dumps({**g, "coeff": None}) for g in gens}
+    parsed, checked = [], []
+    original_parse, original_validate = ring.parse, BoxCell.validate
+
+    def parse_spy(text):
+        parsed.append(text)
+        return original_parse(text)
+
+    def validate_spy(cell, ctx):
+        checked.append(cell)
+        return original_validate(cell, ctx)
+
+    monkeypatch.setattr(ring, "parse", parse_spy)
+    monkeypatch.setattr(BoxCell, "validate", validate_spy)
+    back = certificate_from_document(json.loads(json.dumps(doc)))
+    assert sorted(parsed) == sorted(texts) and len(texts) < len(cells) < len(gens)
+    assert len(checked) == len(set(checked)) == len(cells)
+    assert certificate_to_document(back) == doc
+
+
+def test_certificate_writing_formats_each_distinct_cell_once(monkeypatch):
+    cert = _rewrite_chain()
+    want = json.dumps(certificate_to_document(cert))
+    renamed, formatted = [], []
+    original_rename, original_format = ring._rename, ring.format_formula
+
+    def rename_spy(f, mapping):
+        renamed.append(f)
+        return original_rename(f, mapping)
+
+    def format_spy(f):
+        formatted.append(f)
+        return original_format(f)
+
+    monkeypatch.setattr(ring, "_rename", rename_spy)
+    monkeypatch.setattr(ring, "format_formula", format_spy)
+    doc = certificate_to_document(cert)
+    distinct = len(_distinct_cells(cert))
+    assert len(renamed) == distinct
+    # one param_domain per snapshot besides
+    assert len(formatted) == distinct + 2 * len(cert.steps)
+    assert json.dumps(doc) == want
+    assert [to_document(side) for step in cert.steps for side in (step.before, step.after)] == [
+        step[side] for step in doc["steps"] for side in ("before", "after")]
+
+
+def _mutate_document(value):
+    """Change every dict and list reachable from value in place."""
+    if isinstance(value, dict):
+        for key in list(value):
+            value[key] = _mutate_document(value[key])
+        value["mutated"] = True
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            value[i] = _mutate_document(item)
+        value.append("mutated")
+    return value
+
+
+def test_written_snapshots_share_no_mutable_object():
+    w = Weight.make(1, LinearTerm.constant(-1), {"l": -1})
+    xi = weighted_presentation(CTX2, parse("0 <= l /\\ l < s"), w, ["s"], parse("s >= 0"))
+    doc = certificate_to_document(normalize_to_basic(xi)[2])
+    sides = [step[side] for step in doc["steps"] for side in ("before", "after")]
+    assert any(g["weight"] is not None for side in sides for g in side["generators"])
+    for k in range(len(sides)):
+        kept = [json.dumps(side) for side in sides]
+        _mutate_document(sides[k]["generators"])
+        now = [json.dumps(side) for side in sides]
+        assert now[:k] + now[k + 1:] == kept[:k] + kept[k + 1:] and now[k] != kept[k]
+
+
+def test_a_cell_that_fails_its_checks_fails_again_with_the_same_table():
+    cells: dict = {}
+    coord = {"center": "0", "level": 1, "ac": 2}
+    bad = {**_repeating_certificate({})["steps"][0]["before"],
+           "generators": [{**_REPEATED_GENERATOR, "coords": [coord]}]}
+    for _ in range(2):
+        with pytest.raises(InputError, match="ac value 2 is not a unit"):
+            ring._from_document(bad, cells)
+
+
 def test_parameter_named_like_a_lambda_variable_is_rejected():
     # a document renames the lambda variable x to l1, which is a parameter here
     pres = weighted_presentation(CTX2, parse("0 <= x /\\ x <= l1"), Weight.constant(0),

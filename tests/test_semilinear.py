@@ -66,7 +66,7 @@ def test_cells_disjoint_and_complete_randomized():
         want = evaluate_on_grid(f, axes)
         got = np.zeros_like(want, dtype=np.int64)
         for c in cells:
-            got += evaluate_on_grid(c.formula(), axes).astype(np.int64)
+            got += evaluate_on_grid(conj(c.constraints + c.param_guard), axes).astype(np.int64)
         # exactly one cell claims each satisfying point, none elsewhere
         assert (got == want.astype(np.int64)).all()
 
@@ -254,7 +254,8 @@ def test_towers_partition_the_cell():
             (l1, l2)
             for l1 in range(-3, 10)
             for l2 in range(-3, 10)
-            if evaluate_qf(cell.formula(), {"l1": l1, "l2": l2, "s": s})
+            if evaluate_qf(conj(cell.constraints + cell.param_guard),
+                           {"l1": l1, "l2": l2, "s": s})
         ]
         points = [pt for tower in towers for pt in _tower_points(tower, s)]
         assert Counter(points) == Counter(box)

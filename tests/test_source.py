@@ -103,6 +103,34 @@ def test_ring_measures_signed_generators_in_one_function():
     }, users
 
 
+def test_package_checks_types_against_no_typing_alias():
+    # isinstance against an alias from typing, such as typing.Mapping, goes
+    # through typing's __subclasscheck__ on every call (27,242 times in one
+    # run of the certify benchmark); the class from collections.abc is checked
+    # directly
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases, modules = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "typing":
+                aliases.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name
+                               for alias in node.names if alias.name == "typing")
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and len(node.args) >= 2
+                    and getattr(node.func, "id", None) in ("isinstance", "issubclass", "_typed")):
+                continue
+            kind = node.args[1]
+            for name in (kind.elts if isinstance(kind, ast.Tuple) else [kind]):
+                if ((isinstance(name, ast.Name) and name.id in aliases)
+                        or (isinstance(name, ast.Attribute) and isinstance(name.value, ast.Name)
+                            and name.value.id in modules)):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(name)}")
+    assert not found, found
+
+
 _CACHE_DECORATORS = {"lru_cache", "cache"}
 _DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict", "WeakKeyDictionary",
                    "WeakValueDictionary"}
