@@ -857,9 +857,10 @@ def test_written_snapshots_share_no_mutable_object():
 
 def test_a_cell_that_fails_its_checks_fails_again_with_the_same_table():
     cells: dict = {}
+    good = _repeating_certificate({})["steps"][0]["before"]
+    ring._from_document(good, cells)  # the table now holds checked cells over this base
     coord = {"center": "0", "level": 1, "ac": 2}
-    bad = {**_repeating_certificate({})["steps"][0]["before"],
-           "generators": [{**_REPEATED_GENERATOR, "coords": [coord]}]}
+    bad = {**good, "generators": [{**_REPEATED_GENERATOR, "coords": [coord]}]}
     for _ in range(2):
         with pytest.raises(InputError, match="ac value 2 is not a unit"):
             ring._from_document(bad, cells)
