@@ -26,10 +26,10 @@ from .presburger import (
     simplify_conjunction,
 )
 from .semilinear import (
+    DivergesError,
     GuardedCell,
     OutOfDomainError,
     Tower,
-    UnboundedDirectionError,
     disjoint_conjunctions,
     rectilinearize,
     refine,
@@ -50,16 +50,6 @@ class InputError(ValueError):
 
 class ZeroInputError(ValueError):
     pass
-
-
-class DivergesError(Exception):
-    def __init__(self, variable: str, direction: int, generator: int | None = None):
-        arrow = "+inf" if direction > 0 else "-inf"
-        where = f" (generator {generator})" if generator is not None else ""
-        super().__init__(f"measure diverges along {variable} towards {arrow}{where}")
-        self.variable = variable
-        self.direction = direction
-        self.generator = generator
 
 
 # Miller-Rabin with these twelve bases decides primality exactly for every
@@ -573,8 +563,6 @@ def sum_closed_form(
     for tower, guards in checked_towers(to_cells(lam, lambda_vars, param_vars), wform, domain):
         try:
             terms = sum_over_tower(tower, wform, ctx.p)
-        except UnboundedDirectionError as err:
-            raise DivergesError(err.variable, err.direction) from err
         except ValueError as err:
             raise InputError(str(err)) from err
         for guard in guards:

@@ -25,12 +25,10 @@ from .presburger import (
     AndF,
     Atom,
     DIV,
-    EQ0,
     ExistsF,
     FalseF,
     ForallF,
     Formula,
-    GEQ0,
     NotF,
     OrF,
     TrueF,
@@ -56,6 +54,12 @@ class BudgetExceededError(Exception):
 # Most integer points that one enumeration window may hold: the grid of a
 # cell, or the scan and residue-class tails of a one-variable fiber.
 GRID_BUDGET = 3 * 10**7
+
+# Most cells that a brute-force table may span along one nesting path of
+# quantifiers.  An atom's arrays span only its own variables' axes, so the
+# path count overstates the work; at GRID_BUDGET the random cross-checks of
+# qe would skip some of the formulas they check now.
+TABLE_BUDGET = 5 * 10**7
 
 
 class Bracket(Value):
@@ -435,12 +439,13 @@ def _subformulas(f: Formula):
         yield from _subformulas(f.body)
 
 
-def witness_ranges(f: Formula, bound: int, rounds: int = 8) -> dict[str, int]:
+def witness_ranges(f: Formula, bound: int) -> dict[str, int]:
     """Sound per-quantifier windows from coefficient bounds.
 
     Iterates R(v) = delta_v + 1 + max over atoms of (|const| + sum of
-    |coef|*R(other)) / |coef_v| to a post-fixpoint; BudgetExceededError when
-    the iteration does not stabilize (mutually unbounded quantifiers).
+    |coef|*R(other)) / |coef_v| to a post-fixpoint, keyed by name, so no
+    bound name of f may also occur free; BudgetExceededError when the
+    iteration does not stabilize (mutually unbounded quantifiers).
     """
     atoms = [g for g in _subformulas(f) if isinstance(g, Atom)]
     qvars = [g.var for g in _subformulas(f) if isinstance(g, (ExistsF, ForallF))]
@@ -470,7 +475,7 @@ def witness_ranges(f: Formula, bound: int, rounds: int = 8) -> dict[str, int]:
             out[v] = delta[v] + 1 + m
         return out
 
-    for _ in range(rounds):
+    for _ in range(8):
         new = step()
         if new == ranges:
             return {v: ranges[v] for v in qvars}
@@ -481,11 +486,42 @@ def witness_ranges(f: Formula, bound: int, rounds: int = 8) -> dict[str, int]:
     raise BudgetExceededError("quantifier windows do not stabilize")
 
 
-def brute_force_qe(
-    f: Formula, bound: int, budget: int = 50_000_000
-) -> BoxTable:
-    """Exhaustive truth table of f over the box, expanding each quantifier
-    over its derived window.  Only for use by equivalent_on_box."""
+def _rename_bound_apart(f: Formula, free: frozenset[str]) -> Formula:
+    """f with each quantifier over a name in free renamed to a name that f
+    does not use, so that every name has one meaning and one window."""
+    used = set(free) | {g.var for g in _subformulas(f) if isinstance(g, (ExistsF, ForallF))}
+
+    def rename(g: Formula) -> Formula:
+        if isinstance(g, NotF):
+            return NotF(rename(g.arg))
+        if isinstance(g, (AndF, OrF)):
+            return type(g)(tuple(rename(a) for a in g.args))
+        if not isinstance(g, (ExistsF, ForallF)):
+            return g
+        # inner binders first: the body then binds g.var nowhere
+        body = rename(g.body)
+        if g.var not in free:
+            return type(g)(g.var, body)
+        k = 1
+        while f"{g.var}_{k}" in used:
+            k += 1
+        new = f"{g.var}_{k}"
+        used.add(new)
+        return type(g)(new, substitute(body, g.var, LinearTerm.variable(new)))
+
+    return rename(f)
+
+
+def brute_force_qe(f: Formula, bound: int) -> BoxTable:
+    """Exhaustive truth table of f over [-bound, bound]^n for its n free
+    variables, each quantifier ranging over its window from witness_ranges;
+    the reference for qe in equivalent_on_box checks.
+
+    A bound name that also occurs free is renamed apart first.
+    BudgetExceededError past quantifier depth 3 or 3 free variables, when
+    the windows do not stabilize, or when one nesting path of quantifiers
+    spans more than TABLE_BUDGET cells.
+    """
     import numpy as np
 
     if _quantifier_depth(f) > 3:
@@ -493,74 +529,20 @@ def brute_force_qe(
     fvars = tuple(sorted(free_variables(f)))
     if len(fvars) > 3:
         raise BudgetExceededError("more than 3 free variables")
-    qranges = witness_ranges(f, bound)
+    f = _rename_bound_apart(f, frozenset(fvars))
+    axes = {v: np.arange(-bound, bound + 1) for v in fvars}
+    for v, r in witness_ranges(f, bound).items():
+        axes[v] = np.arange(-r, r + 1)
 
-    axis_of: dict[str, int] = {v: i for i, v in enumerate(fvars)}
-    sizes: list[int] = [2 * bound + 1] * len(fvars)
-    for v in (g.var for g in _subformulas(f) if isinstance(g, (ExistsF, ForallF))):
-        axis_of[v] = len(sizes)
-        sizes.append(2 * qranges[v] + 1)
-
-    # budget: peak tensor size along any quantifier nesting path
-    def path_cells(g: Formula, cells: int) -> int:
+    def path_cells(g: Formula) -> int:
         if isinstance(g, (TrueF, FalseF, Atom)):
-            return cells
+            return 1
         if isinstance(g, NotF):
-            return path_cells(g.arg, cells)
+            return path_cells(g.arg)
         if isinstance(g, (AndF, OrF)):
-            return max(path_cells(a, cells) for a in g.args)
-        return path_cells(g.body, cells * sizes[axis_of[g.var]])
+            return max(path_cells(a) for a in g.args)
+        return len(axes[g.var]) * path_cells(g.body)
 
-    base_cells = 1
-    for s in sizes[: len(fvars)]:
-        base_cells *= s
-    if path_cells(f, base_cells) > budget:
+    if (2 * bound + 1) ** len(fvars) * path_cells(f) > TABLE_BUDGET:
         raise BudgetExceededError("expansion exceeds the cell budget")
-
-    naxes = len(sizes)
-
-    def grid(v: str) -> np.ndarray:
-        half = (sizes[axis_of[v]] - 1) // 2
-        vals = np.arange(-half, half + 1, dtype=np.int64)
-        view = [1] * naxes
-        view[axis_of[v]] = sizes[axis_of[v]]
-        return vals.reshape(view)
-
-    def rec(g: Formula) -> np.ndarray:
-        if isinstance(g, TrueF):
-            return np.ones((1,) * naxes, dtype=bool)
-        if isinstance(g, FalseF):
-            return np.zeros((1,) * naxes, dtype=bool)
-        if isinstance(g, Atom):
-            total = np.full((1,) * naxes, g.term.const, dtype=np.int64)
-            for n2, c2 in g.term.coeffs:
-                total = total + c2 * grid(n2)
-            if g.kind == GEQ0:
-                return total >= 0
-            if g.kind == EQ0:
-                return total == 0
-            return (total % g.modulus) == 0
-        if isinstance(g, NotF):
-            return ~rec(g.arg)
-        if isinstance(g, AndF):
-            out = rec(g.args[0])
-            for a in g.args[1:]:
-                out = out & rec(a)
-            return out
-        if isinstance(g, OrF):
-            out = rec(g.args[0])
-            for a in g.args[1:]:
-                out = out | rec(a)
-            return out
-        axis = axis_of[g.var]
-        inner = rec(g.body)
-        if isinstance(g, ExistsF):
-            return inner.any(axis=axis, keepdims=True)
-        return inner.all(axis=axis, keepdims=True)
-
-    table = rec(f)
-    # quantifier axes are size 1 after the reductions; free axes may still be
-    # size 1 when a variable was irrelevant, so broadcast then drop the rest
-    want = tuple(sizes[: len(fvars)]) + (1,) * (naxes - len(fvars))
-    table = np.broadcast_to(table, want).reshape(tuple(sizes[: len(fvars)]))
-    return BoxTable(fvars, bound, table.copy())
+    return BoxTable(fvars, bound, evaluate_on_grid(f, axes))

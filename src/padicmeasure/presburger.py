@@ -58,7 +58,9 @@ class Formula(Value):
     """Base class of the formula nodes below, immutable values that compare
     and hash by class and fields and print as formulas.  Atom, the leaf that
     carries a term, keeps the fields repr of a Value; the other nodes keep
-    object's repr."""
+    object's repr.  Atom, NotF, AndF and OrF write out __eq__ and __hash__,
+    which simplify and the hashes of closed-form keys and cells call on every
+    node; the rarer nodes use Value's."""
 
     __slots__ = ()
     __repr__ = object.__repr__
@@ -138,25 +140,9 @@ def divides(modulus: int, term: LinearTerm) -> Atom:
 class TrueF(Formula):
     __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
-
 
 class FalseF(Formula):
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
 
 
 class NotF(Formula):
@@ -211,14 +197,6 @@ class ExistsF(Formula):
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "body", body)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.var, self.body) == (other.var, other.body)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.body))
-
 
 class ForallF(Formula):
     __slots__ = ("var", "body")
@@ -226,14 +204,6 @@ class ForallF(Formula):
     def __init__(self, var: str, body: Formula):
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.var, self.body) == (other.var, other.body)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.body))
 
 
 TRUE = TrueF()
@@ -1193,58 +1163,74 @@ def _cooper_branches(rows: dict, var: str, lows: list, ups: list, divs: list) ->
 
 
 # ---------------------------------------------------------------------------
-# grid evaluation (vectorized; shared with the brute-force oracle)
+# grid evaluation (vectorized; the brute-force oracle's only formula evaluator)
 
 def evaluate_on_grid(f: Formula, axes: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate a quantifier-free formula on a cartesian grid.
+    """Evaluate a formula, quantifiers included, on a cartesian grid.
 
-    axes maps each variable to a 1-D integer array; the result is a boolean
-    array of shape (len(axes[v1]), len(axes[v2]), ...) with variables in the
-    given mapping order.  Variables of f must all appear in axes.
+    axes maps each variable of f, free or bound, to a 1-D integer array.  A
+    quantifier ranges over the array of its variable and reduces that axis
+    with any or all, so every binder of a name shares one axis, and a name
+    may not occur both free and bound in f (ScopeError).  The result is a
+    boolean array with one axis per name of axes that f does not bind, in
+    the mapping order.  Terms are summed as exact Python integers, so no
+    coefficient can overflow.
     """
     import numpy as np
 
     names = list(axes.keys())
-    shape = tuple(len(axes[n]) for n in names)
     grids = {}
     for i, n in enumerate(names):
         view = [1] * len(names)
-        view[i] = shape[i]
-        grids[n] = np.asarray(axes[n], dtype=np.int64).reshape(view)
+        view[i] = len(axes[n])
+        grids[n] = np.asarray(axes[n], dtype=np.int64).astype(object).reshape(view)
+    ones = (1,) * len(names)
+    bound: set[str] = set()
 
+    # every array has one axis per name, of length 1 where it does not vary
     def rec(g: Formula) -> np.ndarray:
-        if isinstance(g, TrueF):
-            return np.ones(shape, dtype=bool)
-        if isinstance(g, FalseF):
-            return np.zeros(shape, dtype=bool)
+        if isinstance(g, (TrueF, FalseF)):
+            return np.full(ones, isinstance(g, TrueF))
         if isinstance(g, Atom):
-            total = np.full((1,) * len(names), g.term.const, dtype=object)
+            total = np.full(ones, g.term.const, dtype=object)
             for n, c in g.term.coeffs:
                 if n not in grids:
                     raise MissingAssignmentError(n)
-                total = total + c * grids[n].astype(object)
+                total = total + c * grids[n]
             if g.kind == GEQ0:
                 out = total >= 0
             elif g.kind == EQ0:
                 out = total == 0
             else:
                 out = (total % g.modulus) == 0
-            return np.broadcast_to(np.asarray(out, dtype=bool), shape).copy()
+            return np.asarray(out, dtype=bool)
         if isinstance(g, NotF):
             return ~rec(g.arg)
         if isinstance(g, AndF):
             out = rec(g.args[0])
             for a in g.args[1:]:
-                out &= rec(a)
+                out = out & rec(a)
             return out
         if isinstance(g, OrF):
             out = rec(g.args[0])
             for a in g.args[1:]:
-                out |= rec(a)
+                out = out | rec(a)
             return out
-        raise NotQuantifierFreeError("grid evaluation needs a quantifier-free formula")
+        if isinstance(g, (ExistsF, ForallF)):
+            if g.var not in grids:
+                raise MissingAssignmentError(g.var)
+            bound.add(g.var)
+            inner = rec(g.body)
+            reduce = inner.any if isinstance(g, ExistsF) else inner.all
+            return reduce(axis=names.index(g.var), keepdims=True)
+        raise TypeError(f"not a formula: {g!r}")
 
-    return rec(f)
+    table = rec(f)
+    if clash := bound & free_variables(f):
+        raise ScopeError(f"variable {min(clash)!r} is both free and bound")
+    shape = tuple(1 if n in bound else len(axes[n]) for n in names)
+    return np.array(np.broadcast_to(table, shape)).reshape(
+        tuple(len(axes[n]) for n in names if n not in bound))
 
 
 def equivalent_on_box(f, g, bound: int) -> bool:

@@ -64,18 +64,18 @@ class InfiniteFiberError(Exception):
         self.direction = direction
 
 
-class NotRectilinearizableError(Exception):
-    pass
-
-
-class UnboundedDirectionError(Exception):
-    """A summation direction whose geometric ratio is >= 1."""
-
-    def __init__(self, variable: str, direction: int):
+class DivergesError(Exception):
+    def __init__(self, variable: str, direction: int, generator: int | None = None):
         arrow = "+inf" if direction > 0 else "-inf"
-        super().__init__(f"sum diverges along {variable} towards {arrow}")
+        where = f" (generator {generator})" if generator is not None else ""
+        super().__init__(f"measure diverges along {variable} towards {arrow}{where}")
         self.variable = variable
         self.direction = direction
+        self.generator = generator
+
+
+class NotRectilinearizableError(Exception):
+    pass
 
 
 class OutOfDomainError(Exception):
@@ -531,8 +531,9 @@ def sum_over_tower(
     """Sum p^weight over the tower fiber, symbolically in the parameters.
 
     With p = None the weight must be identically zero; the result is then the
-    exact point count.  Raises UnboundedDirectionError when some ray diverges
-    and ValueError when an exponent increment is not an integer.
+    exact point count.  Raises DivergesError on a ray along which p^weight
+    does not shrink (on every ray when p is None), and ValueError when an
+    exponent increment is not an integer.
     """
     terms = [SumTerm(Polynomial.constant(1), weight)]
     for level in reversed(tower.levels):
@@ -574,7 +575,7 @@ def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
         if poly.is_zero():
             return []
         if p is None or gamma_int >= 0:
-            raise UnboundedDirectionError(var, 1 if level.step > 0 else -1)
+            raise DivergesError(var, 1 if level.step > 0 else -1)
     else:
         # bounded range, count points; K = count - 1
         count = level.count

@@ -20,6 +20,7 @@ from padicmeasure.oracle import (
 from padicmeasure.presburger import (
     LinearTerm,
     equivalent_on_box,
+    evaluate_qf,
     parse,
     qe,
 )
@@ -219,6 +220,19 @@ def test_brute_force_qe_examples():
     assert not empty.values.any()
     with pytest.raises(BudgetExceededError):
         brute_force_qe(parse("E a. E b. E c. E d. a + b + c + d = 0"), 5)
+    for text in [
+        # products that leave int64
+        "2000000000000000000*a + b >= 0",
+        # a bound name that also occurs free, under either quantifier
+        "x >= 0 /\\ (E x. x = 2*y)",
+        "x >= 1 /\\ (A x. x != y)",
+        # the free x keeps its own window beside the bound x's
+        "(E y. y = x) /\\ (E x. x = 0)",
+    ]:
+        f = parse(text)
+        assert equivalent_on_box(qe(f), brute_force_qe(f, 8), 8), text
+    big = parse("2000000000000000000*a + b >= 0")
+    assert brute_force_qe(big, 8).values[16, 8] == evaluate_qf(big, {"a": 8, "b": 0})
 
 
 def test_brute_force_qe_free_variable_limit():

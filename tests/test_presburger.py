@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padicmeasure import presburger
@@ -19,6 +20,7 @@ from padicmeasure.presburger import (
     conj,
     divides,
     equivalent_on_box,
+    evaluate_on_grid,
     evaluate_qf,
     format_formula,
     free_variables,
@@ -76,6 +78,20 @@ def test_parse_errors_carry_positions():
     with pytest.raises(FormulaSyntaxError) as err:
         parse("l >= \u0663")  # an Arabic-Indic three is no numeral
     assert err.value.lineno == 1 and err.value.offset == 6
+
+
+def test_evaluate_on_grid_reduces_each_quantifier_axis():
+    values = np.arange(-4, 5)
+    # the bound x's axis is reduced away; a and b keep the mapping order
+    got = evaluate_on_grid(parse("E x. a = 2*x /\\ b >= x"), {"a": values, "x": values,
+                                                              "b": values})
+    want = [[a % 2 == 0 and 2 * b >= a for b in range(-4, 5)] for a in range(-4, 5)]
+    assert got.tolist() == want
+    assert evaluate_on_grid(parse("A x. x = x"), {"x": values}).shape == ()
+    with pytest.raises(ScopeError):
+        evaluate_on_grid(parse("x >= 0 /\\ (E x. x = 2*y)"), {"x": values, "y": values})
+    with pytest.raises(MissingAssignmentError):
+        evaluate_on_grid(parse("E x. x = a"), {"a": values})
 
 
 def test_parse_term_round_trip():

@@ -86,6 +86,23 @@ def test_oracle_keeps_its_own_satisfiability_path():
     assert not found, found
 
 
+def test_package_evaluates_formulas_on_grids_in_one_function():
+    # evaluate_on_grid is the one numpy evaluator of formulas, in exact
+    # arithmetic; a second one, such as the int64 tables brute_force_qe once
+    # built, can wrap around and disagree with it on the same formula
+    users = {
+        f"{path.name} {top.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and any(isinstance(node, ast.Attribute) and node.attr == "term"
+                for node in ast.walk(top))
+        and any(isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "np" for node in ast.walk(top))
+    }
+    assert users == {"presburger.py evaluate_on_grid"}, users
+
+
 def test_ring_measures_signed_generators_in_one_function():
     # measure_function, decide_equal and certificate replay share one path
     # from signed generators to a measure; this keeps a second difference
