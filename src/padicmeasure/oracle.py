@@ -31,6 +31,7 @@ from .presburger import (
     Formula,
     NotF,
     OrF,
+    ScopeError,
     TrueF,
     evaluate_on_grid,
     evaluate_qf,
@@ -96,14 +97,16 @@ def _weighted_box_bracket(
     window: int,
     ctx: PAdicContext,
     diverge_error,
+    shadows: dict,
 ) -> tuple[Fraction, Fraction]:
-    """(exact window sum, upper tail bound) for sum of p^weight over lam."""
+    """(exact window sum, upper tail bound) for sum of p^weight over lam;
+    shadows is a table for _shadow."""
     import numpy as np
 
     p = ctx.p
     n = len(names)
     if n == 0:
-        if isinstance(qe(lam), TrueF):
+        if isinstance(_shadow(lam, None, shadows), TrueF):
             e = weight.evaluate({})
             if e.denominator != 1:
                 raise WindowTooSmallError("non-integer weight on an assigned point")
@@ -141,7 +144,7 @@ def _weighted_box_bracket(
     # so coupled cells (diagonals, shears) stay sharp
     tail = Fraction(0)
     p_const = power_fraction(p, math.ceil(weight.const))
-    ranges = {v: _coordinate_range(lam, v, window) for v in names}
+    ranges = {v: _coordinate_range(lam, v, window, shadows) for v in names}
     for v in names:
         beta = weight.coeff(v)
         lo, hi = ranges[v]
@@ -175,20 +178,30 @@ def _weighted_box_bracket(
     return total, tail
 
 
-def _coordinate_range(lam: Formula, var: str, window: int):
+def _shadow(lam: Formula, var: str | None, shadows: dict) -> Formula:
+    """The Cooper elimination of every free variable of lam but var, kept in
+    shadows under (lam, var): it does not depend on the window, so a caller
+    that brackets one fiber at several windows, or one cell twice, eliminates
+    it once."""
+    key = (lam, var)
+    if key not in shadows:
+        shadow = lam
+        for v in sorted(free_variables(lam) - {var}):
+            shadow = ExistsF(v, shadow)
+        shadows[key] = qe(shadow)
+    return shadows[key]
+
+
+def _coordinate_range(lam: Formula, var: str, window: int, shadows: dict):
     """(min, max) of a coordinate over the fiber; None marks an unbounded or
     beyond-window end, and an empty window gives (window + 1, -window - 1).
 
-    Everything is read off the fiber's shadow on var, the Cooper elimination
-    of every other coordinate.  The shadow holds beyond the window on a side
-    exactly when it holds at one of the first period points past the window
-    or past a root there, since between two roots its truth repeats with the
-    period.
+    Everything is read off the fiber's shadow on var (see _shadow).  The
+    shadow holds beyond the window on a side exactly when it holds at one of
+    the first period points past the window or past a root there, since
+    between two roots its truth repeats with the period.
     """
-    shadow = lam
-    for v in sorted(free_variables(lam) - {var}):
-        shadow = ExistsF(v, shadow)
-    shadow = qe(shadow)
+    shadow = _shadow(lam, var, shadows)
     roots, period = _roots_and_period(shadow, var)
     if 2 * period * (2 * len(roots) + 1) > GRID_BUDGET:
         raise BudgetExceededError(
@@ -265,7 +278,7 @@ def partial_sum(
     exponent coefficient.
     """
     lam_inst, waff, names = _instantiate(lam, weight, point)
-    total, tail = _weighted_box_bracket(lam_inst, waff, names, radius, ctx, DivergesError)
+    total, tail = _weighted_box_bracket(lam_inst, waff, names, radius, ctx, DivergesError, {})
     return Bracket(total, total + tail, radius, radius)
 
 
@@ -330,6 +343,8 @@ def truncated_measure(
     until the bracket width is at most p^(n - depth).  WindowTooSmallError is
     raised when a tail cannot be bounded or the target is unreachable, and
     BudgetExceededError when a window would hold more than GRID_BUDGET points.
+    One table of shadows serves the whole call, so each (fiber, coordinate)
+    is eliminated once, whatever the windows and repeated generators.
     """
     ctx = pres.ctx
     p = ctx.p
@@ -337,6 +352,7 @@ def truncated_measure(
     target = power_fraction(p, n_max - depth)
     v_eff = max(1, window)
     last_error: WindowTooSmallError | None = None
+    shadows: dict = {}
     for _ in range(10):
         lower = Fraction(0)
         upper = Fraction(0)
@@ -352,12 +368,12 @@ def truncated_measure(
                         value = _exact_1d_bracket(lam_inst, waff, names[0], v_eff, ctx)
                     else:
                         value, _ = _weighted_box_bracket(
-                            lam_inst, waff, (), v_eff, ctx, _window_error)
+                            lam_inst, waff, (), v_eff, ctx, _window_error, shadows)
                     lower += coeff * value
                     upper += coeff * value
                     continue
                 total, tail = _weighted_box_bracket(
-                    lam_inst, waff, names, v_eff, ctx, _window_error)
+                    lam_inst, waff, names, v_eff, ctx, _window_error, shadows)
                 b = Bracket(total, total + tail, depth, v_eff).scale(coeff)
                 lower += b.lower
                 upper += b.upper
@@ -443,13 +459,18 @@ def witness_ranges(f: Formula, bound: int) -> dict[str, int]:
     """Sound per-quantifier windows from coefficient bounds.
 
     Iterates R(v) = delta_v + 1 + max over atoms of (|const| + sum of
-    |coef|*R(other)) / |coef_v| to a post-fixpoint, keyed by name, so no
-    bound name of f may also occur free; BudgetExceededError when the
-    iteration does not stabilize (mutually unbounded quantifiers).
+    |coef|*R(other)) / |coef_v| to a post-fixpoint, keyed by name: ScopeError
+    when a bound name of f also occurs free (brute_force_qe renames such
+    names apart first), and BudgetExceededError when the iteration does not
+    stabilize (mutually unbounded quantifiers).
     """
     atoms = [g for g in _subformulas(f) if isinstance(g, Atom)]
     qvars = [g.var for g in _subformulas(f) if isinstance(g, (ExistsF, ForallF))]
-    ranges: dict[str, int] = {v: bound for v in free_variables(f)}
+    free = free_variables(f)
+    both = sorted(free.intersection(qvars))
+    if both:
+        raise ScopeError(f"variable {both[0]!r} occurs both free and bound")
+    ranges: dict[str, int] = {v: bound for v in free}
     delta: dict[str, int] = {}
     for v in qvars:
         d = 1

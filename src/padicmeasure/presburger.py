@@ -338,53 +338,48 @@ def substitute(f: Formula, name: str, value: LinearTerm) -> Formula:
 # parser
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<int>[0-9]+)
+    r"""\s*(?:(?P<int>[0-9]+)
       | (?P<name>[A-Za-z][A-Za-z0-9_]*)
       | (?P<op>/\\|\\/|!=|<=|>=|<|>|=|\||\+|-|\*|\(|\)|\.|!)
+      | (?P<bad>\S))
     """,
     re.VERBOSE,
 )
 
 
-# a token is (kind, text, line, column), kind "int", "name", "op" or "end"
-_Token = tuple[str, str, int, int]
+# a token is (kind, text, offset), kind "int", "name", "op" or "end"
+_Token = tuple[str, str, int]
 
 
-def _syntax_error(message: str, tok: _Token) -> FormulaSyntaxError:
-    return FormulaSyntaxError(message, tok[2], tok[3])
+def _syntax_error(message: str, text: str, offset: int) -> FormulaSyntaxError:
+    """FormulaSyntaxError at offset in text, with its 1-based line and
+    column; a tab is one column."""
+    return FormulaSyntaxError(message, text.count("\n", 0, offset) + 1,
+                              offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(("end", "", line, col))
+    """The tokens of text and an "end" token, in one regex pass that skips
+    whitespace before each token.  Tokens carry offsets, which _syntax_error
+    turns into a line and column only for the error it raises."""
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN_RE.finditer(text)]
+    for kind, value, offset in tokens:
+        if kind == "bad":
+            raise _syntax_error(f"unexpected character {value!r}", text, offset)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # only a name looks ahead, and the end token follows it
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -392,14 +387,17 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def error(self, message: str, tok: _Token) -> FormulaSyntaxError:
+        return _syntax_error(message, self.text, tok[2])
+
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok[1] != text:
-            raise _syntax_error(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
+            raise self.error(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
     def fail(self, message: str) -> FormulaSyntaxError:
-        return _syntax_error(message, self.peek())
+        return self.error(message, self.peek())
 
     # precedence: ! > /\ > \/ > quantifiers
     def parse_formula(self) -> Formula:
@@ -408,7 +406,7 @@ class _Parser:
             self.next()
             var = self.next()
             if var[1] in RESERVED:
-                raise _syntax_error(f"{var[1]!r} is reserved", var)
+                raise self.error(f"{var[1]!r} is reserved", var)
             self.expect(".")
             body = self.parse_formula()
             return ExistsF(var[1], body) if text == "E" else ForallF(var[1], body)
@@ -447,77 +445,85 @@ class _Parser:
         if kind == "name" and text == "false":
             self.next()
             return FALSE
-        left = self.parse_term()
+        coeffs: dict[str, int] = {}
+        const = self.add_term(coeffs, 1)
         op = self.peek()
         if op[1] == "|":
-            if not left.is_constant():
-                raise _syntax_error("divisibility modulus must be an integer literal", op)
+            if any(coeffs.values()):
+                raise self.error("divisibility modulus must be an integer literal", op)
             self.next()
-            term = self.parse_term()
-            return _make_divisibility(left.const, term)
-        if op[1] in ("<", "<=", "=", ">=", ">", "!="):
-            self.next()
-            right = self.parse_term()
-            return _make_comparison(left, op[1], right)
-        raise self.fail("expected a comparison or divisibility operator")
+            return _make_divisibility(const, self.parse_term())
+        if op[1] not in _COMPARISONS:
+            raise self.fail("expected a comparison or divisibility operator")
+        self.next()
+        const += self.add_term(coeffs, -1)  # coeffs and const hold left - right
+        atom, sign, shift = _COMPARISONS[op[1]]
+        f = atom(_linear_term(coeffs, const + shift, sign))
+        return neg(f) if op[1] == "!=" else f
 
     def parse_term(self) -> LinearTerm:
-        term = self.parse_signed_factor()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.parse_signed_factor()
-            term = term + rhs if op == "+" else term - rhs
-        return term
+        coeffs: dict[str, int] = {}
+        const = self.add_term(coeffs, 1)
+        return _linear_term(coeffs, const, 1)
 
-    def parse_signed_factor(self) -> LinearTerm:
-        if self.peek()[1] == "-":
+    def add_term(self, coeffs: dict[str, int], sign: int) -> int:
+        """Read a term, add sign times its variable coefficients to coeffs,
+        and return sign times its constant."""
+        const = 0
+        summand = sign
+        while True:
+            while self.peek()[1] == "-":
+                self.next()
+                summand = -summand
+            k, name = self.parse_factor()
+            if name is None:
+                const += summand * k
+            else:
+                coeffs[name] = coeffs.get(name, 0) + summand * k
+            op = self.peek()[1]
+            if op not in ("+", "-"):
+                return const
             self.next()
-            return self.parse_signed_factor().scale(-1)
-        return self.parse_factor()
+            summand = sign if op == "+" else -sign
 
-    def parse_factor(self) -> LinearTerm:
-        left = self.parse_primary()
+    def parse_factor(self) -> tuple[int, str | None]:
+        """A product, as (k, name) for k * name, or (k, None) for the
+        constant k; a zero factor makes the product a constant."""
+        k, name = self.parse_primary()
         while self.peek()[1] == "*":
             star = self.next()
-            right = self.parse_primary_signed()
-            if left.is_constant():
-                left = right.scale(left.const)
-            elif right.is_constant():
-                left = left.scale(right.const)
-            else:
-                raise _syntax_error("products must be integer * variable", star)
-        return left
+            sign = 1
+            while self.peek()[1] == "-":
+                self.next()
+                sign = -sign
+            k2, name2 = self.parse_primary()
+            if name is not None and name2 is not None:
+                raise self.error("products must be integer * variable", star)
+            k, name = sign * k * k2, name if name is not None else name2
+            if k == 0:
+                name = None
+        return k, name
 
-    def parse_primary_signed(self) -> LinearTerm:
-        if self.peek()[1] == "-":
-            self.next()
-            return self.parse_primary_signed().scale(-1)
-        return self.parse_primary()
-
-    def parse_primary(self) -> LinearTerm:
+    def parse_primary(self) -> tuple[int, str | None]:
         tok = self.next()
         kind, text = tok[:2]
         if kind == "int":
-            return LinearTerm.constant(int(text))
+            return int(text), None
         if kind == "name":
             if text in RESERVED:
-                raise _syntax_error(f"{text!r} is reserved", tok)
-            return LinearTerm.variable(text)
-        raise _syntax_error(f"expected a term, found {text or 'end of input'!r}", tok)
+                raise self.error(f"{text!r} is reserved", tok)
+            return 1, text
+        raise self.error(f"expected a term, found {text or 'end of input'!r}", tok)
 
 
-def _make_comparison(left: LinearTerm, op: str, right: LinearTerm) -> Formula:
-    if op == "<":
-        return geq0(right - left - 1)
-    if op == "<=":
-        return geq0(right - left)
-    if op == ">":
-        return geq0(left - right - 1)
-    if op == ">=":
-        return geq0(left - right)
-    if op == "=":
-        return eq0(left - right)
-    return neg(eq0(left - right))  # !=
+# each comparison as atom(sign * (left - right + shift)), negated for !=
+_COMPARISONS = {"<": (geq0, -1, 1), "<=": (geq0, -1, 0), ">": (geq0, 1, -1),
+                ">=": (geq0, 1, 0), "=": (eq0, 1, 0), "!=": (eq0, 1, 0)}
+
+
+def _linear_term(coeffs: dict[str, int], const: int, sign: int) -> LinearTerm:
+    """sign * (the term with these integer coefficients and constant)."""
+    return LinearTerm(tuple(sorted((n, sign * c) for n, c in coeffs.items() if c)), sign * const)
 
 
 def _make_divisibility(modulus: int, term: LinearTerm) -> Formula:
@@ -542,7 +548,7 @@ def _read_all(parser: _Parser, rule: Callable[[], T]) -> T:
         raise parser.fail("nesting too deep to parse") from None
     end = parser.peek()
     if end[0] != "end":
-        raise _syntax_error(f"trailing input starting at {end[1]!r}", end)
+        raise parser.error(f"trailing input starting at {end[1]!r}", end)
     return result
 
 

@@ -23,7 +23,8 @@ Certificates are written, read and replayed once per distinct cell, not
 once per snapshot: certificate_to_document formats each distinct cell once,
 and certificate_from_document parses and checks each distinct cell, lambda
 formula and parameter domain once, so snapshots that repeat a cell share
-one object.  Type checks and coefficients still run on every snapshot.
+one object.  Each snapshot is built, or read against the one before it,
+once, so each step's before is the previous step's after.
 """
 
 from __future__ import annotations
@@ -517,7 +518,7 @@ class BasicPresentation(Value):
 
 
 class _GenState:
-    __slots__ = ("coeff", "levels", "kept", "guard", "wtot")
+    __slots__ = ("coeff", "levels", "kept", "guard", "wtot", "cell")
 
     def __init__(self, coeff: Fraction, levels: list[Level], kept: list[Level],
                  guard: tuple[Atom, ...], wtot: LinearTerm):
@@ -526,9 +527,14 @@ class _GenState:
         self.kept = kept
         self.guard = guard
         self.wtot = wtot  # total exponent over level variables and parameters
+        self.cell: BoxCell | None = None  # built by _state_to_cell on first use
 
 
-def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
+def _state_to_cell(state: _GenState) -> BoxCell:
+    """The cell a state presents, built once: every snapshot that holds the
+    state shares it."""
+    if state.cell is not None:
+        return state.cell
     levels = list(state.levels) + list(state.kept)
     atoms: list[Atom] = []
     names = []
@@ -571,7 +577,8 @@ def _state_to_cell(state: _GenState, ctx: PAdicContext) -> BoxCell:
     if weight.r == 1 and weight.c == LinearTerm.constant(0) and not weight.b:
         weight = None
     coords = tuple(Coordinate(Fraction(0), 1, 1) for _ in range(n))
-    return BoxCell(coords, tuple(names), lam, weight)
+    state.cell = BoxCell(coords, tuple(names), lam, weight)
+    return state.cell
 
 
 def _assemble(
@@ -583,7 +590,7 @@ def _assemble(
     rest: list[tuple[Fraction, BoxCell]],
 ) -> Presentation:
     gens = list(done)
-    gens.extend((st.coeff, _state_to_cell(st, ctx)) for st in queue)
+    gens.extend((st.coeff, _state_to_cell(st)) for st in queue)
     gens.extend(rest)
     return Presentation(ctx, param_vars, param_domain, tuple(gens))
 
@@ -592,7 +599,9 @@ def normalize_to_basic(
     pres: Presentation,
 ) -> tuple[int, BasicPresentation, Certificate]:
     """Clear all unbounded directions: returns (ell, B, certificate) with
-    measure(B) = ell * measure(pres), B basic, and every step replayable."""
+    measure(B) = ell * measure(pres), B basic, and every step replayable.
+    Each cell and each snapshot is built once: each step's before is the
+    previous step's after, and snapshots share the cells they both hold."""
     pres.validate()
     ctx = pres.ctx
     p = ctx.p
@@ -663,7 +672,7 @@ def normalize_to_basic(
         while queue:
             state = queue.pop(0)
             if not state.levels:
-                done.append((state.coeff, _state_to_cell(state, ctx)))
+                done.append((state.coeff, _state_to_cell(state)))
                 continue
             level = state.levels[-1]
             new_states, rule, note = _peel_step(state, level, p)
@@ -680,14 +689,12 @@ def normalize_to_basic(
         cells = to_cells(cell.lambda_formula, cell.lambda_vars, pres.param_vars)
         counts.append(count_parametric(cells, pres.param_domain, pres.param_vars))
 
-    # scale the whole chain by ell
+    # scale each snapshot of the chain once; ell != 1 only after a CellSplit
     if ell != 1:
-        steps = [
-            CertificateStep(s.rule, s.note, scalar_mul(ell, s.before),
-                            scalar_mul(ell, s.after))
-            for s in steps
-        ]
-        basic = scalar_mul(ell, basic)
+        scaled = [scalar_mul(ell, s) for s in [steps[0].before] + [s.after for s in steps]]
+        steps = [CertificateStep(s.rule, s.note, scaled[i], scaled[i + 1])
+                 for i, s in enumerate(steps)]
+        basic = scaled[-1]
     cert = Certificate(tuple(steps))
     return ell, BasicPresentation(basic, tuple(counts)), cert
 
@@ -914,7 +921,22 @@ def from_document(doc: Mapping, where: str = "the presentation") -> Presentation
     return _from_document(doc, {}, where)
 
 
-def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -> Presentation:
+def _same_entry(entry, old) -> bool:
+    """Whether a generator entry reads as old, an entry read before: equal,
+    and each number that reading takes from it a plain int, since == also
+    holds between 1, true and 1.0, which the type checks tell apart."""
+    if entry != old:
+        return False
+    weight = entry.get("weight")
+    return (type(entry.get("dims", 0)) is int
+            and all("point" in c or type(c["level"]) is type(c["ac"]) is int
+                    for c in entry["coords"])
+            and (weight is None or type(weight["r"]) is int
+                 and all(type(v) is int for v in weight.get("b", ()))))
+
+
+def _from_document(doc: Mapping, cells: dict, where: str = "the presentation",
+                   previous: tuple[Sequence, Presentation] | None = None) -> Presentation:
     """Read one presentation document, which where describes in errors.
     cells lets a caller that reads many snapshots do the work of each
     distinct cell, formula and domain once; its entries differ in key shape:
@@ -925,12 +947,18 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -
       None): the BoxCell built from them;
     - (prime, param_vars): the cells that passed Presentation's per-cell
       checks over that base.
-    Type checks and coefficients run for every document, and so does
-    Presentation.validate, which skips only the cells that passed it before;
-    a cell's texts are parsed when it is first built, after its generator's
-    type checks, and a cell whose construction raises is never stored.  A
-    missing required field is caught as the KeyError of its lookup, so
-    reading checks no field twice."""
+    previous is (generator entries, presentation) of the snapshot read
+    before, if any: the entries that _same_entry finds equal to its entries,
+    counted from the front and from the back, keep its (coefficient, cell)
+    pairs, since an entry that was read once cannot fail, and a document
+    equal to it in every entry and in its base is that presentation again.
+    Only the entries in between are type-checked, parsed and built.  The
+    header checks run for every document, and so does Presentation.validate
+    for every new presentation, which skips only the cells that passed it
+    before; a cell's texts are parsed when it is first built, after its
+    generator's type checks, and a cell whose construction raises is never
+    stored.  A missing required field is caught as the KeyError of its
+    lookup, so reading checks no field twice."""
     doc = _typed(doc, Mapping, "a presentation")
     try:
         prime = doc["prime"]
@@ -943,8 +971,20 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -
     param_domain = cells.get(domain_text)
     if param_domain is None:
         param_domain = cells[domain_text] = simplify(parse_domain(domain_text))
-    gens = []
-    for g in _objects(doc.get("generators", ()), "generators"):
+    entries = _objects(doc.get("generators", ()), "generators")
+    old_entries, old = previous or ((), None)
+    old_gens = old.generators if old is not None else ()
+    most = min(len(entries), len(old_entries))
+    front = back = 0
+    while front < most and _same_entry(entries[front], old_entries[front]):
+        front += 1
+    if old is not None and front == len(entries) == len(old_entries) and (
+            ctx, param_vars, param_domain) == (old.ctx, old.param_vars, old.param_domain):
+        return old
+    while back < most - front and _same_entry(entries[-1 - back], old_entries[-1 - back]):
+        back += 1
+    gens = list(old_gens[:front])
+    for g in entries[front:len(entries) - back]:
         try:
             coord_docs, coeff = g["coords"], g["coeff"]
         except KeyError as err:
@@ -998,6 +1038,7 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation") -
                 lam = cells["lambda_formula", lam_text] = parse(lam_text)
             cell = cells[key] = BoxCell(built, names, lam, weight)
         gens.append((parse_rational(_typed(coeff, str, "coeff")), cell))
+    gens.extend(old_gens[len(old_gens) - back:])
     pres = Presentation(ctx, param_vars, param_domain, tuple(gens))
     checked = cells.get((ctx.p, param_vars), set())
     pres._validate(checked)
@@ -1023,16 +1064,28 @@ def certificate_to_document(cert: Certificate) -> dict:
 
 
 def certificate_from_document(doc: Mapping) -> Certificate:
-    """Read a certificate document.  Every snapshot shares one table (see
-    _from_document), so each distinct cell is built and checked once, each
-    distinct lambda formula and parameter domain parsed once, and a cell
-    repeated in the document is one object."""
+    """Read a certificate document.  Each snapshot is read against the one
+    before it (see _from_document): a step's before that repeats the
+    previous after is that after's Presentation, and any other snapshot
+    reads only the generator entries between the ones it shares with its
+    predecessor at its front and back.  Every snapshot shares one table
+    besides, so each distinct cell is built and checked once, each distinct
+    lambda formula and parameter domain parsed once, and a cell repeated in
+    the document is one object."""
     doc = _typed(doc, Mapping, "a certificate")
     try:
         step_docs = doc["steps"]
     except KeyError as err:
         raise _missing(err, "the certificate") from None
     cells: dict = {}
+    previous = None
+
+    def read(snapshot, where: str) -> Presentation:
+        nonlocal previous
+        pres = _from_document(snapshot, cells, where, previous)
+        previous = (snapshot.get("generators", ()), pres)
+        return pres
+
     steps = []
     for s in _objects(step_docs, "steps"):
         i = len(steps)
@@ -1042,8 +1095,7 @@ def certificate_from_document(doc: Mapping) -> Certificate:
             raise _missing(err, f"step {i}") from None
         steps.append(CertificateStep(
             _typed(rule, str, "rule"), _typed(s.get("note", ""), str, "note"),
-            _from_document(before, cells, f"the before of step {i}"),
-            _from_document(after, cells, f"the after of step {i}")))
+            read(before, f"the before of step {i}"), read(after, f"the after of step {i}")))
     return Certificate(tuple(steps))
 
 

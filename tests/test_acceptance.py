@@ -5,6 +5,8 @@ bracket widths of the brute-force measure oracle.  Run with `pytest -s
 tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import hashlib
+import json
 import random
 import sys
 import time
@@ -24,6 +26,8 @@ from padicmeasure.ring import (
     Presentation,
     add,
     ball_presentation,
+    certificate_from_document,
+    certificate_to_document,
     decide_equal,
     delta_presentation,
     measure_function,
@@ -311,6 +315,23 @@ def test_criterion_08_normalization():
             if value != int(value) or value < 0:
                 failures.append((index, "bad count", point, value))
     _report(8, "normalize_to_basic: equality, certificates, finite fibers (50 runs)", failures)
+
+
+# sha256 of the criterion-08 certificate documents, each json.dumps text
+# followed by a newline; an intended change to the written certificates
+# updates it
+CRITERION_8_CERTIFICATES_SHA256 = (
+    "1f75c27920f290e17adb42d0c379630d2f00e7bc16d65e54430a610a93e60677")
+
+
+def test_criterion_08_certificates_match_their_digest():
+    digest = hashlib.sha256()
+    for pres in presentations_criterion_8():
+        cert = normalize_to_basic(pres)[2]
+        text = json.dumps(certificate_to_document(cert))
+        digest.update(text.encode() + b"\n")
+        assert certificate_from_document(json.loads(text)) == cert
+    assert digest.hexdigest() == CRITERION_8_CERTIFICATES_SHA256
 
 
 def test_criterion_09_equality_decider_desk_scale():

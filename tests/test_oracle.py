@@ -19,6 +19,7 @@ from padicmeasure.oracle import (
 )
 from padicmeasure.presburger import (
     LinearTerm,
+    ScopeError,
     equivalent_on_box,
     evaluate_qf,
     parse,
@@ -94,6 +95,28 @@ def test_coordinate_ranges_read_one_shadow_per_coordinate(sat_queries, monkeypat
         truncated_measure(delta_presentation(ctx, 2), {})
     assert not sat_queries["is_satisfiable"]
     assert 0 < len(shadows) == sum(coordinates)
+
+
+def test_truncated_measure_eliminates_each_shadow_once(monkeypatch):
+    # a shadow depends on the fiber and the coordinate only: one cell twice,
+    # bracketed at windows 12 and 24, asks for it once per coordinate
+    coordinates, shadows = [], []
+    real_bracket, real_qe = oracle._weighted_box_bracket, oracle.qe
+
+    def bracket(lam, weight, names, *rest):
+        coordinates.append(len(names))
+        return real_bracket(lam, weight, names, *rest)
+
+    def shadow(f):
+        shadows.append(f)
+        return real_qe(f)
+
+    monkeypatch.setattr(oracle, "_weighted_box_bracket", bracket)
+    monkeypatch.setattr(oracle, "qe", shadow)
+    delta = delta_presentation(CTX2, 2)
+    got = truncated_measure(add(delta, delta), {}, depth=16)
+    assert got.valuation_window == 24 and Fraction(2, 3) in got
+    assert coordinates == [2, 2, 2, 2] and len(shadows) == 2
 
 
 W12 = Weight.make(1, LinearTerm.constant(0), {"l1": -1, "l2": -1})
@@ -244,6 +267,16 @@ def test_brute_force_qe_free_variable_limit():
 def test_witness_ranges_cover_divisibility():
     r = witness_ranges(parse("E x. 3 | x - a"), 5)
     assert r["x"] >= 3  # at least the modulus
+
+
+@pytest.mark.parametrize("text", ["x >= 0 /\\ (E x. x = 2*y)", "(E y. y = x) /\\ (E x. x = 0)"])
+def test_witness_ranges_reject_a_name_both_free_and_bound(text):
+    # keyed by name, the windows would give both x's one window, or fail to
+    # stabilize; brute_force_qe renames the bound x apart first
+    with pytest.raises(ScopeError, match="variable 'x' occurs both free and bound"):
+        witness_ranges(parse(text), 8)
+    f = parse(text)
+    assert equivalent_on_box(qe(f), brute_force_qe(f, 8), 8)
 
 
 def test_brute_matches_qe_randomized():

@@ -80,6 +80,30 @@ def test_parse_errors_carry_positions():
     assert err.value.lineno == 1 and err.value.offset == 6
 
 
+# malformed text -> (str(err), err.lineno, err.offset); a tab is one column
+SYNTAX_ERROR_GOLDEN = {
+    "x >= 0 /\\\n\t\ty >=\t@ 1":
+        ("unexpected character '@' (line 2, column 8)", 2, 8),
+    "x >= 0\n/\\ y >= 0\n/\\ z # 1":
+        ("unexpected character '#' (line 3, column 6)", 3, 6),
+    "\tx >= 0 \\/\n  (y = 1\n\t/\\ z":
+        ("expected a comparison or divisibility operator (line 3, column 6)", 3, 6),
+    "x >= 0 /\\ y <=   \n":
+        ("expected a term, found 'end of input' (line 2, column 1)", 2, 1),
+    "x >= 0 y": ("trailing input starting at 'y' (line 1, column 8)", 1, 8),
+    "x + A >= 0": ("'A' is reserved (line 1, column 5)", 1, 5),
+    "E true. x >= 0": ("'true' is reserved (line 1, column 3)", 1, 3),
+    "x*y >= 0": ("products must be integer * variable (line 1, column 2)", 1, 2),
+}
+
+
+@pytest.mark.parametrize("text", sorted(SYNTAX_ERROR_GOLDEN))
+def test_parse_error_messages_and_positions_are_pinned(text):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(text)
+    assert (str(err.value), err.value.lineno, err.value.offset) == SYNTAX_ERROR_GOLDEN[text]
+
+
 def test_evaluate_on_grid_reduces_each_quantifier_axis():
     values = np.arange(-4, 5)
     # the bound x's axis is reduced away; a and b keep the mapping order

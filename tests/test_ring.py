@@ -866,6 +866,68 @@ def test_a_cell_that_fails_its_checks_fails_again_with_the_same_table():
             ring._from_document(bad, cells)
 
 
+def test_normalized_snapshots_are_shared_by_consecutive_steps():
+    w = Weight.make(1, LinearTerm.constant(-1), {"l": -1})
+    xi = weighted_presentation(CTX3, parse("0 <= l /\\ l < s"), w, ["s"], parse("s >= 0"))
+    ell, basic, cert = normalize_to_basic(xi)
+    assert ell != 1 and len(cert.steps) > 2
+    assert basic.presentation is cert.steps[-1].after
+    doc = certificate_to_document(cert)
+    back = certificate_from_document(json.loads(json.dumps(doc)))
+    assert certificate_to_document(back) == doc
+    for steps in (cert.steps, back.steps):
+        assert all(step.before is prev.after for prev, step in zip(steps, steps[1:]))
+
+
+def _three_part_document() -> dict:
+    """The certificate document of a sum of three generators over p = 2:
+    its CellSplit steps keep the generators already done in front of the
+    one they split and the remaining ones behind it.  Step 5 goes from four
+    generators to five."""
+    w = Weight.make(1, LinearTerm.constant(-1), {"l": -1})
+    parts = [weighted_presentation(CTX2, parse(f"0 <= l /\\ l < s + {k}"), w, ["s"],
+                                   parse("s >= 0")) for k in range(3)]
+    cert = normalize_to_basic(add(add(parts[0], parts[1]), parts[2]))[2]
+    return json.loads(json.dumps(certificate_to_document(cert)))
+
+
+def test_a_snapshot_changed_in_one_middle_generator_reads_and_breaks_the_chain():
+    doc = _three_part_document()
+    assert len(doc["steps"][5]["before"]["generators"]) == 4
+    doc["steps"][5]["before"]["generators"][2]["coeff"] = "7/3"
+    cert = certificate_from_document(doc)
+    before, previous = cert.steps[5].before, cert.steps[4].after
+    assert before.generators[2][0] == Fraction(7, 3)
+    assert all(before.generators[k] is previous.generators[k] for k in (0, 1, 3))
+    assert find_invalid_step(cert) == 5
+
+
+def _drop_ac(g):
+    del g["coords"][0]["ac"]
+
+
+@pytest.mark.parametrize("index,change,message", [
+    (2, lambda g: g["coords"][0].update(ac=2), "ac value 2 is not a unit modulo 2"),
+    (2, lambda g: g["coords"][0].update(ac=True), "ac must be a JSON integer, got bool"),
+    (2, lambda g: g["coords"][0].update(level=1.0), "level must be a JSON integer, got float"),
+    (2, _drop_ac, "coordinate 0 of generator 2 of the before of step 5 has no field 'ac'"),
+    (3, lambda g: g["weight"].update(b=[False]), "a weight b entry must be a JSON integer, got bool"),
+    (0, lambda g: g["weight"].update(r=True), "weight r must be a JSON integer, got bool"),
+    (1, lambda g: g.update(dims=0.0), "dims must be a JSON integer, got float"),
+], ids=["ac_not_a_unit", "ac_true", "level_float", "ac_missing", "b_false", "r_true",
+        "dims_float"])
+def test_a_malformed_generator_among_equal_ones_raises_as_alone(index, change, message):
+    # the other entries equal the previous snapshot's, and true == 1 and
+    # 1.0 == 1 in Python: the changed entry must still be read and rejected
+    doc = _three_part_document()
+    gens = doc["steps"][5]["before"]["generators"]
+    assert gens == doc["steps"][4]["after"]["generators"]
+    change(gens[index])
+    with pytest.raises(InputError) as err:
+        certificate_from_document(doc)
+    assert str(err.value) == message
+
+
 def test_parameter_named_like_a_lambda_variable_is_rejected():
     # a document renames the lambda variable x to l1, which is a parameter here
     pres = weighted_presentation(CTX2, parse("0 <= x /\\ x <= l1"), Weight.constant(0),
