@@ -457,8 +457,8 @@ class _Parser:
             raise self.fail("expected a comparison or divisibility operator")
         self.next()
         const += self.add_term(coeffs, -1)  # coeffs and const hold left - right
-        atom, sign, shift = _COMPARISONS[op[1]]
-        f = atom(_linear_term(coeffs, const + shift, sign))
+        make, sign, shift = _COMPARISONS[op[1]]
+        f = make(_linear_term(coeffs, const + shift, sign))
         return neg(f) if op[1] == "!=" else f
 
     def parse_term(self) -> LinearTerm:
@@ -499,9 +499,8 @@ class _Parser:
             k2, name2 = self.parse_primary()
             if name is not None and name2 is not None:
                 raise self.error("products must be integer * variable", star)
-            k, name = sign * k * k2, name if name is not None else name2
-            if k == 0:
-                name = None
+            k *= sign * k2
+            name = (name or name2) if k else None
         return k, name
 
     def parse_primary(self) -> tuple[int, str | None]:
@@ -516,7 +515,7 @@ class _Parser:
         raise self.error(f"expected a term, found {text or 'end of input'!r}", tok)
 
 
-# each comparison as atom(sign * (left - right + shift)), negated for !=
+# each comparison as make(sign * (left - right + shift)), negated for !=
 _COMPARISONS = {"<": (geq0, -1, 1), "<=": (geq0, -1, 0), ">": (geq0, 1, -1),
                 ">=": (geq0, 1, 0), "=": (eq0, 1, 0), "!=": (eq0, 1, 0)}
 
