@@ -75,7 +75,11 @@ def _read_text(path: str) -> str:
 
 
 def _read_document(path: str) -> dict:
-    doc = json.loads(_read_text(path))
+    try:
+        doc = json.loads(_read_text(path))
+    except RecursionError:
+        # json recurses once per nesting level; the traceback would exit 1
+        raise InputError(f"document {path} nests too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"document {path} is not a JSON object")
     return doc

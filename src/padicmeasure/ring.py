@@ -859,37 +859,45 @@ def _written_cell(cell: BoxCell) -> tuple:
 
 
 def _to_document(pres: Presentation, written: dict) -> dict:
-    """to_document, where written maps each cell to its _written_cell fields,
-    so a caller that writes many snapshots formats each distinct cell once.
-    The document is built from fresh dicts and lists, so documents written
-    with one table share no mutable object."""
-    params = set(pres.param_vars)
-    gens = []
-    for coeff, cell in pres.generators:
-        fields = written.get(cell)
-        if fields is None:
-            fields = written[cell] = _written_cell(cell)
-        names, coords, lam_text, weight = fields
-        captured = params.intersection(names)
-        if captured:
-            raise InputError(f"parameters {sorted(captured)} clash with lambda names")
-        gens.append({
-            "coeff": format_rational(coeff),
-            "dims": len(coords),
-            "coords": [
-                {"center": c[0], "level": c[1], "ac": c[2]} if isinstance(c, tuple)
-                else {"point": c}
-                for c in coords
-            ],
-            "lambda_formula": lam_text,
-            "weight": None if weight is None else {"r": weight[0], "c": weight[1],
-                                                   "b": list(weight[2])},
-        })
+    """to_document, where written maps each cell to its _written_cell fields
+    and each snapshot to its param_domain text and its (coefficient text,
+    cell fields) pairs, so a caller that writes many snapshots formats each
+    distinct cell and each distinct snapshot once.  The document is built
+    from fresh dicts and lists, so documents written with one table share no
+    mutable object."""
+    fields = written.get(pres)
+    if fields is None:
+        params = set(pres.param_vars)
+        gens = []
+        for coeff, cell in pres.generators:
+            cell_fields = written.get(cell)
+            if cell_fields is None:
+                cell_fields = written[cell] = _written_cell(cell)
+            captured = params.intersection(cell_fields[0])
+            if captured:
+                raise InputError(f"parameters {sorted(captured)} clash with lambda names")
+            gens.append((format_rational(coeff), cell_fields))
+        fields = written[pres] = (format_formula(pres.param_domain), gens)
+    domain_text, gens = fields
     return {
         "prime": pres.ctx.p,
         "param_vars": list(pres.param_vars),
-        "param_domain": format_formula(pres.param_domain),
-        "generators": gens,
+        "param_domain": domain_text,
+        "generators": [
+            {
+                "coeff": coeff_text,
+                "dims": len(coords),
+                "coords": [
+                    {"center": c[0], "level": c[1], "ac": c[2]} if isinstance(c, tuple)
+                    else {"point": c}
+                    for c in coords
+                ],
+                "lambda_formula": lam_text,
+                "weight": None if weight is None else {"r": weight[0], "c": weight[1],
+                                                       "b": list(weight[2])},
+            }
+            for coeff_text, (_, coords, lam_text, weight) in gens
+        ],
     }
 
 
@@ -1047,8 +1055,8 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation",
 
 
 def certificate_to_document(cert: Certificate) -> dict:
-    """The certificate's document; each distinct cell is formatted once for
-    all its snapshots, and no two snapshots share a mutable object."""
+    """The certificate's document; each distinct cell and each distinct
+    snapshot is formatted once, and no two snapshots share a mutable object."""
     written: dict = {}
     return {
         "steps": [

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 from .algebra import (
     LinearTerm,
     Polynomial,
+    Rat,
     Value,
     bounded_power_sums,
     faulhaber,
@@ -534,9 +535,49 @@ def sum_over_tower(
     exact point count.  Raises DivergesError on a ray along which p^weight
     does not shrink (on every ray when p is None), and ValueError when an
     exponent increment is not an integer.
+
+    From the innermost level out, the summand stays a constant while p is
+    given and each level is a point or geometric (a nonzero exponent
+    increment gamma), so those levels are summed on exact (coefficient,
+    exponent) pairs: c at a ray becomes c/(1 - p^gamma) at the start, and a
+    range adds -c/(1 - p^gamma) at start + count*gamma.  The first range with
+    gamma = 0, and every level when p is None, goes with the levels outside
+    it to the power-sum tables of _sum_level.
     """
-    terms = [SumTerm(Polynomial.constant(1), weight)]
-    for level in reversed(tower.levels):
+    levels = tower.levels[::-1]
+    pairs: list[tuple[Rat, LinearTerm]] = [(1, weight)]
+    done = 0
+    while p is not None and done < len(levels):
+        level = levels[done]
+        var = level.var
+        merged: dict[LinearTerm, Rat] = {}
+        for c, exponent in pairs:
+            rest = exponent.substitute(var, level.start)
+            if level.kind == "point":
+                merged[rest] = merged.get(rest, 0) + c
+                continue
+            gamma = exponent.coeff(var) * level.step
+            if gamma.denominator != 1:
+                raise ValueError(f"exponent increment {gamma} along {var} is not an integer")
+            if level.kind == "range" and (gamma == 0 or level.count is None):
+                break  # to _sum_level with the levels outside it
+            if level.kind == "ray" and gamma >= 0:
+                raise DivergesError(var, 1 if level.step > 0 else -1)
+            # c/(1 - p^gamma), where p^gamma is big or 1/big
+            big = p ** abs(gamma.numerator)
+            head = c * (Fraction(big, big - 1) if gamma < 0 else Fraction(-1, big - 1))
+            merged[rest] = merged.get(rest, 0) + head
+            if level.kind == "range":
+                tail = rest + level.count.scale(gamma.numerator)
+                merged[tail] = merged.get(tail, 0) - head
+        else:
+            pairs = [(c, e) for e, c in merged.items() if c]
+            done += 1
+            continue
+        break
+
+    terms = [SumTerm(Polynomial.constant(c), e) for c, e in pairs]
+    for level in levels[done:]:
         new_terms: list[SumTerm] = []
         for term in terms:
             new_terms.extend(_sum_level(term, level, p))
@@ -546,27 +587,24 @@ def sum_over_tower(
 
 def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
     var = level.var
+    exp_rest = term.exponent.substitute(var, level.start)
     if level.kind == "point":
-        return [
-            SumTerm(
-                term.poly.substitute_affine(var, level.start),
-                term.exponent.substitute(var, level.start),
-            )
-        ]
+        return [SumTerm(term.poly.substitute_affine(var, level.start), exp_rest)]
 
-    sub = level.start + LinearTerm.variable(_IOTA).scale(level.step)
-    poly = term.poly.substitute_affine(var, sub)
-    exponent = term.exponent.substitute(var, sub)
-    gamma = exponent.coeff(_IOTA)
-    exp_rest = exponent.drop(_IOTA)
+    gamma = term.exponent.coeff(var) * level.step
     if gamma.denominator != 1:
         raise ValueError(
             f"exponent increment {gamma} along {var} is not an integer"
         )
     gamma_int = gamma.numerator
 
-    # each power @i^d of the summation index is replaced by its sum over the
-    # level, a polynomial in K built from one table of the powers of K
+    # the summand in the index @i of the level, x = start + step * @i; each
+    # power @i^d is replaced by its sum over the level, a polynomial in K
+    # built from one table of the powers of K
+    poly = term.poly
+    if poly.degree_in(var) > 0:
+        poly = poly.substitute_affine(
+            var, level.start + LinearTerm.variable(_IOTA).scale(level.step))
     max_deg = poly.degree_in(_IOTA)
 
     # a ray sums to the head A of the bounded closed form (q^K B(K) -> 0)

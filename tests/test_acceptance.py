@@ -16,6 +16,7 @@ from padicmeasure import measure
 from padicmeasure.measure import BoxCell, Coordinate, PAdicContext, Weight
 from padicmeasure.oracle import BudgetExceededError, brute_force_qe, truncated_measure
 from padicmeasure.presburger import (
+    TRUE,
     LinearTerm,
     conj,
     equivalent_on_box,
@@ -33,6 +34,7 @@ from padicmeasure.ring import (
     measure_function,
     multiply,
     normalize_to_basic,
+    presentation,
     raise_level,
     scalar_mul,
     shift_lambda,
@@ -332,6 +334,35 @@ def test_criterion_08_certificates_match_their_digest():
         digest.update(text.encode() + b"\n")
         assert certificate_from_document(json.loads(text)) == cert
     assert digest.hexdigest() == CRITERION_8_CERTIFICATES_SHA256
+
+
+# sha256 of repr(measure_function(P).exp_poly) and repr(decide_equal(P,
+# 2·P)), each followed by a newline, over the first 100 presentations of
+# the equivalence set (random.Random(2026), p drawn from {2, 3}, numbers 2,
+# 5, 8, ... squared), each over TRUE and, with s, over four more domains;
+# an intended change to measure functions or verdicts updates it
+MEASURE_FUNCTIONS_SHA256 = (
+    "dc44990f293a0990f2485149d8e4de53f520e35a0358decd760722c7c8e1edf4")
+DIGEST_DOMAINS = ("s >= 0", "s >= 0 \\/ s <= -3", "2 | s \\/ s >= 5", "s != 4")
+
+
+def test_measure_functions_match_their_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(2026)
+    runs = 0
+    for number in range(100):
+        ctx = PAdicContext(rng.choice((2, 3)))
+        pres = random_convergent_presentation(rng, ctx, max_generators=3)
+        if number % 3 == 2:
+            pres = multiply(pres, pres)
+        domains = [TRUE] + ([parse(d) for d in DIGEST_DOMAINS] if pres.param_vars else [])
+        for domain in domains:
+            P = presentation(ctx, pres.generators, pres.param_vars, domain)
+            digest.update(repr(measure_function(P).exp_poly).encode() + b"\n")
+            digest.update(repr(decide_equal(P, scalar_mul(2, P))).encode() + b"\n")
+            runs += 1
+    assert runs == 364
+    assert digest.hexdigest() == MEASURE_FUNCTIONS_SHA256
 
 
 def test_criterion_09_equality_decider_desk_scale():

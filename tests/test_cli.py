@@ -361,6 +361,18 @@ def test_non_object_document_exit_two(tmp_path, verb, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["measure", "eq", "normalize", "oracle", "certify"])
+def test_deeply_nested_document_exit_two(tmp_path, verb):
+    # the JSON reader recurses once per nesting level; past the recursion
+    # limit its RecursionError once ended in a traceback and exit code 1,
+    # which means NotEqual
+    path = tmp_path / "doc.json"
+    path.write_text("[" * 200000)
+    documents = [str(path)] * (2 if verb == "eq" else 1)
+    assert call([verb, *documents, "-p", "2"]) == (
+        2, "", f"error: document {path} nests too deeply\n")
+
+
 @pytest.mark.parametrize("verb,doc", [
     ("certify", {"steps": [1]}),
     ("certify", {"steps": {"rule": "R1"}}),

@@ -37,9 +37,11 @@ from padicmeasure.presburger import (
     conj,
     disj,
     divides,
+    eq0,
     evaluate_qf,
     format_formula,
     free_variables,
+    geq0,
     neg,
     parse,
     simplify_conjunction,
@@ -601,3 +603,89 @@ def test_atom_tuple_guards_evaluate_as_their_printed_formulas():
                     pp.evaluate(point)
                 continue
             assert len(hits) == 1 and pp.evaluate(point) == hits[0].evaluate(point), point
+
+
+# roles of the lambda variables l1, l2, ... (outermost first): "up" and
+# "down" rays, "geometric" ranges (nonzero exponent increment), "flat"
+# ranges (increment 0) and "point"s pinned to s.  Each variable's bounds are
+# constants or read s, so a tower has one level per variable, and the flat
+# range comes first, between or last of the levels sum_over_tower sums
+CELL_ROLES = {
+    "flat innermost": ("up", "geometric", "flat"),
+    "flat between": ("down", "point", "flat", "geometric"),
+    "flat outermost": ("flat", "geometric", "up"),
+}
+
+
+def _role_cell(rng, ctx, roles):
+    names = tuple(f"l{i + 1}" for i in range(len(roles)))
+    s = LinearTerm.variable("s")
+    atoms, b = [], {}
+    for name, role in zip(names, roles):
+        v = LinearTerm.variable(name)
+        low = rng.randint(-1, 1)
+        if role == "point":
+            atoms.append(eq0(v - s - low))
+            b[name] = rng.randint(-1, 1)
+            continue
+        if role == "down":
+            atoms.append(geq0(s + low - v))
+        else:
+            atoms.append(geq0(v - low))
+        if role in ("geometric", "flat"):
+            top = (s + low + rng.randint(0, 2) if rng.random() < 0.5
+                   else LinearTerm.constant(low + rng.randint(1, 3)))
+            atoms.append(geq0(top - v))
+        if rng.random() < 0.3:
+            atoms.append(divides(2, v - rng.randint(0, 1)))
+        # the cell volume adds -1 to each exponent coefficient
+        b[name] = {"up": rng.choice((-1, 0)), "down": rng.choice((2, 3)),
+                   "geometric": rng.choice((-1, 0, 2)), "flat": 1}[role]
+    weight = Weight.make(1, LinearTerm.make({"s": rng.randint(-1, 1)}, rng.randint(-1, 1)), b)
+    coords = tuple(Coordinate(Fraction(rng.randint(-1, 1)), 1, 1) for _ in names)
+    cell = BoxCell(coords, names, conj(atoms), weight)
+    return presentation(ctx, [(Fraction(rng.randint(1, 3)), cell)], ["s"], parse("s >= 0"))
+
+
+def _increments(tower, weight):
+    """(kind, exponent increment) of each ray and range, innermost first,
+    along the sum's leading term"""
+    out = []
+    for level in reversed(tower.levels):
+        if level.kind != "point":
+            out.append((level.kind, weight.coeff(level.var) * level.step))
+        weight = weight.substitute(level.var, level.start)
+    return out
+
+
+def _flat_placement(increments):
+    flat = [i for i, (kind, gamma) in enumerate(increments) if kind == "range" and gamma == 0]
+    moving = [i for i, (_, gamma) in enumerate(increments) if gamma != 0]
+    if not flat or not moving or all(kind != "ray" for kind, _ in increments):
+        return None
+    if flat[0] < min(moving):
+        return "flat innermost"
+    return "flat outermost" if flat[0] > max(moving) else "flat between"
+
+
+@pytest.mark.parametrize("placement", list(CELL_ROLES))
+def test_tower_sums_with_rays_lie_in_oracle_brackets(placement, monkeypatch):
+    rng = random.Random(f"rays {placement}")
+    seen = set()
+    sum_over_tower = measure.sum_over_tower
+
+    def spy(tower, weight, p):
+        seen.add(_flat_placement(_increments(tower, weight)))
+        return sum_over_tower(tower, weight, p)
+
+    monkeypatch.setattr(measure, "sum_over_tower", spy)
+    for _ in range(6):
+        ctx = PAdicContext(rng.choice((2, 3)))
+        pres = _role_cell(rng, ctx, CELL_ROLES[placement])
+        mf = measure_function(pres)
+        n = len(pres.generators[0][1].lambda_vars)
+        for s in (0, 1, 3):
+            bracket = truncated_measure(pres, {"s": s}, depth=8, window=12)
+            assert mf.evaluate({"s": s}) in bracket, (pres, s)
+            assert bracket.width <= Fraction(ctx.p) ** (n - 8)
+    assert placement in seen

@@ -822,8 +822,10 @@ def test_certificate_writing_formats_each_distinct_cell_once(monkeypatch):
     doc = certificate_to_document(cert)
     distinct = len(_distinct_cells(cert))
     assert len(renamed) == distinct
-    # one param_domain per snapshot besides
-    assert len(formatted) == distinct + 2 * len(cert.steps)
+    # one param_domain per distinct snapshot besides: consecutive steps share one
+    snapshots = {side for step in cert.steps for side in (step.before, step.after)}
+    assert len(snapshots) == len(cert.steps) + 1
+    assert len(formatted) == distinct + len(snapshots)
     assert json.dumps(doc) == want
     assert [to_document(side) for step in cert.steps for side in (step.before, step.after)] == [
         step[side] for step in doc["steps"] for side in ("before", "after")]

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,3 +310,191 @@ def test_count_parametric_asks_only_conjunctive_queries(sat_queries):
         count_parametric(*args)
     assert sat_queries["atoms_satisfiable"] and not sat_queries["is_satisfiable"]
     assert not sat_queries["qe"]
+
+
+# ---------------------------------------------------------------------------
+# closed-form sums over towers
+
+# roles of the levels l1, l2, ... (outermost first; sum_over_tower sums the
+# innermost first): "geometric" is a range whose exponent increment is
+# nonzero, "flat" a range whose increment is 0, which hands the sum to the
+# power-sum tables before, between or after the geometric levels
+TOWER_ROLES = {
+    "geometric": ("geometric", "point", "geometric", "geometric"),
+    "flat innermost": ("geometric", "point", "geometric", "flat"),
+    "flat between": ("geometric", "flat", "point", "geometric"),
+    "flat outermost": ("flat", "geometric", "point", "geometric"),
+}
+
+
+def _role_tower(rng, roles):
+    """A finite tower over l1, l2, ... and the parameter s, with a weight
+    that gives each level its role.  Starts read earlier variables and s,
+    counts read s only, so every term of the sum meets the same increment
+    at a level."""
+    names = [f"l{i + 1}" for i in range(len(roles))]
+    levels = []
+    for i, role in enumerate(roles):
+        start = LinearTerm.make({n: rng.randint(-1, 1) for n in names[:i] + ["s"]},
+                                rng.randint(-2, 2))
+        if role == "point":
+            levels.append(Level(names[i], "point", start))
+        else:
+            count = LinearTerm.make({"s": rng.randint(0, 1)}, rng.randint(1, 3))
+            levels.append(Level(names[i], "range", start, rng.randint(1, 3), count))
+    # the exponent coefficient of each variable when its level is summed:
+    # its weight coefficient plus what the starts of the inner levels add
+    added = dict.fromkeys(names, 0)
+    coeffs = {}
+    for level, role in reversed(list(zip(levels, roles))):
+        if role == "flat":
+            want = 0
+        elif role == "point":
+            want = rng.randint(-2, 2)
+        else:
+            want = rng.choice((-2, -1, 1, 2))
+        coeffs[level.var] = want - added[level.var]
+        for n, c in level.start.coeffs:
+            if n in added:
+                added[n] += want * c
+    weight = LinearTerm.make({**coeffs, "s": rng.randint(-1, 1)}, rng.randint(-2, 2))
+    return Tower(tuple(names), tuple(levels), ()), weight
+
+
+def _enumerated_sum(tower, weight, p, s):
+    """sum of p^weight (1 when p is None) over the tower's points at s"""
+    total = Fraction(0)
+
+    def walk(depth, env):
+        nonlocal total
+        if depth == len(tower.levels):
+            total += 1 if p is None else Fraction(p) ** weight.evaluate(env)
+            return
+        level = tower.levels[depth]
+        start = level.start.evaluate(env)
+        steps = [0] if level.kind == "point" else range(level.count.evaluate(env))
+        for k in steps:
+            walk(depth + 1, {**env, level.var: start + level.step * k})
+
+    walk(0, {"s": s})
+    return total
+
+
+def _closed_value(terms, p, s):
+    total = Fraction(0)
+    for t in terms:
+        power = 1 if p is None else Fraction(p) ** t.exponent.evaluate({"s": s})
+        total += t.poly.evaluate({"s": s}) * power
+    return total
+
+
+@pytest.mark.parametrize("placement", list(TOWER_ROLES))
+def test_tower_sums_match_enumeration(placement, monkeypatch):
+    # levels from the first flat one outwards, and every level when p is
+    # None, go to the power-sum tables; the others are summed on scalars
+    rng = random.Random(f"tower sums {placement}")
+    roles = TOWER_ROLES[placement]
+    handed = []
+    sum_level = semilinear._sum_level
+
+    def spy(term, level, p):
+        handed.append(level.var)
+        return sum_level(term, level, p)
+
+    monkeypatch.setattr(semilinear, "_sum_level", spy)
+    first_flat = roles.index("flat") if "flat" in roles else -1
+    for _ in range(12):
+        tower, weight = _role_tower(rng, roles)
+        for p, w in ((2, weight), (3, weight), (None, LinearTerm.constant(0))):
+            del handed[:]
+            terms = semilinear.sum_over_tower(tower, w, p)
+            if p is None:
+                assert set(handed) == set(tower.variables)
+            else:
+                assert set(handed) == set(tower.variables[:first_flat + 1])
+            for s in range(4):
+                assert _closed_value(terms, p, s) == _enumerated_sum(tower, w, p, s), (
+                    tower, w, p, s)
+
+
+def test_geometric_towers_use_no_power_sum_table(monkeypatch):
+    # points, rays and ranges whose exponent increments are nonzero are
+    # summed on scalars; a flat range is what needs the tables
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapped
+
+    for name in ("bounded_power_sums", "faulhaber"):
+        monkeypatch.setattr(semilinear, name, spy(name, getattr(semilinear, name)))
+    ray = Level("l0", "ray", LinearTerm.variable("s"), -2)
+    rng = random.Random(5)
+    for _ in range(10):
+        tower, weight = _role_tower(rng, TOWER_ROLES["geometric"])
+        with_ray = Tower(("l0",) + tower.variables, (ray,) + tower.levels, ())
+        semilinear.sum_over_tower(with_ray, weight + LinearTerm.make({"l0": 1}), 2)
+    assert calls == []
+    tower, weight = _role_tower(rng, TOWER_ROLES["flat between"])
+    semilinear.sum_over_tower(tower, weight, 2)
+    assert "bounded_power_sums" in calls and "faulhaber" in calls
+
+
+def _error_tower(inner):
+    """A ray along l1 over a geometric range along l2 of count l1/2 + 3, over
+    the levels inner; the range's tail adds half its increment to l1's."""
+    names = ("l1", "l2") + tuple(level.var for level in inner)
+    levels = (Level("l1", "ray", LinearTerm.constant(0), 1),
+              Level("l2", "range", LinearTerm.constant(0), 1,
+                    LinearTerm.make({"l1": Fraction(1, 2)}, 3))) + inner
+    return Tower(names, levels, ())
+
+
+# innermost levels summed on scalars, or handed straight to the tables
+ERROR_INNER = {
+    "scalar": (Level("l3", "point", LinearTerm.variable("l2")),),
+    "tables": (Level("l3", "range", LinearTerm.constant(0), 1, LinearTerm.constant(2)),),
+}
+
+
+@pytest.mark.parametrize("inner", list(ERROR_INNER))
+def test_tower_sum_errors_come_term_by_term(inner):
+    tower = _error_tower(ERROR_INNER[inner])
+    l1, l2 = LinearTerm.variable("l1"), LinearTerm.variable("l2")
+    # the head's increment along the ray is -1, the tail's -1 + 1/2
+    with pytest.raises(ValueError, match=r"^exponent increment -1/2 along l1 is not an integer$"):
+        semilinear.sum_over_tower(tower, l2 - l1, 2)
+    # the head diverges before the tail's increment 1/2 is read
+    with pytest.raises(semilinear.DivergesError, match=r"^measure diverges along l1 towards \+inf$"):
+        semilinear.sum_over_tower(tower, l2, 2)
+    # a non-integral increment is an error before a divergent ray
+    with pytest.raises(ValueError, match=r"^exponent increment 1/2 along l1 is not an integer$"):
+        semilinear.sum_over_tower(tower, l2 + l1.scale(Fraction(1, 2)), 2)
+
+
+@pytest.mark.parametrize("inner", list(ERROR_INNER))
+def test_a_ray_over_a_zero_summand_does_not_diverge(inner):
+    # at l1 = -1 the range along l2 is empty: its head and tail cancel, and
+    # the ray along l0 sums nothing, whatever its increment
+    point = Level("l1", "point", LinearTerm.constant(-1))
+    span = Level("l2", "range", LinearTerm.constant(0), 1, LinearTerm.make({"l1": 1}, 1))
+    for increment in (0, 1):
+        ray = Level("l0", "ray", LinearTerm.constant(0), 1)
+        tower = Tower(("l0", "l1", "l2", "l3"), (ray, point, span) + ERROR_INNER[inner], ())
+        weight = LinearTerm.make({"l0": increment, "l2": 1})
+        assert semilinear.sum_over_tower(tower, weight, 2) == []
+        live = Tower(tower.variables, (ray, Level("l1", "point", LinearTerm.constant(0)),
+                                       span) + ERROR_INNER[inner], ())
+        with pytest.raises(semilinear.DivergesError):
+            semilinear.sum_over_tower(live, weight, 2)
+
+
+@pytest.mark.parametrize("p", [2, None])
+def test_a_range_without_a_count_is_rejected(p):
+    span = Level("l1", "range", LinearTerm.constant(0), 1)
+    tower = Tower(("l1",), (span,), ())
+    weight = LinearTerm.make({"l1": -1}) if p else LinearTerm.constant(0)
+    with pytest.raises(ValueError, match=r"^range level along l1 has no count$"):
+        semilinear.sum_over_tower(tower, weight, p)

@@ -326,3 +326,23 @@ def test_package_cuts_no_guard_back_into_pieces():
                 and getattr(node.func, "id", None) in ("to_cells", "disjoint_conjunctions")
                 and _mentions_guard(node.args[0], tainted))
     assert not found, found
+
+
+def test_package_reads_power_sum_tables_in_one_function():
+    # sum_over_tower sums points and geometric levels on exact scalars and
+    # hands a flat range, and every level of a count, to _sum_level; a
+    # second reader of the power-sum tables would be a second summation path
+    callers: dict[str, set[str]] = {"bounded_power_sums": set(), "faulhaber": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                for name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    if name in callers:
+                        callers[name].add(f"{path.name} {where}")
+    assert callers == {
+        "bounded_power_sums": {"semilinear.py _sum_level"},
+        "faulhaber": {"semilinear.py _sum_level"},
+    }, callers
