@@ -6,6 +6,7 @@ parameters) and testing identical vanishing; it also normalizes presentations
 to combinations of finite-fiber generators with replayable certificates.
 """
 
+from .algebra import clear_caches
 from .measure import (
     BoxCell,
     Coordinate,

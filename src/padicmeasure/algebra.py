@@ -8,6 +8,7 @@ polynomials carry counting and summation results.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -113,6 +114,50 @@ class Value:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which __setattr__ bars
         return type(self), self._fields()
+
+
+class HashSlot(Value):
+    """Base of a value class that stores its hash in _hash.  The slot sits
+    here so that the subclass's own __slots__ still name exactly its fields,
+    which Value's equality, repr, copy and pickle read."""
+
+    __slots__ = ("_hash",)
+
+
+# ---------------------------------------------------------------------------
+# the cache policy
+#
+# Every table the package keeps across calls is a module-level dict in the
+# module that uses it, read through its module global, with a bound named
+# beside it.  remember() is the one way into a table: it evicts the oldest
+# entries first, so a table never holds more than its bound.  Each module
+# names its tables to cache_tables, and clear_caches() empties them all.
+# Only returned results are stored, never an exception.
+
+_TABLES: list[tuple[dict, str]] = []  # (module namespace, table name)
+
+
+def cache_tables(namespace: dict, *names: str) -> None:
+    _TABLES.extend((namespace, name) for name in names)
+
+
+def remember(table: dict, key, value, bound: int):
+    """Store value under key in table and return value.  A full table first
+    drops its oldest eighth at once: finding the oldest entry scans the
+    slots that earlier deletions left at the front of the dict, so dropping
+    one entry per insertion would scan a large table on every insertion."""
+    if len(table) >= bound:
+        drop = max(len(table) - bound + 1, bound // 8)
+        for old in list(itertools.islice(table, drop)):
+            del table[old]
+    table[key] = value
+    return value
+
+
+def clear_caches() -> None:
+    """Empty every table the package keeps across calls."""
+    for namespace, name in _TABLES:
+        namespace[name].clear()
 
 
 class LinearTerm(Value):

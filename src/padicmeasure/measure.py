@@ -14,7 +14,16 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .algebra import LinearTerm, Polynomial, Value, frac, power_fraction
+from .algebra import (
+    HashSlot,
+    LinearTerm,
+    Polynomial,
+    Value,
+    cache_tables,
+    frac,
+    power_fraction,
+    remember,
+)
 from .presburger import (
     Atom,
     Formula,
@@ -204,15 +213,7 @@ class DegenerateCoordinate(Value):
         object.__setattr__(self, "point", point)
 
 
-class _HashSlot(Value):
-    """Base of a value class that stores its hash in _hash on first use.
-    The slot sits here so that the subclass's own __slots__ still name
-    exactly its fields, which Value's equality, repr, copy and pickle read."""
-
-    __slots__ = ("_hash",)
-
-
-class BoxCell(_HashSlot):
+class BoxCell(HashSlot):
     """Product-like cell: per-coordinate angular conditions plus a joint
     Presburger condition on the valuation tuple.
 
@@ -533,10 +534,11 @@ def _compositions(total: int, parts: int):
 # closed-form summation
 
 # Closed forms by sum_closed_form's arguments, which a cell's centers and
-# angular components do not reach, oldest first.  Only returned results are
-# kept, so a cell that raises raises on every call.
+# angular components do not reach.  Only returned results are kept, so a
+# cell that raises raises on every call.
 _CLOSED_FORMS: dict = {}
 CLOSED_FORMS_BOUND = 256
+cache_tables(globals(), "_CLOSED_FORMS")
 
 
 def sum_closed_form(
@@ -571,10 +573,7 @@ def sum_closed_form(
                 _require_integral_on(t.exponent, guard, f"exponent {t.exponent}")
                 raw_terms.append((canonical, t.poly, t.exponent))
     result = make_exp_polynomial(ctx.p, param_vars, raw_terms)
-    while len(_CLOSED_FORMS) >= CLOSED_FORMS_BOUND:
-        del _CLOSED_FORMS[next(iter(_CLOSED_FORMS))]
-    _CLOSED_FORMS[key] = result
-    return result
+    return remember(_CLOSED_FORMS, key, result, CLOSED_FORMS_BOUND)
 
 
 def _check_tower_weight(tower: Tower, wform: LinearTerm, guard: list[Atom]) -> None:

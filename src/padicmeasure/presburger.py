@@ -16,7 +16,15 @@ import math
 import re
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .algebra import RESERVED, LinearTerm, MissingAssignmentError, Value
+from .algebra import (
+    RESERVED,
+    HashSlot,
+    LinearTerm,
+    MissingAssignmentError,
+    Value,
+    cache_tables,
+    remember,
+)
 
 
 class FormulaSyntaxError(SyntaxError):
@@ -83,31 +91,48 @@ EQ0 = "eq0"
 DIV = "div"
 
 
-class Atom(Formula):
+# Every atom built, by its fields (Filliatre and Conchon's hash-consing,
+# 2006): Atom(...) returns the stored atom, so equal atoms are one object
+# while they are in the table.  Equality still falls back to the fields, so
+# an evicted atom and its newer twin stay equal.
+_ATOMS: dict = {}
+ATOMS_BOUND = 1 << 15
+cache_tables(globals(), "_ATOMS")
+
+
+class Atom(Formula, HashSlot):
     """t >= 0, t = 0, or m | t (modulus m >= 2)."""
 
     __slots__ = ("kind", "term", "modulus")
     __repr__ = Value.__repr__
 
-    def __init__(self, kind: str, term: LinearTerm, modulus: int = 0):
+    def __new__(cls, kind: str, term: LinearTerm, modulus: int = 0):
+        key = (kind, term.coeffs, term.const, modulus)
+        if (atom := _ATOMS.get(key)) is not None:
+            return atom
         if kind not in (GEQ0, EQ0, DIV):
             raise ValueError(f"bad atom kind {kind}")
         if kind == DIV and modulus < 2:
             raise ValueError("divisibility modulus must be >= 2")
         if kind != DIV and modulus != 0:
             raise ValueError("modulus only allowed on divisibility atoms")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "modulus", modulus)
+        atom = object.__new__(cls)
+        object.__setattr__(atom, "kind", kind)
+        object.__setattr__(atom, "term", term)
+        object.__setattr__(atom, "modulus", modulus)
+        object.__setattr__(atom, "_hash", hash((kind, term, modulus)))
+        return remember(_ATOMS, key, atom, ATOMS_BOUND)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return ((self.kind, self.term, self.modulus)
                     == (other.kind, other.term, other.modulus))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.term, self.modulus))
+        return self._hash
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
         v = self.term.evaluate(assignment)
@@ -635,9 +660,6 @@ def simplify_atom(atom: Atom) -> Formula:
     if not _add_row(rows, atom.kind, term.coeffs, term.const, atom.modulus):
         return FALSE
     for (kind, coeffs, modulus), const in rows.items():
-        # an atom already in normal form is shared, not copied
-        if (coeffs, const, modulus) == (term.coeffs, term.const, atom.modulus):
-            return atom
         return Atom(kind, LinearTerm(coeffs, const), modulus)
     return TRUE
 
@@ -946,6 +968,8 @@ def is_satisfiable(f: Formula) -> bool:
 
 # Answers of atoms_satisfiable, keyed by the tuple of atoms.
 _SAT_RESULTS: dict = {}
+SAT_RESULTS_BOUND = 1 << 15
+cache_tables(globals(), "_SAT_RESULTS")
 
 
 def atoms_satisfiable(atoms: Sequence[Atom]) -> bool:
@@ -966,8 +990,7 @@ def atoms_satisfiable(atoms: Sequence[Atom]) -> bool:
     rows: dict = {}
     out = all(_add_row(rows, a.kind, a.term.coeffs, a.term.const, a.modulus)
               for a in key) and _feasible(rows)
-    _SAT_RESULTS[key] = out
-    return out
+    return remember(_SAT_RESULTS, key, out, SAT_RESULTS_BOUND)
 
 
 def _add_row(rows: dict, kind: str, coeffs: tuple, const: int, modulus: int) -> bool:

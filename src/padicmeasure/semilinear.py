@@ -27,7 +27,9 @@ from .algebra import (
     Rat,
     Value,
     bounded_power_sums,
+    cache_tables,
     faulhaber,
+    remember,
 )
 from .presburger import (
     DIV,
@@ -35,6 +37,7 @@ from .presburger import (
     GEQ0,
     AndF,
     Atom,
+    ExpansionBudgetError,
     FalseF,
     Formula,
     NotF,
@@ -148,16 +151,26 @@ def subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
     return out
 
 
+# The pieces of disjoint_conjunctions by formula.
+_DECOMPOSITIONS: dict = {}
+DECOMPOSITIONS_BOUND = 4096
+cache_tables(globals(), "_DECOMPOSITIONS")
+
+
 def disjoint_conjunctions(f: Formula) -> list[list[Atom]]:
-    """Pairwise disjoint satisfiable conjunctions whose union is f."""
-    disjuncts = [d for d in _dnf(nnf(simplify(f))) if atoms_satisfiable(d)]
-    disjoint: list[list[Atom]] = []
-    for i, d in enumerate(disjuncts):
-        pieces = [d]
-        for earlier in disjuncts[:i]:
-            pieces = [q for piece in pieces for q in subtract(piece, earlier)]
-        disjoint.extend(pieces)
-    return disjoint
+    """Pairwise disjoint satisfiable conjunctions whose union is f, as fresh
+    lists on every call."""
+    if (stored := _DECOMPOSITIONS.get(f)) is None:
+        disjuncts = [d for d in _dnf(nnf(simplify(f))) if atoms_satisfiable(d)]
+        disjoint: list[list[Atom]] = []
+        for i, d in enumerate(disjuncts):
+            pieces = [d]
+            for earlier in disjuncts[:i]:
+                pieces = [q for piece in pieces for q in subtract(piece, earlier)]
+            disjoint.extend(pieces)
+        stored = remember(_DECOMPOSITIONS, f, tuple(map(tuple, disjoint)),
+                          DECOMPOSITIONS_BOUND)
+    return [list(piece) for piece in stored]
 
 
 def refine(
@@ -257,14 +270,6 @@ def _substitute_value(atom: Atom, var: str, num: LinearTerm, den: int) -> Atom:
     return Atom(atom.kind, term)
 
 
-class _Branch:
-    __slots__ = ("atoms", "level")
-
-    def __init__(self, atoms: list[Atom], level: Level):
-        self.atoms = atoms
-        self.level = level
-
-
 def _live(atoms: Iterable[Atom]) -> list[Atom] | None:
     """The atoms that do not simplify to TRUE, or None when one simplifies to
     FALSE; every fresh branch atom passes here, so a dead branch is never built."""
@@ -278,25 +283,68 @@ def _live(atoms: Iterable[Atom]) -> list[Atom] | None:
     return out
 
 
-def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
-    """Resolve one variable into levels, emitting guard atoms over the rest."""
-    with_var = [a for a in atoms if a.term.coeff(var) != 0]
-    rest = [a for a in atoms if a.term.coeff(var) == 0]
+# The branches of _split_variable by (the atoms that mention the variable,
+# the variable), as (suffix, level) pairs: a branch is the caller's other
+# atoms followed by a suffix, and the suffix and the level depend on the
+# atoms that mention the variable alone.
+_SPLITS: dict = {}
+SPLITS_BOUND = 4096
+cache_tables(globals(), "_SPLITS")
 
+# Most residue-class branches one variable split may build, counted before
+# they are built.  A congruence or alignment split makes one branch per
+# residue, so a huge modulus would otherwise run for minutes and fill memory;
+# no split of the test suite or the benchmark workloads builds more than 71.
+SPLIT_BUDGET = 50_000
+
+
+def _split_variable(atoms: list[Atom], var: str) -> list[tuple[list[Atom], Level]]:
+    """Resolve one variable into levels, emitting guard atoms over the rest."""
+    with_var: list[Atom] = []
+    rest: list[Atom] = []
+    for a in atoms:
+        (with_var if a.term.coeff(var) != 0 else rest).append(a)
+    key = (tuple(with_var), var)
+    if (splits := _SPLITS.get(key)) is None:
+        splits = remember(_SPLITS, key, _resolve_variable(with_var, var), SPLITS_BOUND)
+    return [(rest + suffix, level) for suffix, level in splits]
+
+
+class _SplitBudget:
+    """The branches one variable split has left to build."""
+
+    __slots__ = ("var", "left")
+
+    def __init__(self, var: str):
+        self.var = var
+        self.left = SPLIT_BUDGET
+
+    def spend(self, branches: int) -> None:
+        self.left -= branches
+        if self.left < 0:
+            raise ExpansionBudgetError(
+                f"splitting {self.var} needs more than {SPLIT_BUDGET} branches, "
+                "the budget of one variable split")
+
+
+def _resolve_variable(with_var: list[Atom], var: str) -> list[tuple[list[Atom], Level]]:
+    """The levels of var over the atoms that mention it, each with the guard
+    atoms, over the other variables, on which it holds."""
     # equalities pin the variable to a point
-    for a in with_var:
+    for i, a in enumerate(with_var):
         if a.kind == EQ0:
             c = a.term.coeff(var)
             t = a.term.drop(var)
             num = t.scale(-1) if c > 0 else t
             den = abs(c)
-            others = [x for x in with_var if x is not a]
+            # by position: a repeat of the equality is substituted like any other atom
+            others = with_var[:i] + with_var[i + 1:]
             fresh = _live(([divides(den, num)] if den > 1 else [])
                           + [_substitute_value(x, var, num, den) for x in others])
             if fresh is None:
                 return []
             value = num.scale(Fraction(1, den))
-            return [_Branch(rest + fresh, Level(var, "point", value))]
+            return [(fresh, Level(var, "point", value))]
 
     # bounds as (numerator term, positive denominator)
     lowers: list[tuple[LinearTerm, int]] = []
@@ -313,8 +361,9 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
         else:
             congruences.append((a.modulus, c, t))
 
+    budget = _SplitBudget(var)
     branches: list[tuple[list[Atom], list[LinearTerm], list[LinearTerm], int, int]] = [
-        (list(rest), [], [], 0, 1)  # atoms, lower forms, upper forms, residue, modulus
+        ([], [], [], 0, 1)  # atoms, lower forms, upper forms, residue, modulus
     ]
 
     # make bounds affine by splitting numerators modulo denominators: on
@@ -322,6 +371,7 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
     # floor(num/den) is (num - r)/den
     bounds = [(n, d, True) for n, d in lowers] + [(n, d, False) for n, d in uppers]
     for num, den, is_lower in bounds:
+        budget.spend(len(branches) * den)
         new = []
         for atoms2, lows, ups, r0, m0 in branches:
             for r in range(den):
@@ -337,6 +387,7 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
 
     # resolve congruences to a concrete residue class of var
     for modulus, c, t in congruences:
+        budget.spend(len(branches) * modulus)
         g = math.gcd(c, modulus)
         m_red = modulus // g
         new = []
@@ -356,17 +407,13 @@ def _split_variable(atoms: list[Atom], var: str) -> list[_Branch]:
                 new.append((atoms2 + fresh, lows, ups, combined[0], combined[1]))
         branches = new
 
-    out: list[_Branch] = []
+    out: list[tuple[list[Atom], Level]] = []
     for atoms2, lows, ups, r_star, m_star in branches:
         # max-split the lower bounds, min-split the upper bounds
-        for low_pick in _extremum_split(lows, want_max=True):
-            for up_pick in _extremum_split(ups, want_max=False):
-                low_atoms, low = low_pick
-                up_atoms, up = up_pick
+        for low_atoms, low in _extremum_split(lows, want_max=True):
+            for up_atoms, up in _extremum_split(ups, want_max=False):
                 base_atoms = atoms2 + low_atoms + up_atoms
-                out.extend(
-                    _aligned_levels(base_atoms, var, low, up, r_star, m_star)
-                )
+                out.extend(_aligned_levels(base_atoms, var, low, up, r_star, m_star, budget))
     return out
 
 
@@ -398,11 +445,14 @@ def _extremum_split(
     return out
 
 
-def _alignment_split(form: LinearTerm, modulus: int) -> list[tuple[list[Atom], int]]:
+def _alignment_split(
+    form: LinearTerm, modulus: int, budget: _SplitBudget
+) -> list[tuple[list[Atom], int]]:
     """Branches fixing the residue of an integer-valued affine form; a
     residue the form cannot take is left out."""
     if modulus == 1:
         return [([], 0)]
+    budget.spend(modulus)
     den = form.denominator_lcm()
     term = form.integer_term(den)
     out = []
@@ -420,12 +470,15 @@ def _aligned_levels(
     up: LinearTerm | None,
     r_star: int,
     m_star: int,
-) -> list[_Branch]:
+    budget: _SplitBudget,
+) -> list[tuple[list[Atom], Level]]:
     """Produce level branches once bounds are affine and the residue is fixed."""
-    out: list[_Branch] = []
+    out: list[tuple[list[Atom], Level]] = []
     if low is not None and up is not None:
-        up_splits = _alignment_split(up, m_star)
-        for atoms_l, sig_l in _alignment_split(low, m_star):
+        up_splits = _alignment_split(up, m_star, budget)
+        low_splits = _alignment_split(low, m_star, budget)
+        budget.spend(len(low_splits) * len(up_splits))
+        for atoms_l, sig_l in low_splits:
             start = low + ((r_star - sig_l) % m_star)
             for atoms_u, sig_u in up_splits:
                 end = up - ((sig_u - r_star) % m_star)
@@ -435,22 +488,20 @@ def _aligned_levels(
                 if nonempty is None:
                     continue
                 atoms3 = base_atoms + atoms_l + atoms_u + nonempty
-                out.append(
-                    _Branch(atoms3, Level(var, "range", start, m_star, count))
-                )
+                out.append((atoms3, Level(var, "range", start, m_star, count)))
     elif low is not None:
-        for atoms_l, sig_l in _alignment_split(low, m_star):
+        for atoms_l, sig_l in _alignment_split(low, m_star, budget):
             start = low + ((r_star - sig_l) % m_star)
-            out.append(_Branch(base_atoms + atoms_l, Level(var, "ray", start, m_star)))
+            out.append((base_atoms + atoms_l, Level(var, "ray", start, m_star)))
     elif up is not None:
-        for atoms_u, sig_u in _alignment_split(up, m_star):
+        for atoms_u, sig_u in _alignment_split(up, m_star, budget):
             start = up - ((sig_u - r_star) % m_star)
-            out.append(_Branch(base_atoms + atoms_u, Level(var, "ray", start, -m_star)))
+            out.append((base_atoms + atoms_u, Level(var, "ray", start, -m_star)))
     else:
         up_start = LinearTerm.constant(r_star)
         down_start = LinearTerm.constant(r_star - m_star)
-        out.append(_Branch(list(base_atoms), Level(var, "ray", up_start, m_star)))
-        out.append(_Branch(list(base_atoms), Level(var, "ray", down_start, -m_star)))
+        out.append((list(base_atoms), Level(var, "ray", up_start, m_star)))
+        out.append((list(base_atoms), Level(var, "ray", down_start, -m_star)))
     return out
 
 
@@ -466,11 +517,11 @@ def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[T
             return [(atoms, [])]
         var = vars_left[-1]
         results = []
-        for branch in _split_variable(atoms, var):
-            if not atoms_satisfiable(branch.atoms + guard):
+        for branch_atoms, level in _split_variable(atoms, var):
+            if not atoms_satisfiable(branch_atoms + guard):
                 continue
-            for param_atoms, levels in rec(branch.atoms, vars_left[:-1]):
-                results.append((param_atoms, levels + [branch.level]))
+            for param_atoms, levels in rec(branch_atoms, vars_left[:-1]):
+                results.append((param_atoms, levels + [level]))
         return results
 
     towers = []

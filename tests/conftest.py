@@ -2,14 +2,15 @@ import sys
 
 import pytest
 
-from padicmeasure import measure, presburger
+from padicmeasure import clear_caches, presburger
 
 
 @pytest.fixture(autouse=True)
-def empty_closed_forms(monkeypatch):
-    """Every test starts from an empty table of closed forms, so what it
-    checks of sum_closed_form does not depend on the tests run before it."""
-    monkeypatch.setattr(measure, "_CLOSED_FORMS", {})
+def empty_caches():
+    """Every test starts from empty tables (atoms, satisfiability answers,
+    variable splits, decompositions and closed forms), so what it checks,
+    and what spies see, does not depend on the tests run before it."""
+    clear_caches()
 
 
 @pytest.fixture

@@ -171,6 +171,30 @@ def test_count_expansion_budget_exit_two(formula):
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
+_HUGE_MODULUS = "l1 >= 0 /\\ l1 <= s /\\ 99991 | l1 + s"
+
+
+@pytest.mark.parametrize("verb", ["count", "measure"])
+def test_split_budget_exit_two(tmp_path, verb):
+    # a triangulation that would split into one branch per residue of a huge
+    # modulus stops at the split budget; in a child process, so that a
+    # missing budget fails on the timeout instead of filling this process
+    if verb == "count":
+        args = ["count", "--formula", _HUGE_MODULUS, "--lambda-vars", "l1",
+                "--domain", "s >= 0", "-p", "2", "--at", "s=5"]
+    else:
+        pres = weighted_presentation(CTX2, parse(_HUGE_MODULUS), Weight.constant(0),
+                                     ["s"], parse("s >= 0"))
+        args = ["measure", write(tmp_path, "huge.json", pres), "-p", "2", "--at", "s=5"]
+    src = Path(padicmeasure.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "padicmeasure.cli", *args],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: splitting l1 needs more than")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
 def test_count_subcommand():
     args = ["count", "--formula", "0 <= l /\\ l < s /\\ 2 | l",
             "--lambda-vars", "l", "--domain", "s >= 0", "-p", "2"]

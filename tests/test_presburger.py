@@ -1,12 +1,16 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from padicmeasure import presburger
+from padicmeasure import clear_caches, presburger
+from padicmeasure.measure import PAdicContext, Weight
 from padicmeasure.presburger import (
+    GEQ0,
     Atom,
     ExpansionBudgetError,
     FormulaSyntaxError,
@@ -32,11 +36,26 @@ from padicmeasure.presburger import (
     qe,
     simplify,
     simplify_atom,
+    substitute,
 )
 from padicmeasure.oracle import BudgetExceededError, brute_force_qe
-from padicmeasure.semilinear import _complement_pieces
+from padicmeasure.ring import (
+    add,
+    decide_equal,
+    from_document,
+    scalar_mul,
+    to_document,
+    weighted_presentation,
+)
+from padicmeasure.semilinear import _complement_pieces, to_cells
 
-from generators import FREE_NAMES, random_atom, random_formula
+from generators import (
+    FREE_NAMES,
+    random_atom,
+    random_convergent_presentation,
+    random_finite_family,
+    random_formula,
+)
 
 # table of (text, canonical reprint); parse then print must round-trip
 PARSE_TABLE = {
@@ -329,3 +348,66 @@ def test_atom_invariants():
         divides(1, LinearTerm.variable("x"))
     atom = divides(4, LinearTerm.make({"x": 6}, 2))
     assert simplify(atom) == divides(2, LinearTerm.make({"x": 1}, 1))
+
+
+# ---------------------------------------------------------------------------
+# hash-consed atoms
+
+
+def test_equal_atoms_are_one_object():
+    # every path that builds an atom returns the one stored in the table
+    atom = geq0(LinearTerm.make({"x": 2, "y": -1}, 3))
+    assert parse("2*x - y + 3 >= 0") is atom
+    assert parse("y <= 2*x + 3") is atom
+    assert simplify_atom(geq0(LinearTerm.make({"x": 4, "y": -2}, 6))) is atom
+    assert substitute(parse("2*x - z + 3 >= 0"), "z", LinearTerm.make({"y": 1})) is atom
+    assert Atom(kind=GEQ0, term=LinearTerm.make({"x": 2, "y": -1}, 3), modulus=0) is atom
+    assert copy.copy(atom) is atom and copy.deepcopy(atom) is atom
+    assert pickle.loads(pickle.dumps(atom)) is atom
+    ctx = PAdicContext(2)
+    pres = weighted_presentation(ctx, parse("0 <= l /\\ l < s /\\ 3 | l + s"),
+                                 Weight.make(1, LinearTerm.constant(-1), {"l": -1}),
+                                 ["s"], parse("s >= 0"))
+    document = to_document(pres)
+    first, second = from_document(document), from_document(document)
+    assert first.param_domain is second.param_domain is parse("s >= 0")
+    lam_first = first.generators[0][1].lambda_formula
+    lam_second = second.generators[0][1].lambda_formula
+    assert len(lam_first.args) == 3
+    assert all(a is b for a, b in zip(lam_first.args, lam_second.args))
+
+
+def test_atoms_hash_as_their_fields_across_a_clear():
+    atom = divides(3, LinearTerm.make({"s": 1}, 1))
+    assert hash(atom) == hash((atom.kind, atom.term, atom.modulus))
+    clear_caches()
+    twin = divides(3, LinearTerm.make({"s": 1}, 1))
+    assert twin is not atom
+    assert twin == atom and atom == twin and hash(twin) == hash(atom)
+    assert {atom: 1}[twin] == 1
+    assert divides(3, LinearTerm.make({"s": 1}, 1)) is twin
+
+
+def test_answers_do_not_depend_on_the_tables():
+    # the same queries, run twice with the tables filled by the first run
+    # and once more after a clear, give the same answers
+    rng = random.Random(2701)
+    scope = ["x", "y", "s"]
+    conjunctions = []
+    for _ in range(40):
+        atoms = [random_atom(rng, scope) for _ in range(rng.randint(1, 4))]
+        conjunctions.append([a for a in atoms if isinstance(a, Atom)])
+    families = [random_finite_family(rng)[:3] for _ in range(6)]
+    ctx = PAdicContext(2)
+    presentations = [random_convergent_presentation(rng, ctx) for _ in range(4)]
+
+    def answers():
+        return ([atoms_satisfiable(atoms) for atoms in conjunctions],
+                [repr(to_cells(f, lams, params)) for f, lams, params in families],
+                [repr(decide_equal(p, scalar_mul(2, p))) + repr(decide_equal(p, add(p, p)))
+                 for p in presentations])
+
+    first = answers()
+    assert answers() == first
+    clear_caches()
+    assert answers() == first

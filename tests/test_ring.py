@@ -22,6 +22,7 @@ from padicmeasure.measure import (
 from padicmeasure.oracle import WindowTooSmallError, truncated_measure
 from padicmeasure.presburger import (
     TRUE,
+    Atom,
     LinearTerm,
     evaluate_qf,
     parse,
@@ -701,12 +702,14 @@ def test_certificate_reading_shares_equal_cells():
     assert all(side.generators[0][1] is sides[0].generators[0][1] for side in sides)
     assert all(side.param_domain is sides[0].param_domain for side in sides)
     assert verify_certificate(cert)
-    # separate documents share nothing
+    # separate documents share no cells; an atom, such as this parameter
+    # domain, is one object across them, as every equal atom in the table is
     snapshot = _repeating_certificate({})["steps"][0]["before"]
     first, second = from_document(snapshot), from_document(snapshot)
     assert first == second
     assert first.generators[0][1] is not second.generators[0][1]
-    assert first.param_domain is not second.param_domain
+    assert isinstance(first.param_domain, Atom)
+    assert first.param_domain is second.param_domain
 
 
 @pytest.mark.parametrize("later,error", [

@@ -1,14 +1,16 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from padicmeasure import semilinear
+from padicmeasure import clear_caches, semilinear
 from padicmeasure.presburger import (
     TRUE,
+    ExpansionBudgetError,
     LinearTerm,
     conj,
     evaluate_on_grid,
@@ -16,6 +18,7 @@ from padicmeasure.presburger import (
     parse,
 )
 from padicmeasure.semilinear import (
+    GuardedCell,
     InfiniteFiberError,
     Level,
     NotRectilinearizableError,
@@ -498,3 +501,35 @@ def test_a_range_without_a_count_is_rejected(p):
     weight = LinearTerm.make({"l1": -1}) if p else LinearTerm.constant(0)
     with pytest.raises(ValueError, match=r"^range level along l1 has no count$"):
         semilinear.sum_over_tower(tower, weight, p)
+
+
+def test_a_repeated_equality_gives_the_same_towers():
+    # the split drops the equality it pins the variable with by position, so
+    # a second copy of it, the same object, is substituted like any other atom
+    base = to_cells(parse("l2 = l1 + 2*s /\\ l1 >= 0 /\\ 2*l1 <= s /\\ 3 | l2"),
+                    ["l1", "l2"], ["s"])
+    assert len(base) == 1
+    cell = base[0]
+    equality = next(a for a in cell.constraints if a.kind == "eq0")
+    repeated = GuardedCell(cell.variables, cell.constraints + (equality,), cell.param_guard)
+    towers = triangulate(cell)
+    assert towers
+    assert triangulate(repeated) == towers
+    clear_caches()
+    assert triangulate(repeated) == towers
+    assert triangulate(cell) == towers
+
+
+def test_a_huge_modulus_stops_at_the_split_budget():
+    # every residue class of a congruence or alignment split is a branch, so
+    # the split checks its budget before it builds them
+    f = parse("l1 >= 0 /\\ l1 <= s /\\ 99991 | l1 + s")
+    started = time.process_time()
+    with pytest.raises(ExpansionBudgetError, match="budget"):
+        count_parametric(to_cells(f, ["l1"], ["s"]), parse("s >= 0"))
+    assert time.process_time() - started < 1.0
+    # a modulus the budget admits is counted exactly
+    small = count_parametric(to_cells(parse("l1 >= 0 /\\ l1 <= s /\\ 7 | l1 + s"), ["l1"], ["s"]),
+                             parse("s >= 0"))
+    for s in range(30):
+        assert small.evaluate({"s": s}) == sum(1 for l in range(s + 1) if (l + s) % 7 == 0)

@@ -153,13 +153,22 @@ _DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict", "WeakKeyDictionary",
                    "WeakValueDictionary"}
 
 
-def test_package_keeps_its_caches_in_two_named_dicts():
-    # one explicit cache policy: the satisfiability answers and the cells'
-    # closed forms are the only tables that outlive a call (a table of towers
-    # beside them was dropped for memory and simplicity, at about 4% of the
-    # equality benchmark's ops/s), and functools memoization would add
-    # unbounded caches that no one can see or clear
-    found, tables = [], set()
+_TABLES = {
+    ("presburger.py", "_ATOMS"),
+    ("presburger.py", "_SAT_RESULTS"),
+    ("semilinear.py", "_SPLITS"),
+    ("semilinear.py", "_DECOMPOSITIONS"),
+    ("measure.py", "_CLOSED_FORMS"),
+}
+
+
+def test_package_keeps_its_caches_in_five_bounded_named_dicts():
+    # one explicit cache policy: these five module-level dicts are the only
+    # tables that outlive a call.  Each has a bound beside it, named after
+    # it, and is named to cache_tables, so clear_caches() empties it;
+    # functools memoization would add unbounded caches that no one can see
+    # or clear
+    found, tables, bounds, registered = [], set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -170,18 +179,25 @@ def test_package_keeps_its_caches_in_two_named_dicts():
                   and isinstance(node.value, ast.Name) and node.value.id == "functools"):
                 found.append(f"{path.name}:{node.lineno} functools.{node.attr}")
         for node in tree.body:
+            if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "cache_tables"):
+                registered.update((path.name, arg.value) for arg in node.value.args[1:])
             if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
                 continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {ast.unparse(t) for t in targets}
+            bounds.update((path.name, name) for name in names if name.endswith("_BOUND"))
             value = node.value
             empty_dict = isinstance(value, ast.Dict) and not value.keys
             factory = isinstance(value, ast.Call) and (
                 getattr(value.func, "id", None) in _DICT_FACTORIES
                 or getattr(value.func, "attr", None) in _DICT_FACTORIES)
             if empty_dict or factory:
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                tables.update(f"{path.name} {ast.unparse(t)}" for t in targets)
+                tables.update((path.name, name) for name in names)
     assert not found, found
-    assert tables == {"presburger.py _SAT_RESULTS", "measure.py _CLOSED_FORMS"}, tables
+    assert tables == _TABLES, tables
+    assert registered == _TABLES, registered
+    assert {(path, f"{name[1:]}_BOUND") for path, name in _TABLES} <= bounds, bounds
 
 
 def test_presburger_normalizes_atoms_in_one_function():

@@ -109,7 +109,12 @@ def test_values_compare_and_hash_by_class_and_fields(value, names):
     fields = tuple(getattr(value, name) for name in names)
     positional = type(value)(*fields)
     by_keyword = type(value)(**dict(zip(names, fields)))
-    assert positional is not value
+    if isinstance(value, Atom):
+        # equal atoms built while in the table are one object; value was
+        # built before the autouse fixture emptied it, and stays equal
+        assert by_keyword is positional
+    else:
+        assert positional is not value
     assert positional == value and by_keyword == value
     assert value != fields and fields != value
     if isinstance(value, BoxTable):
