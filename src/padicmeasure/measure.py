@@ -178,6 +178,13 @@ class Weight(Value):
         return (self.c + LinearTerm.make(dict(self.b))).scale(Fraction(1, self.r))
 
 
+# A coordinate's level L builds p^L, which must stay below 2^LEVEL_BITS: a
+# larger power would take unbounded time and memory, and its coefficients
+# would not print.  level * p.bit_length() <= LEVEL_BITS bounds it without
+# building the power.
+LEVEL_BITS = 4096
+
+
 class Coordinate(Value):
     """Non-degenerate coordinate: center + { y : ac_level(y) = ac, v(y) free }."""
 
@@ -199,6 +206,9 @@ class Coordinate(Value):
     def validate(self, ctx: PAdicContext) -> None:
         if self.level < 1:
             raise InputError("coordinate level must be >= 1")
+        if self.level * ctx.p.bit_length() > LEVEL_BITS:
+            raise InputError(f"coordinate level {self.level} is above "
+                             f"{LEVEL_BITS // ctx.p.bit_length()}, the bound for p = {ctx.p}")
         mod = ctx.p**self.level
         if not (0 <= self.ac < mod) or self.ac % ctx.p == 0:
             raise InputError(f"ac value {self.ac} is not a unit modulo {mod}")
@@ -310,21 +320,22 @@ def checked_towers(
     cells: Iterable[GuardedCell],
     wform: LinearTerm,
     domain: Sequence[list[Atom]],
-    order: Sequence[str] | None = None,
 ) -> Iterator[tuple[Tower, list[list[Atom]]]]:
     """The towers of the cells that meet the domain pieces, with their guards
     (as towers_in_domain), each yielded once the weight is checked to be
     integer-valued on its guards; InputError otherwise."""
-    for tower, guards in towers_in_domain(cells, domain, order):
+    for tower, guards in towers_in_domain(cells, domain):
         for guard in guards:
             _check_tower_weight(tower, wform, guard)
         yield tower, guards
 
 
-def _require_integral_on(form: LinearTerm, guard: list[Atom], what: str) -> None:
+def _require_integral_on(form: LinearTerm, guard: list[Atom], label: str) -> None:
+    """InputError "<label> <form> is not an integer on its guard" unless form
+    takes integer values on the guard; the text is built only to raise."""
     den = form.denominator_lcm()
     if den > 1 and subtract(guard, [divides(den, form.integer_term(den))]):
-        raise InputError(f"{what} is not an integer on its guard")
+        raise InputError(f"{label} {form} is not an integer on its guard")
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +581,7 @@ def sum_closed_form(
         for guard in guards:
             canonical = simplify_conjunction(guard)
             for t in terms:
-                _require_integral_on(t.exponent, guard, f"exponent {t.exponent}")
+                _require_integral_on(t.exponent, guard, "exponent")
                 raw_terms.append((canonical, t.poly, t.exponent))
     result = make_exp_polynomial(ctx.p, param_vars, raw_terms)
     return remember(_CLOSED_FORMS, key, result, CLOSED_FORMS_BOUND)
@@ -591,7 +602,7 @@ def _check_tower_weight(tower: Tower, wform: LinearTerm, guard: list[Atom]) -> N
                 )
         forms[level.var] = start
         exp = exp.substitute(level.var, start)
-    _require_integral_on(exp, guard, f"weight value {exp}")
+    _require_integral_on(exp, guard, "weight value")
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ from .semilinear import (
     PiecewisePolynomial,
     count_parametric,
     disjoint_conjunctions,
+    in_first_order,
     to_cells,
-    variable_orders,
 )
 
 
@@ -581,61 +581,48 @@ def _state_to_cell(state: _GenState) -> BoxCell:
     return state.cell
 
 
-def _assemble(
-    ctx: PAdicContext,
-    param_vars: tuple[str, ...],
-    param_domain: Formula,
-    done: list[tuple[Fraction, BoxCell]],
-    queue: list[_GenState],
-    rest: list[tuple[Fraction, BoxCell]],
-) -> Presentation:
-    gens = list(done)
-    gens.extend((st.coeff, _state_to_cell(st)) for st in queue)
-    gens.extend(rest)
-    return Presentation(ctx, param_vars, param_domain, tuple(gens))
-
-
 def normalize_to_basic(
     pres: Presentation,
 ) -> tuple[int, BasicPresentation, Certificate]:
     """Clear all unbounded directions: returns (ell, B, certificate) with
     measure(B) = ell * measure(pres), B basic, and every step replayable.
-    Each cell and each snapshot is built once: each step's before is the
-    previous step's after, and snapshots share the cells they both hold."""
+    Each tower is peeled once, in the first variable order that never
+    blocks, and its peel becomes the snapshots.  Each cell and each
+    snapshot is built once: each step's before is the previous step's
+    after, and snapshots share the cells they both hold."""
     pres.validate()
     ctx = pres.ctx
     p = ctx.p
     steps: list[CertificateStep] = []
     current = pres
 
-    def record(rule: str, note: str, after: Presentation) -> Presentation:
+    def record(rule: str, note: str, generators: Iterable[tuple[Fraction, BoxCell]]) -> None:
         nonlocal current
+        after = Presentation(ctx, pres.param_vars, pres.param_domain, tuple(generators))
         steps.append(CertificateStep(rule, note, current, after))
         current = after
-        return after
+
+    def presented(states: list[_GenState]) -> list[tuple[Fraction, BoxCell]]:
+        return [(st.coeff, _state_to_cell(st)) for st in states]
 
     # R2: generators with a degenerate coordinate are negligible
     if any(isinstance(c, DegenerateCoordinate) for _, cell in current.generators
            for c in cell.coords):
-        kept = tuple(
+        record("R2", "drop lower-dimensional generators", (
             (coeff, cell) for coeff, cell in current.generators
             if not any(isinstance(c, DegenerateCoordinate) for c in cell.coords)
-        )
-        record("R2", "drop lower-dimensional generators",
-               Presentation(ctx, pres.param_vars, pres.param_domain, kept))
+        ))
 
     # R3: translate centers to zero and angular components to one
     if any(isinstance(c, Coordinate) and (c.center != 0 or c.ac != 1)
            for _, cell in current.generators for c in cell.coords):
-        gens = tuple(
+        record("R3_translate", "translate centers to zero and scale units to ac 1", (
             (coeff, BoxCell(
                 tuple(Coordinate(Fraction(0), c.level, 1) if isinstance(c, Coordinate) else c
                       for c in cell.coords),
                 cell.lambda_vars, cell.lambda_formula, cell.weight))
             for coeff, cell in current.generators
-        )
-        record("R3_translate", "translate centers to zero and scale units to ac 1",
-               Presentation(ctx, pres.param_vars, pres.param_domain, gens))
+        ))
 
     # L_acLevel: reduce all levels to one
     if any(isinstance(c, Coordinate) and c.level > 1
@@ -647,8 +634,7 @@ def normalize_to_basic(
                            for c in cell.coords)
             gens.append((coeff * Fraction(1, p**drop),
                          BoxCell(coords, cell.lambda_vars, cell.lambda_formula, cell.weight)))
-        record("L_acLevel", "reduce angular-component levels to 1",
-               Presentation(ctx, pres.param_vars, pres.param_domain, tuple(gens)))
+        record("L_acLevel", "reduce angular-component levels to 1", gens)
 
     # per generator: split into towers, then peel directions
     ell = 1
@@ -660,28 +646,33 @@ def normalize_to_basic(
         if converted is MEASURE_ZERO:
             raise AssertionError("degenerate generator survived the R2 step")
         lam, weight = converted
-        cells = to_cells(lam, cell.lambda_vars, pres.param_vars)
-        states, gen_factors = _plan_generator(cells, weight.affine(), coeff, pres, ctx)
-        ell = math.lcm(ell, gen_factors)
+        wform = weight.affine()
+        domain = disjoint_conjunctions(pres.param_domain)
 
-        after = _assemble(ctx, pres.param_vars, pres.param_domain, done, states,
-                          remaining)
-        record("CellSplit", "decompose a generator into disjoint towers", after)
+        def peel_towers(ordered: GuardedCell) -> list[tuple]:
+            # each tower is peeled as soon as checked_towers yields it
+            peeled = []
+            for tower, _ in checked_towers([ordered], wform, domain):
+                state = _GenState(coeff, list(tower.levels), [], tower.guard, wform)
+                peeled.append((state, *_peel(state, p)))
+            return peeled
 
-        queue = states
-        while queue:
-            state = queue.pop(0)
-            if not state.levels:
-                done.append((state.coeff, _state_to_cell(state)))
-                continue
-            level = state.levels[-1]
-            new_states, rule, note = _peel_step(state, level, p)
-            queue = new_states + queue
-            if rule is None:
-                continue  # bookkeeping only, the presented cell is unchanged
-            after = _assemble(ctx, pres.param_vars, pres.param_domain, done, queue,
-                              remaining)
-            record(rule, note, after)
+        towers = []
+        for gcell in to_cells(lam, cell.lambda_vars, pres.param_vars):
+            try:
+                towers.extend(in_first_order(gcell, peel_towers, NotRectilinearizableError))
+            except NotRectilinearizableError as err:
+                raise NotRectilinearizableError(
+                    f"no variable order untangles this cell: {err}") from None
+        ell = math.lcm(ell, math.prod(factor for *_, factor in towers))
+
+        states = [state for state, *_ in towers]
+        record("CellSplit", "decompose a generator into disjoint towers",
+               done + presented(states) + remaining)
+        for i, (_, peel_steps, finished, _) in enumerate(towers):
+            for rule, note, live in peel_steps:
+                record(rule, note, done + presented(live + states[i + 1:]) + remaining)
+            done.extend(presented(finished))
 
     basic = current
     counts = []
@@ -699,63 +690,32 @@ def normalize_to_basic(
     return ell, BasicPresentation(basic, tuple(counts)), cert
 
 
-def _plan_generator(
-    cells: list[GuardedCell],
-    wform: LinearTerm,
-    coeff: Fraction,
-    pres: Presentation,
-    ctx: PAdicContext,
-) -> tuple[list[_GenState], int]:
-    """Choose a triangulation order whose peeling never blocks; returns the
-    initial states and the product of (p^n - 1) factors the plan will use.
-    InputError when the weight is not integer-valued on a tower in the domain."""
-    states: list[_GenState] = []
-    factors = 1
-    domain = disjoint_conjunctions(pres.param_domain)
-    for cell in cells:
-        last_error: Exception | None = None
-        for order in variable_orders(cell.variables):
-            plan_factor = 1
-            plan_states = []
-            try:
-                for tower, _ in checked_towers([cell], wform, domain, order):
-                    st = _GenState(coeff, list(tower.levels), [], tower.guard, wform)
-                    plan_factor *= _dry_run(st, ctx.p)
-                    plan_states.append(st)
-            except _BlockedError as err:
-                last_error = err
-                continue
-            states.extend(plan_states)
-            factors *= plan_factor
-            break
-        else:
-            raise NotRectilinearizableError(
-                f"no variable order untangles this cell: {last_error}")
-    return states, factors
-
-
-class _BlockedError(Exception):
-    pass
-
-
 def _gamma_of(state: _GenState, level: Level) -> Rat:
     return state.wtot.coeff(level.var) * level.step
 
 
-def _dry_run(state: _GenState, p: int) -> int:
-    """Simulate peeling; returns the product of (p^n - 1) factors needed."""
+def _peel(state: _GenState, p: int) -> tuple[list[tuple], list[_GenState], int]:
+    """Peel one tower depth first, in the order the certificate records.
+    Returns (rule, note, finished and pending states after the step) for
+    each step that changes the presented cells, the finished states, and
+    the product of the (p^n - 1) factors of the GeomSum steps."""
+    steps = []
+    finished: list[_GenState] = []
     factor = 1
     queue = [state]
     while queue:
-        st = queue.pop()
+        st = queue.pop(0)
         if not st.levels:
+            finished.append(st)
             continue
         level = st.levels[-1]
-        new_states, rule, _ = _peel_step(st, level, p)
+        new_states, rule, note = _peel_step(st, level, p)
+        queue = new_states + queue
         if rule == "GeomSum":
             factor *= p ** (-_gamma_of(st, level).numerator) - 1
-        queue.extend(new_states)
-    return factor
+        if rule is not None:  # None is bookkeeping only, the presented cell is unchanged
+            steps.append((rule, note, finished + queue))
+    return steps, finished, factor
 
 
 def _fold_point(state: _GenState, level: Level) -> _GenState:
@@ -805,7 +765,7 @@ def _peel_step(state: _GenState, level: Level, p: int) -> tuple[list[_GenState],
             if kept.count is not None:
                 refs |= set(kept.count.variables())
             if level.var in refs:
-                raise _BlockedError(
+                raise NotRectilinearizableError(
                     f"kept range over {kept.var} references summed {level.var}")
         if gamma >= 0:
             raise DivergesError(level.var, 1 if level.step > 0 else -1)

@@ -92,7 +92,9 @@ class OutOfDomainError(Exception):
 
 class GuardedCell(Value):
     """Conjunctive constraints over ordered lambda variables and parameters,
-    and a guard over the parameters, both from simplify_conjunction."""
+    and a guard over the parameters, both from simplify_conjunction.  The
+    order of variables is the resolution order: triangulate resolves them
+    last to first."""
 
     __slots__ = ("variables", "constraints", "param_guard")
 
@@ -505,11 +507,8 @@ def _aligned_levels(
     return out
 
 
-def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[Tower]:
-    """Split one cell into disjoint towers, resolving variables last-to-first."""
-    variables = tuple(order) if order is not None else cell.variables
-    if set(variables) != set(cell.variables):
-        raise ValueError("order must permute the cell variables")
+def triangulate(cell: GuardedCell) -> list[Tower]:
+    """Split one cell into disjoint towers, resolving its variables last-to-first."""
     guard = list(cell.param_guard)
 
     def rec(atoms: list[Atom], vars_left: tuple[str, ...]) -> list[tuple[list[Atom], list[Level]]]:
@@ -525,18 +524,17 @@ def triangulate(cell: GuardedCell, order: Sequence[str] | None = None) -> list[T
         return results
 
     towers = []
-    for param_atoms, levels in rec(list(cell.constraints), variables):
+    for param_atoms, levels in rec(list(cell.constraints), cell.variables):
         # the cleaned atoms, then the cell's guard, each atom once in order
         kept = dict.fromkeys(c for c in map(_simplify_guard_atom, param_atoms) if c is not None)
         kept.update(dict.fromkeys(guard))
-        towers.append(Tower(variables, tuple(levels), tuple(kept)))
+        towers.append(Tower(cell.variables, tuple(levels), tuple(kept)))
     return towers
 
 
 def towers_in_domain(
     cells: Iterable[GuardedCell],
     domain: Sequence[list[Atom]],
-    order: Sequence[str] | None = None,
 ) -> Iterator[tuple[Tower, list[list[Atom]]]]:
     """Each tower of the cells that meets the domain, with its guards.
 
@@ -546,7 +544,7 @@ def towers_in_domain(
     part of the tower's guard inside the domain.
     """
     for cell in cells:
-        for tower in triangulate(cell, order):
+        for tower in triangulate(cell):
             own = list(tower.guard)
             guards = [own + piece for piece in domain if atoms_satisfiable(own + piece)]
             if guards:
@@ -805,6 +803,21 @@ def variable_orders(variables: Sequence[str]) -> list[tuple[str, ...]]:
     return [identity] + [p for p in sorted(itertools.permutations(identity)) if p != identity]
 
 
+def in_first_order(
+    cell: GuardedCell,
+    attempt: Callable[[GuardedCell], V],
+    blocked: type[Exception],
+) -> V:
+    """attempt of the cell resolved in the first of its variable_orders that
+    raises no blocked error; the last such error when every order does."""
+    for order in variable_orders(cell.variables):
+        try:
+            return attempt(GuardedCell(order, cell.constraints, cell.param_guard))
+        except blocked as err:
+            last_error = err
+    raise last_error
+
+
 def rectilinearize(cells: Sequence[GuardedCell]) -> list[dict[str, LinearTerm]]:
     """Rewrite disjoint cells as disjoint affine images of N^m, each a mapping
     from the cell variables to affine forms (see _pieces_from_tower).
@@ -820,15 +833,9 @@ def rectilinearize(cells: Sequence[GuardedCell]) -> list[dict[str, LinearTerm]]:
                          for n in a.term.variables()} - set(cell.variables))
         if params:
             raise ValueError(f"rectilinearize takes no parameters, got {params}")
-        for order in variable_orders(cell.variables):
-            try:
-                got = [piece for tower in triangulate(cell, order)
-                       for piece in _pieces_from_tower(tower, cell.variables)]
-            except NotRectilinearizableError as err:
-                last_error = err
-                continue
-            pieces.extend(got)
-            break
-        else:
-            raise last_error
+        pieces.extend(in_first_order(
+            cell,
+            lambda ordered: [piece for tower in triangulate(ordered)
+                             for piece in _pieces_from_tower(tower, cell.variables)],
+            NotRectilinearizableError))
     return pieces

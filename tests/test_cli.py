@@ -333,6 +333,23 @@ def test_input_error_exit_two(tmp_path, argv, doc, at):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_coordinate_level_past_its_bound_exit_two(tmp_path):
+    # level 10^12 once hung building p^level, and level 100000 ended in
+    # Python's limit on converting the coefficient 2^-100000 to a string
+    def measure_at_level(level):
+        doc = {"prime": 2, "generators": [{
+            "coeff": "1", "coords": [{"center": "0", "level": level, "ac": 1}],
+            "lambda_formula": "l1 >= 0"}]}
+        path = tmp_path / f"level{level}.json"
+        path.write_text(json.dumps(doc))
+        return call(["measure", str(path), "-p", "2", "--at"])
+
+    for level in (10**12, 100000):
+        assert measure_at_level(level) == (
+            2, "", f"error: coordinate level {level} is above 2048, the bound for p = 2\n")
+    assert measure_at_level(3) == (0, "1/4\n", "")
+
+
 def test_at_names_no_other_variable(tmp_path):
     # a name that is not a parameter was once ignored, and measure printed 1/3
     path = write(tmp_path, "delta.json", delta_presentation(CTX2, 1))

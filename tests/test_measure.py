@@ -282,13 +282,41 @@ def test_cell_weight_validation_rejects_on_every_path():
     bad = Weight.make(2, LinearTerm.constant(1), {"l1": 2})
     cell = BoxCell((unit_coord(),), ("l1",), parse("l1 >= 0"), bad)
     pres = presentation(CTX2, [(1, cell)])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^weight value -1/2 is not an integer on its guard$"):
         measure_function(pres)
     with pytest.raises(InputError):
         normalize_to_basic(pres)
     assert find_invalid_step(Certificate((CertificateStep("R1", "", pres, pres),))) == 0
     with pytest.raises(WindowTooSmallError):
         truncated_measure(pres, {})
+
+
+def test_weight_checks_format_no_text_unless_they_raise(monkeypatch):
+    # the integrality checks name the form they reject only when they
+    # raise, so a valid cell whose weight has r = 2 formats no exponent
+    formatted = []
+    original = LinearTerm.__str__
+    monkeypatch.setattr(LinearTerm, "__str__", lambda t: formatted.append(t) or original(t))
+    half = Weight.make(2, LinearTerm.constant(0), {"l": -1})
+    e = sum_closed_form(parse("l >= 0 /\\ 2 | l"), half, TRUE, CTX3, [])
+    assert exp_poly_eval(e, {}, CTX3) == Fraction(3, 2)
+    assert formatted == []
+
+
+def test_coordinate_level_is_bounded_before_any_power_is_built():
+    # p^level at level 10^12 would not finish; the bound is read off
+    # level * p.bit_length(), so the rejection is immediate
+    huge = BoxCell((Coordinate(Fraction(0), 10**12, 1),), ("l1",), parse("l1 >= 0"))
+    start = time.process_time()
+    with pytest.raises(InputError, match=(
+            r"^coordinate level 1000000000000 is above 2048, the bound for p = 2$")):
+        measure_function(presentation(CTX2, [(1, huge)]))
+    assert time.process_time() - start < 1
+    Coordinate(Fraction(0), measure.LEVEL_BITS // 2, 1).validate(CTX2)
+    with pytest.raises(InputError, match="above 1365, the bound for p = 5"):
+        Coordinate(Fraction(0), measure.LEVEL_BITS // 3 + 1, 1).validate(PAdicContext(5))
+    level3 = BoxCell((Coordinate(Fraction(0), 3, 1),), ("l1",), parse("l1 >= 0"))
+    assert measure_function(presentation(CTX2, [(1, level3)])).evaluate({}) == Fraction(1, 4)
 
 
 def test_exp_poly_eval_constant_and_domain():

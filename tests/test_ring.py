@@ -1,11 +1,13 @@
+import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from padicmeasure import measure, ring
+from padicmeasure import measure, ring, semilinear
 from padicmeasure.measure import (
     BoxCell,
     Coordinate,
@@ -61,7 +63,7 @@ from padicmeasure.ring import (
 )
 from padicmeasure.semilinear import NotRectilinearizableError
 
-from generators import random_convergent_presentation
+from generators import random_convergent_presentation, random_finite_family
 
 CTX2 = PAdicContext(2)
 CTX3 = PAdicContext(3)
@@ -299,9 +301,40 @@ def test_normalize_retries_a_blocked_variable_order(monkeypatch):
     ell, basic, cert = normalize_to_basic(pres)
     assert (ell, mu(basic.presentation)) == (9, 16)
     assert find_invalid_step(cert) is None
-    monkeypatch.setattr(ring, "variable_orders", lambda names: [tuple(names)])
+    monkeypatch.setattr(semilinear, "variable_orders", lambda names: [tuple(names)])
     with pytest.raises(NotRectilinearizableError, match="no variable order"):
         normalize_to_basic(pres)
+
+
+# sha256 over 400 weighted presentations: the random_finite_family formulas
+# of random.Random(5), each summed over every variable with a random weight
+# (r in {1, 2}) at p = 2 or 3.  Each normalization adds a line of ell and
+# the certificate's json.dumps text, each failure one of the error's type
+# and message, so the first error a bad input meets cannot move unseen; an
+# intended change to normalization updates it
+NORMALIZE_OUTCOMES_SHA256 = (
+    "3a97759ce5f9d9ae5711b4fa2c9f56900212fd810d74b937927552b73a0abd89")
+
+
+def test_normalize_outcomes_match_their_digest():
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for _ in range(400):
+        formula, lams, params, _ = random_finite_family(rng)
+        weight = Weight.make(rng.choice((1, 1, 2)), LinearTerm.constant(rng.randint(-2, 2)),
+                             {v: rng.randint(-3, 1) for v in lams + params})
+        pres = weighted_presentation(PAdicContext(rng.choice((2, 3))), formula, weight)
+        try:
+            ell, _, cert = normalize_to_basic(pres)
+            line = f"{ell} {json.dumps(certificate_to_document(cert))}"
+            outcomes["normalized"] += 1
+        except (DivergesError, InputError, NotRectilinearizableError) as err:
+            line = f"{type(err).__name__}: {err}"
+            outcomes[type(err).__name__] += 1
+        digest.update(line.encode() + b"\n")
+    assert outcomes == {"normalized": 89, "DivergesError": 187, "InputError": 124}
+    assert digest.hexdigest() == NORMALIZE_OUTCOMES_SHA256
 
 
 def test_normalize_splits_a_range_whose_weight_increases():

@@ -208,6 +208,20 @@ def test_parametric_width_not_piece_expressible():
         rectilinearize(cells_of("0 <= l1 /\\ l1 <= l2 /\\ l2 <= 2*l1", ["l1", "l2"], []))
 
 
+def test_rectilinearize_searches_variable_orders_in_one_function(monkeypatch):
+    # in the given order (l1, l2), l2 is resolved first and its range has
+    # the parametric width l1 + 1; the swapped order leaves two rays.  The
+    # search reads variable_orders, as normalize_to_basic's does
+    cells = cells_of("0 <= l2 /\\ l2 <= l1", ["l1", "l2"], [])
+    make = LinearTerm.make
+    assert rectilinearize(cells) == [
+        {"l1": make({"@m0": 1, "@m1": 1}), "l2": make({"@m0": 1})}
+    ]
+    monkeypatch.setattr(semilinear, "variable_orders", lambda names: [tuple(names)])
+    with pytest.raises(NotRectilinearizableError, match="^parametric range width along l2$"):
+        rectilinearize(cells)
+
+
 def test_rectilinearize_rejects_parameters():
     # the forms would keep no guard: l = s holds only for 0 <= s <= 3
     with pytest.raises(ValueError, match=r"\['s'\]"):

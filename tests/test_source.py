@@ -362,3 +362,33 @@ def test_package_reads_power_sum_tables_in_one_function():
         "bounded_power_sums": {"semilinear.py _sum_level"},
         "faulhaber": {"semilinear.py _sum_level"},
     }, callers
+
+
+def test_package_peels_and_searches_variable_orders_in_one_function():
+    # normalize_to_basic peels each tower once, in _peel, inside the one
+    # variable-order search that the zero test uses too; a second peel or
+    # a second search loop would be a second path to keep in step.  A cell
+    # carries its resolution order, so no function takes an order beside it
+    callers: dict[str, set[str]] = {"_peel_step": set(), "variable_orders": set()}
+    order_params = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    for name in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None)):
+                        if name in callers:
+                            callers[name].add(f"{path.name} {where}")
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    args = node.args
+                    order_params.extend(
+                        f"{path.name}:{node.lineno}"
+                        for arg in args.posonlyargs + args.args + args.kwonlyargs
+                        + [args.vararg, args.kwarg]
+                        if arg is not None and arg.arg == "order")
+    assert callers == {
+        "_peel_step": {"ring.py _peel"},
+        "variable_orders": {"semilinear.py in_first_order"},
+    }, callers
+    assert not order_params, order_params
