@@ -660,7 +660,7 @@ def normalize_to_basic(
         towers = []
         for gcell in to_cells(lam, cell.lambda_vars, pres.param_vars):
             try:
-                towers.extend(in_first_order(gcell, peel_towers, NotRectilinearizableError))
+                towers.extend(in_first_order(gcell, peel_towers))
             except NotRectilinearizableError as err:
                 raise NotRectilinearizableError(
                     f"no variable order untangles this cell: {err}") from None
@@ -698,18 +698,30 @@ def _peel(state: _GenState, p: int) -> tuple[list[tuple], list[_GenState], int]:
     """Peel one tower depth first, in the order the certificate records.
     Returns (rule, note, finished and pending states after the step) for
     each step that changes the presented cells, the finished states, and
-    the product of the (p^n - 1) factors of the GeomSum steps."""
+    the product of the (p^n - 1) factors of the GeomSum steps.
+
+    The two branches of a CellSplit differ in their weight once their rays
+    are folded, so one may diverge or block where the other does not; each
+    state is peeled once, last branch first, which fixes the error a bad
+    tower reports, and the steps are then read back first branch first."""
+    peeled: dict[_GenState, tuple] = {}
+    queue = [state]
+    while queue:
+        st = queue.pop()
+        if st.levels:
+            peeled[st] = _peel_step(st, st.levels[-1], p)
+            queue.extend(peeled[st][0])
     steps = []
     finished: list[_GenState] = []
     factor = 1
     queue = [state]
     while queue:
         st = queue.pop(0)
-        if not st.levels:
+        if st not in peeled:
             finished.append(st)
             continue
         level = st.levels[-1]
-        new_states, rule, note = _peel_step(st, level, p)
+        new_states, rule, note = peeled[st]
         queue = new_states + queue
         if rule == "GeomSum":
             factor *= p ** (-_gamma_of(st, level).numerator) - 1

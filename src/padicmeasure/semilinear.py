@@ -803,17 +803,14 @@ def variable_orders(variables: Sequence[str]) -> list[tuple[str, ...]]:
     return [identity] + [p for p in sorted(itertools.permutations(identity)) if p != identity]
 
 
-def in_first_order(
-    cell: GuardedCell,
-    attempt: Callable[[GuardedCell], V],
-    blocked: type[Exception],
-) -> V:
+def in_first_order(cell: GuardedCell, attempt: Callable[[GuardedCell], V]) -> V:
     """attempt of the cell resolved in the first of its variable_orders that
-    raises no blocked error; the last such error when every order does."""
+    raises no NotRectilinearizableError; the last such error when every
+    order does."""
     for order in variable_orders(cell.variables):
         try:
             return attempt(GuardedCell(order, cell.constraints, cell.param_guard))
-        except blocked as err:
+        except NotRectilinearizableError as err:
             last_error = err
     raise last_error
 
@@ -836,6 +833,5 @@ def rectilinearize(cells: Sequence[GuardedCell]) -> list[dict[str, LinearTerm]]:
         pieces.extend(in_first_order(
             cell,
             lambda ordered: [piece for tower in triangulate(ordered)
-                             for piece in _pieces_from_tower(tower, cell.variables)],
-            NotRectilinearizableError))
+                             for piece in _pieces_from_tower(tower, cell.variables)]))
     return pieces

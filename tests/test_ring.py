@@ -337,6 +337,19 @@ def test_normalize_outcomes_match_their_digest():
     assert digest.hexdigest() == NORMALIZE_OUTCOMES_SHA256
 
 
+@pytest.mark.parametrize("lam, c, b", [
+    ("l1 >= 0 /\\ l2 >= 0 /\\ l3 >= 0 /\\ l2 >= l3", 2, {"l1": 1, "l3": -1}),
+    ("l1 >= 0 /\\ l2 >= 0 /\\ l3 >= 0 /\\ l3 <= l2", 2, {"l3": -2}),
+    ("l1 >= 0 /\\ l2 >= 0 /\\ l3 >= 0 /\\ l3 <= l2", 0, {"l2": 1, "l3": -3}),
+])
+def test_normalize_reports_the_error_of_the_last_branch_of_a_split(lam, c, b):
+    # l3's range has width l2 + 1, so its two split branches fold to weights
+    # that differ along l2: the first diverges along l2, the last along l1
+    pres = weighted_presentation(CTX2, parse(lam), Weight.make(1, LinearTerm.constant(c), b))
+    with pytest.raises(DivergesError, match=r"^measure diverges along l1 towards \+inf$"):
+        normalize_to_basic(pres)
+
+
 def test_normalize_splits_a_range_whose_weight_increases():
     # the exponent grows along l, so the range is split from its top end
     w = Weight.make(1, LinearTerm.constant(0), {"l": 1})
