@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from numbers import Integral
@@ -83,23 +84,33 @@ class Value:
     A subclass names its fields in __slots__, in order, and sets them in its
     own __init__ with object.__setattr__; every other assignment or deletion
     raises AttributeError.  Two values are equal when they have the same
-    class and equal fields, and a value hashes as its field tuple.  The
-    classes on hot paths write out __eq__ and __hash__ with the same
-    meaning, which is faster than the generic ones here.
+    class and equal fields, and a value hashes as its field tuple.  One
+    getter per class, _fields, built once when the class is defined, reads
+    that tuple for equality, hash, copy and pickle alike.
     """
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if len(names) > 1:
+            fields = operator.attrgetter(*names)
+        elif names:
+            get = operator.attrgetter(names[0])
+            fields = staticmethod(lambda value: (get(value),))
+        else:
+            fields = staticmethod(lambda value: ())
+        # an attrgetter is no descriptor, so value._fields(value) reads it
+        cls._fields = fields
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields(self) == self._fields(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -113,15 +124,31 @@ class Value:
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which __setattr__ bars
-        return type(self), self._fields()
+        return type(self), self._fields(self)
 
 
 class HashSlot(Value):
-    """Base of a value class that stores its hash in _hash.  The slot sits
-    here so that the subclass's own __slots__ still name exactly its fields,
-    which Value's equality, repr, copy and pickle read."""
+    """Base of a value class that is compared and hashed often, such as an
+    atom or a cell: equality first checks identity, and the hash is computed
+    once and kept in _hash.  The slot sits here so that the subclass's own
+    __slots__ still name exactly its fields."""
 
     __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._fields(self))
+            object.__setattr__(self, "_hash", value)
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +201,6 @@ class LinearTerm(Value):
     def __init__(self, coeffs: tuple[tuple[str, Rat], ...], const: Rat):
         object.__setattr__(self, "coeffs", coeffs)  # sorted by name, no zero coefficients
         object.__setattr__(self, "const", const)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.coeffs, self.const) == (other.coeffs, other.const)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.const))
 
     @staticmethod
     def make(coeffs: Mapping[str, Rat] | None = None, const: Rat = 0) -> LinearTerm:
@@ -312,14 +331,6 @@ class Polynomial(Value):
 
     def __init__(self, terms: tuple[tuple[Monomial, Rat], ...]):
         object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.terms,) == (other.terms,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
 
     @staticmethod
     def combine(pairs: Iterable[tuple[Rat, Polynomial]]) -> Polynomial:

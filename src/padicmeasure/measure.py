@@ -155,14 +155,6 @@ class Weight(Value):
         object.__setattr__(self, "c", c)  # over the parameters
         object.__setattr__(self, "b", b)  # per lambda variable, sorted by name
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.r, self.c, self.b) == (other.r, other.c, other.b)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.c, self.b))
-
     @staticmethod
     def make(r: int, c: LinearTerm, b: Mapping[str, int] | None = None) -> Weight:
         if r < 1:
@@ -195,14 +187,6 @@ class Coordinate(Value):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "ac", ac)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.center, self.level, self.ac) == (other.center, other.level, other.ac)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.center, self.level, self.ac))
-
     def validate(self, ctx: PAdicContext) -> None:
         if self.level < 1:
             raise InputError("coordinate level must be >= 1")
@@ -230,8 +214,9 @@ class BoxCell(HashSlot):
     lambda_vars names the valuation variables of the non-degenerate
     coordinates, in coordinate order; lambda_formula may also mention
     parameters.  The optional weight adds p^nu to the natural cell volume.
-    The hash, which covers the whole formula tree, is computed once: cells
-    are dict keys on every measure, replay and document path.
+    A HashSlot, since cells are dict keys on every measure, replay and
+    document path: the hash, which covers the whole formula tree, is
+    computed once.
     """
 
     __slots__ = ("coords", "lambda_vars", "lambda_formula", "weight")
@@ -243,22 +228,6 @@ class BoxCell(HashSlot):
         object.__setattr__(self, "lambda_vars", lambda_vars)
         object.__setattr__(self, "lambda_formula", lambda_formula)
         object.__setattr__(self, "weight", weight)
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return ((self.coords, self.lambda_vars, self.lambda_formula, self.weight)
-                    == (other.coords, other.lambda_vars, other.lambda_formula, other.weight))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.coords, self.lambda_vars, self.lambda_formula, self.weight))
-            object.__setattr__(self, "_hash", value)
-            return value
 
     def validate(self, ctx: PAdicContext) -> None:
         live = [c for c in self.coords if isinstance(c, Coordinate)]
@@ -430,10 +399,9 @@ def make_exp_polynomial(
     return ExpPolynomial(p, tuple(param_vars), tuple(t for _, terms in printed for t in terms))
 
 
-def exp_poly_eval(e: ExpPolynomial, point: Mapping[str, int], ctx: PAdicContext | None = None) -> Fraction:
-    """Exact value at an integer parameter point; OutOfDomainError when the
-    point lies in no guard."""
-    p = ctx.p if ctx is not None else e.p
+def exp_poly_eval(e: ExpPolynomial, point: Mapping[str, int]) -> Fraction:
+    """Exact value at an integer parameter point, with e's own prime;
+    OutOfDomainError when the point lies in no guard."""
     hit = False
     total = Fraction(0)
     for term in e.terms:
@@ -442,7 +410,7 @@ def exp_poly_eval(e: ExpPolynomial, point: Mapping[str, int], ctx: PAdicContext 
             exponent = term.exponent.evaluate(point)
             if exponent.denominator != 1:
                 raise InputError(f"non-integer exponent {exponent} at {dict(point)}")
-            total += term.poly.evaluate(point) * power_fraction(p, exponent)
+            total += term.poly.evaluate(point) * power_fraction(e.p, exponent)
     if not hit:
         raise OutOfDomainError(f"{dict(point)} lies in no guard")
     return total
@@ -459,12 +427,9 @@ class NonZeroWitness(Value):
         return dict(self.point)
 
 
-def exp_poly_is_zero(
-    e: ExpPolynomial, param_domain: Formula, ctx: PAdicContext | None = None
-) -> NonZeroWitness | None:
+def exp_poly_is_zero(e: ExpPolynomial, param_domain: Formula) -> NonZeroWitness | None:
     """None when e vanishes at every integer point of param_domain; otherwise
     a concrete witness point with its nonzero exact value."""
-    p = ctx.p if ctx is not None else e.p
     by_region: dict[Guard, list[ExpTerm]] = {}
     for term in e.terms:
         by_region.setdefault(term.guard, []).append(term)
@@ -476,7 +441,7 @@ def exp_poly_is_zero(
                 continue  # the region misses this piece of the domain
             svars = tuple(sorted(set(e.param_vars).union(*(a.term.variables() for a in atoms))))
             for forms in rectilinearize([GuardedCell(svars, atoms, ())]):
-                witness = _piece_witness(forms, terms, p)
+                witness = _piece_witness(forms, terms, e.p)
                 if witness is not None:
                     return witness
     return None
@@ -625,6 +590,6 @@ class MeasureFunction(Value):
         if not evaluate_qf(self.param_domain, point):
             raise OutOfDomainError(f"{dict(point)} violates the parameter domain")
         try:
-            return exp_poly_eval(self.exp_poly, point, self.ctx)
+            return exp_poly_eval(self.exp_poly, point)
         except OutOfDomainError:
             return Fraction(0)

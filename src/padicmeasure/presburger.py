@@ -64,11 +64,10 @@ class ExpansionBudgetError(ValueError):
 
 class Formula(Value):
     """Base class of the formula nodes below, immutable values that compare
-    and hash by class and fields and print as formulas.  Atom, the leaf that
-    carries a term, keeps the fields repr of a Value; the other nodes keep
-    object's repr.  Atom, NotF, AndF and OrF write out __eq__ and __hash__,
-    which simplify and the hashes of closed-form keys and cells call on every
-    node; the rarer nodes use Value's."""
+    and hash by class and fields, as every Value does, and print as
+    formulas.  Atom, the leaf that carries a term, keeps the fields repr of
+    a Value and is a HashSlot, so it keeps its hash; the other nodes keep
+    object's repr."""
 
     __slots__ = ()
     __repr__ = object.__repr__
@@ -120,19 +119,7 @@ class Atom(Formula, HashSlot):
         object.__setattr__(atom, "kind", kind)
         object.__setattr__(atom, "term", term)
         object.__setattr__(atom, "modulus", modulus)
-        object.__setattr__(atom, "_hash", hash((kind, term, modulus)))
         return remember(_ATOMS, key, atom, ATOMS_BOUND)
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return ((self.kind, self.term, self.modulus)
-                    == (other.kind, other.term, other.modulus))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
         v = self.term.evaluate(assignment)
@@ -176,14 +163,6 @@ class NotF(Formula):
     def __init__(self, arg: Formula):
         object.__setattr__(self, "arg", arg)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.arg,) == (other.arg,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.arg,))
-
 
 class AndF(Formula):
     __slots__ = ("args",)
@@ -191,28 +170,12 @@ class AndF(Formula):
     def __init__(self, args: tuple[Formula, ...]):
         object.__setattr__(self, "args", args)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.args,) == (other.args,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.args,))
-
 
 class OrF(Formula):
     __slots__ = ("args",)
 
     def __init__(self, args: tuple[Formula, ...]):
         object.__setattr__(self, "args", args)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.args,) == (other.args,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.args,))
 
 
 class ExistsF(Formula):

@@ -321,7 +321,7 @@ def decide_equal(a: Presentation, b: Presentation) -> Union[Equal, NotEqual]:
     _same_base(a, b)
     closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
     diff = _signed_measure(a, [(1, a), (-1, b)], closed_forms)
-    witness = exp_poly_is_zero(diff, a.param_domain, a.ctx)
+    witness = exp_poly_is_zero(diff, a.param_domain)
     if witness is None:
         return Equal()
     # the witness names every parameter: the zero test searches all of them
@@ -375,7 +375,7 @@ def find_invalid_step(cert: Certificate) -> int | None:
             diff = _signed_measure(base, [(1, base), (-1, step.after)], closed_forms)
         except (ContextMismatchError, DivergesError, InputError):
             return i
-        if exp_poly_is_zero(diff, base.param_domain, base.ctx) is not None:
+        if exp_poly_is_zero(diff, base.param_domain) is not None:
             return i
     return None
 

@@ -531,6 +531,16 @@ def test_bad_variable_name_exit_two(tmp_path, name):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_non_integral_increment_exit_two(tmp_path):
+    # l1 moves by 2 per step of l2, so the weight grows by 3/2 along l1
+    w = Weight.make(2, LinearTerm.constant(0), {"l1": 1, "l2": 1})
+    path = write(tmp_path, "half.json",
+                 weighted_presentation(CTX2, parse("l1 = 2*l2 /\\ l2 >= 0"), w))
+    code, out, err = call(["measure", path, "-p", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: exponent increment 3/2 along l1 is not an integer\n"
+
+
 def test_usage_error_exit_two():
     code, _, _ = call(["measure"])  # missing document and prime
     assert code == 2

@@ -110,10 +110,8 @@ def test_cell_to_weighted_sum_natural_volume():
     lam, w = cell_to_weighted_sum(cell, CTX2)
     assert w.affine() == LinearTerm.make({"l1": -1}, -1)
     e = sum_closed_form(lam, w, TRUE, CTX2, [])
-    assert exp_poly_eval(e, {}, CTX2) == Fraction(1, 2 - 1)
-    assert exp_poly_eval(
-        sum_closed_form(lam, w, TRUE, CTX3, []), {}, CTX3
-    ) == Fraction(1, 3 - 1)
+    assert exp_poly_eval(e, {}) == Fraction(1, 2 - 1)
+    assert exp_poly_eval(sum_closed_form(lam, w, TRUE, CTX3, []), {}) == Fraction(1, 3 - 1)
 
 
 def test_cell_to_weighted_sum_lists_every_lambda_variable():
@@ -136,7 +134,7 @@ def test_level_two_point_cell():
     cell = BoxCell((Coordinate(Fraction(0), 2, 3),), ("l1",), parse("l1 = 0"))
     lam, w = cell_to_weighted_sum(cell, CTX2)
     e = sum_closed_form(lam, w, TRUE, CTX2, [])
-    assert exp_poly_eval(e, {}, CTX2) == Fraction(1, 4)
+    assert exp_poly_eval(e, {}) == Fraction(1, 4)
     # cross-check with the depth-4 residue bracket
     bracket = truncated_measure(presentation(CTX2, [(1, cell)]), {}, depth=4)
     assert Fraction(1, 4) in bracket
@@ -145,7 +143,7 @@ def test_level_two_point_cell():
 def test_sum_geometric_tail():
     w = Weight.make(1, LinearTerm.constant(-1), {"l": -1})
     e = sum_closed_form(parse("l >= 0"), w, TRUE, CTX3, [])
-    assert exp_poly_eval(e, {}, CTX3) == Fraction(1, 2)
+    assert exp_poly_eval(e, {}) == Fraction(1, 2)
 
 
 def test_bounded_power_sums_match_summation():
@@ -260,10 +258,10 @@ def test_sum_family_against_partial_sums():
     e = sum_closed_form(parse("0 <= l /\\ l < s"), w, parse("s >= 0"), CTX2, ["s"])
     for s in range(0, 31):
         want = sum(Fraction(2) ** (-l - 1) for l in range(s))
-        got = exp_poly_eval(e, {"s": s}, CTX2) if s >= 1 else Fraction(0)
+        got = exp_poly_eval(e, {"s": s}) if s >= 1 else Fraction(0)
         if s == 0:
             with pytest.raises(OutOfDomainError):
-                exp_poly_eval(e, {"s": 0}, CTX2)
+                exp_poly_eval(e, {"s": 0})
         else:
             assert got == want
 
@@ -274,7 +272,7 @@ def test_weight_integrality_validation():
         sum_closed_form(parse("l >= 0"), half, TRUE, CTX3, [])
     # with a parity congruence the same weight is fine
     e = sum_closed_form(parse("l >= 0 /\\ 2 | l"), half, TRUE, CTX3, [])
-    assert exp_poly_eval(e, {}, CTX3) == Fraction(3, 2)
+    assert exp_poly_eval(e, {}) == Fraction(3, 2)
 
 
 def test_cell_weight_validation_rejects_on_every_path():
@@ -299,7 +297,7 @@ def test_weight_checks_format_no_text_unless_they_raise(monkeypatch):
     monkeypatch.setattr(LinearTerm, "__str__", lambda t: formatted.append(t) or original(t))
     half = Weight.make(2, LinearTerm.constant(0), {"l": -1})
     e = sum_closed_form(parse("l >= 0 /\\ 2 | l"), half, TRUE, CTX3, [])
-    assert exp_poly_eval(e, {}, CTX3) == Fraction(3, 2)
+    assert exp_poly_eval(e, {}) == Fraction(3, 2)
     assert formatted == []
 
 
@@ -321,12 +319,12 @@ def test_coordinate_level_is_bounded_before_any_power_is_built():
 
 def test_exp_poly_eval_constant_and_domain():
     one = make_exp_polynomial(2, (), [(TRUE, Polynomial.constant(1), LinearTerm.constant(0))])
-    assert exp_poly_eval(one, {}, CTX2) == 1
+    assert exp_poly_eval(one, {}) == 1
     guarded = make_exp_polynomial(
         2, ("s",), [(parse("s >= 0"), Polynomial.constant(1), LinearTerm.constant(0))]
     )
     with pytest.raises(OutOfDomainError):
-        exp_poly_eval(guarded, {"s": -1}, CTX2)
+        exp_poly_eval(guarded, {"s": -1})
 
 
 def test_exp_poly_eval_family_value():
@@ -339,7 +337,7 @@ def test_exp_poly_eval_family_value():
             (g, Polynomial.constant(-1), LinearTerm.make({"s": -1})),
         ],
     )
-    assert exp_poly_eval(e, {"s": 2}, CTX2) == Fraction(3, 4)
+    assert exp_poly_eval(e, {"s": 2}) == Fraction(3, 4)
     scaled = make_exp_polynomial(
         2, ("s",), [(g, t.poly.scale(Fraction(1, 1)), t.exponent) for t in e.terms]
     )
@@ -348,7 +346,7 @@ def test_exp_poly_eval_family_value():
 
 def test_zero_test_empty_and_cancellation():
     empty = make_exp_polynomial(2, ("s",), [])
-    assert exp_poly_is_zero(empty, TRUE, CTX2) is None
+    assert exp_poly_is_zero(empty, TRUE) is None
     g = parse("s >= 0")
     s_poly = Polynomial.variable("s")
     cancel = make_exp_polynomial(
@@ -356,7 +354,7 @@ def test_zero_test_empty_and_cancellation():
         [(g, s_poly, LinearTerm.constant(0)), (g, s_poly.scale(-1), LinearTerm.constant(0))],
     )
     assert cancel.terms == ()
-    assert exp_poly_is_zero(cancel, TRUE, CTX2) is None
+    assert exp_poly_is_zero(cancel, TRUE) is None
 
 
 def test_zero_test_witness():
@@ -366,16 +364,16 @@ def test_zero_test_witness():
         [(g, Polynomial.constant(1), LinearTerm.constant(0)),
          (g, Polynomial.constant(-1), LinearTerm.make({"s": -1}))],
     )
-    witness = exp_poly_is_zero(e, parse("s >= 0"), CTX2)
+    witness = exp_poly_is_zero(e, parse("s >= 0"))
     assert witness is not None
     point = witness.as_dict()
-    assert exp_poly_eval(e, point, CTX2) == witness.value != 0
+    assert exp_poly_eval(e, point) == witness.value != 0
     # s(s-1)...(s-5) vanishes on the first six points of its witness box
     falling = Polynomial.constant(1)
     for k in range(6):
         falling = falling * (Polynomial.variable("s") - Polynomial.constant(k))
     e = make_exp_polynomial(2, ("s",), [(g, falling, LinearTerm.constant(0))])
-    witness = exp_poly_is_zero(e, parse("s >= 0"), CTX2)
+    witness = exp_poly_is_zero(e, parse("s >= 0"))
     assert (witness.as_dict(), witness.value) == ({"s": 6}, 720)
     # a piece with a constant-width range and a ray: s is expanded into
     # s = 0, 1, 2 and t = @m0; s*t*(t-1)*2^-t vanishes on s = 0 and at t = 0, 1
@@ -385,7 +383,7 @@ def test_zero_test_witness():
         2, ("s", "t"),
         [(domain, s_poly * t_poly * (t_poly - Polynomial.constant(1)), LinearTerm.make({"t": -1}))],
     )
-    witness = exp_poly_is_zero(e, domain, CTX2)
+    witness = exp_poly_is_zero(e, domain)
     assert (witness.as_dict(), witness.value) == ({"s": 1, "t": 2}, Fraction(1, 2))
 
 
@@ -397,7 +395,7 @@ def test_zero_test_cross_guard_cancellation():
         [(g, Polynomial.constant(2), LinearTerm.make({"s": -1}, -1)),
          (g, Polynomial.constant(-1), LinearTerm.make({"s": -1}))],
     )
-    assert exp_poly_is_zero(e, parse("s >= 1"), CTX2) is None
+    assert exp_poly_is_zero(e, parse("s >= 1")) is None
 
 
 def test_zero_test_polynomial_group_on_cone():
@@ -409,7 +407,7 @@ def test_zero_test_polynomial_group_on_cone():
         [(g, s_poly * s_poly, LinearTerm.make({"s": -1})),
          (g, (s_poly * s_poly).scale(-1), LinearTerm.make({"s": -1}, 0))],
     )
-    assert exp_poly_is_zero(e, TRUE, CTX2) is None
+    assert exp_poly_is_zero(e, TRUE) is None
 
 
 def test_canonicalization_idempotent():
@@ -444,7 +442,7 @@ def test_monotonicity_in_weights():
             point = {v: rng.randint(0, 12) for v in params}
             def val(e):
                 try:
-                    return exp_poly_eval(e, point, CTX2)
+                    return exp_poly_eval(e, point)
                 except OutOfDomainError:
                     return Fraction(0)
             assert val(e_small) <= val(e_big), (f, point)
@@ -454,7 +452,7 @@ def test_fractional_exponent_classes_evaluate_exactly():
     w = Weight.make(2, LinearTerm.make({"s": -1}), {"l": -2})
     e = sum_closed_form(parse("l >= 0 /\\ 2 | s"), w, parse("s >= 0"), CTX2, ["s"])
     for s in range(0, 21, 2):
-        assert exp_poly_eval(e, {"s": s}, CTX2) == Fraction(2) ** (-s // 2) * 2
+        assert exp_poly_eval(e, {"s": s}) == Fraction(2) ** (-s // 2) * 2
 
 
 def _random_raw_terms(rng):
@@ -574,7 +572,7 @@ def test_make_exp_polynomial_regions_partition_and_keep_values():
                 Fraction(0),
             )
             try:
-                got = exp_poly_eval(e, point, CTX2)
+                got = exp_poly_eval(e, point)
             except OutOfDomainError:
                 got = Fraction(0)
             assert got == want, (raw, point)
@@ -613,7 +611,7 @@ def test_atom_tuple_guards_evaluate_as_their_printed_formulas():
         for point in (dict(zip("ab", v)) for v in itertools.product(range(-4, 9), repeat=2)):
             hit = [t for t in e.terms if evaluate_qf(formulas[t.guard], point)]
             try:
-                got = exp_poly_eval(e, point, CTX2)
+                got = exp_poly_eval(e, point)
             except OutOfDomainError:
                 assert not hit, point
                 continue

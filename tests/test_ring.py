@@ -509,7 +509,7 @@ def _whole_snapshot_invalid_step(cert):
         except (DivergesError, InputError):
             return i
         diff = _exp_poly_add(mfa.exp_poly, _exp_poly_scale(mfb.exp_poly, Fraction(-1)))
-        if exp_poly_is_zero(diff, before.param_domain, before.ctx) is not None:
+        if exp_poly_is_zero(diff, before.param_domain) is not None:
             return i
     return None
 
@@ -1024,6 +1024,22 @@ def test_free_lambda_variable_with_zero_net_weight_diverges():
         normalize_to_basic(pres)
     with pytest.raises(WindowTooSmallError):
         truncated_measure(pres, {})
+
+
+def _half_step_presentation(b):
+    # l1 moves by 2 per step of l2, so an increment of b/2 along l1 is 3/2
+    # or -3/2 once weighted_presentation adds the volume
+    return weighted_presentation(CTX2, parse("l1 = 2*l2 /\\ l2 >= 0"),
+                                 Weight.make(2, LinearTerm.constant(0), b))
+
+
+def test_a_non_integral_increment_is_an_input_error():
+    pres = _half_step_presentation({"l1": 1, "l2": 1})
+    with pytest.raises(InputError, match="^exponent increment 3/2 along l1 is not an integer$"):
+        measure_function(pres)
+    pres = _half_step_presentation({"l1": -1, "l2": -1})
+    with pytest.raises(InputError, match="^non-integral increment -3/2 along l1$"):
+        normalize_to_basic(pres)
 
 
 def test_measure_function_decomposes_each_generator_once(monkeypatch):

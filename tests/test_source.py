@@ -256,6 +256,32 @@ def test_package_imports_no_dataclasses():
     assert not found, found
 
 
+def test_values_compare_and_hash_in_one_place():
+    # Value reads each class's fields through one getter for equality and
+    # hash, and HashSlot adds the identity check and the kept hash; a class
+    # that writes out its own __eq__ or __hash__ would be a second copy of
+    # that meaning to keep in step with the first
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {node.name}
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = {ast.unparse(t) for t in targets}
+                else:
+                    continue
+                found.extend(f"{path.name} {cls.name}.{name}"
+                             for name in sorted(names & {"__eq__", "__hash__"}))
+    assert found == [
+        "algebra.py Value.__eq__", "algebra.py Value.__hash__",
+        "algebra.py HashSlot.__eq__", "algebra.py HashSlot.__hash__",
+    ], found
+
+
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     # every padic-measure command pays for what importing the CLI imports;
     # dataclasses, which also imports inspect, took most of it
