@@ -136,11 +136,7 @@ class HashSlot(Value):
     __slots__ = ("_hash",)
 
     def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return self._fields(self) == self._fields(other)
-        return NotImplemented
+        return other is self or Value.__eq__(self, other)
 
     def __hash__(self) -> int:
         try:
