@@ -37,8 +37,10 @@ from .presburger import (
 from .semilinear import (
     DivergesError,
     GuardedCell,
+    InputError,
     OutOfDomainError,
     Tower,
+    base_value,
     disjoint_conjunctions,
     rectilinearize,
     refine,
@@ -51,10 +53,6 @@ from .semilinear import (
 Guard = tuple[Atom, ...]
 
 INFINITY = float("inf")
-
-
-class InputError(ValueError):
-    """Ill-formed cell data, e.g. a weight that is not integer-valued."""
 
 
 class ZeroInputError(ValueError):
@@ -159,8 +157,10 @@ class Weight(Value):
     def make(r: int, c: LinearTerm, b: Mapping[str, int] | None = None) -> Weight:
         if r < 1:
             raise InputError("weight denominator r must be >= 1")
-        items = tuple(sorted((n, int(v)) for n, v in (b or {}).items() if v != 0))
-        return Weight(r, c, items)
+        for n, v in (b or {}).items():
+            if v != int(v):
+                raise InputError(f"weight entry {v} for {n} is not an integer")
+        return Weight(r, c, tuple(sorted((n, int(v)) for n, v in (b or {}).items() if v != 0)))
 
     @staticmethod
     def constant(value: int) -> Weight:
@@ -170,10 +170,11 @@ class Weight(Value):
         return (self.c + LinearTerm.make(dict(self.b))).scale(Fraction(1, self.r))
 
 
-# A coordinate's level L builds p^L, which must stay below 2^LEVEL_BITS: a
-# larger power would take unbounded time and memory, and its coefficients
-# would not print.  level * p.bit_length() <= LEVEL_BITS bounds it without
-# building the power.
+# A coordinate's level L builds p^L, and a cell's levels p^(sum of L), which
+# must stay below 2^LEVEL_BITS: a larger power would take unbounded time and
+# memory, and its coefficients would not print.  L * p.bit_length() <=
+# LEVEL_BITS bounds it without building the power, per coordinate and for
+# the sum over a cell, which multiply's products add up.
 LEVEL_BITS = 4096
 
 
@@ -235,6 +236,10 @@ class BoxCell(HashSlot):
             raise InputError("lambda_vars must match the non-degenerate coordinates")
         for c in live:
             c.validate(ctx)
+        total = sum(c.level for c in live)
+        if total * ctx.p.bit_length() > LEVEL_BITS:
+            raise InputError(f"coordinate levels sum to {total}, above "
+                             f"{LEVEL_BITS // ctx.p.bit_length()}, the bound for p = {ctx.p}")
         if self.weight is not None:
             extra = {n for n, _ in self.weight.b} - set(self.lambda_vars)
             if extra:
@@ -291,11 +296,13 @@ def checked_towers(
     domain: Sequence[list[Atom]],
 ) -> Iterator[tuple[Tower, list[list[Atom]]]]:
     """The towers of the cells that meet the domain pieces, with their guards
-    (as towers_in_domain), each yielded once the weight is checked to be
-    integer-valued on its guards; InputError otherwise."""
+    (as towers_in_domain), each yielded once the weight is an integer at the
+    tower's base point on its guards; InputError otherwise.  The walkers
+    test the levels' increments (semilinear.level_increment)."""
     for tower, guards in towers_in_domain(cells, domain):
+        base = base_value(tower, wform)
         for guard in guards:
-            _check_tower_weight(tower, wform, guard)
+            _require_integral_on(base, guard, "weight value")
         yield tower, guards
 
 
@@ -527,9 +534,10 @@ def sum_closed_form(
     """Closed form of  s -> sum over the fiber of Lambda at s of p^weight.
 
     The summed variables are those of lam outside param_vars and those named
-    in weight.b.  Raises DivergesError when a direction with nonnegative
-    exponent increment is unbounded, and InputError when the weight is not
-    integer-valued on the solution set over the parameter domain.
+    in weight.b.  Raises InputError when the weight is not integer-valued
+    on the solution set over the parameter domain, by the one rule of
+    semilinear.level_increment, and then DivergesError when a direction
+    with nonnegative exponent increment is unbounded.
     """
     key = (lam, weight, param_domain, ctx.p, tuple(param_vars))
     if (cached := _CLOSED_FORMS.get(key)) is not None:
@@ -539,10 +547,7 @@ def sum_closed_form(
     domain = disjoint_conjunctions(param_domain)
     raw_terms: list[tuple[Guard, Polynomial, LinearTerm]] = []
     for tower, guards in checked_towers(to_cells(lam, lambda_vars, param_vars), wform, domain):
-        try:
-            terms = sum_over_tower(tower, wform, ctx.p)
-        except ValueError as err:
-            raise InputError(str(err)) from err
+        terms = sum_over_tower(tower, wform, ctx.p)
         for guard in guards:
             canonical = simplify_conjunction(guard)
             for t in terms:
@@ -550,24 +555,6 @@ def sum_closed_form(
                 raw_terms.append((canonical, t.poly, t.exponent))
     result = make_exp_polynomial(ctx.p, param_vars, raw_terms)
     return remember(_CLOSED_FORMS, key, result, CLOSED_FORMS_BOUND)
-
-
-def _check_tower_weight(tower: Tower, wform: LinearTerm, guard: list[Atom]) -> None:
-    forms: dict[str, LinearTerm] = {}
-    exp = wform
-    for level in tower.levels:
-        start = level.start
-        for v, f in forms.items():
-            start = start.substitute(v, f)
-        if level.kind != "point":
-            gamma = exp.coeff(level.var) * level.step
-            if gamma.denominator != 1:
-                raise InputError(
-                    f"weight is not integer-valued: increment {gamma} along {level.var}"
-                )
-        forms[level.var] = start
-        exp = exp.substitute(level.var, start)
-    _require_integral_on(exp, guard, "weight value")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from typing import Union
 
 from .algebra import (
     LinearTerm,
-    Rat,
     Value,
     format_rational,
     frac,
@@ -67,7 +66,6 @@ from .presburger import (
     Formula,
     TRUE,
     conj,
-    divides,
     eq0,
     format_formula,
     free_variables,
@@ -87,6 +85,8 @@ from .semilinear import (
     count_parametric,
     disjoint_conjunctions,
     in_first_order,
+    level_atoms,
+    level_increment,
     to_cells,
 )
 
@@ -536,33 +536,8 @@ def _state_to_cell(state: _GenState) -> BoxCell:
     if state.cell is not None:
         return state.cell
     levels = list(state.levels) + list(state.kept)
-    atoms: list[Atom] = []
-    names = []
-    for level in levels:
-        names.append(level.var)
-        v = LinearTerm.variable(level.var)
-        den = level.start.denominator_lcm()
-        start_term = level.start.integer_term(den)
-        if level.kind == "point":
-            atoms.append(eq0(v.scale(den) - start_term))
-            continue
-        step = level.step
-        if step > 0:
-            diff = v.scale(den) - start_term
-        else:
-            diff = start_term - v.scale(den)
-        atoms.append(geq0(diff))
-        mod = den * abs(step)
-        if mod >= 2:
-            atoms.append(divides(mod, diff))
-        if level.kind == "range":
-            end = level.start + level.count.scale(step) - step
-            den2 = end.denominator_lcm()
-            end_term = end.integer_term(den2)
-            if step > 0:
-                atoms.append(geq0(end_term - v.scale(den2)))
-            else:
-                atoms.append(geq0(v.scale(den2) - end_term))
+    names = [level.var for level in levels]
+    atoms = [a for level in levels for a in level_atoms(level)]
     atoms.extend(state.guard)
     lam = simplify(conj(atoms))
     n = len(levels)
@@ -690,10 +665,6 @@ def normalize_to_basic(
     return ell, BasicPresentation(basic, tuple(counts)), cert
 
 
-def _gamma_of(state: _GenState, level: Level) -> Rat:
-    return state.wtot.coeff(level.var) * level.step
-
-
 def _peel(state: _GenState, p: int) -> tuple[list[tuple], list[_GenState], int]:
     """Peel one tower depth first, in the order the certificate records.
     Returns (rule, note, finished and pending states after the step) for
@@ -709,7 +680,7 @@ def _peel(state: _GenState, p: int) -> tuple[list[tuple], list[_GenState], int]:
     while queue:
         st = queue.pop()
         if st.levels:
-            peeled[st] = _peel_step(st, st.levels[-1], p)
+            peeled[st] = _peel_step(st, p)
             queue.extend(peeled[st][0])
     steps = []
     finished: list[_GenState] = []
@@ -720,11 +691,9 @@ def _peel(state: _GenState, p: int) -> tuple[list[tuple], list[_GenState], int]:
         if st not in peeled:
             finished.append(st)
             continue
-        level = st.levels[-1]
-        new_states, rule, note = peeled[st]
+        new_states, rule, note, gain = peeled[st]
         queue = new_states + queue
-        if rule == "GeomSum":
-            factor *= p ** (-_gamma_of(st, level).numerator) - 1
+        factor *= gain
         if rule is not None:  # None is bookkeeping only, the presented cell is unchanged
             steps.append((rule, note, finished + queue))
     return steps, finished, factor
@@ -748,8 +717,7 @@ def _keep_range(state: _GenState, level: Level) -> _GenState:
                      state.guard, state.wtot)
 
 
-def _split_range(state: _GenState, level: Level) -> list[_GenState]:
-    gamma = _gamma_of(state, level)
+def _split_range(state: _GenState, level: Level, gamma: int) -> list[_GenState]:
     step = level.step
     if gamma < 0:
         first = Level(level.var, "ray", level.start, step)
@@ -766,11 +734,14 @@ def _split_range(state: _GenState, level: Level) -> list[_GenState]:
     ]
 
 
-def _peel_step(state: _GenState, level: Level, p: int) -> tuple[list[_GenState], str, str]:
+def _peel_step(state: _GenState, p: int) -> tuple[list[_GenState], str, str, int]:
+    """The states, rule and note of peeling the state's innermost level,
+    and the (p^n - 1) factor of a GeomSum step (1 for the others)."""
+    level, gamma = level_increment(state.wtot, state.levels[-1], state.levels[:-1],
+                                   state.guard)
     if level.kind == "point":
         return ([_fold_point(state, level)], "P_reparam",
-                f"substitute the pinned coordinate {level.var}")
-    gamma = _gamma_of(state, level)
+                f"substitute the pinned coordinate {level.var}", 1)
     if level.kind == "ray":
         for kept in state.kept:
             refs = set(kept.start.variables())
@@ -781,20 +752,18 @@ def _peel_step(state: _GenState, level: Level, p: int) -> tuple[list[_GenState],
                     f"kept range over {kept.var} references summed {level.var}")
         if gamma >= 0:
             raise DivergesError(level.var, 1 if level.step > 0 else -1)
-        if gamma.denominator != 1:
-            raise InputError(f"non-integral increment {gamma} along {level.var}")
-        n = -gamma.numerator
+        n = -gamma
         # no kept range references level.var, so folding its start changes
         # only the weight; the geometric factor goes into coeff
         out = _fold_point(state, level)
         out.coeff = state.coeff * Fraction(p**n, p**n - 1)
         return ([out], "GeomSum",
-                f"sum the geometric tail along {level.var} (ratio p^-{n})")
+                f"sum the geometric tail along {level.var} (ratio p^-{n})", p**n - 1)
     if gamma == 0:
         return ([_keep_range(state, level)], None,
-                f"retain finite direction {level.var}")
-    return (_split_range(state, level), "CellSplit",
-            f"split bounded direction {level.var} into a difference of tails")
+                f"retain finite direction {level.var}", 1)
+    return (_split_range(state, level, gamma), "CellSplit",
+            f"split bounded direction {level.var} into a difference of tails", 1)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .presburger import (
     TrueF,
     atoms_satisfiable,
     divides,
+    eq0,
     free_variables,
     geq0,
     is_quantifier_free,
@@ -80,6 +81,10 @@ class DivergesError(Exception):
 
 class NotRectilinearizableError(Exception):
     pass
+
+
+class InputError(ValueError):
+    """Ill-formed cell data, e.g. a weight that is not integer-valued."""
 
 
 class OutOfDomainError(Exception):
@@ -247,6 +252,25 @@ class Tower(Value):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "guard", guard)  # conjunction over parameters only
+
+
+def level_atoms(level: Level) -> list[Atom]:
+    """Atoms over the level's variable, the earlier variables and the
+    parameters that hold exactly at the level's values."""
+    v = LinearTerm.variable(level.var)
+    den = level.start.denominator_lcm()
+    offset = v.scale(den) - level.start.integer_term(den)
+    if level.kind == "point":
+        return [eq0(offset)]
+    sign = 1 if level.step > 0 else -1
+    atoms = [geq0(offset.scale(sign))]
+    if den * abs(level.step) >= 2:
+        atoms.append(divides(den * abs(level.step), offset.scale(sign)))
+    if level.kind == "range":
+        end = level.start + level.count.scale(level.step) - level.step
+        den2 = end.denominator_lcm()
+        atoms.append(geq0((end.integer_term(den2) - v.scale(den2)).scale(sign)))
+    return atoms
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -575,15 +599,50 @@ class SumTerm(Value):
         object.__setattr__(self, "exponent", exponent)
 
 
+def base_value(tower: Tower, form: LinearTerm) -> LinearTerm:
+    """form at the tower's first point, over the parameters: each level's
+    start substituted, innermost first."""
+    for level in reversed(tower.levels):
+        form = form.substitute(level.var, level.start)
+    return form
+
+
+def level_increment(exponent: LinearTerm, level: Level, outer: Sequence[Level],
+                    guard: Sequence[Atom]) -> tuple[Level, int]:
+    """The level as a walker sums it, and exponent's increment along it.
+
+    The one integrality rule for tower weights: a weight is integer-valued
+    on a tower's fiber over a guard iff it is an integer at the base point
+    (base_value, tested by checked_towers) and its increment at each level,
+    taken with the inner point levels substituted, is an integer wherever
+    the level holds two or more points.  Otherwise InputError, raised before
+    any divergence test; a range that holds one point wherever the outer
+    levels and the guard allow (count >= 2 is unsatisfiable there) is summed
+    as the point at its start.
+    """
+    if level.kind == "point":
+        return level, 0
+    gamma = exponent.coeff(level.var) * level.step
+    if gamma.denominator == 1:
+        return level, gamma.numerator
+    if level.kind == "range" and level.count is not None:
+        wide = level.count - 2
+        atoms = [a for k in outer for a in level_atoms(k)] + list(guard)
+        if not atoms_satisfiable(atoms + [geq0(wide.integer_term(wide.denominator_lcm()))]):
+            return Level(level.var, "point", level.start), 0
+    raise InputError(f"exponent increment {gamma} along {level.var} is not an integer")
+
+
 def sum_over_tower(
     tower: Tower, weight: LinearTerm, p: int | None
 ) -> list[SumTerm]:
     """Sum p^weight over the tower fiber, symbolically in the parameters.
 
     With p = None the weight must be identically zero; the result is then the
-    exact point count.  Raises DivergesError on a ray along which p^weight
-    does not shrink (on every ray when p is None), and ValueError when an
-    exponent increment is not an integer.
+    exact point count.  Each level's increment is read through
+    level_increment, term by term, so a non-integral one raises InputError
+    before a ray along which p^weight does not shrink (on every ray when p
+    is None) raises DivergesError.
 
     From the innermost level out, the summand stays a constant while p is
     given and each level is a point or geometric (a nonzero exponent
@@ -599,25 +658,24 @@ def sum_over_tower(
     while p is not None and done < len(levels):
         level = levels[done]
         var = level.var
+        outer = tower.levels[:len(levels) - 1 - done]
         merged: dict[LinearTerm, Rat] = {}
         for c, exponent in pairs:
             rest = exponent.substitute(var, level.start)
-            if level.kind == "point":
+            summed, gamma = level_increment(exponent, level, outer, tower.guard)
+            if summed.kind == "point":
                 merged[rest] = merged.get(rest, 0) + c
                 continue
-            gamma = exponent.coeff(var) * level.step
-            if gamma.denominator != 1:
-                raise ValueError(f"exponent increment {gamma} along {var} is not an integer")
-            if level.kind == "range" and (gamma == 0 or level.count is None):
+            if summed.kind == "range" and (gamma == 0 or summed.count is None):
                 break  # to _sum_level with the levels outside it
-            if level.kind == "ray" and gamma >= 0:
-                raise DivergesError(var, 1 if level.step > 0 else -1)
+            if summed.kind == "ray" and gamma >= 0:
+                raise DivergesError(var, 1 if summed.step > 0 else -1)
             # c/(1 - p^gamma), where p^gamma is big or 1/big
-            big = p ** abs(gamma.numerator)
+            big = p ** abs(gamma)
             head = c * (Fraction(big, big - 1) if gamma < 0 else Fraction(-1, big - 1))
             merged[rest] = merged.get(rest, 0) + head
-            if level.kind == "range":
-                tail = rest + level.count.scale(gamma.numerator)
+            if summed.kind == "range":
+                tail = rest + summed.count.scale(gamma)
                 merged[tail] = merged.get(tail, 0) - head
         else:
             pairs = [(c, e) for e, c in merged.items() if c]
@@ -626,26 +684,25 @@ def sum_over_tower(
         break
 
     terms = [SumTerm(Polynomial.constant(c), e) for c, e in pairs]
-    for level in levels[done:]:
+    for i in range(done, len(levels)):
+        outer = tower.levels[:len(levels) - 1 - i]
         new_terms: list[SumTerm] = []
         for term in terms:
-            new_terms.extend(_sum_level(term, level, p))
+            summed, _ = level_increment(term.exponent, levels[i], outer, tower.guard)
+            new_terms.extend(_sum_level(term, summed, p))
         terms = _merge_terms(new_terms)
     return terms
 
 
 def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
+    """term summed over the level, as level_increment returns it for term,
+    so the exponent's increment along it is an integer."""
     var = level.var
     exp_rest = term.exponent.substitute(var, level.start)
     if level.kind == "point":
         return [SumTerm(term.poly.substitute_affine(var, level.start), exp_rest)]
 
-    gamma = term.exponent.coeff(var) * level.step
-    if gamma.denominator != 1:
-        raise ValueError(
-            f"exponent increment {gamma} along {var} is not an integer"
-        )
-    gamma_int = gamma.numerator
+    gamma_int = (term.exponent.coeff(var) * level.step).numerator
 
     # the summand in the index @i of the level, x = start + step * @i; each
     # power @i^d is replaced by its sum over the level, a polynomial in K
@@ -797,10 +854,12 @@ def _pieces_from_tower(tower: Tower, out_order: Sequence[str]) -> list[dict[str,
     return pieces
 
 
-def variable_orders(variables: Sequence[str]) -> list[tuple[str, ...]]:
-    """The given order first, then every other permutation in sorted order."""
+def variable_orders(variables: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """The given order first, then every other permutation in sorted order,
+    built one at a time."""
     identity = tuple(variables)
-    return [identity] + [p for p in sorted(itertools.permutations(identity)) if p != identity]
+    yield identity
+    yield from (p for p in itertools.permutations(sorted(identity)) if p != identity)
 
 
 def in_first_order(cell: GuardedCell, attempt: Callable[[GuardedCell], V]) -> V:

@@ -350,6 +350,18 @@ def test_coordinate_level_past_its_bound_exit_two(tmp_path):
     assert measure_at_level(3) == (0, "1/4\n", "")
 
 
+def test_coordinate_level_sum_past_its_bound_exit_two(tmp_path):
+    # seven coordinates at level 2048 each pass their own bound, but the
+    # cell's measure 2^-14336 ended in Python's limit on printing integers
+    doc = {"prime": 2, "generators": [{
+        "coeff": "1", "coords": [{"center": "0", "level": 2048, "ac": 1}] * 7,
+        "lambda_formula": " /\\ ".join(f"l{i} >= 0" for i in range(1, 8))}]}
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps(doc))
+    assert call(["measure", str(path), "-p", "2", "--at"]) == (
+        2, "", "error: coordinate levels sum to 14336, above 2048, the bound for p = 2\n")
+
+
 def test_at_names_no_other_variable(tmp_path):
     # a name that is not a parameter was once ignored, and measure printed 1/3
     path = write(tmp_path, "delta.json", delta_presentation(CTX2, 1))
@@ -536,9 +548,24 @@ def test_non_integral_increment_exit_two(tmp_path):
     w = Weight.make(2, LinearTerm.constant(0), {"l1": 1, "l2": 1})
     path = write(tmp_path, "half.json",
                  weighted_presentation(CTX2, parse("l1 = 2*l2 /\\ l2 >= 0"), w))
-    code, out, err = call(["measure", path, "-p", "2"])
-    assert (code, out) == (2, "")
-    assert err == "error: exponent increment 3/2 along l1 is not an integer\n"
+    for verb in ("measure", "normalize"):
+        code, out, err = call([verb, path, "-p", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: exponent increment 3/2 along l1 is not an integer\n"
+
+
+@pytest.mark.parametrize("lam, weight, value", [
+    ("l1 = 2*l2 + 1 /\\ l2 >= 1 /\\ l2 <= 6",
+     Weight.make(3, LinearTerm.constant(2), {"l1": -2, "l2": -2}), "1365/4096"),
+    ("l1 = 2*l2 /\\ l2 >= 0", Weight.make(4, LinearTerm.constant(0), {"l1": -1, "l2": -2}), "2"),
+])
+def test_weight_integral_on_the_fiber_exit_zero(tmp_path, lam, weight, value):
+    # the weights are -2*l2 and -l2 on the fibers, though their coefficients
+    # give the increments -4/3 and -1/2 along l1 before l2 is substituted
+    path = write(tmp_path, "fiber.json", weighted_presentation(CTX2, parse(lam), weight))
+    assert call(["measure", path, "-p", "2", "--at"]) == (0, f"{value}\n", "")
+    code, out, err = call(["normalize", path, "-p", "2"])
+    assert (code, err) == (0, "") and out.startswith("ell ")
 
 
 def test_usage_error_exit_two():

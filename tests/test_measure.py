@@ -51,6 +51,7 @@ from padicmeasure.ring import (
     CertificateStep,
     find_invalid_step,
     measure_function,
+    multiply,
     normalize_to_basic,
     presentation,
 )
@@ -315,6 +316,26 @@ def test_coordinate_level_is_bounded_before_any_power_is_built():
         Coordinate(Fraction(0), measure.LEVEL_BITS // 3 + 1, 1).validate(PAdicContext(5))
     level3 = BoxCell((Coordinate(Fraction(0), 3, 1),), ("l1",), parse("l1 >= 0"))
     assert measure_function(presentation(CTX2, [(1, level3)])).evaluate({}) == Fraction(1, 4)
+
+
+def test_level_sum_of_a_product_is_bounded():
+    # one coordinate at level 1500 is inside the bound for p = 2 (2048);
+    # the product cell's two add up to 3000, past it
+    cell = BoxCell((Coordinate(Fraction(0), 1500, 1),), ("l1",), parse("l1 >= 0"))
+    pres = presentation(CTX2, [(1, cell)])
+    assert measure_function(pres).evaluate({}) == Fraction(1, 2**1499)
+    with pytest.raises(InputError, match=(
+            r"^coordinate levels sum to 3000, above 2048, the bound for p = 2$")):
+        measure_function(multiply(pres, pres))
+
+
+def test_weight_entries_must_be_integers():
+    for entry in (Fraction(3, 2), 2.7):
+        with pytest.raises(InputError, match=f"^weight entry {entry} for l1 is not an integer$"):
+            Weight.make(2, LinearTerm.constant(0), {"l1": entry})
+    weight = Weight.make(2, LinearTerm.constant(0), {"l1": Fraction(4, 2), "l2": 0, "l3": -3})
+    assert weight.b == (("l1", 2), ("l3", -3))
+    assert all(type(v) is int for _, v in weight.b)
 
 
 def test_exp_poly_eval_constant_and_domain():

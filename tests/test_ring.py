@@ -313,7 +313,7 @@ def test_normalize_retries_a_blocked_variable_order(monkeypatch):
 # and message, so the first error a bad input meets cannot move unseen; an
 # intended change to normalization updates it
 NORMALIZE_OUTCOMES_SHA256 = (
-    "3a97759ce5f9d9ae5711b4fa2c9f56900212fd810d74b937927552b73a0abd89")
+    "8a5d31e5e3e7b2d86ff2cf4891f00f68593ea8ad78a6f6047dda7c04abf8f29e")
 
 
 def test_normalize_outcomes_match_their_digest():
@@ -333,7 +333,7 @@ def test_normalize_outcomes_match_their_digest():
             line = f"{type(err).__name__}: {err}"
             outcomes[type(err).__name__] += 1
         digest.update(line.encode() + b"\n")
-    assert outcomes == {"normalized": 89, "DivergesError": 187, "InputError": 124}
+    assert outcomes == {"normalized": 89, "DivergesError": 189, "InputError": 122}
     assert digest.hexdigest() == NORMALIZE_OUTCOMES_SHA256
 
 
@@ -1034,12 +1034,75 @@ def _half_step_presentation(b):
 
 
 def test_a_non_integral_increment_is_an_input_error():
-    pres = _half_step_presentation({"l1": 1, "l2": 1})
-    with pytest.raises(InputError, match="^exponent increment 3/2 along l1 is not an integer$"):
-        measure_function(pres)
-    pres = _half_step_presentation({"l1": -1, "l2": -1})
-    with pytest.raises(InputError, match="^non-integral increment -3/2 along l1$"):
-        normalize_to_basic(pres)
+    # measure and normalization test the increment before divergence, with
+    # one message: the increment 3/2 once made normalization diverge
+    for b, gamma in (({"l1": 1, "l2": 1}, "3/2"), ({"l1": -1, "l2": -1}, "-3/2")):
+        pres = _half_step_presentation(b)
+        for path in (measure_function, normalize_to_basic):
+            with pytest.raises(InputError, match=(
+                    f"^exponent increment {gamma} along l1 is not an integer$")):
+                path(pres)
+
+
+# weights with rational coefficients that are integers on the fiber: -2*l2
+# on the first (measure 1365/4096 at p = 2) and -l2 on the second
+# (measure 2); each level's coefficient read alone, before the point level
+# along l2 is substituted, gives the increment -4/3 or -1/2 along l1
+FIBER_INTEGRAL_WEIGHTS = [
+    ("l1 = 2*l2 + 1 /\\ l2 >= 1 /\\ l2 <= 6",
+     Weight.make(3, LinearTerm.constant(2), {"l1": -2, "l2": -2}), Fraction(1365, 4096)),
+    ("l1 = 2*l2 /\\ l2 >= 0",
+     Weight.make(4, LinearTerm.constant(0), {"l1": -1, "l2": -2}), Fraction(2)),
+]
+
+
+@pytest.mark.parametrize("lam, weight, value", FIBER_INTEGRAL_WEIGHTS)
+def test_a_weight_integral_on_the_fiber_is_measured(lam, weight, value):
+    pres = weighted_presentation(CTX2, parse(lam), weight)
+    assert mu(pres) == value
+    assert value in truncated_measure(pres, {})
+    if "<=" in lam:
+        assert value == sum(Fraction(2) ** weight.affine().evaluate({"l1": 2 * y + 1, "l2": y})
+                            for y in range(1, 7))
+    ell, basic, cert = normalize_to_basic(pres)
+    assert mu(basic.presentation) == ell * value
+    assert find_invalid_step(cert) is None
+
+
+def _line_fiber(k, c, low, high):
+    """The first points, by l2, of l1 = k*l2 + c /\\ low <= l2 (<= high)."""
+    top = low + 3 if high is None else min(high, low + 3)
+    return [{"l1": k * y + c, "l2": y} for y in range(low, top + 1)]
+
+
+def test_weights_on_a_line_are_rejected_where_they_leave_the_integers():
+    # l1 = k*l2 + c /\ l2 >= low, half of them bounded above: the weight is
+    # affine along the line, so it is an integer on the fiber iff it is at
+    # the first two points (at the first, when that is all the fiber holds)
+    rng = random.Random(32)
+    outcomes = Counter()
+    for _ in range(100):
+        k, c, low = rng.choice((2, 3)), rng.randint(-3, 3), rng.randint(-2, 2)
+        high = low + rng.randint(0, 4) if rng.random() < 0.5 else None
+        lam = f"l1 = {k}*l2 + {c} /\\ l2 >= {low}" + ("" if high is None else f" /\\ l2 <= {high}")
+        weight = Weight.make(rng.choice((2, 3, 4, 6)), LinearTerm.constant(rng.randint(-6, 6)),
+                             {"l1": rng.randint(-6, 1), "l2": rng.randint(-6, 1)})
+        pres = weighted_presentation(CTX2, parse(lam), weight)
+        integral = all(weight.affine().evaluate(point).denominator == 1
+                       for point in _line_fiber(k, c, low, high))
+        try:
+            value = mu(pres)
+        except InputError:
+            assert not integral, (lam, weight)
+            outcomes["InputError"] += 1
+            continue
+        except DivergesError:
+            outcomes["DivergesError"] += 1
+            continue
+        assert integral, (lam, weight)
+        assert value in truncated_measure(pres, {}), (lam, weight)
+        outcomes["measured"] += 1
+    assert outcomes["InputError"] and outcomes["measured"], outcomes
 
 
 def test_measure_function_decomposes_each_generator_once(monkeypatch):

@@ -222,6 +222,31 @@ def test_rectilinearize_searches_variable_orders_in_one_function(monkeypatch):
         rectilinearize(cells)
 
 
+def test_variable_orders_are_the_given_order_then_the_sorted_permutations():
+    for k in range(5):
+        for given in itertools.permutations([f"v{i}" for i in range(k)]):
+            listed = [given] + [p for p in sorted(itertools.permutations(given)) if p != given]
+            assert list(semilinear.variable_orders(given)) == listed
+
+
+def test_variable_orders_are_built_as_they_are_tried():
+    # ten variables have 10! orders; the search takes the third, so it must
+    # not build, let alone sort, the others first
+    names = tuple(f"l{i}" for i in range(10))
+    tried = []
+
+    def attempt(cell):
+        tried.append(cell.variables)
+        if len(tried) < 3:
+            raise NotRectilinearizableError("blocked")
+        return cell.variables
+
+    start = time.process_time()
+    assert semilinear.in_first_order(GuardedCell(names, (), ()), attempt) == tried[-1]
+    assert time.process_time() - start < 0.5
+    assert tried == [names, names[:8] + ("l9", "l8"), names[:7] + ("l8", "l7", "l9")]
+
+
 def test_rectilinearize_rejects_parameters():
     # the forms would keep no guard: l = s holds only for 0 <= s <= 3
     with pytest.raises(ValueError, match=r"\['s'\]"):

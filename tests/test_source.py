@@ -418,3 +418,29 @@ def test_package_peels_and_searches_variable_orders_in_one_function():
         "variable_orders": {"semilinear.py in_first_order"},
     }, callers
     assert not order_params, order_params
+
+
+def test_weight_integrality_is_checked_in_one_function():
+    # semilinear.level_increment states the rule for a tower's levels, and
+    # every walker reads each increment through it; checked_towers tests the
+    # base point only.  A second raise of the increment message, or a walk
+    # over the levels where the base point is tested, would be a second
+    # reading of the rule, and the readings once disagreed
+    raisers = set()
+    loops = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Raise) and node.exc is not None
+                        and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                                and "increment" in c.value for c in ast.walk(node.exc))):
+                    raisers.add(f"{path.name} {func.name}")
+                elif (func.name in ("checked_towers", "_check_tower_weight")
+                      and isinstance(node, (ast.For, ast.comprehension))
+                      and any(isinstance(n, ast.Attribute) and n.attr == "levels"
+                              for n in ast.walk(node.iter))):
+                    loops.append(f"{path.name}:{node.lineno}")
+    assert raisers == {"semilinear.py level_increment"}, raisers
+    assert not loops, loops
