@@ -23,6 +23,7 @@ from .algebra import (
     MissingAssignmentError,
     Value,
     cache_tables,
+    crt,
     remember,
 )
 
@@ -99,7 +100,15 @@ ATOMS_BOUND = 1 << 15
 cache_tables(globals(), "_ATOMS")
 
 
-class Atom(Formula, HashSlot):
+class _RowSlot(HashSlot):
+    """Base of Atom: the slot _row keeps the atom's normal form, which
+    _normal_row works out the first time it is read.  Like HashSlot's _hash
+    it is no field, so Atom's own __slots__ still name exactly its fields."""
+
+    __slots__ = ("_row",)
+
+
+class Atom(Formula, _RowSlot):
     """t >= 0, t = 0, or m | t (modulus m >= 2)."""
 
     __slots__ = ("kind", "term", "modulus")
@@ -618,13 +627,8 @@ def format_formula(f: Formula) -> str:
 
 def simplify_atom(atom: Atom) -> Formula:
     """The atom in the normal form of _add_row: TRUE, FALSE or one atom."""
-    term = atom.term
-    rows: dict = {}
-    if not _add_row(rows, atom.kind, term.coeffs, term.const, atom.modulus):
-        return FALSE
-    for (kind, coeffs, modulus), const in rows.items():
-        return Atom(kind, LinearTerm(coeffs, const), modulus)
-    return TRUE
+    simple = _normal_row(atom)[0]
+    return atom if simple is None else simple
 
 
 def simplify(f: Formula) -> Formula:
@@ -927,7 +931,8 @@ def is_satisfiable(f: Formula) -> bool:
 # The decision works on rows: a conjunction is a dict mapping
 # (kind, coeffs, modulus) to const, where coeffs are sorted (name, int) pairs
 # without zeros, as in LinearTerm.coeffs, and every row is in the one atom
-# normal form of _add_row, which simplify_atom also returns.
+# normal form of _add_row, which simplify_atom also returns.  An atom's row
+# is worked out once and kept on the atom (_normal_row).
 
 # Answers of atoms_satisfiable, keyed by the tuple of atoms.
 _SAT_RESULTS: dict = {}
@@ -938,22 +943,57 @@ cache_tables(globals(), "_SAT_RESULTS")
 def atoms_satisfiable(atoms: Sequence[Atom]) -> bool:
     """Whether a conjunction of atoms has an integer solution.
 
-    Decided on the atoms, without building a formula or calling qe:
+    Decided on the atoms' rows, without building a formula or calling qe:
     equalities are eliminated exactly, then one variable at a time is dropped
     when it is bounded on one side only, eliminated by exact Fourier-Motzkin
     when its lower (or its upper) bounds all have coefficient 1 (the exact
     shadow of Pugh's Omega test), or else branched on Cooper's test points,
-    depth first.  Raises ExpansionBudgetError when one Cooper step counts
-    more than EXPANSION_BUDGET disjuncts, as qe does.
+    depth first.  Whenever every row left mentions one variable, at entry
+    and after each step, the rows are decided one variable at a time
+    instead (_separable_feasible).  Raises ExpansionBudgetError when one
+    Cooper step counts more than EXPANSION_BUDGET disjuncts, as qe does; so
+    the budget binds only on Cooper steps over coupled rows.
     """
     key = tuple(atoms)
     cached = _SAT_RESULTS.get(key)
     if cached is not None:
         return cached
     rows: dict = {}
-    out = all(_add_row(rows, a.kind, a.term.coeffs, a.term.const, a.modulus)
-              for a in key) and _feasible(rows)
-    return remember(_SAT_RESULTS, key, out, SAT_RESULTS_BOUND)
+    for a in key:
+        simple, row, const = _normal_row(a)
+        if row is None:
+            if simple is FALSE:
+                break
+        elif not _merge_row(rows, row, const):
+            break
+    else:
+        return remember(_SAT_RESULTS, key, _feasible(rows), SAT_RESULTS_BOUND)
+    return remember(_SAT_RESULTS, key, False, SAT_RESULTS_BOUND)
+
+
+def _normal_row(atom: Atom) -> tuple:
+    """(simple, row, const): the atom's row key and constant in the normal
+    form of _add_row, and simple, the atom that row prints as, or None when
+    that is the atom itself; a true or false atom has no row and simple
+    TRUE or FALSE.  Worked out on the first read and kept in the atom's
+    _row slot, as HashSlot keeps a hash."""
+    try:
+        return atom._row
+    except AttributeError:
+        pass
+    term = atom.term
+    rows: dict = {}
+    if not _add_row(rows, atom.kind, term.coeffs, term.const, atom.modulus):
+        normal = (FALSE, None, 0)
+    elif not rows:
+        normal = (TRUE, None, 0)
+    else:
+        ((kind, coeffs, modulus), const), = rows.items()
+        simple = Atom(kind, LinearTerm(coeffs, const), modulus)
+        # an atom already in normal form keeps no reference to itself
+        normal = (None if simple == atom else simple, (kind, coeffs, modulus), const)
+    object.__setattr__(atom, "_row", normal)
+    return normal
 
 
 def _add_row(rows: dict, kind: str, coeffs: tuple, const: int, modulus: int) -> bool:
@@ -961,8 +1001,7 @@ def _add_row(rows: dict, kind: str, coeffs: tuple, const: int, modulus: int) -> 
     now infeasible.  The normal form divides out the gcd of the coefficients
     (and of a divisibility modulus), reduces a divisibility modulo its
     modulus and makes an equality's first coefficient positive.  A true atom
-    adds nothing; of two inequalities with one coefficient vector only the
-    stronger is kept."""
+    adds nothing; the row is merged into the others by _merge_row."""
     if not coeffs:
         if kind == GEQ0:
             return const >= 0
@@ -994,14 +1033,20 @@ def _add_row(rows: dict, kind: str, coeffs: tuple, const: int, modulus: int) -> 
     if kind == EQ0 and coeffs[0][1] < 0:
         coeffs = tuple((n, -c) for n, c in coeffs)
         const = -const
-    key = (kind, coeffs, modulus)
+    return _merge_row(rows, (kind, coeffs, modulus), const)
+
+
+def _merge_row(rows: dict, key: tuple, const: int) -> bool:
+    """Add one normal row to the rows; False when the conjunction is now
+    infeasible.  Of two inequalities with one coefficient vector only the
+    stronger is kept."""
     old = rows.get(key)
-    if old is None or (kind == GEQ0 and const < old):
+    if old is None or (key[0] == GEQ0 and const < old):
         rows[key] = const
         return True
     # a second equality or divisibility on the same reduced term differs in
     # its constant, so the two cannot both hold
-    return kind == GEQ0 or old == const
+    return key[0] == GEQ0 or old == const
 
 
 def _substituted(coeffs: tuple, const: int, var: str, num: tuple, num_const: int,
@@ -1024,6 +1069,8 @@ def _feasible(rows: dict) -> bool:
     if not _eliminate_equalities(rows):
         return False
     while rows:
+        if all(len(key[1]) == 1 for key in rows):
+            return _separable_feasible(rows)
         # each variable's rows: lower bounds, upper bounds, divisibilities
         roles: dict[str, tuple[list, list, list]] = {}
         for key, const in rows.items():
@@ -1066,6 +1113,35 @@ def _feasible(rows: dict) -> bool:
                 if not _add_row(rows, GEQ0, coeffs, const, 0):
                     return False
     return True
+
+
+def _separable_feasible(rows: dict) -> bool:
+    """Integer feasibility of rows that each mention one variable, with no
+    equality among them, decided one variable at a time: its inequalities
+    give an interval [low, high], its divisibilities one residue class
+    r (mod m) by the Chinese remainder theorem, and it has a value when the
+    first point of that class at or above low is at most high."""
+    spans: dict[str, list] = {}  # variable -> [low, high, r, m]
+    for (kind, ((var, c),), modulus), const in rows.items():
+        span = spans.get(var)
+        if span is None:
+            span = spans[var] = [None, None, 0, 1]
+        if kind == DIV:
+            # c*var + const = 0 (mod modulus)
+            residue = crt(span[2], span[3], -const, modulus, c)
+            if residue is None:
+                return False
+            span[2], span[3] = residue
+        elif c > 0:
+            low = -(const // c)  # var >= ceil(-const/c)
+            if span[0] is None or low > span[0]:
+                span[0] = low
+        else:
+            high = const // -c  # var <= floor(const/-c)
+            if span[1] is None or high < span[1]:
+                span[1] = high
+    return all(low is None or high is None or low + (r - low) % m <= high
+               for low, high, r, m in spans.values())
 
 
 def _eliminate_equalities(rows: dict) -> bool:

@@ -17,7 +17,6 @@ remaining branch is checked by an integer-feasibility test on its atoms
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -28,6 +27,7 @@ from .algebra import (
     Value,
     bounded_power_sums,
     cache_tables,
+    crt,
     faulhaber,
     remember,
 )
@@ -273,17 +273,6 @@ def level_atoms(level: Level) -> list[Atom]:
     return atoms
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
-    """Combine x = r1 (mod m1), x = r2 (mod m2); None when incompatible."""
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        return None
-    lcm = m1 * m2 // g
-    # solve r1 + m1*t = r2 (mod m2)
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return ((r1 + m1 * t) % lcm, lcm)
-
-
 def _substitute_value(atom: Atom, var: str, num: LinearTerm, den: int) -> Atom:
     """Substitute var := num/den (den >= 1) and clear denominators exactly."""
     c = atom.term.coeff(var)
@@ -414,19 +403,13 @@ def _resolve_variable(with_var: list[Atom], var: str) -> list[tuple[list[Atom], 
     # resolve congruences to a concrete residue class of var
     for modulus, c, t in congruences:
         budget.spend(len(branches) * modulus)
-        g = math.gcd(c, modulus)
-        m_red = modulus // g
         new = []
         for atoms2, lows, ups, r0, m0 in branches:
             for rho in range(modulus):
                 # branch on t = rho (mod modulus); need c*var = -rho (mod modulus)
-                if rho % g != 0:
-                    continue  # no solution for var on this residue of t
-                inv = pow((c // g) % m_red, -1, m_red) if m_red > 1 else 0
-                r_var = ((-rho // g) * inv) % m_red if m_red > 1 else 0
-                combined = _crt(r0, m0, r_var, m_red)
+                combined = crt(r0, m0, -rho, modulus, c)
                 if combined is None:
-                    continue
+                    continue  # no var on this residue of t
                 fresh = _live([divides(modulus, t - rho)])
                 if fresh is None:
                     continue
@@ -472,21 +455,53 @@ def _extremum_split(
 
 
 def _alignment_split(
-    form: LinearTerm, modulus: int, budget: _SplitBudget
+    form: LinearTerm, modulus: int, held: Sequence[Atom], budget: _SplitBudget
 ) -> list[tuple[list[Atom], int]]:
     """Branches fixing the residue of an integer-valued affine form; a
-    residue the form cannot take is left out."""
+    residue the form cannot take is left out.  When the held atoms already
+    fix it, only that residue's branch is built: the others contradict them
+    and would die in the feasibility test."""
     if modulus == 1:
         return [([], 0)]
-    budget.spend(modulus)
     den = form.denominator_lcm()
     term = form.integer_term(den)
+    held_residue = _held_residue(term, den * modulus, held)
+    if held_residue is None:
+        budget.spend(modulus)
+        sigmas: Iterable[int] = range(modulus)
+    else:
+        budget.spend(1)
+        sigma, r = divmod(held_residue, den)
+        sigmas = [] if r else [sigma]
     out = []
-    for sigma in range(modulus):
+    for sigma in sigmas:
         live = _live([divides(den * modulus, term - den * sigma)])
         if live is not None:
             out.append((live, sigma))
     return out
+
+
+def _held_residue(term: LinearTerm, modulus: int, held: Sequence[Atom]) -> int | None:
+    """term's residue modulo modulus when it is a constant or a held
+    divisibility m | u with modulus | m fixes it: term = a*u + k
+    (mod modulus) coefficient by coefficient, as on a branch of the
+    congruence split of _resolve_variable, where u = t - rho.  None
+    otherwise."""
+    if not term.coeffs:
+        return term.const % modulus
+    for atom in held:
+        if atom.kind != DIV or atom.modulus % modulus:
+            continue
+        u = atom.term
+        name, c = u.coeffs[0]
+        solved = crt(0, 1, term.coeff(name), modulus, c)
+        if solved is None:
+            continue
+        a = solved[0]
+        if all((term.coeff(n) - a * u.coeff(n)) % modulus == 0
+               for n, _ in term.coeffs + u.coeffs):
+            return (term.const - a * u.const) % modulus
+    return None
 
 
 def _aligned_levels(
@@ -501,8 +516,8 @@ def _aligned_levels(
     """Produce level branches once bounds are affine and the residue is fixed."""
     out: list[tuple[list[Atom], Level]] = []
     if low is not None and up is not None:
-        up_splits = _alignment_split(up, m_star, budget)
-        low_splits = _alignment_split(low, m_star, budget)
+        up_splits = _alignment_split(up, m_star, base_atoms, budget)
+        low_splits = _alignment_split(low, m_star, base_atoms, budget)
         budget.spend(len(low_splits) * len(up_splits))
         for atoms_l, sig_l in low_splits:
             start = low + ((r_star - sig_l) % m_star)
@@ -516,11 +531,11 @@ def _aligned_levels(
                 atoms3 = base_atoms + atoms_l + atoms_u + nonempty
                 out.append((atoms3, Level(var, "range", start, m_star, count)))
     elif low is not None:
-        for atoms_l, sig_l in _alignment_split(low, m_star, budget):
+        for atoms_l, sig_l in _alignment_split(low, m_star, base_atoms, budget):
             start = low + ((r_star - sig_l) % m_star)
             out.append((base_atoms + atoms_l, Level(var, "ray", start, m_star)))
     elif up is not None:
-        for atoms_u, sig_u in _alignment_split(up, m_star, budget):
+        for atoms_u, sig_u in _alignment_split(up, m_star, base_atoms, budget):
             start = up - ((sig_u - r_star) % m_star)
             out.append((base_atoms + atoms_u, Level(var, "ray", start, -m_star)))
     else:

@@ -158,8 +158,10 @@ def test_qe_expansion_budget_exit_two():
     "1000003 | l /\\ l >= 0 /\\ l <= s",
 ])
 def test_count_expansion_budget_exit_two(formula):
-    # the conjunctive feasibility test keeps Cooper's budget on a huge
-    # modulus; in a child process, so that a missing budget fails on the
+    # a huge modulus stops at a budget: Cooper's, in the conjunctive
+    # feasibility test over coupled rows (the first formula), or the split
+    # budget of triangulation (the second, whose rows separate once s is
+    # dropped); in a child process, so that a missing budget fails on the
     # timeout instead of filling this process's memory
     src = Path(padicmeasure.__file__).resolve().parent.parent
     done = subprocess.run(

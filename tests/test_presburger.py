@@ -10,8 +10,10 @@ import pytest
 from padicmeasure import clear_caches, presburger
 from padicmeasure.measure import PAdicContext, Weight
 from padicmeasure.presburger import (
+    EQ0,
     GEQ0,
     Atom,
+    ExistsF,
     ExpansionBudgetError,
     FormulaSyntaxError,
     LinearTerm,
@@ -20,9 +22,11 @@ from padicmeasure.presburger import (
     NotQuantifierFreeError,
     ScopeError,
     TRUE,
+    TrueF,
     atoms_satisfiable,
     conj,
     divides,
+    eq0,
     equivalent_on_box,
     evaluate_on_grid,
     evaluate_qf,
@@ -266,6 +270,149 @@ def test_atoms_satisfiable_matches_cooper_and_enumeration():
         answers.append(got)
     # both answers occur often, so neither side of the decision goes untested
     assert 75 < sum(answers) < 175
+
+
+_SMALL_MODULI = (2, 2, 3, 3, 4, 5, 6, 7, 12)
+_LARGE_MODULI = (101, 1009, 65536, 99991)
+
+
+def _random_system(rng):
+    """1 to 3 variables and 1 to 4 atoms, each over one variable or, about a
+    third of them, over two or three; half of the systems are confined to a
+    box [-b, b]^n, and b is returned for them (None otherwise).  A modulus
+    past 12 divides a one-variable form: on a coupled one, Cooper's branches
+    over its residues would take this test seconds a system."""
+    names = ("x", "y", "z")[:rng.randint(1, 3)]
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        coupled = len(names) > 1 and rng.random() < 0.35
+        scope = rng.sample(names, rng.randint(2, len(names))) if coupled else [rng.choice(names)]
+        term = LinearTerm(tuple((v, rng.choice((-4, -3, -2, -1, 1, 1, 2, 3, 4)))
+                                for v in sorted(scope)), rng.randint(-12, 12))
+        roll = rng.random()
+        if roll < 0.45:
+            atoms.append(geq0(term))
+        elif roll < 0.85:
+            large = not coupled and rng.random() < 0.3
+            atoms.append(divides(rng.choice(_LARGE_MODULI if large else _SMALL_MODULI), term))
+        else:
+            atoms.append(eq0(term))
+    box = rng.randint(2, 5) if rng.random() < 0.5 else None
+    if box is not None:
+        for v in names:
+            atoms += [geq0(LinearTerm(((v, 1),), box)), geq0(LinearTerm(((v, -1),), box))]
+    return names, atoms, box
+
+
+def _cooper_answer(names, atoms):
+    """Whether the atoms hold somewhere, read off qe of their existential
+    closure; None when qe stops at its budget."""
+    f = conj(atoms)
+    for v in names:
+        f = ExistsF(v, f)
+    try:
+        return isinstance(qe(f), TrueF)
+    except ExpansionBudgetError:
+        return None
+
+
+def _holds_in_box(names, atoms, box):
+    axis = np.arange(-box, box + 1, dtype=np.int64)
+    grids = dict(zip(names, np.meshgrid(*[axis] * len(names), indexing="ij")))
+    holds = np.ones((len(axis),) * len(names), dtype=bool)
+    for a in atoms:
+        total = a.term.const + sum(c * grids[n] for n, c in a.term.coeffs)
+        if a.kind == GEQ0:
+            holds &= total >= 0
+        elif a.kind == EQ0:
+            holds &= total == 0
+        else:
+            holds &= total % a.modulus == 0
+    return bool(holds.any())
+
+
+def test_atoms_satisfiable_matches_cooper_and_enumeration_on_20000_systems(monkeypatch):
+    # separable rows are decided per variable, coupled ones by elimination;
+    # both must give Cooper's answer and, in a box, enumeration's.  qe runs
+    # under a budget of 12 disjuncts a step, where it answers about 70% of
+    # the systems in a fraction of a millisecond each; under its own budget
+    # a modulus of 1009 takes it a second
+    rng = random.Random(3320)
+    systems = [_random_system(rng) for _ in range(20_000)]
+    answers = []
+    for names, atoms, box in systems:
+        try:
+            answers.append(atoms_satisfiable(atoms))
+        except ExpansionBudgetError:
+            answers.append(None)
+    monkeypatch.setattr(presburger, "EXPANSION_BUDGET", 12)
+    compared = boxed = 0
+    for (names, atoms, box), got in zip(systems, answers):
+        if got is None:
+            continue
+        cooper = _cooper_answer(names, atoms)
+        if cooper is not None:
+            assert got == cooper, atoms
+            compared += 1
+        if box is not None:
+            assert got == _holds_in_box(names, atoms, box), atoms
+            boxed += 1
+    # few systems stop at the budget, each answer is common, and most
+    # answers meet a reference
+    assert answers.count(None) < 200
+    assert 6000 < answers.count(True) < 14000
+    assert compared > 14000 and boxed > 9000
+
+
+def test_atoms_are_normalized_once(monkeypatch):
+    # an atom's row is worked out on its first use and kept on it, so
+    # repeated simplification and satisfiability queries over the same atoms,
+    # in new orders and combinations, normalize each distinct atom once
+    calls = []
+
+    def spy(rows, kind, coeffs, const, modulus, original=presburger._add_row):
+        calls.append((kind, coeffs, const, modulus))
+        return original(rows, kind, coeffs, const, modulus)
+
+    monkeypatch.setattr(presburger, "_add_row", spy)
+    atoms = [parse(text) for text in ("2*x - 4 >= 0", "-x + 9 >= 0", "6 | 4*x + 2",
+                                      "y >= 1", "3 | y", "-3*y + 30 >= 0")]
+    for a in atoms:
+        simplify_atom(a)
+        simplify_atom(a)
+    for r in range(1, len(atoms) + 1):
+        for chosen in itertools.combinations(atoms, r):
+            answer = atoms_satisfiable(chosen)
+            assert atoms_satisfiable(chosen[::-1]) == answer
+            points = itertools.product(range(-2, 12), repeat=2)
+            assert answer == any(all(a.evaluate({"x": x, "y": y}) for a in chosen)
+                                 for x, y in points), chosen
+    assert sorted(calls) == sorted((a.kind, a.term.coeffs, a.term.const, a.modulus)
+                                   for a in atoms)
+
+
+def test_separable_rows_answer_where_cooper_stops_at_its_budget():
+    # one Cooper step on x here needs 99991 * 2 disjuncts; decided per
+    # variable, x needs the first point of its residue class at or above 0,
+    # and the coupled pair of rows on y is first eliminated exactly
+    for text, answer in (("x >= 0 /\\ x <= 10 /\\ 99991 | x + 3", False),
+                         ("x >= 0 /\\ x <= 10 /\\ 99991 | x - 7", True),
+                         ("y >= x /\\ y <= x + 3 /\\ x >= 0 /\\ x <= 10 /\\ 99991 | x - 7", True),
+                         ("y >= x /\\ y <= x + 3 /\\ x >= 0 /\\ x <= 10 /\\ 99991 | x + 3", False)):
+        f = parse(text)
+        with pytest.raises(ExpansionBudgetError):
+            qe(ExistsF("x", ExistsF("y", f)) if "y" in text else ExistsF("x", f))
+        assert atoms_satisfiable(f.args) is answer, text
+        points = itertools.product(range(-2, 12), range(-2, 16))
+        assert any(evaluate_qf(f, {"x": x, "y": y}) for x, y in points) is answer
+
+
+def test_coupled_rows_over_the_budget_still_raise():
+    # no elimination separates these rows, and one Cooper step on either
+    # variable counts more than EXPANSION_BUDGET disjuncts
+    f = parse("x >= 0 /\\ y >= 0 /\\ x + y <= 10 /\\ 99991 | x + 2*y")
+    with pytest.raises(ExpansionBudgetError, match="over the budget"):
+        atoms_satisfiable(f.args)
 
 
 def test_qe_matches_brute_force_on_random_formulas():

@@ -572,3 +572,57 @@ def test_a_huge_modulus_stops_at_the_split_budget():
                              parse("s >= 0"))
     for s in range(30):
         assert small.evaluate({"s": s}) == sum(1 for l in range(s + 1) if (l + s) % 7 == 0)
+
+
+def _aligned_modulus_cell(m):
+    (cell,) = cells_of(f"l1 >= 0 /\\ l1 <= s /\\ {m} | l1 + s", ["l1"], ["s"])
+    return cell
+
+
+def test_alignment_reads_the_residue_off_the_branch_congruence(monkeypatch):
+    # each branch of the congruence split holds m | s - rho, which fixes the
+    # residue of the upper bound s, so the alignment split builds one range
+    # per branch where it once built one per residue pair, m * m in all
+    ranges = []
+
+    def spy(*args, original=semilinear._aligned_levels):
+        out = original(*args)
+        ranges.extend(level for _, level in out if level.kind == "range")
+        return out
+
+    monkeypatch.setattr(semilinear, "_aligned_levels", spy)
+    for m in (7, 101):
+        ranges.clear()
+        towers = triangulate(_aligned_modulus_cell(m))
+        assert len(ranges) == m and len(towers) == m
+    # m = 181 once stopped at the split budget
+    counts = count_parametric(to_cells(parse("l1 >= 0 /\\ l1 <= s /\\ 181 | l1 + s"),
+                                       ["l1"], ["s"]), parse("s >= 0"))
+    for s in range(200):
+        assert counts.evaluate({"s": s}) == sum(1 for l in range(s + 1) if (l + s) % 181 == 0)
+
+
+def test_alignment_of_a_large_modulus_matches_enumeration():
+    # at m = 1009 the split builds 1009 towers well inside the budget; their
+    # points at each s are the fiber, each once
+    towers = triangulate(_aligned_modulus_cell(1009))
+    assert len(towers) == 1009
+    for s in range(31):
+        points = [pt for tower in towers for pt in _tower_points(tower, s)]
+        assert sorted(points) == [(l,) for l in range(s + 1) if (l + s) % 1009 == 0]
+
+
+def test_alignment_split_keeps_the_residues_the_branch_leaves_open():
+    # a held congruence modulo a multiple of the alignment modulus fixes the
+    # residue; one modulo a number the modulus does not divide, or on a form
+    # it does not determine, leaves every residue to the split
+    s = LinearTerm.variable("s")
+    t = LinearTerm.variable("t")
+    residues = semilinear._held_residue
+    assert residues(s, 5, [parse("10 | s - 7")]) == 2
+    assert residues(s.scale(3) + 1, 5, [parse("5 | 2*s - 1")]) == 0  # s = 3, 3*s + 1 = 10
+    assert residues(s + t, 5, [parse("5 | s - 1"), parse("5 | s + t - 4")]) == 4
+    assert residues(LinearTerm.constant(-3), 5, []) == 2
+    assert residues(s, 5, [parse("7 | s - 1")]) is None
+    assert residues(s + t, 5, [parse("5 | s - 1")]) is None
+    assert residues(s, 5, [parse("s - 1 >= 0")]) is None

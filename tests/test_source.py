@@ -444,3 +444,20 @@ def test_weight_integrality_is_checked_in_one_function():
                     loops.append(f"{path.name}:{node.lineno}")
     assert raisers == {"semilinear.py level_increment"}, raisers
     assert not loops, loops
+
+
+def test_package_solves_congruences_in_one_function():
+    # algebra.crt combines congruences; the congruence split of triangulation,
+    # the alignment split and the separable step of atoms_satisfiable all
+    # call it.  A modular inverse elsewhere would be a second solver to keep
+    # in step, as semilinear's own _crt once was.  ac_level inverts a unit
+    # modulo p^level and combines no congruences
+    inverters = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
+                        and len(node.args) == 3 and ast.unparse(node.args[1]) == "-1"):
+                    inverters.add(f"{path.name} {where}")
+    assert inverters == {"algebra.py crt", "measure.py ac_level"}, inverters
