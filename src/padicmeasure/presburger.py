@@ -950,9 +950,11 @@ def atoms_satisfiable(atoms: Sequence[Atom]) -> bool:
     shadow of Pugh's Omega test), or else branched on Cooper's test points,
     depth first.  Whenever every row left mentions one variable, at entry
     and after each step, the rows are decided one variable at a time
-    instead (_separable_feasible).  Raises ExpansionBudgetError when one
-    Cooper step counts more than EXPANSION_BUDGET disjuncts, as qe does; so
-    the budget binds only on Cooper steps over coupled rows.
+    instead (_separable_feasible); before a Cooper step, the rows that
+    mention one variable are tested that way on their own.  Raises
+    ExpansionBudgetError when one Cooper step counts more than
+    EXPANSION_BUDGET disjuncts, as qe does; so the budget binds only on
+    Cooper steps over coupled rows whose one-variable rows are feasible.
     """
     key = tuple(atoms)
     cached = _SAT_RESULTS.get(key)
@@ -994,6 +996,16 @@ def _normal_row(atom: Atom) -> tuple:
         normal = (None if simple == atom else simple, (kind, coeffs, modulus), const)
     object.__setattr__(atom, "_row", normal)
     return normal
+
+
+def divisibility_residue(atom: Atom) -> tuple[tuple, int] | None:
+    """(key, residue) of a divisibility atom's normal row, None for any other
+    atom and for a true or false one: two divisibilities with one key and
+    different residues cannot both hold, as _merge_row finds."""
+    _, row, const = _normal_row(atom)
+    if row is None or row[0] != DIV:
+        return None
+    return row, const
 
 
 def _add_row(rows: dict, kind: str, coeffs: tuple, const: int, modulus: int) -> bool:
@@ -1096,6 +1108,10 @@ def _feasible(rows: dict) -> bool:
         _, step, var = best
         lows, ups, divs = roles[var]
         if step == "cooper":
+            # a contradiction among the one-variable rows needs no branching
+            single = {key: const for key, const in rows.items() if len(key[1]) == 1}
+            if not _separable_feasible(single):
+                return False
             return _cooper_branches(rows, var, lows, ups, divs)
         for _, key, _ in lows + ups:
             del rows[key]

@@ -3,9 +3,10 @@
 Quantifier-free Presburger formulas are decomposed into disjoint guarded
 cells, cells are triangulated into "towers" (one resolved coordinate per
 level: a point, an upward/downward arithmetic ray, or a bounded arithmetic
-range), and towers drive everything downstream: exact parametric counting,
+range), and towers drive everything downstream: exact parametric counting
+(count_tower, on the power sums of each range's arithmetic progression),
 rectilinearization into affine images of N^m, and the closed-form
-summation engine used by the measure layer.
+summation engine used by the measure layer (sum_over_tower).
 
 All splits are exact partitions and every guard ever produced is a
 conjunction of integer atoms.  A branch whose new atom already simplifies to
@@ -17,6 +18,7 @@ remaining branch is checked by an integer-feasibility test on its atoms
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -46,6 +48,7 @@ from .presburger import (
     TrueF,
     atoms_satisfiable,
     divides,
+    divisibility_residue,
     eq0,
     free_variables,
     geq0,
@@ -188,19 +191,34 @@ def refine(
     The part of a region inside the guard gets update(value); the part outside
     is cut into disjoint conjunctions by subtract and keeps the old value.  A
     region that misses the guard stays whole, and the output regions stay
-    pairwise disjoint with the same union.
+    pairwise disjoint with the same union.  A region that holds a
+    divisibility whose residue contradicts one of the guard's misses it
+    without a feasibility query.
     """
+    residues = dict(filter(None, map(divisibility_residue, guard)))
     out: list[tuple[list[Atom], V]] = []
     for atoms, value in regions:
         present = set(atoms)
         missing = [a for a in guard if a not in present]
         inside = atoms + missing
-        if missing and not atoms_satisfiable(inside):
+        if missing and (_other_residue(atoms, residues) or not atoms_satisfiable(inside)):
             out.append((atoms, value))
             continue
         out.append((inside, update(value)))
         out.extend((piece, value) for piece in subtract(atoms, missing))
     return out
+
+
+def _other_residue(atoms: Iterable[Atom], residues: Mapping[tuple, int]) -> bool:
+    """Whether one of the atoms is a divisibility whose residue differs from
+    the one residues holds for its key (see divisibility_residue)."""
+    if not residues:
+        return False
+    for atom in atoms:
+        row = divisibility_residue(atom)
+        if row is not None and residues.get(row[0], row[1]) != row[1]:
+            return True
+    return False
 
 
 def to_cells(
@@ -648,29 +666,24 @@ def level_increment(exponent: LinearTerm, level: Level, outer: Sequence[Level],
     raise InputError(f"exponent increment {gamma} along {level.var} is not an integer")
 
 
-def sum_over_tower(
-    tower: Tower, weight: LinearTerm, p: int | None
-) -> list[SumTerm]:
+def sum_over_tower(tower: Tower, weight: LinearTerm, p: int) -> list[SumTerm]:
     """Sum p^weight over the tower fiber, symbolically in the parameters.
 
-    With p = None the weight must be identically zero; the result is then the
-    exact point count.  Each level's increment is read through
-    level_increment, term by term, so a non-integral one raises InputError
-    before a ray along which p^weight does not shrink (on every ray when p
-    is None) raises DivergesError.
+    Each level's increment is read through level_increment, term by term,
+    so a non-integral one raises InputError before a ray along which
+    p^weight does not shrink raises DivergesError.
 
-    From the innermost level out, the summand stays a constant while p is
-    given and each level is a point or geometric (a nonzero exponent
-    increment gamma), so those levels are summed on exact (coefficient,
-    exponent) pairs: c at a ray becomes c/(1 - p^gamma) at the start, and a
-    range adds -c/(1 - p^gamma) at start + count*gamma.  The first range with
-    gamma = 0, and every level when p is None, goes with the levels outside
-    it to the power-sum tables of _sum_level.
+    From the innermost level out, the summand stays a constant while each
+    level is a point or geometric (a nonzero exponent increment gamma), so
+    those levels are summed on exact (coefficient, exponent) pairs: c at a
+    ray becomes c/(1 - p^gamma) at the start, and a range adds
+    -c/(1 - p^gamma) at start + count*gamma.  The first range with
+    gamma = 0 goes with the levels outside it to _sum_level.
     """
     levels = tower.levels[::-1]
     pairs: list[tuple[Rat, LinearTerm]] = [(1, weight)]
     done = 0
-    while p is not None and done < len(levels):
+    while done < len(levels):
         level = levels[done]
         var = level.var
         outer = tower.levels[:len(levels) - 1 - done]
@@ -709,58 +722,81 @@ def sum_over_tower(
     return terms
 
 
-def _sum_level(term: SumTerm, level: Level, p: int | None) -> list[SumTerm]:
+def _sum_level(term: SumTerm, level: Level, p: int) -> list[SumTerm]:
     """term summed over the level, as level_increment returns it for term,
-    so the exponent's increment along it is an integer."""
+    so the exponent's increment along it is an integer.  A flat range
+    (increment 0) sums the powers of its variable by _progression_sums; a
+    geometric level reads the closed forms of bounded_power_sums."""
     var = level.var
     exp_rest = term.exponent.substitute(var, level.start)
     if level.kind == "point":
         return [SumTerm(term.poly.substitute_affine(var, level.start), exp_rest)]
 
     gamma_int = (term.exponent.coeff(var) * level.step).numerator
+    ray = level.kind == "ray"
+    if ray and gamma_int >= 0:
+        if term.poly.is_zero():
+            return []
+        raise DivergesError(var, 1 if level.step > 0 else -1)
+    if not ray and gamma_int == 0:
+        sums = _progression_sums(level, term.poly.degree_in(var))
+        total = term.poly.substitute_powers(var, sums)
+        return [SumTerm(total, exp_rest)] if not total.is_zero() else []
 
     # the summand in the index @i of the level, x = start + step * @i; each
-    # power @i^d is replaced by its sum over the level, a polynomial in K
-    # built from one table of the powers of K
-    poly = term.poly
-    if poly.degree_in(var) > 0:
-        poly = poly.substitute_affine(
-            var, level.start + LinearTerm.variable(_IOTA).scale(level.step))
-    max_deg = poly.degree_in(_IOTA)
-
-    # a ray sums to the head A of the bounded closed form (q^K B(K) -> 0)
-    ray = level.kind == "ray"
-    if ray:
-        if poly.is_zero():
-            return []
-        if p is None or gamma_int >= 0:
-            raise DivergesError(var, 1 if level.step > 0 else -1)
-    else:
-        # bounded range, count points; K = count - 1
-        count = level.count
-        if count is None:
-            raise ValueError(f"range level along {var} has no count")
-        k_upper = (count - 1).to_polynomial()
-        k_powers = [Polynomial.constant(1)]
-        for _ in range(max_deg + 1):
-            k_powers.append(k_powers[-1] * k_upper)
-
-        if p is None or gamma_int == 0:
-            sums = [Polynomial.combine(zip(f, k_powers)) for f in faulhaber(max_deg)]
-            total = poly.substitute_powers(_IOTA, sums)
-            return [SumTerm(total, exp_rest)] if not total.is_zero() else []
-
-    closed = bounded_power_sums(Fraction(p) ** gamma_int, max_deg)
+    # power @i^d is replaced by its sum over the level: the head A_d of a
+    # ray, and A_d + q^(K+1) B_d(K) over a range of count K + 1
+    poly = term.poly.substitute_affine(
+        var, level.start + LinearTerm.variable(_IOTA).scale(level.step))
+    closed = bounded_power_sums(Fraction(p) ** gamma_int, poly.degree_in(_IOTA))
     out = []
     head = poly.substitute_powers(_IOTA, [Polynomial.constant(a) for a, _ in closed])
     if not head.is_zero():
         out.append(SumTerm(head, exp_rest))
     if not ray:
+        count = _range_count(level)
+        k_powers = _powers((count - 1).to_polynomial(), len(closed) - 1)
         tails = [Polynomial.combine(zip(b, k_powers)) for _, b in closed]
         tail = poly.substitute_powers(_IOTA, tails)
         if not tail.is_zero():
             out.append(SumTerm(tail, exp_rest + count.scale(gamma_int)))
     return out
+
+
+def _range_count(level: Level) -> LinearTerm:
+    if level.count is None:
+        raise ValueError(f"range level along {level.var} has no count")
+    return level.count
+
+
+def _powers(base: Polynomial, top: int) -> list[Polynomial]:
+    """base^0, ..., base^top."""
+    powers = [Polynomial.constant(1)]
+    for _ in range(top):
+        powers.append(powers[-1] * base)
+    return powers
+
+
+def _progression_sums(level: Level, degree: int) -> list[Polynomial]:
+    """S_0, ..., S_degree of a range level, S_j the sum of x^j over its
+    points x = start + step*i, i < count, as polynomials over the earlier
+    variables and the parameters: S_0 = count, S_1 = count*(first + last)/2,
+    and S_j = sum_k C(j, k) start^(j-k) step^k F_k(count - 1) for j >= 2,
+    F_k(K) = sum_{i<=K} i^k the Faulhaber sums."""
+    count = _range_count(level)
+    sums = [count.to_polynomial()]
+    if degree >= 1:
+        ends = level.start.scale(2) + count.scale(level.step) - level.step
+        sums.append((sums[0] * ends.to_polynomial()).scale(Fraction(1, 2)))
+    if degree >= 2:
+        k_powers = _powers((count - 1).to_polynomial(), degree + 1)
+        rows = [Polynomial.combine(zip(f, k_powers)) for f in faulhaber(degree)]
+        starts = _powers(level.start.to_polynomial(), degree)
+        for j in range(2, degree + 1):
+            sums.append(Polynomial.combine(
+                (math.comb(j, k) * level.step ** k, starts[j - k] * rows[k])
+                for k in range(j + 1)))
+    return sums
 
 
 def _merge_terms(terms: Iterable[SumTerm]) -> list[SumTerm]:
@@ -793,27 +829,49 @@ class PiecewisePolynomial(Value):
         raise OutOfDomainError(f"{dict(point)} lies outside the declared domain")
 
 
+def count_tower(tower: Tower) -> Polynomial:
+    """The number of points of the tower's fiber, as a polynomial over the
+    parameters, exact on the tower's guard; InfiniteFiberError names the
+    outermost ray.
+
+    From the innermost level out, a point substitutes its start for its
+    variable, and a range replaces each power x^j of its variable by S_j,
+    the sum of x^j over the range's arithmetic progression
+    (_progression_sums).
+    """
+    for level in tower.levels:
+        if level.kind == "ray":
+            raise InfiniteFiberError(level.var, 1 if level.step > 0 else -1)
+    poly = Polynomial.constant(1)
+    for level in reversed(tower.levels):
+        if level.kind == "point":
+            poly = poly.substitute_affine(level.var, level.start)
+        else:
+            sums = _progression_sums(level, poly.degree_in(level.var))
+            poly = poly.substitute_powers(level.var, sums)
+    return poly
+
+
 def count_parametric(
     cells: Sequence[GuardedCell], param_domain: Formula, param_vars: Sequence[str] | None = None
 ) -> PiecewisePolynomial:
-    """Exact fiber cardinalities as guarded polynomials over the parameters."""
+    """Exact fiber cardinalities as guarded polynomials over the parameters.
+
+    InputError when param_domain names a variable outside param_vars."""
     if param_vars is None:
         collected = set(free_variables(param_domain))
         for c in cells:
             for a in c.constraints + c.param_guard:
                 collected |= set(a.term.variables()) - set(c.variables)
         param_vars = tuple(sorted(collected))
+    stray = sorted(free_variables(param_domain) - set(param_vars))
+    if stray:
+        raise InputError(f"the parameter domain names {stray}, which are not parameters")
     domain = disjoint_conjunctions(param_domain)
     regions = [(atoms, Polynomial.constant(0)) for atoms in domain]
     # towers outside the domain are skipped before the ray check
     for tower, _ in towers_in_domain(cells, domain):
-        for level in tower.levels:
-            if level.kind == "ray":
-                raise InfiniteFiberError(level.var, 1 if level.step > 0 else -1)
-        summed = sum_over_tower(tower, LinearTerm.constant(0), None)
-        if any(t.exponent != LinearTerm.constant(0) for t in summed):
-            raise AssertionError("a point count picked up a power of p")
-        poly = Polynomial.combine((1, t.poly) for t in summed)
+        poly = count_tower(tower)
         regions = refine(regions, list(tower.guard), lambda acc, poly=poly: acc + poly)
     pieces = tuple((simplify_conjunction(atoms), acc) for atoms, acc in regions)
     return PiecewisePolynomial(tuple(param_vars), pieces)

@@ -20,6 +20,7 @@ from padicmeasure.presburger import (
     LinearTerm,
     conj,
     equivalent_on_box,
+    format_formula,
     parse,
     qe,
 )
@@ -295,6 +296,27 @@ def test_criterion_07_parametric_counting():
                 break
     _report(7, "count_parametric matches a brute-force count on [0,40]^k, 50 families",
             failures)
+
+
+# sha256 of the count verb's printout, `count[ guard ; poly ]` lines, of the
+# first 800 random_finite_family families of random.Random(707), the 50 of
+# criterion 07 first; an intended change to guards or counts updates it
+COUNT_PRINTOUTS_SHA256 = (
+    "d08fe0358c679a6a3ba321a985b6d32f38b0bdc8504b1883b412ead88c314cc0")
+
+
+def test_count_printouts_match_their_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(707)
+    lines = 0
+    for _ in range(800):
+        formula, lams, params, domain = random_finite_family(rng)
+        counts = count_parametric(to_cells(formula, lams, params), domain, params)
+        for guard, poly in counts.pieces:
+            digest.update(f"count[ {format_formula(conj(guard))} ; {poly} ]\n".encode())
+            lines += 1
+    assert lines == 1689
+    assert digest.hexdigest() == COUNT_PRINTOUTS_SHA256
 
 
 def test_criterion_08_normalization():

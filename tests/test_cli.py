@@ -232,6 +232,15 @@ def test_count_at_names_missing_parameters():
     assert err == "error: --at misses parameters ['x']\n"
 
 
+@pytest.mark.parametrize("at", [[], ["--at", ""]])
+def test_count_rejects_a_domain_over_counted_variables(at):
+    # once a count guarded by l <= 1 (exit 0), or a KeyError at a point
+    code, out, err = call(["count", "--formula", "l >= 0 /\\ l <= 3", "--lambda-vars", "l",
+                           "--domain", "l <= 1", "-p", "2"] + at)
+    assert (code, out) == (2, "")
+    assert err == "error: the parameter domain names ['l'], which are not parameters\n"
+
+
 def test_count_quantified_formula():
     code, out, _ = call(["count", "--formula", "E x. l = 2*x /\\ l >= 0 /\\ l <= s",
                          "--lambda-vars", "l", "-p", "2", "--at", "s=6"])

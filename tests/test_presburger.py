@@ -407,6 +407,26 @@ def test_separable_rows_answer_where_cooper_stops_at_its_budget():
         assert any(evaluate_qf(f, {"x": x, "y": y}) for x, y in points) is answer
 
 
+def test_contradictory_one_variable_rows_need_no_cooper_step(monkeypatch):
+    # the rows on y alone say y >= 12 and y <= -2; the Cooper step on x,
+    # coupled to y by the divisibility, once tried all 99991 residues of x
+    # to find that out
+    branched = []
+
+    def spy(*args, original=presburger._cooper_branches):
+        branched.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(presburger, "_cooper_branches", spy)
+    f = parse("99991 | x - y - 12 /\\ y - 12 >= 0 /\\ -4*y - 6 >= 0")
+    assert atoms_satisfiable(f.args) is False
+    assert branched == []
+    # feasible one-variable rows still go on to the Cooper step
+    f = parse("x - y >= 0 /\\ 5 | x + y /\\ 3 | x - 2*y - 1 /\\ y >= 2 /\\ y <= 3")
+    assert atoms_satisfiable(f.args) is True
+    assert branched
+
+
 def test_coupled_rows_over_the_budget_still_raise():
     # no elimination separates these rows, and one Cooper step on either
     # variable counts more than EXPANSION_BUDGET disjuncts

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,18 +15,23 @@ from padicmeasure.presburger import (
     ExpansionBudgetError,
     LinearTerm,
     conj,
+    divides,
     evaluate_on_grid,
     evaluate_qf,
+    format_formula,
+    geq0,
     parse,
 )
 from padicmeasure.semilinear import (
     GuardedCell,
     InfiniteFiberError,
+    InputError,
     Level,
     NotRectilinearizableError,
     OutOfDomainError,
     Tower,
     count_parametric,
+    count_tower,
     rectilinearize,
     to_cells,
     triangulate,
@@ -114,6 +121,67 @@ def test_count_guards_disjoint_and_cover():
     for s in range(0, 41):
         hits = [g for g, _ in pp.pieces if evaluate_qf(conj(g), {"s": s})]
         assert len(hits) == 1
+
+
+def test_count_rejects_a_domain_over_other_variables():
+    # a domain over a counted variable is no parameter domain: it once
+    # guarded the count with a condition on l
+    cells = cells_of("l >= 0 /\\ l <= 3", ["l"], [])
+    with pytest.raises(InputError, match=r"^the parameter domain names \['l'\], "
+                                         r"which are not parameters$"):
+        count_parametric(cells, parse("l <= 1"), [])
+    cells = cells_of("l >= 0 /\\ l <= s", ["l"], ["s"])
+    with pytest.raises(InputError, match=r"^the parameter domain names \['l', 't'\],"):
+        count_parametric(cells, parse("s >= 0 /\\ t >= l"), ["s"])
+
+
+def _refine_queries(monkeypatch):
+    """The atoms_satisfiable calls that refine makes itself, counted."""
+    asked = Counter()
+
+    def spy(atoms, original=semilinear.atoms_satisfiable):
+        asked[sys._getframe(1).f_code.co_name] += 1
+        return original(atoms)
+
+    monkeypatch.setattr(semilinear, "atoms_satisfiable", spy)
+    return asked
+
+
+def test_refine_reads_guard_residues_in_normal_form(monkeypatch):
+    # 5 | s + 4 is the guard's residue written another way and is queried;
+    # 5 | s - 2 contradicts it and is kept whole unasked, as a query would
+    # keep it; 10 | s - 2 contradicts it too, under another modulus, and
+    # is asked
+    asked = _refine_queries(monkeypatch)
+    s = LinearTerm.variable("s")
+    regions = [([divides(5, s + 4)], "a"), ([divides(5, s - 2)], "b"),
+               ([divides(10, s - 2)], "c"), ([geq0(s)], "d")]
+    out = semilinear.refine(regions, [divides(5, s - 1)], lambda value: value + "!")
+    assert [value for _, value in out] == ["a!", "b", "c", "d!", "d", "d", "d", "d"]
+    assert out[1][0] == [divides(5, s - 2)]
+    assert asked["refine"] == 3
+
+
+# sha256 of the count's printed pieces, `count[ guard ; poly ]` lines as the
+# CLI prints them, as the parent of the residue test printed them
+ALIGNED_101_PIECES_SHA256 = (
+    "4f0b3b7e373089a0231304c5230d5c6a0acb0f5ca445b498c37092a317073d11")
+
+
+def test_refine_asks_only_the_region_of_the_guard_residue(monkeypatch):
+    # the guard of each of the 101 towers holds 101 | s - rho for its own
+    # rho; once refined, each region fixes one residue of s, so refine asks
+    # about the one region whose residue is the guard's, where it once asked
+    # about every region (13,826 queries)
+    asked = _refine_queries(monkeypatch)
+    f = parse("l1 >= 0 /\\ l1 <= s /\\ 101 | l1 + s")
+    counts = count_parametric(to_cells(f, ["l1"], ["s"]), parse("s >= 0"))
+    assert asked["refine"] == 101
+    text = "".join(f"count[ {format_formula(conj(guard))} ; {poly} ]\n"
+                   for guard, poly in counts.pieces)
+    assert hashlib.sha256(text.encode()).hexdigest() == ALIGNED_101_PIECES_SHA256
+    for s in range(0, 300, 7):
+        assert counts.evaluate({"s": s}) == sum(1 for l in range(s + 1) if (l + s) % 101 == 0)
 
 
 def test_rectilinearize_examples():
@@ -432,8 +500,8 @@ def _closed_value(terms, p, s):
 
 @pytest.mark.parametrize("placement", list(TOWER_ROLES))
 def test_tower_sums_match_enumeration(placement, monkeypatch):
-    # levels from the first flat one outwards, and every level when p is
-    # None, go to the power-sum tables; the others are summed on scalars
+    # levels from the first flat one outwards go to _sum_level; the others
+    # are summed on scalars.  A point count takes none of them there
     rng = random.Random(f"tower sums {placement}")
     roles = TOWER_ROLES[placement]
     handed = []
@@ -447,21 +515,100 @@ def test_tower_sums_match_enumeration(placement, monkeypatch):
     first_flat = roles.index("flat") if "flat" in roles else -1
     for _ in range(12):
         tower, weight = _role_tower(rng, roles)
-        for p, w in ((2, weight), (3, weight), (None, LinearTerm.constant(0))):
+        for p in (2, 3):
             del handed[:]
-            terms = semilinear.sum_over_tower(tower, w, p)
-            if p is None:
-                assert set(handed) == set(tower.variables)
-            else:
-                assert set(handed) == set(tower.variables[:first_flat + 1])
+            terms = semilinear.sum_over_tower(tower, weight, p)
+            assert set(handed) == set(tower.variables[:first_flat + 1])
             for s in range(4):
-                assert _closed_value(terms, p, s) == _enumerated_sum(tower, w, p, s), (
-                    tower, w, p, s)
+                assert _closed_value(terms, p, s) == _enumerated_sum(tower, weight, p, s), (
+                    tower, weight, p, s)
+        del handed[:]
+        count = count_tower(tower)
+        assert handed == []
+        for s in range(4):
+            assert count.evaluate({"s": s}) == _enumerated_sum(tower, weight, None, s), (tower, s)
+
+
+def _count_tower(rng):
+    """A finite tower of one to five levels over l1, l2, ... and s: points,
+    and ranges of step 1 to 3 whose starts and counts may have fractional
+    coefficients, so that they are integers at some s only.  A count may
+    add the index of the outer range's point, which keeps it at least 0."""
+    names = [f"l{i + 1}" for i in range(rng.randint(1, 5))]
+    levels = []
+    for i, name in enumerate(names):
+        d = rng.choice((1, 1, 3))
+        start = LinearTerm.make(
+            {**{n: rng.randint(-1, 1) for n in names[:i]}, "s": Fraction(rng.randint(-1, 1), d)},
+            Fraction(rng.randint(-2, 2), d))
+        if rng.random() < 0.2:
+            levels.append(Level(name, "point", start))
+            continue
+        d = rng.choice((1, 1, 3))
+        count = LinearTerm.make({"s": Fraction(rng.randint(0, 1), d)},
+                                Fraction(rng.randint(0, 2), d) + rng.randint(0, 1))
+        outer = levels[-1] if levels else None
+        if outer is not None and outer.kind == "range" and rng.random() < 0.75:
+            index = (LinearTerm.variable(outer.var) - outer.start).scale(Fraction(1, outer.step))
+            count = count + index
+        levels.append(Level(name, "range", start, rng.randint(1, 3), count))
+    return Tower(tuple(names), tuple(levels), ())
+
+
+def _point_count(tower, s):
+    """The number of the tower's points at s, or None when a start or a
+    count met on the way is not an integer there."""
+    total = 0
+
+    def walk(depth, env):
+        nonlocal total
+        if depth == len(tower.levels):
+            total += 1
+            return True
+        level = tower.levels[depth]
+        start = Fraction(level.start.evaluate(env))
+        count = Fraction(1 if level.kind == "point" else level.count.evaluate(env))
+        if start.denominator != 1 or count.denominator != 1:
+            return False
+        return all(walk(depth + 1, {**env, level.var: start + level.step * k})
+                   for k in range(int(count)))
+
+    return total if walk(0, {"s": s}) else None
+
+
+def test_count_tower_matches_enumeration(monkeypatch):
+    # five levels, not three: the power x^j summed at a level has j at most
+    # the number of ranges inside it, and j = 0 to 4 should all be checked
+    degrees = []
+
+    def spy(level, degree, original=semilinear._progression_sums):
+        degrees.append(degree)
+        return original(level, degree)
+
+    monkeypatch.setattr(semilinear, "_progression_sums", spy)
+    rng = random.Random("count towers")
+    checked_degrees, compared, fractional = set(), 0, 0
+    for _ in range(200):
+        tower = _count_tower(rng)
+        del degrees[:]
+        count = count_tower(tower)
+        points = [(s, _point_count(tower, s)) for s in range(9)]
+        points = [(s, n) for s, n in points if n is not None]
+        for s, n in points:
+            assert count.evaluate({"s": s}) == n, (tower, s)
+        if points:
+            compared += len(points)
+            checked_degrees.update(degrees)
+            ranges = [level for level in tower.levels if level.kind == "range"]
+            fractional += (any(level.start.denominator_lcm() > 1 for level in tower.levels)
+                           and any(level.count.denominator_lcm() > 1 for level in ranges))
+    assert checked_degrees == {0, 1, 2, 3, 4}
+    assert compared >= 500 and fractional >= 10, (compared, fractional)
 
 
 def test_geometric_towers_use_no_power_sum_table(monkeypatch):
     # points, rays and ranges whose exponent increments are nonzero are
-    # summed on scalars; a flat range is what needs the tables
+    # summed on scalars; a flat range is what needs the power sums
     calls = []
 
     def spy(name, original):
@@ -470,7 +617,7 @@ def test_geometric_towers_use_no_power_sum_table(monkeypatch):
             return original(*args)
         return wrapped
 
-    for name in ("bounded_power_sums", "faulhaber"):
+    for name in ("bounded_power_sums", "_progression_sums"):
         monkeypatch.setattr(semilinear, name, spy(name, getattr(semilinear, name)))
     ray = Level("l0", "ray", LinearTerm.variable("s"), -2)
     rng = random.Random(5)
@@ -481,7 +628,7 @@ def test_geometric_towers_use_no_power_sum_table(monkeypatch):
     assert calls == []
     tower, weight = _role_tower(rng, TOWER_ROLES["flat between"])
     semilinear.sum_over_tower(tower, weight, 2)
-    assert "bounded_power_sums" in calls and "faulhaber" in calls
+    assert "bounded_power_sums" in calls and "_progression_sums" in calls
 
 
 def _error_tower(inner):
@@ -535,11 +682,17 @@ def test_a_ray_over_a_zero_summand_does_not_diverge(inner):
 
 @pytest.mark.parametrize("p", [2, None])
 def test_a_range_without_a_count_is_rejected(p):
+    # summed geometric or flat with p given, or counted when p is None
     span = Level("l1", "range", LinearTerm.constant(0), 1)
     tower = Tower(("l1",), (span,), ())
-    weight = LinearTerm.make({"l1": -1}) if p else LinearTerm.constant(0)
-    with pytest.raises(ValueError, match=r"^range level along l1 has no count$"):
-        semilinear.sum_over_tower(tower, weight, p)
+    message = r"^range level along l1 has no count$"
+    if p is None:
+        with pytest.raises(ValueError, match=message):
+            count_tower(tower)
+        return
+    for weight in (LinearTerm.make({"l1": -1}), LinearTerm.constant(0)):
+        with pytest.raises(ValueError, match=message):
+            semilinear.sum_over_tower(tower, weight, p)
 
 
 def test_a_repeated_equality_gives_the_same_towers():

@@ -372,8 +372,10 @@ def test_package_cuts_no_guard_back_into_pieces():
 
 def test_package_reads_power_sum_tables_in_one_function():
     # sum_over_tower sums points and geometric levels on exact scalars and
-    # hands a flat range, and every level of a count, to _sum_level; a
-    # second reader of the power-sum tables would be a second summation path
+    # hands a flat range to _sum_level; a flat range, there or in a point
+    # count, is summed by _progression_sums and a geometric one by
+    # _sum_level.  A second reader of the power-sum tables would be a
+    # second summation path
     callers: dict[str, set[str]] = {"bounded_power_sums": set(), "faulhaber": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -386,7 +388,7 @@ def test_package_reads_power_sum_tables_in_one_function():
                         callers[name].add(f"{path.name} {where}")
     assert callers == {
         "bounded_power_sums": {"semilinear.py _sum_level"},
-        "faulhaber": {"semilinear.py _sum_level"},
+        "faulhaber": {"semilinear.py _progression_sums"},
     }, callers
 
 
