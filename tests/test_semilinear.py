@@ -493,7 +493,7 @@ def _enumerated_sum(tower, weight, p, s):
 def _closed_value(terms, p, s):
     total = Fraction(0)
     for t in terms:
-        power = 1 if p is None else Fraction(p) ** t.exponent.evaluate({"s": s})
+        power = Fraction(p) ** t.exponent.evaluate({"s": s})
         total += t.poly.evaluate({"s": s}) * power
     return total
 
