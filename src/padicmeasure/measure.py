@@ -369,16 +369,24 @@ def make_exp_polynomial(
     region, terms whose exponents differ by an integer constant are merged
     (the integer power of p moves into the polynomial), zero polynomials are
     dropped, and terms are sorted by exponent; regions by printed guard.
+    Terms under one atom-tuple guard make that one region when the guard is
+    satisfiable, and none otherwise, with no refinement.
     """
     by_guard: dict = {}
     for guard, poly, exponent in raw_terms:
         if not poly.is_zero():
             by_guard.setdefault(guard, []).append((poly, exponent))
     regions: list[tuple[list[Atom], list[tuple[Polynomial, LinearTerm]]]] = [([], [])]
-    for guard, pairs in by_guard.items():
-        pieces = disjoint_conjunctions(guard) if isinstance(guard, Formula) else [guard]
-        for piece in pieces:
-            regions = refine(regions, piece, lambda acc: acc + pairs)
+    if len(by_guard) == 1 and not isinstance(next(iter(by_guard)), Formula):
+        # refining the whole space by one atom tuple leaves its complement
+        # pieces without terms: the guard is the one region, if it has a point
+        (guard, pairs), = by_guard.items()
+        regions = [(list(guard), pairs)] if atoms_satisfiable(guard) else []
+    else:
+        for guard, pairs in by_guard.items():
+            pieces = disjoint_conjunctions(guard) if isinstance(guard, Formula) else [guard]
+            for piece in pieces:
+                regions = refine(regions, piece, lambda acc: acc + pairs)
 
     printed: list[tuple[str, list[ExpTerm]]] = []
     for atoms, acc in regions:

@@ -951,10 +951,12 @@ def atoms_satisfiable(atoms: Sequence[Atom]) -> bool:
     depth first.  Whenever every row left mentions one variable, at entry
     and after each step, the rows are decided one variable at a time
     instead (_separable_feasible); before a Cooper step, the rows that
-    mention one variable are tested that way on their own.  Raises
-    ExpansionBudgetError when one Cooper step counts more than
-    EXPANSION_BUDGET disjuncts, as qe does; so the budget binds only on
-    Cooper steps over coupled rows whose one-variable rows are feasible.
+    mention one variable are tested that way on their own, and each
+    variable they pin to one value is substituted as an equality in place
+    of the step.  Raises ExpansionBudgetError when one Cooper step counts
+    more than EXPANSION_BUDGET disjuncts, as qe does; so the budget binds
+    only on Cooper steps over coupled rows whose one-variable rows are
+    feasible and pin no variable.
     """
     key = tuple(atoms)
     cached = _SAT_RESULTS.get(key)
@@ -1108,11 +1110,19 @@ def _feasible(rows: dict) -> bool:
         _, step, var = best
         lows, ups, divs = roles[var]
         if step == "cooper":
-            # a contradiction among the one-variable rows needs no branching
+            # a contradiction among the one-variable rows needs no branching,
+            # and a variable they pin to one value is substituted instead
             single = {key: const for key, const in rows.items() if len(key[1]) == 1}
-            if not _separable_feasible(single):
+            pinned: dict[str, int] = {}
+            if not _separable_feasible(single, pinned):
                 return False
-            return _cooper_branches(rows, var, lows, ups, divs)
+            if not pinned:
+                return _cooper_branches(rows, var, lows, ups, divs)
+            for name, value in pinned.items():
+                _add_row(rows, EQ0, ((name, 1),), -value, 0)
+            if not _eliminate_equalities(rows):
+                return False
+            continue
         for _, key, _ in lows + ups:
             del rows[key]
         if step == "drop":
@@ -1131,12 +1141,14 @@ def _feasible(rows: dict) -> bool:
     return True
 
 
-def _separable_feasible(rows: dict) -> bool:
+def _separable_feasible(rows: dict, pinned: dict[str, int] | None = None) -> bool:
     """Integer feasibility of rows that each mention one variable, with no
     equality among them, decided one variable at a time: its inequalities
     give an interval [low, high], its divisibilities one residue class
     r (mod m) by the Chinese remainder theorem, and it has a value when the
-    first point of that class at or above low is at most high."""
+    first point of that class at or above low is at most high.  When they
+    are feasible, each variable with exactly one value is put in pinned
+    with that value, if pinned is given."""
     spans: dict[str, list] = {}  # variable -> [low, high, r, m]
     for (kind, ((var, c),), modulus), const in rows.items():
         span = spans.get(var)
@@ -1156,8 +1168,15 @@ def _separable_feasible(rows: dict) -> bool:
             high = const // -c  # var <= floor(const/-c)
             if span[1] is None or high < span[1]:
                 span[1] = high
-    return all(low is None or high is None or low + (r - low) % m <= high
-               for low, high, r, m in spans.values())
+    for var, (low, high, r, m) in spans.items():
+        if low is None or high is None:
+            continue
+        first = low + (r - low) % m
+        if first > high:
+            return False
+        if first + m > high and pinned is not None:
+            pinned[var] = first
+    return True
 
 
 def _eliminate_equalities(rows: dict) -> bool:

@@ -15,9 +15,13 @@ replayable certificate step.
 measure_function, decide_equal (a - b) and replay (each step's before -
 after, once the steps chain) share one generator-by-generator difference
 path: each distinct cell's closed form is computed once, cells that net to
-zero cancel, the rest are canonicalized once.  Replay keeps one table of
-closed forms for the whole certificate.  A NotEqual witness is any domain
-point where the two values differ.
+zero cancel, the rest are canonicalized once.  A difference whose terms
+cancel term by term, summed per guard and exponent, is zero without that
+canonicalization.  Replay keeps one table of closed forms for the whole
+certificate, and after the first step nets only the generators a step
+changes: those between the longest common prefix and suffix of its before
+and after.  A NotEqual witness is any domain point where the two values
+differ.
 
 Certificates are written, read and replayed once per distinct cell, not
 once per snapshot: certificate_to_document formats each distinct cell once,
@@ -36,6 +40,7 @@ from typing import Union
 
 from .algebra import (
     LinearTerm,
+    Polynomial,
     Value,
     format_rational,
     frac,
@@ -251,34 +256,55 @@ def _generator_terms(cell: BoxCell, base: Presentation) -> tuple[ExpTerm, ...]:
     return sum_closed_form(*converted, base.param_domain, base.ctx, base.param_vars).terms
 
 
-def _signed_measure(base: Presentation, sides: Sequence[tuple[int, Presentation]],
+def _signed_measure(base: Presentation,
+                    sides: Sequence[tuple[int, Sequence[tuple[Fraction, BoxCell]]]],
                     closed_forms: dict[BoxCell, tuple[ExpTerm, ...]]) -> ExpPolynomial:
-    """Measure of the sum of sign * side over base, generator by generator:
-    each distinct cell gets its net coefficient, cells that net to zero
-    cancel, and the rest go through one canonicalization.  closed_forms maps
-    cells to their closed-form terms over base; each cell it lacks is added,
-    and is computed even when it cancels, so a divergent cell (named by its
-    index within its side) or a non-integral weight raises."""
+    """Measure of the sum of sign * generators over base, generator by
+    generator: each distinct cell gets its net coefficient, cells that net to
+    zero cancel, and the rest go through one canonicalization.  closed_forms
+    maps cells to their closed-form terms over base; each cell it lacks is
+    added, and is computed even when it cancels, so a divergent cell (named
+    by its index within its generators) or a non-integral weight raises.
+    With two sides, terms that cancel term by term give the zero polynomial
+    without a canonicalization (_cancels)."""
     net: dict[BoxCell, Fraction] = {}
-    for sign, side in sides:
-        for index, (coeff, cell) in enumerate(side.generators):
+    for sign, generators in sides:
+        for index, (coeff, cell) in enumerate(generators):
             if cell not in closed_forms:
                 try:
                     closed_forms[cell] = _generator_terms(cell, base)
                 except DivergesError as err:
                     raise DivergesError(err.variable, err.direction, generator=index) from err
             net[cell] = net.get(cell, 0) + sign * coeff
+    net = {cell: coeff for cell, coeff in net.items() if coeff != 0}
+    if len(sides) > 1 and _cancels(net, closed_forms):
+        return ExpPolynomial(base.ctx.p, base.param_vars, ())
     raw = [
         (t.guard, t.poly.scale(coeff), t.exponent)
-        for cell, coeff in net.items() if coeff != 0
+        for cell, coeff in net.items()
         for t in closed_forms[cell]
     ]
     return make_exp_polynomial(base.ctx.p, base.param_vars, raw)
 
 
+def _cancels(net: Mapping[BoxCell, Fraction],
+             closed_forms: Mapping[BoxCell, tuple[ExpTerm, ...]]) -> bool:
+    """Whether coefficient * poly sums to zero for each (guard, exponent)
+    over the net cells' terms, in which case make_exp_polynomial returns no
+    term.  A key with one term answers False at once: a closed form's polys
+    are nonzero, and so are net coefficients."""
+    sums: dict = {}
+    for cell, coeff in net.items():
+        for t in closed_forms[cell]:
+            sums.setdefault((t.guard, t.exponent), []).append((coeff, t.poly))
+    if any(len(pairs) == 1 for pairs in sums.values()):
+        return False
+    return all(Polynomial.combine(pairs).is_zero() for pairs in sums.values())
+
+
 def measure_function(pres: Presentation) -> MeasureFunction:
     """Exact measure of each fiber, as a guarded exponential polynomial."""
-    expp = _signed_measure(pres, [(1, pres)], {})
+    expp = _signed_measure(pres, [(1, pres.generators)], {})
     return MeasureFunction(expp, pres.param_domain, pres.param_vars, pres.ctx)
 
 
@@ -320,7 +346,7 @@ def decide_equal(a: Presentation, b: Presentation) -> Union[Equal, NotEqual]:
     values there.  A cell met by an earlier call reuses its closed form."""
     _same_base(a, b)
     closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
-    diff = _signed_measure(a, [(1, a), (-1, b)], closed_forms)
+    diff = _signed_measure(a, [(1, a.generators), (-1, b.generators)], closed_forms)
     witness = exp_poly_is_zero(diff, a.param_domain)
     if witness is None:
         return Equal()
@@ -361,7 +387,10 @@ def find_invalid_step(cert: Certificate) -> int | None:
     it cancels there.  Every step that replays this far has the base of step
     0 (the steps chain, and each step's sides share a base), so the whole
     certificate keeps one table of closed forms: each distinct cell's is
-    computed once, and a cell met again costs one lookup.
+    computed once, and a cell met again costs one lookup.  After the first
+    step, only the entries between the longest common prefix and suffix of
+    before and after are netted: the shared ones cancel, and their cells,
+    which the previous after holds, are in the table already.
     """
     closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
     for i, step in enumerate(cert.steps):
@@ -370,14 +399,30 @@ def find_invalid_step(cert: Certificate) -> int | None:
         if i and step.before != cert.steps[i - 1].after:
             return i
         base = step.before
+        removed, added = base.generators, step.after.generators
+        if i:
+            removed, added = _changed_entries(removed, added)
         try:
             _same_base(base, step.after)
-            diff = _signed_measure(base, [(1, base), (-1, step.after)], closed_forms)
+            diff = _signed_measure(base, [(1, removed), (-1, added)], closed_forms)
         except (ContextMismatchError, DivergesError, InputError):
             return i
         if exp_poly_is_zero(diff, base.param_domain) is not None:
             return i
     return None
+
+
+def _changed_entries(before: Sequence, after: Sequence) -> tuple[Sequence, Sequence]:
+    """before and after without their longest common prefix and, of what is
+    left, their longest common suffix."""
+    n = min(len(before), len(after))
+    head = 0
+    while head < n and before[head] == after[head]:
+        head += 1
+    tail = 0
+    while tail < n - head and before[-1 - tail] == after[-1 - tail]:
+        tail += 1
+    return before[head:len(before) - tail], after[head:len(after) - tail]
 
 
 def verify_certificate(cert: Certificate) -> bool:

@@ -149,11 +149,21 @@ def _complement_pieces(atom: Atom) -> list[list[Atom]]:
 
 
 def subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
-    """Split disjunct minus conj(earlier) into disjoint conjunctive pieces."""
+    """Split disjunct minus conj(earlier) into disjoint conjunctive pieces.
+    A complement piece whose divisibility residue contradicts one the
+    disjunct holds misses it, and is dropped without a feasibility query;
+    so a divisibility whose residue the disjunct holds adds no piece."""
+    residues = dict(filter(None, map(divisibility_residue, disjunct)))
     out = []
     prefix: list[Atom] = []
     for atom in earlier:
+        held = divisibility_residue(atom) if residues else None
+        if held and residues.get(held[0]) == held[1]:
+            prefix.append(atom)
+            continue
         for comp in _complement_pieces(atom):
+            if _other_residue(comp, residues):
+                continue
             cand = disjunct + prefix + comp
             if atoms_satisfiable(cand):
                 out.append(cand)

@@ -25,6 +25,8 @@ from padicmeasure.presburger import (
     qe,
 )
 from padicmeasure.ring import (
+    Certificate,
+    CertificateStep,
     Presentation,
     add,
     ball_presentation,
@@ -32,6 +34,7 @@ from padicmeasure.ring import (
     certificate_to_document,
     decide_equal,
     delta_presentation,
+    find_invalid_step,
     measure_function,
     multiply,
     normalize_to_basic,
@@ -385,6 +388,58 @@ def test_measure_functions_match_their_digest():
             runs += 1
     assert runs == 364
     assert digest.hexdigest() == MEASURE_FUNCTIONS_SHA256
+
+
+def _tampered_at_half(cert):
+    """cert with step k // 2 of its k steps tampered: the first coefficient
+    of that step's after is doubled, in the next step's before too, so the
+    steps still chain."""
+    steps = list(cert.steps)
+    if not steps:
+        return cert
+    j = len(steps) // 2
+    after = steps[j].after
+    gens = after.generators
+    if gens:
+        gens = ((2 * gens[0][0], gens[0][1]),) + gens[1:]
+    bad = Presentation(after.ctx, after.param_vars, after.param_domain, gens)
+    steps[j] = CertificateStep(steps[j].rule, steps[j].note, steps[j].before, bad)
+    if j + 1 < len(steps):
+        steps[j + 1] = CertificateStep(steps[j + 1].rule, steps[j + 1].note, bad,
+                                       steps[j + 1].after)
+    return Certificate(tuple(steps))
+
+
+# sha256 of repr(decide_equal(P, P with its first coefficient doubled)),
+# repr(decide_equal(ell·P, basic)) and repr(find_invalid_step) of P's
+# certificate with step k // 2 tampered, each followed by a newline, over
+# the first 100 presentations of random.Random(2026) (p drawn from {2, 3},
+# numbers 2, 5, 8, ... squared); an intended change to verdicts or replay
+# updates it
+RING_VERDICTS_SHA256 = (
+    "6197630215d2fde8135738dbc802e0863fb3b9ff17a39bc22cf71e342fecfae6")
+
+
+def test_ring_verdicts_match_their_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(2026)
+    found = []
+    for number in range(100):
+        ctx = PAdicContext(rng.choice((2, 3)))
+        pres = random_convergent_presentation(rng, ctx, max_generators=3)
+        if number % 3 == 2:
+            pres = multiply(pres, pres)
+        coeff, cell = pres.generators[0]
+        doubled = Presentation(ctx, pres.param_vars, pres.param_domain,
+                               ((2 * coeff, cell),) + pres.generators[1:])
+        ell, basic, cert = normalize_to_basic(pres)
+        found.append(find_invalid_step(_tampered_at_half(cert)))
+        for line in (repr(decide_equal(pres, doubled)),
+                     repr(decide_equal(scalar_mul(ell, pres), basic.presentation)),
+                     repr(found[-1])):
+            digest.update(line.encode() + b"\n")
+    assert found.count(None) == 1
+    assert digest.hexdigest() == RING_VERDICTS_SHA256
 
 
 def test_criterion_09_equality_decider_desk_scale():

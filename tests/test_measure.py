@@ -33,7 +33,9 @@ from padicmeasure.oracle import WindowTooSmallError, truncated_measure
 from padicmeasure.presburger import (
     TRUE,
     Atom,
+    Formula,
     LinearTerm,
+    atoms_satisfiable,
     conj,
     disj,
     divides,
@@ -527,7 +529,8 @@ def _refined_term_by_term(p, param_vars, raw):
     for guard, poly, exponent in raw:
         if poly.is_zero():
             continue
-        for piece in disjoint_conjunctions(guard):
+        pieces = disjoint_conjunctions(guard) if isinstance(guard, Formula) else [list(guard)]
+        for piece in pieces:
             regions = refine(regions, piece, lambda acc: acc + [(poly, exponent)])
     terms = []
     for atoms, acc in regions:
@@ -547,6 +550,44 @@ def _refined_term_by_term(p, param_vars, raw):
 def test_grouped_guards_give_the_term_by_term_canonical_form():
     for raw in POOLED_RAW_TERM_LISTS + RAW_TERM_LISTS:
         assert make_exp_polynomial(2, ("a", "b"), raw) == _refined_term_by_term(2, ("a", "b"), raw)
+
+
+def _one_guard_raw_terms(rng):
+    """Two to four raw terms under one atom tuple over a and b, drawn so
+    that some tuples repeat an atom and some have no point."""
+    scope = ("a", "b")
+    atoms = [a for a in (random_atom(rng, scope) for _ in range(rng.randint(0, 4)))
+             if isinstance(a, Atom)]
+    if atoms and rng.random() < 0.3:
+        atoms.append(rng.choice(atoms))
+    if rng.random() < 0.2:
+        atoms += [geq0(LinearTerm.make({"a": 1}, -1)), geq0(LinearTerm.make({"a": -1}))]
+    guard = tuple(atoms)
+    raw = []
+    for _ in range(rng.randint(2, 4)):
+        poly = Polynomial.constant(rng.randint(-2, 2))
+        if rng.random() < 0.3:
+            poly = poly * Polynomial.variable(rng.choice(scope))
+        exponent = LinearTerm.make({rng.choice(scope): rng.randint(-1, 1)}, rng.randint(-2, 2))
+        raw.append((guard, poly, exponent))
+    return raw
+
+
+def test_one_guard_gives_the_region_refinement_gives(monkeypatch):
+    # terms under one atom tuple make the one region of that tuple, or none
+    # when it has no point, without a refinement; the reference refines from
+    # the whole space
+    rng = random.Random(3537)
+    lists = [_one_guard_raw_terms(rng) for _ in range(300)]
+    want = [_refined_term_by_term(2, ("a", "b"), raw) for raw in lists]
+    refined = []
+    monkeypatch.setattr(measure, "refine", lambda *args: refined.append(args))
+    got = [make_exp_polynomial(2, ("a", "b"), raw) for raw in lists]
+    assert refined == []
+    assert got == want
+    empty = [raw for raw, e in zip(lists, got) if not e.terms]
+    repeated = [raw for raw in lists if len(set(raw[0][0])) < len(raw[0][0])]
+    assert any(not atoms_satisfiable(raw[0][0]) for raw in empty) and repeated
 
 
 def test_make_exp_polynomial_refines_each_distinct_guard_once(monkeypatch):

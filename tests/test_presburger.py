@@ -427,6 +427,26 @@ def test_contradictory_one_variable_rows_need_no_cooper_step(monkeypatch):
     assert branched
 
 
+def test_one_variable_rows_that_pin_a_variable_need_no_cooper_step(monkeypatch):
+    # -3*y - 7 >= 0 and 2*y + 6 >= 0 leave y = -3 alone; substituted, it
+    # leaves x >= 21 and 99991 | x + 10, where a Cooper step on x once tried
+    # 99991 test points
+    branched = []
+
+    def spy(*args, original=presburger._cooper_branches):
+        branched.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(presburger, "_cooper_branches", spy)
+    f = parse("x + 4*y - 9 >= 0 /\\ 99991 | x - 4*y - 2 /\\ -3*y - 7 >= 0 /\\ 2*y + 6 >= 0")
+    assert atoms_satisfiable(f.args) is True
+    # a pin that contradicts a coupled row: y = -3 leaves x >= 21 and x <= 20
+    f = parse("x + 4*y - 9 >= 0 /\\ 99991 | x - 4*y - 2 /\\ -3*y - 7 >= 0 /\\ 2*y + 6 >= 0"
+              " /\\ x <= 20")
+    assert atoms_satisfiable(f.args) is False
+    assert branched == []
+
+
 def test_coupled_rows_over_the_budget_still_raise():
     # no elimination separates these rows, and one Cooper step on either
     # variable counts more than EXPANSION_BUDGET disjuncts

@@ -493,9 +493,12 @@ def _exp_poly_scale(a, k):
     return ExpPolynomial(a.p, a.param_vars, terms)
 
 
-def _whole_snapshot_invalid_step(cert):
-    """Reference replay: the measure of each whole side of every step."""
+def _whole_snapshot_invalid_step(cert, start=0):
+    """Reference replay: the measure of each whole side of every step from
+    start on; the steps before start are taken to replay."""
     for i, step in enumerate(cert.steps):
+        if i < start:
+            continue
         before, after = step.before, step.after
         if step.rule not in ALLOWED_RULES:
             return i
@@ -530,6 +533,96 @@ def test_replay_matches_whole_snapshot_reference():
     outcomes = [find_invalid_step(c) for c in certs]
     assert outcomes == [_whole_snapshot_invalid_step(c) for c in certs]
     assert outcomes[0:100:2] == [None] * 50 and any(k is not None for k in outcomes)
+
+
+def _snapshots_certificate(cert, snapshots):
+    """cert's rules and notes over the snapshots, step i from snapshot i to
+    snapshot i + 1."""
+    return Certificate(tuple(CertificateStep(step.rule, step.note, before, after)
+                             for step, before, after
+                             in zip(cert.steps, snapshots, snapshots[1:])))
+
+
+def _with_generators(pres, gens):
+    return Presentation(pres.ctx, pres.param_vars, pres.param_domain, tuple(gens))
+
+
+def _shared_ends(before, after):
+    """Lengths of the longest common prefix and, of the rest, suffix."""
+    n = min(len(before), len(after))
+    head = next((i for i in range(n) if before[i] != after[i]), n)
+    tail = next((i for i in range(n - head) if before[-1 - i] != after[-1 - i]), n - head)
+    return head, tail
+
+
+def _tampered_snapshots(snapshots, j, way, ctx):
+    """The snapshots with step j tampered one way; a tamper of snapshot
+    j + 1 is step j's after and step j + 1's before, so the steps chain."""
+    out = list(snapshots)
+    if way == "append":
+        # a new cell on even steps, a copy of the last entry on odd ones,
+        # which the shared prefix and suffix must not both claim
+        gens = out[j + 1].generators
+        extra = (Fraction(1), BoxCell((Coordinate(Fraction(0), 1, 1),), ("l1",), parse("l1 >= 0")))
+        if j % 2 and gens:
+            extra = gens[-1]
+        out[j + 1] = _with_generators(out[j + 1], gens + (extra,))
+    elif way == "shared":
+        # a coefficient of an entry that before and after share: the first
+        # of the prefix on even steps, the last of the suffix on odd ones
+        gens = list(out[j + 1].generators)
+        if not gens:
+            return None
+        head, tail = _shared_ends(out[j].generators, gens)
+        at = -1 if tail and (j % 2 or not head) else 0
+        gens[at] = (gens[at][0] + 1, gens[at][1])
+        out[j + 1] = _with_generators(out[j + 1], gens)
+    else:
+        # a divergent cell in every snapshot from step j's before on: step
+        # j - 1 adds it, and step 0 holds it on both sides, where it cancels
+        (divergent,) = weighted_presentation(ctx, parse("l >= 0"), Weight.constant(0)).generators
+        for k in range(j, len(out)):
+            out[k] = _with_generators(out[k], (divergent,) + out[k].generators)
+    return out
+
+
+def test_replay_of_changed_generators_matches_the_whole_snapshot_reference():
+    # replay nets only the entries between the shared prefix and suffix of
+    # a step's sides after the first step; each certificate, squared ones
+    # included, is tampered at every step in three ways, and the first
+    # invalid step must be the one the reference finds on whole snapshots
+    rng = random.Random(3535)
+    certs = []
+    while len(certs) < 12:
+        ctx = rng.choice((CTX2, CTX3))
+        pres = random_convergent_presentation(rng, ctx, max_generators=3)
+        if len(certs) % 3 == 2:
+            pres = multiply(pres, pres)
+        cert = normalize_to_basic(pres)[2]
+        # every tampered copy replays up to its step: k steps cost k^2 / 2
+        if len(cert.steps) <= 60:
+            certs.append(cert)
+    outcomes = Counter()
+    for cert in certs:
+        assert find_invalid_step(cert) is None
+        snapshots = [cert.steps[0].before] + [step.after for step in cert.steps]
+        ctx = snapshots[0].ctx
+        for j in range(len(cert.steps)):
+            for way in ("append", "shared", "divergent"):
+                tampered = _tampered_snapshots(snapshots, j, way, ctx)
+                if tampered is None:
+                    continue
+                first = next(i for i, (a, b) in enumerate(zip(snapshots, tampered)) if a is not b)
+                bad = _snapshots_certificate(cert, tampered)
+                got = find_invalid_step(bad)
+                assert got == _whole_snapshot_invalid_step(bad, max(first - 1, 0)), (way, j)
+                outcomes[way, got is None or got - j] += 1
+    # the appended generator and the divergent cell are always caught; a
+    # changed shared coefficient is caught where it changes a measure
+    assert sum(outcomes.values()) > 300
+    assert {key for key in outcomes if key[0] != "shared"} == {
+        ("append", 0), ("divergent", 0), ("divergent", -1)}
+    assert outcomes["shared", 0] > 0
 
 
 def test_replay_requires_steps_to_chain():
@@ -642,7 +735,49 @@ def test_decide_equal_measures_each_distinct_cell_once(monkeypatch):
     pres = Presentation(CTX2, pres.param_vars, pres.param_domain, gens)
     assert bool(decide_equal(pres, pres))
     assert len(cells) == len(set(cells)) == 2
+    # every cell nets to zero, so the difference cancels term by term
+    assert len(canonicalizations) == 0
+    # the parts of a split at l1 <= s - 3 have guards on s that the whole
+    # cell lacks: their terms cancel only region by region
+    whole = presentation(CTX2, delta_presentation(CTX2, 1).generators, ["s"], parse("s >= 0"))
+    split, _ = split_first_generator(whole, parse("l1 <= s - 3"))
+    assert bool(decide_equal(whole, split))
     assert len(canonicalizations) == 1
+
+
+def test_a_difference_that_cancels_term_by_term_is_the_canonical_zero(monkeypatch):
+    # a presentation against a shuffled copy with translated centers and
+    # split coefficients: the cells differ, their closed forms do not, so
+    # every (guard, exponent) sums to zero, and the shortcut must return
+    # exactly what make_exp_polynomial returns on the netted raw terms
+    rng = random.Random(3536)
+    canonicalizations = []
+    original = ring.make_exp_polynomial
+    monkeypatch.setattr(ring, "make_exp_polynomial",
+                        lambda *args: canonicalizations.append(args) or original(*args))
+    shortcuts = 0
+    for _ in range(30):
+        ctx = rng.choice((CTX2, CTX3))
+        pres = random_convergent_presentation(rng, ctx, max_generators=3)
+        moved = translate_centers(pres, Fraction(rng.randint(1, 5), 3))[0]
+        gens = [(coeff * part, cell) for coeff, cell in moved.generators
+                for part in (Fraction(1, 3), Fraction(2, 3))]
+        rng.shuffle(gens)
+        sides = [(1, pres.generators), (-1, tuple(gens))]
+        closed_forms = {}
+        canonicalizations.clear()
+        got = ring._signed_measure(pres, sides, closed_forms)
+        shortcuts += not canonicalizations
+        net = Counter()
+        for sign, generators in sides:
+            for coeff, cell in generators:
+                net[cell] += sign * coeff
+        raw = [(t.guard, t.poly.scale(coeff), t.exponent)
+               for cell, coeff in net.items() if coeff != 0 for t in closed_forms[cell]]
+        want = original(ctx.p, pres.param_vars, raw)
+        assert got == want and repr(got) == repr(want)
+        assert got.terms == ()
+    assert shortcuts == 30
 
 
 def test_permute_coordinates_rewrite():

@@ -12,8 +12,10 @@ import pytest
 from padicmeasure import clear_caches, semilinear
 from padicmeasure.presburger import (
     TRUE,
+    Atom,
     ExpansionBudgetError,
     LinearTerm,
+    atoms_satisfiable,
     conj,
     divides,
     evaluate_on_grid,
@@ -182,6 +184,66 @@ def test_refine_asks_only_the_region_of_the_guard_residue(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == ALIGNED_101_PIECES_SHA256
     for s in range(0, 300, 7):
         assert counts.evaluate({"s": s}) == sum(1 for l in range(s + 1) if (l + s) % 101 == 0)
+
+
+def _subtract_querying_every_piece(disjunct, earlier):
+    out, prefix = [], []
+    for atom in earlier:
+        for comp in semilinear._complement_pieces(atom):
+            if atoms_satisfiable(disjunct + prefix + comp):
+                out.append(disjunct + prefix + comp)
+        prefix.append(atom)
+    return out
+
+
+def test_subtract_drops_pieces_a_held_residue_rules_out(monkeypatch):
+    # 5 | s + 4 holds the residue of 5 | s - 1, so that atom adds no piece;
+    # of the pieces of 5 | s - 2, only 5 | s - 1 (its r = 4) can meet the
+    # disjunct and is asked; 10 | s - 2 has another key and is asked in full
+    asked = _refine_queries(monkeypatch)
+    s = LinearTerm.variable("s")
+    disjunct = [divides(5, s + 4), geq0(s)]
+    earlier = [divides(5, s - 1), divides(5, s - 2), divides(10, s - 2), geq0(s - 3)]
+    out = semilinear.subtract(disjunct, earlier)
+    monkeypatch.undo()
+    assert out == _subtract_querying_every_piece(disjunct, earlier)
+    assert asked["subtract"] == 1 + 9 + 1
+    # random disjuncts and atoms over one and two variables, moduli sharing
+    # factors, coefficients sharing factors with them
+    rng = random.Random(4242)
+    for _ in range(400):
+        atoms = [random_atom(rng, ["s", "t"]) for _ in range(6)]
+        atoms += [divides(rng.choice((2, 3, 4, 6)), LinearTerm.make(
+            {"s": rng.choice((1, 2, 3)), "t": rng.choice((0, 1, 2))}, rng.randint(-6, 6)))
+            for _ in range(4)]
+        atoms = [a for a in atoms if isinstance(a, Atom)]
+        rng.shuffle(atoms)
+        cut = rng.randint(0, len(atoms))
+        disjunct, earlier = atoms[:cut], atoms[cut:]
+        assert semilinear.subtract(disjunct, earlier) == \
+            _subtract_querying_every_piece(disjunct, earlier)
+
+
+# sha256 of the count pieces of the aligned family at M = 400, as the
+# CLI prints them; the parent of the subtract residue rule printed them
+ALIGNED_400_PIECES_SHA256 = (
+    "97428b9d1e7836b22df2eafb33cc8fba5098b97095fec4d4f3233ae116622bb9")
+
+
+def test_subtract_asks_no_piece_of_a_residue_the_region_fixes(monkeypatch):
+    # each region refine hands to subtract fixes one residue of s modulo
+    # 400 that a guard divisibility repeats, so none of that atom's 399
+    # complement pieces is asked (159,999 subtract queries once)
+    asked = _refine_queries(monkeypatch)
+    f = parse("l1 >= 0 /\\ l1 <= s /\\ 400 | l1 + s")
+    counts = count_parametric(to_cells(f, ["l1"], ["s"]), parse("s >= 0"))
+    assert asked["refine"] == 400
+    assert asked["subtract"] == 798
+    text = "".join(f"count[ {format_formula(conj(guard))} ; {poly} ]\n"
+                   for guard, poly in counts.pieces)
+    assert hashlib.sha256(text.encode()).hexdigest() == ALIGNED_400_PIECES_SHA256
+    for s in range(0, 1300, 37):
+        assert counts.evaluate({"s": s}) == sum(1 for l in range(s + 1) if (l + s) % 400 == 0)
 
 
 def test_rectilinearize_examples():
