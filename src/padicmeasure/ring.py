@@ -291,11 +291,25 @@ def _cancels(net: Mapping[BoxCell, Fraction],
              closed_forms: Mapping[BoxCell, tuple[ExpTerm, ...]]) -> bool:
     """Whether coefficient * poly sums to zero for each (guard, exponent)
     over the net cells' terms, in which case make_exp_polynomial returns no
-    term.  A key with one term answers False at once: a closed form's polys
-    are nonzero, and so are net coefficients."""
-    sums: dict = {}
+    term.  Cells that share one closed-form object (sum_closed_form returns
+    one for every cell with the same formula and weight) first add up their
+    coefficients.  A closed form's polys are nonzero and its keys distinct,
+    so one closed form left with a nonzero coefficient, or a key with one
+    term, answers False at once."""
+    shared: dict[int, list] = {}
     for cell, coeff in net.items():
-        for t in closed_forms[cell]:
+        terms = closed_forms[cell]
+        entry = shared.get(id(terms))
+        if entry is None:
+            shared[id(terms)] = [terms, coeff]
+        else:
+            entry[1] += coeff
+    left = [(terms, coeff) for terms, coeff in shared.values() if terms and coeff != 0]
+    if len(left) < 2:
+        return not left
+    sums: dict = {}
+    for terms, coeff in left:
+        for t in terms:
             sums.setdefault((t.guard, t.exponent), []).append((coeff, t.poly))
     if any(len(pairs) == 1 for pairs in sums.values()):
         return False

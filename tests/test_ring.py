@@ -746,20 +746,23 @@ def test_decide_equal_measures_each_distinct_cell_once(monkeypatch):
 
 
 def test_a_difference_that_cancels_term_by_term_is_the_canonical_zero(monkeypatch):
-    # a presentation against a shuffled copy with translated centers and
-    # split coefficients: the cells differ, their closed forms do not, so
-    # every (guard, exponent) sums to zero, and the shortcut must return
+    # a presentation against a shuffled copy with translated centers, its
+    # first generator split at 2 | l1 and its coefficients split in parts:
+    # translated cells share their closed forms, and the split parts have
+    # new ones, whose terms mostly sum to the whole cell's term by term;
+    # where every (guard, exponent) sums to zero, the shortcut must return
     # exactly what make_exp_polynomial returns on the netted raw terms
     rng = random.Random(3536)
     canonicalizations = []
     original = ring.make_exp_polynomial
     monkeypatch.setattr(ring, "make_exp_polynomial",
                         lambda *args: canonicalizations.append(args) or original(*args))
-    shortcuts = 0
+    shortcuts = by_key = 0
     for _ in range(30):
         ctx = rng.choice((CTX2, CTX3))
         pres = random_convergent_presentation(rng, ctx, max_generators=3)
         moved = translate_centers(pres, Fraction(rng.randint(1, 5), 3))[0]
+        moved = split_first_generator(moved, parse("2 | l1"))[0]
         gens = [(coeff * part, cell) for coeff, cell in moved.generators
                 for part in (Fraction(1, 3), Fraction(2, 3))]
         rng.shuffle(gens)
@@ -776,8 +779,16 @@ def test_a_difference_that_cancels_term_by_term_is_the_canonical_zero(monkeypatc
                for cell, coeff in net.items() if coeff != 0 for t in closed_forms[cell]]
         want = original(ctx.p, pres.param_vars, raw)
         assert got == want and repr(got) == repr(want)
+        if canonicalizations:
+            continue
         assert got.terms == ()
-    assert shortcuts == 30
+        # closed-form objects whose cells do not net to zero together, so
+        # that the sums are taken key by key
+        shared = Counter()
+        for cell, coeff in net.items():
+            shared[id(closed_forms[cell])] += coeff
+        by_key += sum(1 for coeff in shared.values() if coeff != 0) >= 2
+    assert shortcuts > 15 and by_key > 10
 
 
 def test_permute_coordinates_rewrite():
