@@ -291,9 +291,9 @@ def _cancels(net: Mapping[BoxCell, Fraction],
              closed_forms: Mapping[BoxCell, tuple[ExpTerm, ...]]) -> bool:
     """Whether coefficient * poly sums to zero for each (guard, exponent)
     over the net cells' terms, in which case make_exp_polynomial returns no
-    term.  Cells that share one closed-form object (sum_closed_form returns
-    one for every cell with the same formula and weight) first add up their
-    coefficients.  A closed form's polys are nonzero and its keys distinct,
+    term.  Cells that share one closed-form object (sum_closed_form's table
+    hands one to the cells with the same formula and weight) first add up
+    their coefficients.  A closed form's polys are nonzero and its keys distinct,
     so one closed form left with a nonzero coefficient, or a key with one
     term, answers False at once."""
     shared: dict[int, list] = {}
