@@ -15,13 +15,14 @@ replayable certificate step.
 measure_function, decide_equal (a - b) and replay (each step's before -
 after, once the steps chain) share one generator-by-generator difference
 path: each distinct cell's closed form is computed once, cells that net to
-zero cancel, the rest are canonicalized once.  A difference whose terms
-cancel term by term, summed per guard and exponent, is zero without that
-canonicalization.  Replay keeps one table of closed forms for the whole
-certificate, and after the first step nets only the generators a step
-changes: those between the longest common prefix and suffix of its before
-and after.  A NotEqual witness is any domain point where the two values
-differ.
+zero cancel, and the terms of the rest are summed per guard and exponent.
+Only the nonzero sums are canonicalized, once, so a difference that cancels
+term by term is the zero polynomial with no refinement, and a NotEqual is
+refined only by the guards of terms that survive.  Replay keeps one table
+of closed forms for the whole certificate, and after the first step nets
+only the generators a step changes: those between the longest common
+prefix and suffix of its before and after.  A NotEqual witness is any
+domain point where the two values differ.
 
 Certificates are written, read and replayed once per distinct cell, not
 once per snapshot: certificate_to_document formats each distinct cell once,
@@ -260,13 +261,14 @@ def _signed_measure(base: Presentation,
                     sides: Sequence[tuple[int, Sequence[tuple[Fraction, BoxCell]]]],
                     closed_forms: dict[BoxCell, tuple[ExpTerm, ...]]) -> ExpPolynomial:
     """Measure of the sum of sign * generators over base, generator by
-    generator: each distinct cell gets its net coefficient, cells that net to
-    zero cancel, and the rest go through one canonicalization.  closed_forms
-    maps cells to their closed-form terms over base; each cell it lacks is
-    added, and is computed even when it cancels, so a divergent cell (named
-    by its index within its generators) or a non-integral weight raises.
-    With two sides, terms that cancel term by term give the zero polynomial
-    without a canonicalization (_cancels)."""
+    generator: each distinct cell gets its net coefficient, and the cells
+    that do not net to zero add up coefficient * poly per guard and
+    exponent, in cell order.  Only the nonzero sums go through the one
+    canonicalization, so a difference that cancels term by term hands it no
+    term and is the zero polynomial with no refinement.  closed_forms maps
+    cells to their closed-form terms over base; each cell it lacks is added,
+    and is computed even when it cancels, so a divergent cell (named by its
+    index within its generators) or a non-integral weight raises."""
     net: dict[BoxCell, Fraction] = {}
     for sign, generators in sides:
         for index, (coeff, cell) in enumerate(generators):
@@ -276,44 +278,17 @@ def _signed_measure(base: Presentation,
                 except DivergesError as err:
                     raise DivergesError(err.variable, err.direction, generator=index) from err
             net[cell] = net.get(cell, 0) + sign * coeff
-    net = {cell: coeff for cell, coeff in net.items() if coeff != 0}
-    if len(sides) > 1 and _cancels(net, closed_forms):
-        return ExpPolynomial(base.ctx.p, base.param_vars, ())
-    raw = [
-        (t.guard, t.poly.scale(coeff), t.exponent)
-        for cell, coeff in net.items()
-        for t in closed_forms[cell]
-    ]
-    return make_exp_polynomial(base.ctx.p, base.param_vars, raw)
-
-
-def _cancels(net: Mapping[BoxCell, Fraction],
-             closed_forms: Mapping[BoxCell, tuple[ExpTerm, ...]]) -> bool:
-    """Whether coefficient * poly sums to zero for each (guard, exponent)
-    over the net cells' terms, in which case make_exp_polynomial returns no
-    term.  Cells that share one closed-form object (sum_closed_form's table
-    hands one to the cells with the same formula and weight) first add up
-    their coefficients.  A closed form's polys are nonzero and its keys distinct,
-    so one closed form left with a nonzero coefficient, or a key with one
-    term, answers False at once."""
-    shared: dict[int, list] = {}
-    for cell, coeff in net.items():
-        terms = closed_forms[cell]
-        entry = shared.get(id(terms))
-        if entry is None:
-            shared[id(terms)] = [terms, coeff]
-        else:
-            entry[1] += coeff
-    left = [(terms, coeff) for terms, coeff in shared.values() if terms and coeff != 0]
-    if len(left) < 2:
-        return not left
     sums: dict = {}
-    for terms, coeff in left:
-        for t in terms:
-            sums.setdefault((t.guard, t.exponent), []).append((coeff, t.poly))
-    if any(len(pairs) == 1 for pairs in sums.values()):
-        return False
-    return all(Polynomial.combine(pairs).is_zero() for pairs in sums.values())
+    for cell, coeff in net.items():
+        if coeff != 0:
+            for t in closed_forms[cell]:
+                sums.setdefault((t.guard, t.exponent), []).append((coeff, t.poly))
+    raw = []
+    for (guard, exponent), pairs in sums.items():
+        poly = pairs[0][1].scale(pairs[0][0]) if len(pairs) == 1 else Polynomial.combine(pairs)
+        if not poly.is_zero():
+            raw.append((guard, poly, exponent))
+    return make_exp_polynomial(base.ctx.p, base.param_vars, raw)
 
 
 def measure_function(pres: Presentation) -> MeasureFunction:
@@ -762,7 +737,7 @@ def _fold_point(state: _GenState, level: Level) -> _GenState:
     kept = [
         Level(k.var, k.kind,
               k.start.substitute(level.var, level.start), k.step,
-              k.count.substitute(level.var, level.start) if k.count is not None else None)
+              k.count.substitute(level.var, level.start))
         for k in state.kept
     ]
     return _GenState(
@@ -803,9 +778,7 @@ def _peel_step(state: _GenState, p: int) -> tuple[list[_GenState], str, str, int
                 f"substitute the pinned coordinate {level.var}", 1)
     if level.kind == "ray":
         for kept in state.kept:
-            refs = set(kept.start.variables())
-            if kept.count is not None:
-                refs |= set(kept.count.variables())
+            refs = set(kept.start.variables()) | set(kept.count.variables())
             if level.var in refs:
                 raise NotRectilinearizableError(
                     f"kept range over {kept.var} references summed {level.var}")

@@ -258,12 +258,15 @@ def to_cells(
 
 
 class Level(Value):
-    """One resolved coordinate: value x = start (+ step * i [, i < count])."""
+    """One resolved coordinate: value x = start (+ step * i [, i < count]).
+    A range always has a count: ValueError where one is built without."""
 
     __slots__ = ("var", "kind", "start", "step", "count")
 
     def __init__(self, var: str, kind: str, start: LinearTerm, step: int = 0,
                  count: LinearTerm | None = None):
+        if kind == "range" and count is None:
+            raise ValueError(f"range level along {var} has no count")
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "kind", kind)  # "point" | "ray" | "range"
         # over earlier variables and parameters; exact on guards
@@ -668,7 +671,7 @@ def level_increment(exponent: LinearTerm, level: Level, outer: Sequence[Level],
     gamma = exponent.coeff(level.var) * level.step
     if gamma.denominator == 1:
         return level, gamma.numerator
-    if level.kind == "range" and level.count is not None:
+    if level.kind == "range":
         wide = level.count - 2
         atoms = [a for k in outer for a in level_atoms(k)] + list(guard)
         if not atoms_satisfiable(atoms + [geq0(wide.integer_term(wide.denominator_lcm()))]):
@@ -704,7 +707,7 @@ def sum_over_tower(tower: Tower, weight: LinearTerm, p: int) -> list[SumTerm]:
             if summed.kind == "point":
                 merged[rest] = merged.get(rest, 0) + c
                 continue
-            if summed.kind == "range" and (gamma == 0 or summed.count is None):
+            if summed.kind == "range" and gamma == 0:
                 break  # to _sum_level with the levels outside it
             if summed.kind == "ray" and gamma >= 0:
                 raise DivergesError(var, 1 if summed.step > 0 else -1)
@@ -764,19 +767,13 @@ def _sum_level(term: SumTerm, level: Level, p: int) -> list[SumTerm]:
     if not head.is_zero():
         out.append(SumTerm(head, exp_rest))
     if not ray:
-        count = _range_count(level)
+        count = level.count
         k_powers = _powers((count - 1).to_polynomial(), len(closed) - 1)
         tails = [Polynomial.combine(zip(b, k_powers)) for _, b in closed]
         tail = poly.substitute_powers(_IOTA, tails)
         if not tail.is_zero():
             out.append(SumTerm(tail, exp_rest + count.scale(gamma_int)))
     return out
-
-
-def _range_count(level: Level) -> LinearTerm:
-    if level.count is None:
-        raise ValueError(f"range level along {level.var} has no count")
-    return level.count
 
 
 def _powers(base: Polynomial, top: int) -> list[Polynomial]:
@@ -793,7 +790,7 @@ def _progression_sums(level: Level, degree: int) -> list[Polynomial]:
     variables and the parameters: S_0 = count, S_1 = count*(first + last)/2,
     and S_j = sum_k C(j, k) start^(j-k) step^k F_k(count - 1) for j >= 2,
     F_k(K) = sum_{i<=K} i^k the Faulhaber sums."""
-    count = _range_count(level)
+    count = level.count
     sums = [count.to_polynomial()]
     if degree >= 1:
         ends = level.start.scale(2) + count.scale(level.step) - level.step

@@ -20,6 +20,7 @@ from padicmeasure.presburger import (
     LinearTerm,
     conj,
     equivalent_on_box,
+    evaluate_qf,
     format_formula,
     parse,
     qe,
@@ -440,6 +441,59 @@ def test_ring_verdicts_match_their_digest():
             digest.update(line.encode() + b"\n")
     assert found.count(None) == 1
     assert digest.hexdigest() == RING_VERDICTS_SHA256
+
+
+def _rewrite_pairs(rng, count):
+    """count pairs (P, R) and (P, R with one coefficient changed), R a
+    rewrite of P by translate_centers, split_first_generator or shift_lambda,
+    drawn as the equality benchmark draws its rewrite pairs."""
+    for _ in range(count):
+        ctx = PAdicContext(rng.choice((2, 3)))
+        pres = random_convergent_presentation(rng, ctx, max_generators=3)
+        rule = rng.choice(("translate", "split", "shift"))
+        if rule == "translate":
+            derived, _ = translate_centers(pres, Fraction(rng.randint(-3, 3)))
+        elif rule == "split":
+            lam = pres.generators[0][1].lambda_vars[0]
+            derived, _ = split_first_generator(pres, parse(f"2 | {lam}"))
+        else:
+            derived, _ = shift_lambda(pres, rng.randint(1, 3))
+        gens = list(derived.generators)
+        index = rng.randrange(len(gens))
+        coeff, cell = gens[index]
+        delta = -coeff
+        while coeff + delta == 0:
+            delta = Fraction(rng.randint(1, 5), rng.randint(1, 4)) * rng.choice((1, -1))
+        gens[index] = (coeff + delta, cell)
+        changed = Presentation(ctx, derived.param_vars, derived.param_domain, tuple(gens))
+        yield pres, derived
+        yield pres, changed
+
+
+# sha256 of the verdict kinds of decide_equal on the 160 pairs of
+# _rewrite_pairs(random.Random(2037), 80), one class name and a newline
+# each; witnesses are checked, not pinned, so that the regions a NotEqual
+# is refined by may change
+REWRITE_PAIR_VERDICTS_SHA256 = (
+    "29eed7397f24e36272af3c377a3d6775511fdca4c42a7fe69c9520ef785cbddd")
+
+
+def test_rewrite_pair_verdicts_match_their_digest():
+    digest = hashlib.sha256()
+    kinds = []
+    for left, right in _rewrite_pairs(random.Random(2037), 80):
+        verdict = decide_equal(left, right)
+        kinds.append(type(verdict).__name__)
+        digest.update(kinds[-1].encode() + b"\n")
+        if verdict:
+            continue
+        point = dict(verdict.witness)
+        assert evaluate_qf(left.param_domain, point)
+        assert verdict.value1 == measure_function(left).evaluate(point)
+        assert verdict.value2 == measure_function(right).evaluate(point)
+        assert verdict.value1 != verdict.value2
+    assert kinds[::2].count("Equal") == 80 and "NotEqual" in kinds[1::2]
+    assert digest.hexdigest() == REWRITE_PAIR_VERDICTS_SHA256
 
 
 def test_criterion_09_equality_decider_desk_scale():

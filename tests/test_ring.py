@@ -717,16 +717,17 @@ def test_decide_equal_agrees_with_one_step_replay():
 
 
 def test_decide_equal_measures_each_distinct_cell_once(monkeypatch):
-    cells, canonicalizations = [], []
+    cells, handed = [], []
     generator_terms, make_exp_polynomial = ring._generator_terms, ring.make_exp_polynomial
 
     def terms_spy(cell, *base):
         cells.append(cell)
         return generator_terms(cell, *base)
 
-    def make_spy(*args):
-        canonicalizations.append(args)
-        return make_exp_polynomial(*args)
+    def make_spy(p, param_vars, raw):
+        raw = list(raw)
+        handed.append(len(raw))
+        return make_exp_polynomial(p, param_vars, raw)
 
     monkeypatch.setattr(ring, "_generator_terms", terms_spy)
     monkeypatch.setattr(ring, "make_exp_polynomial", make_spy)
@@ -735,29 +736,38 @@ def test_decide_equal_measures_each_distinct_cell_once(monkeypatch):
     pres = Presentation(CTX2, pres.param_vars, pres.param_domain, gens)
     assert bool(decide_equal(pres, pres))
     assert len(cells) == len(set(cells)) == 2
-    # every cell nets to zero, so the difference cancels term by term
-    assert len(canonicalizations) == 0
+    # every cell nets to zero, so the canonical form is handed no term
+    assert handed == [0]
     # the parts of a split at l1 <= s - 3 have guards on s that the whole
     # cell lacks: their terms cancel only region by region
     whole = presentation(CTX2, delta_presentation(CTX2, 1).generators, ["s"], parse("s >= 0"))
     split, _ = split_first_generator(whole, parse("l1 <= s - 3"))
     assert bool(decide_equal(whole, split))
-    assert len(canonicalizations) == 1
+    assert len(handed) == 2 and handed[1] > 0
 
 
-def test_a_difference_that_cancels_term_by_term_is_the_canonical_zero(monkeypatch):
+def test_a_difference_is_canonicalized_from_its_nonzero_sums(monkeypatch):
     # a presentation against a shuffled copy with translated centers, its
-    # first generator split at 2 | l1 and its coefficients split in parts:
-    # translated cells share their closed forms, and the split parts have
-    # new ones, whose terms mostly sum to the whole cell's term by term;
-    # where every (guard, exponent) sums to zero, the shortcut must return
-    # exactly what make_exp_polynomial returns on the netted raw terms
+    # first generator split at 2 | l1 and its coefficients split in parts,
+    # and against that copy with one coefficient doubled: the net cells'
+    # terms are summed per (guard, exponent), only the nonzero sums are
+    # canonicalized, and the values are those of the canonical form of the
+    # terms of every generator, un-netted
     rng = random.Random(3536)
-    canonicalizations = []
-    original = ring.make_exp_polynomial
-    monkeypatch.setattr(ring, "make_exp_polynomial",
-                        lambda *args: canonicalizations.append(args) or original(*args))
-    shortcuts = by_key = 0
+    # the raw terms and refine calls of ring's canonicalization, not of the
+    # closed forms
+    handed, refinements = [], []
+    refine, canonical = measure.refine, ring.make_exp_polynomial
+
+    def canonical_spy(p, param_vars, raw):
+        handed[:] = raw
+        refinements.clear()
+        return canonical(p, param_vars, raw)
+
+    monkeypatch.setattr(measure, "refine",
+                        lambda *args: refinements.append(args) or refine(*args))
+    monkeypatch.setattr(ring, "make_exp_polynomial", canonical_spy)
+    zeros = nonzeros = 0
     for _ in range(30):
         ctx = rng.choice((CTX2, CTX3))
         pres = random_convergent_presentation(rng, ctx, max_generators=3)
@@ -766,29 +776,44 @@ def test_a_difference_that_cancels_term_by_term_is_the_canonical_zero(monkeypatc
         gens = [(coeff * part, cell) for coeff, cell in moved.generators
                 for part in (Fraction(1, 3), Fraction(2, 3))]
         rng.shuffle(gens)
-        sides = [(1, pres.generators), (-1, tuple(gens))]
-        closed_forms = {}
-        canonicalizations.clear()
-        got = ring._signed_measure(pres, sides, closed_forms)
-        shortcuts += not canonicalizations
-        net = Counter()
-        for sign, generators in sides:
-            for coeff, cell in generators:
-                net[cell] += sign * coeff
-        raw = [(t.guard, t.poly.scale(coeff), t.exponent)
-               for cell, coeff in net.items() if coeff != 0 for t in closed_forms[cell]]
-        want = original(ctx.p, pres.param_vars, raw)
-        assert got == want and repr(got) == repr(want)
-        if canonicalizations:
-            continue
-        assert got.terms == ()
-        # closed-form objects whose cells do not net to zero together, so
-        # that the sums are taken key by key
-        shared = Counter()
-        for cell, coeff in net.items():
-            shared[id(closed_forms[cell])] += coeff
-        by_key += sum(1 for coeff in shared.values() if coeff != 0) >= 2
-    assert shortcuts > 15 and by_key > 10
+        changed = [(2 * gens[0][0], gens[0][1])] + gens[1:]
+        points = [{"s": s} for s in range(7)] if pres.param_vars else [{}]
+        for other in (gens, changed):
+            sides = [(1, pres.generators), (-1, tuple(other))]
+            closed_forms = {}
+            got = ring._signed_measure(pres, sides, closed_forms)
+            refined = len(refinements)
+            net = Counter()
+            for sign, generators in sides:
+                for coeff, cell in generators:
+                    net[cell] += sign * coeff
+            sums = {}
+            for cell, coeff in net.items():
+                for t in closed_forms[cell] if coeff != 0 else ():
+                    sums.setdefault((t.guard, t.exponent), []).append(t.poly.scale(coeff))
+            raw = []
+            for (guard, exponent), polys in sums.items():
+                total = sum(polys[1:], polys[0])
+                if not total.is_zero():
+                    raw.append((guard, total, exponent))
+            assert handed == raw
+            want = make_exp_polynomial(ctx.p, pres.param_vars, raw)
+            assert got == want and repr(got) == repr(want)
+            unnetted = make_exp_polynomial(ctx.p, pres.param_vars, [
+                (t.guard, t.poly.scale(sign * coeff), t.exponent)
+                for sign, generators in sides for coeff, cell in generators
+                for t in closed_forms[cell]])
+            for point in points:
+                assert (measure.MeasureFunction(got, pres.param_domain, pres.param_vars,
+                                                ctx).evaluate(point)
+                        == measure.MeasureFunction(unnetted, pres.param_domain,
+                                                   pres.param_vars, ctx).evaluate(point))
+            if raw:
+                nonzeros += 1
+                continue
+            zeros += 1
+            assert got == ExpPolynomial(ctx.p, pres.param_vars, ()) and refined == 0
+    assert zeros > 15 and nonzeros > 15
 
 
 def test_permute_coordinates_rewrite():

@@ -120,6 +120,29 @@ def test_ring_measures_signed_generators_in_one_function():
     }, users
 
 
+def test_ring_sums_and_builds_exp_polynomials_in_one_function_each():
+    # _signed_measure nets a difference per guard and exponent and hands the
+    # nonzero sums to make_exp_polynomial, and _value_at is the one place
+    # ring.py builds an ExpPolynomial itself; this keeps a second zero test
+    # from growing back beside the canonical form
+    tree = ast.parse((PACKAGE / "ring.py").read_text(encoding="utf-8"))
+    users: dict[str, set[str]] = {"Polynomial.combine": set(), "ExpPolynomial": set()}
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "ExpPolynomial":
+                users["ExpPolynomial"].add(where)
+            elif (isinstance(func, ast.Attribute) and func.attr == "combine"
+                  and isinstance(func.value, ast.Name) and func.value.id == "Polynomial"):
+                users["Polynomial.combine"].add(where)
+    assert users == {
+        "Polynomial.combine": {"_signed_measure"}, "ExpPolynomial": {"_value_at"},
+    }, users
+
+
 def test_package_checks_types_against_no_typing_alias():
     # isinstance against an alias from typing, such as typing.Mapping, goes
     # through typing's __subclasscheck__ on every call (27,242 times in one
