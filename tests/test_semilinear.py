@@ -742,10 +742,19 @@ def test_a_ray_over_a_zero_summand_does_not_diverge(inner):
             semilinear.sum_over_tower(live, weight, 2)
 
 
-def test_a_range_without_a_count_is_rejected():
-    # where the level is built, so no sum or count ever meets one
+@pytest.mark.parametrize("p", [2, None])
+def test_a_range_without_a_count_is_rejected(p):
+    # where the level is built, so neither sum_over_tower (p = 2) nor
+    # count_tower (p None) ever meets one
     with pytest.raises(ValueError, match=r"^range level along l1 has no count$"):
         Level("l1", "range", LinearTerm.constant(0), 1)
+    # the same level with its count sums as enumeration does
+    span = Level("l1", "range", LinearTerm.constant(0), 1, LinearTerm.constant(3))
+    tower = Tower(("l1",), (span,), ())
+    weight = LinearTerm.make({"l1": -1}) if p else LinearTerm.constant(0)
+    value = (_closed_value(semilinear.sum_over_tower(tower, weight, p), p, 0) if p
+             else count_tower(tower).evaluate({}))
+    assert value == _enumerated_sum(tower, weight, p, 0) == (Fraction(7, 4) if p else 3)
 
 
 def test_a_repeated_equality_gives_the_same_towers():
