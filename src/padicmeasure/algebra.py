@@ -501,12 +501,23 @@ def crt(r1: int, m1: int, r2: int, m2: int, coeff: int = 1) -> tuple[int, int] |
     return (r1 + m1 * t) % (m1 * n), m1 * n
 
 
+# Every power of p the package builds goes through power_fraction, which
+# refuses one above 2^LEVEL_BITS before building it: a larger power would
+# take unbounded time and memory, and its coefficients would not print.  A
+# coordinate's level L builds p^L, and a cell's levels p^(sum of L); measure
+# checks both against the same bound first, with messages of their own.
+LEVEL_BITS = 4096
+
+
 def power_fraction(base: int, exponent: Rat) -> Fraction:
-    """Exact base**exponent for integer exponents (exponent must be integral)."""
-    e = frac(exponent)
-    if e.denominator != 1:
-        raise ValueError(f"non-integer exponent {e} for exact power")
-    n = e.numerator
+    """Exact base**exponent for integer exponents (exponent must be integral);
+    ValueError when |exponent| * base.bit_length() exceeds LEVEL_BITS."""
+    if exponent.denominator != 1:  # an int's denominator is 1
+        raise ValueError(f"non-integer exponent {exponent} for exact power")
+    n = exponent.numerator
+    if abs(n) * base.bit_length() > LEVEL_BITS:
+        raise ValueError(f"power {base}^{n} has an exponent beyond "
+                         f"{LEVEL_BITS // base.bit_length()}, the bound for p = {base}")
     if n >= 0:
         return Fraction(base**n)
     return Fraction(1, base ** (-n))

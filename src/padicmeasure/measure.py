@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .algebra import (
+    LEVEL_BITS,
     HashSlot,
     LinearTerm,
     Polynomial,
@@ -134,7 +135,7 @@ def ac_level(q: Union[int, Fraction], level: int, ctx: PAdicContext) -> int:
         num //= p
     while den % p == 0:
         den //= p
-    mod = p**level
+    mod = power_fraction(p, level).numerator
     return (num * pow(den, -1, mod)) % mod
 
 
@@ -170,14 +171,6 @@ class Weight(Value):
         return (self.c + LinearTerm.make(dict(self.b))).scale(Fraction(1, self.r))
 
 
-# A coordinate's level L builds p^L, and a cell's levels p^(sum of L), which
-# must stay below 2^LEVEL_BITS: a larger power would take unbounded time and
-# memory, and its coefficients would not print.  L * p.bit_length() <=
-# LEVEL_BITS bounds it without building the power, per coordinate and for
-# the sum over a cell, which multiply's products add up.
-LEVEL_BITS = 4096
-
-
 class Coordinate(Value):
     """Non-degenerate coordinate: center + { y : ac_level(y) = ac, v(y) free }."""
 
@@ -194,7 +187,7 @@ class Coordinate(Value):
         if self.level * ctx.p.bit_length() > LEVEL_BITS:
             raise InputError(f"coordinate level {self.level} is above "
                              f"{LEVEL_BITS // ctx.p.bit_length()}, the bound for p = {ctx.p}")
-        mod = ctx.p**self.level
+        mod = power_fraction(ctx.p, self.level).numerator
         if not (0 <= self.ac < mod) or self.ac % ctx.p == 0:
             raise InputError(f"ac value {self.ac} is not a unit modulo {mod}")
 

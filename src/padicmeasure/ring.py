@@ -46,6 +46,7 @@ from .algebra import (
     format_rational,
     frac,
     parse_rational,
+    power_fraction,
     variable_name,
 )
 from .measure import (
@@ -470,7 +471,7 @@ def raise_level(pres: Presentation, new_level: int) -> tuple[Presentation, Certi
         for c in cell.coords:
             if isinstance(c, Coordinate) and c.level == 1 and new_level > 1:
                 coords.append(Coordinate(c.center, new_level, c.ac))
-                factor *= Fraction(p) ** (new_level - 1)
+                factor *= power_fraction(p, new_level - 1)
             else:
                 coords.append(c)
         gens.append((coeff * factor, BoxCell(tuple(coords), cell.lambda_vars,
@@ -595,10 +596,14 @@ def normalize_to_basic(
 ) -> tuple[int, BasicPresentation, Certificate]:
     """Clear all unbounded directions: returns (ell, B, certificate) with
     measure(B) = ell * measure(pres), B basic, and every step replayable.
-    Each tower is peeled once, in the first variable order that never
-    blocks, and its peel becomes the snapshots.  Each cell and each
-    snapshot is built once: each step's before is the previous step's
-    after, and snapshots share the cells they both hold."""
+    The R2, R3_translate and L_acLevel pre-steps each build their
+    generators, and are recorded only when those differ from the current
+    ones.  Each tower is peeled once, first branch first, in the first
+    variable order that never blocks, and its peel becomes the snapshots;
+    a bad tower reports its first branch's error, as measure_function
+    does in the same variable order.  Each cell and each snapshot is built
+    once: each step's before is the previous step's after, and snapshots
+    share the cells they both hold."""
     pres.validate()
     ctx = pres.ctx
     p = ctx.p
@@ -614,36 +619,30 @@ def normalize_to_basic(
     def presented(states: list[_GenState]) -> list[tuple[Fraction, BoxCell]]:
         return [(st.coeff, _state_to_cell(st)) for st in states]
 
+    def rewrite(rule: str, note: str, generators: list[tuple[Fraction, BoxCell]]) -> None:
+        if tuple(generators) != current.generators:
+            record(rule, note, generators)
+
     # R2: generators with a degenerate coordinate are negligible
-    if any(isinstance(c, DegenerateCoordinate) for _, cell in current.generators
-           for c in cell.coords):
-        record("R2", "drop lower-dimensional generators", (
-            (coeff, cell) for coeff, cell in current.generators
-            if not any(isinstance(c, DegenerateCoordinate) for c in cell.coords)
-        ))
+    rewrite("R2", "drop lower-dimensional generators", [
+        (coeff, cell) for coeff, cell in current.generators
+        if not any(isinstance(c, DegenerateCoordinate) for c in cell.coords)
+    ])
 
     # R3: translate centers to zero and angular components to one
-    if any(isinstance(c, Coordinate) and (c.center != 0 or c.ac != 1)
-           for _, cell in current.generators for c in cell.coords):
-        record("R3_translate", "translate centers to zero and scale units to ac 1", (
-            (coeff, BoxCell(
-                tuple(Coordinate(Fraction(0), c.level, 1) if isinstance(c, Coordinate) else c
-                      for c in cell.coords),
-                cell.lambda_vars, cell.lambda_formula, cell.weight))
-            for coeff, cell in current.generators
-        ))
+    rewrite("R3_translate", "translate centers to zero and scale units to ac 1", [
+        (coeff, BoxCell(tuple(Coordinate(Fraction(0), c.level, 1) for c in cell.coords),
+                        cell.lambda_vars, cell.lambda_formula, cell.weight))
+        for coeff, cell in current.generators
+    ])
 
     # L_acLevel: reduce all levels to one
-    if any(isinstance(c, Coordinate) and c.level > 1
-           for _, cell in current.generators for c in cell.coords):
-        gens = []
-        for coeff, cell in current.generators:
-            drop = sum(c.level - 1 for c in cell.coords if isinstance(c, Coordinate))
-            coords = tuple(Coordinate(c.center, 1, c.ac) if isinstance(c, Coordinate) else c
-                           for c in cell.coords)
-            gens.append((coeff * Fraction(1, p**drop),
-                         BoxCell(coords, cell.lambda_vars, cell.lambda_formula, cell.weight)))
-        record("L_acLevel", "reduce angular-component levels to 1", gens)
+    rewrite("L_acLevel", "reduce angular-component levels to 1", [
+        (coeff * power_fraction(p, -sum(c.level - 1 for c in cell.coords)),
+         BoxCell(tuple(Coordinate(c.center, 1, c.ac) for c in cell.coords),
+                 cell.lambda_vars, cell.lambda_formula, cell.weight))
+        for coeff, cell in current.generators
+    ])
 
     # per generator: split into towers, then peel directions
     ell = 1
@@ -700,32 +699,25 @@ def normalize_to_basic(
 
 
 def _peel(state: _GenState, p: int) -> tuple[list[tuple], list[_GenState], int]:
-    """Peel one tower depth first, in the order the certificate records.
-    Returns (rule, note, finished and pending states after the step) for
-    each step that changes the presented cells, the finished states, and
-    the product of the (p^n - 1) factors of the GeomSum steps.
+    """Peel one tower depth first, first branch first, in the order the
+    certificate records.  Returns (rule, note, finished and pending states
+    after the step) for each step that changes the presented cells, the
+    finished states, and the product of the (p^n - 1) factors of the
+    GeomSum steps.
 
-    The two branches of a CellSplit differ in their weight once their rays
-    are folded, so one may diverge or block where the other does not; each
-    state is peeled once, last branch first, which fixes the error a bad
-    tower reports, and the steps are then read back first branch first."""
-    peeled: dict[_GenState, tuple] = {}
-    queue = [state]
-    while queue:
-        st = queue.pop()
-        if st.levels:
-            peeled[st] = _peel_step(st, p)
-            queue.extend(peeled[st][0])
+    Each state is peeled once, as it is popped, so a tower whose branches
+    diverge or block differently reports the error of its first branch,
+    as sum_over_tower does on the same tower."""
     steps = []
     finished: list[_GenState] = []
     factor = 1
     queue = [state]
     while queue:
         st = queue.pop(0)
-        if st not in peeled:
+        if not st.levels:
             finished.append(st)
             continue
-        new_states, rule, note, gain = peeled[st]
+        new_states, rule, note, gain = _peel_step(st, p)
         queue = new_states + queue
         factor *= gain
         if rule is not None:  # None is bookkeeping only, the presented cell is unchanged
@@ -787,10 +779,11 @@ def _peel_step(state: _GenState, p: int) -> tuple[list[_GenState], str, str, int
         n = -gamma
         # no kept range references level.var, so folding its start changes
         # only the weight; the geometric factor goes into coeff
+        big = power_fraction(p, n).numerator
         out = _fold_point(state, level)
-        out.coeff = state.coeff * Fraction(p**n, p**n - 1)
+        out.coeff = state.coeff * Fraction(big, big - 1)
         return ([out], "GeomSum",
-                f"sum the geometric tail along {level.var} (ratio p^-{n})", p**n - 1)
+                f"sum the geometric tail along {level.var} (ratio p^-{n})", big - 1)
     if gamma == 0:
         return ([_keep_range(state, level)], None,
                 f"retain finite direction {level.var}", 1)

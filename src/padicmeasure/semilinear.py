@@ -31,6 +31,7 @@ from .algebra import (
     cache_tables,
     crt,
     faulhaber,
+    power_fraction,
     remember,
 )
 from .presburger import (
@@ -711,9 +712,7 @@ def sum_over_tower(tower: Tower, weight: LinearTerm, p: int) -> list[SumTerm]:
                 break  # to _sum_level with the levels outside it
             if summed.kind == "ray" and gamma >= 0:
                 raise DivergesError(var, 1 if summed.step > 0 else -1)
-            # c/(1 - p^gamma), where p^gamma is big or 1/big
-            big = p ** abs(gamma)
-            head = c * (Fraction(big, big - 1) if gamma < 0 else Fraction(-1, big - 1))
+            head = c / (1 - power_fraction(p, gamma))
             merged[rest] = merged.get(rest, 0) + head
             if summed.kind == "range":
                 tail = rest + summed.count.scale(gamma)
@@ -761,7 +760,7 @@ def _sum_level(term: SumTerm, level: Level, p: int) -> list[SumTerm]:
     # ray, and A_d + q^(K+1) B_d(K) over a range of count K + 1
     poly = term.poly.substitute_affine(
         var, level.start + LinearTerm.variable(_IOTA).scale(level.step))
-    closed = bounded_power_sums(Fraction(p) ** gamma_int, poly.degree_in(_IOTA))
+    closed = bounded_power_sums(power_fraction(p, gamma_int), poly.degree_in(_IOTA))
     out = []
     head = poly.substitute_powers(_IOTA, [Polynomial.constant(a) for a, _ in closed])
     if not head.is_zero():

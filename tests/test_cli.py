@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -195,6 +196,50 @@ def test_split_budget_exit_two(tmp_path, verb):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: splitting l1 needs more than")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def _one_cell_document(lam, c, b, param_vars=(), param_domain="true"):
+    return {"prime": 2, "param_vars": list(param_vars), "param_domain": param_domain,
+            "generators": [{"coeff": "1", "dims": 1,
+                            "coords": [{"center": "0", "level": 1, "ac": 1}],
+                            "lambda_formula": lam, "weight": {"r": 1, "c": c, "b": [b]}}]}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+_HUGE_CONSTANT = _one_cell_document("0 <= l1 /\\ l1 <= 3", "100000000000", 0)
+_HUGE_SLOPE = _one_cell_document("l1 >= 0", "0", -100000000000)
+_RAY_OVER_S = _one_cell_document("l1 >= s", "0", -1, ["s"], "s >= 0")
+
+
+@pytest.mark.parametrize("verb, docs, at", [
+    ("measure", [_HUGE_CONSTANT], []),
+    ("eq", [_HUGE_CONSTANT, _HUGE_CONSTANT], []),
+    ("measure", [_HUGE_SLOPE], []),
+    ("normalize", [_HUGE_SLOPE], []),
+    ("measure", [_RAY_OVER_S], ["--at", "s=100000000000"]),
+    ("measure", [_RAY_OVER_S], ["--at", "s=1000000"]),
+])
+def test_huge_powers_of_p_exit_two(tmp_path, verb, docs, at):
+    # a weight or an --at point that asks for a power of p past LEVEL_BITS
+    # stops in algebra.power_fraction before the power is built; in a child
+    # process whose address space is capped, so that an unbounded power
+    # fails on the cap instead of filling memory
+    paths = []
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    src = Path(padicmeasure.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "padicmeasure.cli", verb, *paths, "-p", "2", *at],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_cap_address_space)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: power 2^")
+    assert done.stderr.endswith(", the bound for p = 2\n")
+    assert done.stderr.count("\n") == 1
 
 
 def test_count_subcommand():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -313,14 +314,18 @@ def test_normalize_retries_a_blocked_variable_order(monkeypatch):
 # and message, so the first error a bad input meets cannot move unseen; an
 # intended change to normalization updates it
 NORMALIZE_OUTCOMES_SHA256 = (
-    "8a5d31e5e3e7b2d86ff2cf4891f00f68593ea8ad78a6f6047dda7c04abf8f29e")
+    "5585ca7c0a0d5638627cbaa4ea4f0f922ead1b16bbb1d731a9724c8cb819a478")
 
 
 def test_normalize_outcomes_match_their_digest():
+    # an input that normalization rejects is rejected by measure_function
+    # with the same error, less measure's " (generator i)" suffix: both
+    # walk a tower first branch first
     rng = random.Random(5)
     digest = hashlib.sha256()
     outcomes = Counter()
-    for _ in range(400):
+    disagreements = []
+    for index in range(400):
         formula, lams, params, _ = random_finite_family(rng)
         weight = Weight.make(rng.choice((1, 1, 2)), LinearTerm.constant(rng.randint(-2, 2)),
                              {v: rng.randint(-3, 1) for v in lams + params})
@@ -332,8 +337,16 @@ def test_normalize_outcomes_match_their_digest():
         except (DivergesError, InputError, NotRectilinearizableError) as err:
             line = f"{type(err).__name__}: {err}"
             outcomes[type(err).__name__] += 1
+            try:
+                measure_function(pres)
+                measured = "no error"
+            except (DivergesError, InputError, NotRectilinearizableError) as again:
+                measured = f"{type(again).__name__}: {again}"
+            if re.sub(r" \(generator \d+\)$", "", measured) != line:
+                disagreements.append((index, line, measured))
         digest.update(line.encode() + b"\n")
     assert outcomes == {"normalized": 89, "DivergesError": 189, "InputError": 122}
+    assert not disagreements, disagreements
     assert digest.hexdigest() == NORMALIZE_OUTCOMES_SHA256
 
 
@@ -342,12 +355,42 @@ def test_normalize_outcomes_match_their_digest():
     ("l1 >= 0 /\\ l2 >= 0 /\\ l3 >= 0 /\\ l3 <= l2", 2, {"l3": -2}),
     ("l1 >= 0 /\\ l2 >= 0 /\\ l3 >= 0 /\\ l3 <= l2", 0, {"l2": 1, "l3": -3}),
 ])
-def test_normalize_reports_the_error_of_the_last_branch_of_a_split(lam, c, b):
+def test_normalize_reports_the_error_of_the_first_branch_of_a_split(lam, c, b):
     # l3's range has width l2 + 1, so its two split branches fold to weights
-    # that differ along l2: the first diverges along l2, the last along l1
+    # that differ along l2: the first diverges along l2, the last along l1.
+    # The peel reports the first branch's error, as measure_function does
     pres = weighted_presentation(CTX2, parse(lam), Weight.make(1, LinearTerm.constant(c), b))
-    with pytest.raises(DivergesError, match=r"^measure diverges along l1 towards \+inf$"):
+    with pytest.raises(DivergesError, match=r"^measure diverges along l2 towards \+inf$"):
         normalize_to_basic(pres)
+    with pytest.raises(DivergesError,
+                       match=r"^measure diverges along l2 towards \+inf \(generator 0\)$"):
+        measure_function(pres)
+
+
+def test_normalize_peels_each_state_once_in_certificate_order(monkeypatch):
+    # the split of l's range yields a +1 and a -1 branch; each state is
+    # peeled once, as it is popped, and each peel that changes the
+    # presented cells is the next step of the certificate, so the +1
+    # branch's tail is summed first
+    peeled = []
+
+    def spy(state, p):
+        out = peel_step(state, p)
+        peeled.append((state, out[1]))
+        return out
+
+    peel_step = ring._peel_step
+    monkeypatch.setattr(ring, "_peel_step", spy)
+    w = Weight.make(1, LinearTerm.constant(0), {"l": 1})
+    ell, _, cert = normalize_to_basic(weighted_presentation(CTX2, parse("0 <= l /\\ l <= 3"), w))
+    assert ell == 1
+    assert len({id(state) for state, _ in peeled}) == len(peeled)
+    assert [(state.coeff, rule) for state, rule in peeled] == [
+        (1, "CellSplit"), (1, "GeomSum"), (-1, "GeomSum")]
+    assert [step.rule for step in cert.steps] == ["CellSplit"] + [rule for _, rule in peeled]
+    for (state, _), step in zip(peeled, cert.steps[1:]):
+        entry = (state.coeff, state.cell)
+        assert entry in step.before.generators and entry not in step.after.generators
 
 
 def test_normalize_splits_a_range_whose_weight_increases():

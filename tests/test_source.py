@@ -445,6 +445,28 @@ def test_package_peels_and_searches_variable_orders_in_one_function():
     assert not order_params, order_params
 
 
+def test_package_builds_powers_of_p_in_one_function():
+    # algebra.power_fraction refuses a power past LEVEL_BITS before building
+    # it; a `**` or two-argument pow on p elsewhere would build an unbounded
+    # power, as huge weights and --at points once did until memory ran out
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                base = node.left
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
+                  and len(node.args) == 2):
+                base = node.args[0]
+            else:
+                continue
+            if (isinstance(base, ast.Call) and getattr(base.func, "id", None) == "Fraction"
+                    and len(base.args) == 1):
+                base = base.args[0]
+            if getattr(base, "id", None) == "p" or getattr(base, "attr", None) == "p":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_weight_integrality_is_checked_in_one_function():
     # semilinear.level_increment states the rule for a tower's levels, and
     # every walker reads each increment through it; checked_towers tests the
