@@ -295,16 +295,16 @@ def checked_towers(
     for tower, guards in towers_in_domain(cells, domain):
         base = base_value(tower, wform)
         for guard in guards:
-            _require_integral_on(base, guard, "weight value")
+            _require_integral_on(base, guard)
         yield tower, guards
 
 
-def _require_integral_on(form: LinearTerm, guard: list[Atom], label: str) -> None:
-    """InputError "<label> <form> is not an integer on its guard" unless form
-    takes integer values on the guard; the text is built only to raise."""
+def _require_integral_on(form: LinearTerm, guard: list[Atom]) -> None:
+    """InputError "weight value <form> is not an integer on its guard" unless
+    form takes integer values on the guard; the text is built only to raise."""
     den = form.denominator_lcm()
     if den > 1 and subtract(guard, [divides(den, form.integer_term(den))]):
-        raise InputError(f"{label} {form} is not an integer on its guard")
+        raise InputError(f"weight value {form} is not an integer on its guard")
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +551,7 @@ def sum_closed_form(
         terms = sum_over_tower(tower, wform, ctx.p)
         for guard in guards:
             canonical = simplify_conjunction(guard)
-            for t in terms:
-                _require_integral_on(t.exponent, guard, "exponent")
-                raw_terms.append((canonical, t.poly, t.exponent))
+            raw_terms.extend((canonical, t.poly, t.exponent) for t in terms)
     result = make_exp_polynomial(ctx.p, param_vars, raw_terms)
     return remember(_CLOSED_FORMS, key, result, CLOSED_FORMS_BOUND)
 

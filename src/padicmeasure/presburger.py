@@ -750,12 +750,8 @@ def nnf(f: Formula, negate: bool = False) -> Formula:
     if isinstance(f, OrF):
         parts = [nnf(a, negate) for a in f.args]
         return conj(parts) if negate else disj(parts)
-    if isinstance(f, ExistsF):
-        inner = nnf(f.body, negate)
-        return ForallF(f.var, inner) if negate else ExistsF(f.var, inner)
-    if isinstance(f, ForallF):
-        inner = nnf(f.body, negate)
-        return ExistsF(f.var, inner) if negate else ForallF(f.var, inner)
+    if isinstance(f, (ExistsF, ForallF)):
+        raise NotQuantifierFreeError("cell decomposition needs a quantifier-free formula")
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -10,7 +10,8 @@ normalize_to_basic clears every unbounded valuation direction out of a
 presentation: it splits cells into towers, peels geometric tails into
 rational factors, and leaves only finite-fiber generators whose weight
 depends on the parameters alone.  Every transformation is recorded as a
-replayable certificate step.
+replayable certificate step, built with its after by _certified, as the
+certified rewrites build theirs.
 
 measure_function, decide_equal (a - b) and replay (each step's before -
 after, once the steps chain) share one generator-by-generator difference
@@ -21,20 +22,24 @@ term by term is the zero polynomial with no refinement, and a NotEqual is
 refined only by the guards of terms that survive.  Replay keeps one table
 of closed forms for the whole certificate, and after the first step nets
 only the generators a step changes: those between the longest common
-prefix and suffix of its before and after.  A NotEqual witness is any
-domain point where the two values differ.
+prefix and suffix of its before and after, which _common_ends finds, the
+one scan the reader uses too.  A NotEqual witness is any domain point
+where the two values differ; the zero test gives the difference's value
+there, so only the first value is evaluated.
 
 Certificates are written, read and replayed once per distinct cell, not
-once per snapshot: certificate_to_document formats each distinct cell once,
-and certificate_from_document parses and checks each distinct cell, lambda
-formula and parameter domain once, so snapshots that repeat a cell share
-one object.  Each snapshot is built, or read against the one before it,
-once, so each step's before is the previous step's after.
+once per snapshot: certificate_to_document formats each distinct cell and
+each distinct parameter domain once, and certificate_from_document parses
+and checks each distinct cell, lambda formula and parameter domain once, so
+snapshots that repeat a cell share one object.  Each snapshot is built, or
+read against the one before it, once, so each step's before is the
+previous step's after.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from typing import Union
@@ -333,17 +338,19 @@ class NotEqual(Value):
 def decide_equal(a: Presentation, b: Presentation) -> Union[Equal, NotEqual]:
     """Equal iff the two measure functions agree at every parameter point;
     otherwise a witness, any domain point where they differ, with both exact
-    values there.  A cell met by an earlier call reuses its closed form."""
+    values there: a's, from its cells' closed forms, and a's less the value
+    of a - b that the zero test found there.  A cell met by an earlier
+    call reuses its closed form."""
     _same_base(a, b)
     closed_forms: dict[BoxCell, tuple[ExpTerm, ...]] = {}
     diff = _signed_measure(a, [(1, a.generators), (-1, b.generators)], closed_forms)
     witness = exp_poly_is_zero(diff, a.param_domain)
     if witness is None:
         return Equal()
-    # the witness names every parameter: the zero test searches all of them
-    point = witness.as_dict()
-    return NotEqual(witness.point, _value_at(a, closed_forms, point),
-                    _value_at(b, closed_forms, point))
+    # the witness names every parameter (the zero test searches all of
+    # them), and its value is a - b there
+    v = _value_at(a, closed_forms, witness.as_dict())
+    return NotEqual(witness.point, v, v - witness.value)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +398,8 @@ def find_invalid_step(cert: Certificate) -> int | None:
         base = step.before
         removed, added = base.generators, step.after.generators
         if i:
-            removed, added = _changed_entries(removed, added)
+            head, tail = _common_ends(removed, added)
+            removed, added = removed[head:len(removed) - tail], added[head:len(added) - tail]
         try:
             _same_base(base, step.after)
             diff = _signed_measure(base, [(1, removed), (-1, added)], closed_forms)
@@ -402,17 +410,18 @@ def find_invalid_step(cert: Certificate) -> int | None:
     return None
 
 
-def _changed_entries(before: Sequence, after: Sequence) -> tuple[Sequence, Sequence]:
-    """before and after without their longest common prefix and, of what is
-    left, their longest common suffix."""
+def _common_ends(before: Sequence, after: Sequence, same=operator.eq) -> tuple[int, int]:
+    """(head, tail): the length of the longest common prefix of before and
+    after, and of what is left, the length of their longest common suffix;
+    entries are compared as same(before[i], after[i])."""
     n = min(len(before), len(after))
     head = 0
-    while head < n and before[head] == after[head]:
+    while head < n and same(before[head], after[head]):
         head += 1
     tail = 0
-    while tail < n - head and before[-1 - tail] == after[-1 - tail]:
+    while tail < n - head and same(before[-1 - tail], after[-1 - tail]):
         tail += 1
-    return before[head:len(before) - tail], after[head:len(after) - tail]
+    return head, tail
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -421,6 +430,15 @@ def verify_certificate(cert: Certificate) -> bool:
 
 # ---------------------------------------------------------------------------
 # certified rewrites (used to build derivation chains)
+
+
+def _certified(pres: Presentation, rule: str, note: str,
+               generators: Iterable[tuple[Fraction, BoxCell]],
+               ) -> tuple[Presentation, CertificateStep]:
+    """The presentation of generators over pres's base, and the step from
+    pres to it."""
+    after = Presentation(pres.ctx, pres.param_vars, pres.param_domain, tuple(generators))
+    return after, CertificateStep(rule, note, pres, after)
 
 
 def with_unit_ball(pres: Presentation) -> tuple[Presentation, CertificateStep]:
@@ -440,8 +458,7 @@ def with_unit_ball(pres: Presentation) -> tuple[Presentation, CertificateStep]:
                     cell.weight,
                 ))
             )
-    after = Presentation(pres.ctx, pres.param_vars, pres.param_domain, tuple(gens))
-    return after, CertificateStep("R4", "product with the unit ball", pres, after)
+    return _certified(pres, "R4", "product with the unit ball", gens)
 
 
 def translate_centers(
@@ -457,8 +474,7 @@ def translate_centers(
         ))
         for coeff, cell in pres.generators
     )
-    after = Presentation(pres.ctx, pres.param_vars, pres.param_domain, gens)
-    return after, CertificateStep("R3_translate", f"translate centers to {center}", pres, after)
+    return _certified(pres, "R3_translate", f"translate centers to {center}", gens)
 
 
 def raise_level(pres: Presentation, new_level: int) -> tuple[Presentation, CertificateStep]:
@@ -476,10 +492,7 @@ def raise_level(pres: Presentation, new_level: int) -> tuple[Presentation, Certi
                 coords.append(c)
         gens.append((coeff * factor, BoxCell(tuple(coords), cell.lambda_vars,
                                              cell.lambda_formula, cell.weight)))
-    after = Presentation(pres.ctx, pres.param_vars, pres.param_domain, tuple(gens))
-    return after, CertificateStep(
-        "L_acLevel", f"raise angular-component level to {new_level}", pres, after
-    )
+    return _certified(pres, "L_acLevel", f"raise angular-component level to {new_level}", gens)
 
 
 def split_first_generator(pres: Presentation, predicate: Formula) -> tuple[Presentation, CertificateStep]:
@@ -492,8 +505,7 @@ def split_first_generator(pres: Presentation, predicate: Formula) -> tuple[Prese
     part2 = BoxCell(cell.coords, cell.lambda_vars,
                     simplify(conj([cell.lambda_formula, neg(predicate)])), cell.weight)
     gens = ((coeff, part1), (coeff, part2)) + pres.generators[1:]
-    after = Presentation(pres.ctx, pres.param_vars, pres.param_domain, gens)
-    return after, CertificateStep("R1", "split a generator into disjoint parts", pres, after)
+    return _certified(pres, "R1", "split a generator into disjoint parts", gens)
 
 
 def permute_coordinates(pres: Presentation, rotation: int = 1) -> tuple[Presentation, CertificateStep]:
@@ -511,10 +523,7 @@ def permute_coordinates(pres: Presentation, rotation: int = 1) -> tuple[Presenta
         new_live = [i for i in perm if i in live]
         names = tuple(cell.lambda_vars[live.index(i)] for i in new_live)
         gens.append((coeff, BoxCell(coords, names, cell.lambda_formula, cell.weight)))
-    after = Presentation(pres.ctx, pres.param_vars, pres.param_domain, tuple(gens))
-    return after, CertificateStep(
-        "R3_coordperm", f"rotate coordinates by {rotation}", pres, after
-    )
+    return _certified(pres, "R3_coordperm", f"rotate coordinates by {rotation}", gens)
 
 
 def shift_lambda(pres: Presentation, offset: int) -> tuple[Presentation, CertificateStep]:
@@ -532,8 +541,7 @@ def shift_lambda(pres: Presentation, offset: int) -> tuple[Presentation, Certifi
         const = base.r * n * offset - offset * b_sum
         weight = Weight.make(base.r, base.c + const, dict(base.b))
         gens.append((coeff, BoxCell(cell.coords, cell.lambda_vars, simplify(lam), weight)))
-    after = Presentation(pres.ctx, pres.param_vars, pres.param_domain, tuple(gens))
-    return after, CertificateStep("P_reparam", f"shift valuations by {offset}", pres, after)
+    return _certified(pres, "P_reparam", f"shift valuations by {offset}", gens)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +620,8 @@ def normalize_to_basic(
 
     def record(rule: str, note: str, generators: Iterable[tuple[Fraction, BoxCell]]) -> None:
         nonlocal current
-        after = Presentation(ctx, pres.param_vars, pres.param_domain, tuple(generators))
-        steps.append(CertificateStep(rule, note, current, after))
-        current = after
+        current, step = _certified(current, rule, note, generators)
+        steps.append(step)
 
     def presented(states: list[_GenState]) -> list[tuple[Fraction, BoxCell]]:
         return [(st.coeff, _state_to_cell(st)) for st in states]
@@ -826,25 +833,23 @@ def _written_cell(cell: BoxCell) -> tuple:
 
 def _to_document(pres: Presentation, written: dict) -> dict:
     """to_document, where written maps each cell to its _written_cell fields
-    and each snapshot to its param_domain text and its (coefficient text,
-    cell fields) pairs, so a caller that writes many snapshots formats each
-    distinct cell and each distinct snapshot once.  The document is built
-    from fresh dicts and lists, so documents written with one table share no
-    mutable object."""
-    fields = written.get(pres)
-    if fields is None:
-        params = set(pres.param_vars)
-        gens = []
-        for coeff, cell in pres.generators:
-            cell_fields = written.get(cell)
-            if cell_fields is None:
-                cell_fields = written[cell] = _written_cell(cell)
-            captured = params.intersection(cell_fields[0])
-            if captured:
-                raise InputError(f"parameters {sorted(captured)} clash with lambda names")
-            gens.append((format_rational(coeff), cell_fields))
-        fields = written[pres] = (format_formula(pres.param_domain), gens)
-    domain_text, gens = fields
+    and each param_domain formula to its text, so a caller that writes many
+    snapshots formats each distinct cell and each distinct parameter domain
+    once.  The document is built from fresh dicts and lists, so documents
+    written with one table share no mutable object."""
+    domain_text = written.get(pres.param_domain)
+    if domain_text is None:
+        domain_text = written[pres.param_domain] = format_formula(pres.param_domain)
+    params = set(pres.param_vars)
+    gens = []
+    for coeff, cell in pres.generators:
+        cell_fields = written.get(cell)
+        if cell_fields is None:
+            cell_fields = written[cell] = _written_cell(cell)
+        captured = params.intersection(cell_fields[0])
+        if captured:
+            raise InputError(f"parameters {sorted(captured)} clash with lambda names")
+        gens.append((format_rational(coeff), cell_fields))
     return {
         "prime": pres.ctx.p,
         "param_vars": list(pres.param_vars),
@@ -923,9 +928,10 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation",
       checks over that base.
     previous is (generator entries, presentation) of the snapshot read
     before, if any: the entries that _same_entry finds equal to its entries,
-    counted from the front and from the back, keep its (coefficient, cell)
-    pairs, since an entry that was read once cannot fail, and a document
-    equal to it in every entry and in its base is that presentation again.
+    counted from the front and from the back by _common_ends, keep its
+    (coefficient, cell) pairs, since an entry that was read once cannot
+    fail, and a document equal to it in every entry and in its base is that
+    presentation again.
     Only the entries in between are type-checked, parsed and built.  The
     header checks run for every document, and so does Presentation.validate
     for every new presentation, which skips only the cells that passed it
@@ -948,15 +954,10 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation",
     entries = _objects(doc.get("generators", ()), "generators")
     old_entries, old = previous or ((), None)
     old_gens = old.generators if old is not None else ()
-    most = min(len(entries), len(old_entries))
-    front = back = 0
-    while front < most and _same_entry(entries[front], old_entries[front]):
-        front += 1
+    front, back = _common_ends(entries, old_entries, _same_entry)
     if old is not None and front == len(entries) == len(old_entries) and (
             ctx, param_vars, param_domain) == (old.ctx, old.param_vars, old.param_domain):
         return old
-    while back < most - front and _same_entry(entries[-1 - back], old_entries[-1 - back]):
-        back += 1
     gens = list(old_gens[:front])
     for g in entries[front:len(entries) - back]:
         try:
@@ -1022,7 +1023,8 @@ def _from_document(doc: Mapping, cells: dict, where: str = "the presentation",
 
 def certificate_to_document(cert: Certificate) -> dict:
     """The certificate's document; each distinct cell and each distinct
-    snapshot is formatted once, and no two snapshots share a mutable object."""
+    parameter domain is formatted once, and no two snapshots share a
+    mutable object."""
     written: dict = {}
     return {
         "steps": [

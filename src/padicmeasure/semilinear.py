@@ -38,7 +38,6 @@ from .presburger import (
     DIV,
     EQ0,
     GEQ0,
-    AndF,
     Atom,
     ExpansionBudgetError,
     FalseF,
@@ -131,13 +130,11 @@ def _dnf(f: Formula) -> list[list[Atom]]:
         return _complement_pieces(f.arg)  # nnf negates atoms only
     if isinstance(f, OrF):
         return [d for a in f.args for d in _dnf(a)]
-    if isinstance(f, AndF):
-        out = [[]]
-        for a in f.args:
-            branch = _dnf(a)
-            out = [left + right for left in out for right in branch]
-        return out
-    raise NotQuantifierFreeError("cell decomposition needs a quantifier-free formula")
+    out = [[]]  # f is an AndF: nnf leaves no quantifier
+    for a in f.args:
+        branch = _dnf(a)
+        out = [left + right for left in out for right in branch]
+    return out
 
 
 def _complement_pieces(atom: Atom) -> list[list[Atom]]:
@@ -309,8 +306,6 @@ def _substitute_value(atom: Atom, var: str, num: LinearTerm, den: int) -> Atom:
     """Substitute var := num/den (den >= 1) and clear denominators exactly."""
     c = atom.term.coeff(var)
     rest = atom.term.drop(var)
-    if c == 0:
-        return atom
     term = rest.scale(den) + num.scale(c)
     if atom.kind == DIV:
         return divides(atom.modulus * den, term)
@@ -596,8 +591,10 @@ def triangulate(cell: GuardedCell) -> list[Tower]:
 
     towers = []
     for param_atoms, levels in rec(list(cell.constraints), cell.variables):
-        # the cleaned atoms, then the cell's guard, each atom once in order
-        kept = dict.fromkeys(c for c in map(_simplify_guard_atom, param_atoms) if c is not None)
+        # the cleaned atoms, then the cell's guard, each atom once in order;
+        # every branch atom passed _live and every constraint is canonical,
+        # so each cleans to an atom
+        kept = dict.fromkeys(map(simplify_atom, param_atoms))
         kept.update(dict.fromkeys(guard))
         towers.append(Tower(cell.variables, tuple(levels), tuple(kept)))
     return towers
@@ -620,16 +617,6 @@ def towers_in_domain(
             guards = [own + piece for piece in domain if atoms_satisfiable(own + piece)]
             if guards:
                 yield tower, guards
-
-
-def _simplify_guard_atom(atom: Atom) -> Atom | None:
-    """Canonicalize one guard atom; None when trivially true."""
-    result = simplify_atom(atom)
-    if isinstance(result, TrueF):
-        return None
-    if isinstance(result, FalseF):
-        raise AssertionError("unsatisfiable guard atom survived pruning")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +734,6 @@ def _sum_level(term: SumTerm, level: Level, p: int) -> list[SumTerm]:
     gamma_int = (term.exponent.coeff(var) * level.step).numerator
     ray = level.kind == "ray"
     if ray and gamma_int >= 0:
-        if term.poly.is_zero():
-            return []
         raise DivergesError(var, 1 if level.step > 0 else -1)
     if not ray and gamma_int == 0:
         sums = _progression_sums(level, term.poly.degree_in(var))

@@ -418,6 +418,13 @@ def test_normalize_drops_empty_and_degenerate_generators():
     ell, basic, cert = normalize_to_basic(cluttered)
     assert bool(decide_equal(scalar_mul(ell, cluttered), basic.presentation))
     assert verify_certificate(cert)
+    # the degenerate coordinate goes through the writer and the reader
+    doc = json.loads(json.dumps(certificate_to_document(cert)))
+    r2 = next(step for step in doc["steps"] if step["rule"] == "R2")
+    assert {"point": "2"} in [c for g in r2["before"]["generators"] for c in g["coords"]]
+    back = certificate_from_document(doc)
+    assert verify_certificate(back)
+    assert certificate_to_document(back) == doc
 
 
 def test_normalize_random_suite():
@@ -1085,10 +1092,10 @@ def test_certificate_writing_formats_each_distinct_cell_once(monkeypatch):
     doc = certificate_to_document(cert)
     distinct = len(_distinct_cells(cert))
     assert len(renamed) == distinct
-    # one param_domain per distinct snapshot besides: consecutive steps share one
-    snapshots = {side for step in cert.steps for side in (step.before, step.after)}
-    assert len(snapshots) == len(cert.steps) + 1
-    assert len(formatted) == distinct + len(snapshots)
+    # one text per distinct parameter domain besides: every snapshot shares one
+    domains = {side.param_domain for step in cert.steps for side in (step.before, step.after)}
+    assert len(domains) == 1
+    assert len(formatted) == distinct + len(domains)
     assert json.dumps(doc) == want
     assert [to_document(side) for step in cert.steps for side in (step.before, step.after)] == [
         step[side] for step in doc["steps"] for side in ("before", "after")]

@@ -472,15 +472,21 @@ def test_weight_integrality_is_checked_in_one_function():
     # every walker reads each increment through it; checked_towers tests the
     # base point only.  A second raise of the increment message, or a walk
     # over the levels where the base point is tested, would be a second
-    # reading of the rule, and the readings once disagreed
+    # reading of the rule, and the readings once disagreed.  So would a
+    # test of the summed terms' exponents, which the base point and the
+    # increments already decide
     raisers = set()
     loops = []
+    base_checks = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
-                if (isinstance(node, ast.Raise) and node.exc is not None
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "_require_integral_on"):
+                    base_checks.add(f"{path.name} {func.name}")
+                elif (isinstance(node, ast.Raise) and node.exc is not None
                         and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
                                 and "increment" in c.value for c in ast.walk(node.exc))):
                     raisers.add(f"{path.name} {func.name}")
@@ -491,6 +497,7 @@ def test_weight_integrality_is_checked_in_one_function():
                     loops.append(f"{path.name}:{node.lineno}")
     assert raisers == {"semilinear.py level_increment"}, raisers
     assert not loops, loops
+    assert base_checks == {"measure.py checked_towers"}, base_checks
 
 
 def test_package_solves_congruences_in_one_function():
