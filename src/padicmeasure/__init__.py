@@ -33,7 +33,6 @@ from .oracle import (
     BudgetExceededError,
     WindowTooSmallError,
     brute_force_qe,
-    partial_sum,
     truncated_measure,
 )
 from .presburger import (

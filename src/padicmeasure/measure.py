@@ -561,16 +561,14 @@ def sum_closed_form(
 
 
 class MeasureFunction(Value):
-    """An exponential polynomial together with its parameter domain."""
+    """An exponential polynomial together with its parameter domain; the
+    exponential polynomial carries the prime and the parameters."""
 
-    __slots__ = ("exp_poly", "param_domain", "param_vars", "ctx")
+    __slots__ = ("exp_poly", "param_domain")
 
-    def __init__(self, exp_poly: ExpPolynomial, param_domain: Formula,
-                 param_vars: tuple[str, ...], ctx: PAdicContext):
+    def __init__(self, exp_poly: ExpPolynomial, param_domain: Formula):
         object.__setattr__(self, "exp_poly", exp_poly)
         object.__setattr__(self, "param_domain", param_domain)
-        object.__setattr__(self, "param_vars", param_vars)
-        object.__setattr__(self, "ctx", ctx)
 
     def evaluate(self, point: Mapping[str, int]) -> Fraction:
         if not evaluate_qf(self.param_domain, point):

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 from .algebra import LinearTerm, Value, frac, power_fraction
 from .measure import (
     MEASURE_ZERO,
-    DivergesError,
     PAdicContext,
     Weight,
     cell_to_weighted_sum,
@@ -96,11 +95,12 @@ def _weighted_box_bracket(
     names: Sequence[str],
     window: int,
     ctx: PAdicContext,
-    diverge_error,
     shadows: dict,
 ) -> tuple[Fraction, Fraction]:
     """(exact window sum, upper tail bound) for sum of p^weight over lam;
-    shadows is a table for _shadow."""
+    shadows is a table for _shadow.  WindowTooSmallError names a coordinate
+    and a side where its range has no end within the window (see
+    _coordinate_range) and the weight does not decrease."""
     import numpy as np
 
     p = ctx.p
@@ -149,9 +149,9 @@ def _weighted_box_bracket(
         beta = weight.coeff(v)
         lo, hi = ranges[v]
         if lo is None and beta <= 0:
-            raise diverge_error(v, -1)
+            raise WindowTooSmallError(f"no tail bound along {v} towards -inf")
         if hi is None and beta >= 0:
-            raise diverge_error(v, 1)
+            raise WindowTooSmallError(f"no tail bound along {v} towards +inf")
 
     def line_mass(v: str) -> Fraction:
         lo, hi = ranges[v]
@@ -264,24 +264,6 @@ def _line_mass(beta: Fraction, lo: int | None, hi: int | None, p: int) -> Fracti
     return mirrored
 
 
-def partial_sum(
-    lam: Formula,
-    weight: Weight,
-    point: Mapping[str, int],
-    radius: int,
-    ctx: PAdicContext,
-) -> Bracket:
-    """Bracket sum of p^weight over the fiber at a concrete parameter point.
-
-    lower = exact sum over the window, upper adds geometric tail bounds;
-    raises DivergesError when an unbounded direction has a nonnegative
-    exponent coefficient.
-    """
-    lam_inst, waff, names = _instantiate(lam, weight, point)
-    total, tail = _weighted_box_bracket(lam_inst, waff, names, radius, ctx, DivergesError, {})
-    return Bracket(total, total + tail, radius, radius)
-
-
 def _instantiate(lam: Formula, weight: Weight, point: Mapping[str, int]):
     names = tuple(sorted({n for n, _ in weight.b}
                          | (set(free_variables(lam)) - set(point))))
@@ -368,12 +350,12 @@ def truncated_measure(
                         value = _exact_1d_bracket(lam_inst, waff, names[0], v_eff, ctx)
                     else:
                         value, _ = _weighted_box_bracket(
-                            lam_inst, waff, (), v_eff, ctx, _window_error, shadows)
+                            lam_inst, waff, (), v_eff, ctx, shadows)
                     lower += coeff * value
                     upper += coeff * value
                     continue
                 total, tail = _weighted_box_bracket(
-                    lam_inst, waff, names, v_eff, ctx, _window_error, shadows)
+                    lam_inst, waff, names, v_eff, ctx, shadows)
                 b = Bracket(total, total + tail, depth, v_eff).scale(coeff)
                 lower += b.lower
                 upper += b.upper
@@ -393,11 +375,6 @@ def truncated_measure(
         raise last_error
     raise WindowTooSmallError(
         f"width target p^({n_max} - {depth}) unreachable within the growth budget")
-
-
-def _window_error(variable: str, sign: int) -> WindowTooSmallError:
-    arrow = "+inf" if sign > 0 else "-inf"
-    return WindowTooSmallError(f"no tail bound along {variable} towards {arrow}")
 
 
 # ---------------------------------------------------------------------------

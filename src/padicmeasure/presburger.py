@@ -1031,10 +1031,9 @@ def _add_row(rows: dict, kind: str, coeffs: tuple, const: int, modulus: int) -> 
                 return True
             coeffs = tuple((n, c // g) for n, c in coeffs)
             const //= g
+        # the coefficients are now coprime to modulus >= 2: one survives
         coeffs = tuple((n, c % modulus) for n, c in coeffs if c % modulus)
         const %= modulus
-        if not coeffs:
-            return const == 0
     elif g > 1:
         if kind == EQ0 and const % g != 0:
             return False

@@ -300,7 +300,7 @@ def _signed_measure(base: Presentation,
 def measure_function(pres: Presentation) -> MeasureFunction:
     """Exact measure of each fiber, as a guarded exponential polynomial."""
     expp = _signed_measure(pres, [(1, pres.generators)], {})
-    return MeasureFunction(expp, pres.param_domain, pres.param_vars, pres.ctx)
+    return MeasureFunction(expp, pres.param_domain)
 
 
 def _value_at(pres: Presentation, closed_forms: Mapping, point: Mapping[str, int]) -> Fraction:
@@ -308,8 +308,7 @@ def _value_at(pres: Presentation, closed_forms: Mapping, point: Mapping[str, int
     total = Fraction(0)
     for coeff, cell in pres.generators:
         cell_measure = ExpPolynomial(pres.ctx.p, pres.param_vars, closed_forms[cell])
-        mf = MeasureFunction(cell_measure, pres.param_domain, pres.param_vars, pres.ctx)
-        total += coeff * mf.evaluate(point)
+        total += coeff * MeasureFunction(cell_measure, pres.param_domain).evaluate(point)
     return total
 
 

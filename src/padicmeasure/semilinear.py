@@ -169,26 +169,17 @@ def subtract(disjunct: list[Atom], earlier: list[Atom]) -> list[list[Atom]]:
     return out
 
 
-# The pieces of disjoint_conjunctions by formula.
-_DECOMPOSITIONS: dict = {}
-DECOMPOSITIONS_BOUND = 4096
-cache_tables(globals(), "_DECOMPOSITIONS")
-
-
 def disjoint_conjunctions(f: Formula) -> list[list[Atom]]:
-    """Pairwise disjoint satisfiable conjunctions whose union is f, as fresh
-    lists on every call."""
-    if (stored := _DECOMPOSITIONS.get(f)) is None:
-        disjuncts = [d for d in _dnf(nnf(simplify(f))) if atoms_satisfiable(d)]
-        disjoint: list[list[Atom]] = []
-        for i, d in enumerate(disjuncts):
-            pieces = [d]
-            for earlier in disjuncts[:i]:
-                pieces = [q for piece in pieces for q in subtract(piece, earlier)]
-            disjoint.extend(pieces)
-        stored = remember(_DECOMPOSITIONS, f, tuple(map(tuple, disjoint)),
-                          DECOMPOSITIONS_BOUND)
-    return [list(piece) for piece in stored]
+    """Pairwise disjoint satisfiable conjunctions whose union is f, built
+    afresh on every call: each disjunct of f's DNF minus the earlier ones."""
+    disjuncts = [d for d in _dnf(nnf(simplify(f))) if atoms_satisfiable(d)]
+    disjoint: list[list[Atom]] = []
+    for i, d in enumerate(disjuncts):
+        pieces = [d]
+        for earlier in disjuncts[:i]:
+            pieces = [q for piece in pieces for q in subtract(piece, earlier)]
+        disjoint.extend(pieces)
+    return disjoint
 
 
 def refine(
@@ -844,17 +835,12 @@ def count_tower(tower: Tower) -> Polynomial:
 
 
 def count_parametric(
-    cells: Sequence[GuardedCell], param_domain: Formula, param_vars: Sequence[str] | None = None
+    cells: Sequence[GuardedCell], param_domain: Formula, param_vars: Sequence[str]
 ) -> PiecewisePolynomial:
-    """Exact fiber cardinalities as guarded polynomials over the parameters.
+    """Exact fiber cardinalities as guarded polynomials over param_vars, the
+    parameters the cells were built over (as by to_cells).
 
     InputError when param_domain names a variable outside param_vars."""
-    if param_vars is None:
-        collected = set(free_variables(param_domain))
-        for c in cells:
-            for a in c.constraints + c.param_guard:
-                collected |= set(a.term.variables()) - set(c.variables)
-        param_vars = tuple(sorted(collected))
     stray = sorted(free_variables(param_domain) - set(param_vars))
     if stray:
         raise InputError(f"the parameter domain names {stray}, which are not parameters")

@@ -1,4 +1,4 @@
-"""The package's cache policy: five module-level tables, each with a bound,
+"""The package's cache policy: four module-level tables, each with a bound,
 oldest entry evicted first, all emptied by clear_caches()."""
 
 import pytest
@@ -7,7 +7,7 @@ from padicmeasure import clear_caches, measure, presburger, semilinear
 from padicmeasure.algebra import remember
 from padicmeasure.measure import PAdicContext, Weight, sum_closed_form
 from padicmeasure.presburger import TRUE, LinearTerm, atoms_satisfiable, geq0, parse
-from padicmeasure.semilinear import disjoint_conjunctions, triangulate, to_cells
+from padicmeasure.semilinear import triangulate, to_cells
 
 CTX = PAdicContext(2)
 
@@ -25,10 +25,6 @@ def _split(k):
     triangulate(to_cells(parse(f"l >= {k} /\\ l <= s + {k}"), ["l"], ["s"])[0])
 
 
-def _decompose(k):
-    disjoint_conjunctions(parse(f"s >= {k} \\/ s <= -{k}"))
-
-
 def _closed_form(k):
     sum_closed_form(parse(f"0 <= l /\\ l <= {k}"), Weight.constant(0), TRUE, CTX, ())
 
@@ -38,7 +34,6 @@ TABLES = [
     (presburger, "_ATOMS", "ATOMS_BOUND", _atom),
     (presburger, "_SAT_RESULTS", "SAT_RESULTS_BOUND", _sat),
     (semilinear, "_SPLITS", "SPLITS_BOUND", _split),
-    (semilinear, "_DECOMPOSITIONS", "DECOMPOSITIONS_BOUND", _decompose),
     (measure, "_CLOSED_FORMS", "CLOSED_FORMS_BOUND", _closed_form),
 ]
 IDS = [table for _, table, _, _ in TABLES]

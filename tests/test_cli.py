@@ -131,6 +131,7 @@ def test_certify_rejects_tampering(tmp_path, family):
 def test_qe_subcommand():
     code, out, _ = call(["qe", "--formula", "E x. a = 2*x"])
     assert (code, out.strip()) == (0, "2 | a")
+    assert call(["qe", "--formula", "E x. x > 0 /\\ x < 1"]) == (0, "false\n", "")
     code, _, err = call(["qe", "--formula", "l < "])
     assert code == 2
 
@@ -334,6 +335,35 @@ def test_measure_weight_integral_on_the_domain(tmp_path):
                    "weight": {"r": 2, "c": "s + 2", "b": [2]}})
     code, out, err = call(["measure", path, "-p", "2", "--at", "s=4"])
     assert (code, out.strip(), err) == (0, "16", "")
+
+
+def test_measure_at_a_point_outside_the_domain_exits_two(tmp_path):
+    path = _one_coordinate_document(tmp_path, param_vars=["s"], param_domain="s >= 0",
+                                    generator={"lambda_formula": "0 <= l1 /\\ l1 <= s"})
+    assert call(["measure", path, "-p", "2", "--at", "s=-1"]) == (
+        2, "", "error: {'s': -1} violates the parameter domain\n")
+
+
+def _generator(coords, lam, coeff="1"):
+    return {"coeff": coeff, "coords": coords, "lambda_formula": lam}
+
+
+def test_measure_of_generators_that_cancel_prints_zero(tmp_path):
+    # cells that differ only in their centers have one measure, so the difference is 0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"prime": 2, "generators": [
+        _generator([_UNIT_COORD], "l1 >= 0"),
+        _generator([{**_UNIT_COORD, "center": "1"}], "l1 >= 0", "-1")]}))
+    assert call(["measure", str(path), "-p", "2"]) == (0, "0\n", "")
+
+
+def test_oracle_without_a_downward_tail_bound_exits_two(tmp_path):
+    # l1 runs to -inf, where the cell's volume p^-l1 grows: no window bounds the tail
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"prime": 2, "generators": [
+        _generator([_UNIT_COORD, _UNIT_COORD], "l1 <= 0 /\\ l2 >= 0")]}))
+    assert call(["oracle", str(path), "-p", "2", "--at", ""]) == (
+        2, "", "error: no tail bound along l1 towards -inf\n")
 
 
 def test_measure_free_lambda_variable_exit_three(tmp_path):

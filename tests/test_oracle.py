@@ -7,13 +7,12 @@ import pytest
 
 from padicmeasure import oracle
 from padicmeasure.cli import run
-from padicmeasure.measure import DivergesError, PAdicContext, Weight
+from padicmeasure.measure import PAdicContext, Weight
 from padicmeasure.oracle import (
     GRID_BUDGET,
     BudgetExceededError,
     WindowTooSmallError,
     brute_force_qe,
-    partial_sum,
     truncated_measure,
     witness_ranges,
 )
@@ -200,16 +199,6 @@ def test_oracle_command_stops_at_the_grid_budget(grid_budget_spies, tmp_path, ca
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_partial_sum_examples():
-    w = Weight.make(1, LinearTerm.constant(-1), {"l": -1})
-    b = partial_sum(parse("l >= 0"), w, {}, 20, CTX2)
-    assert Fraction(1) in b and b.width <= Fraction(1, 2**20)
-    finite = partial_sum(parse("0 <= l /\\ l < 4"), w, {}, 20, CTX2)
-    assert finite.width == 0 and finite.lower == Fraction(15, 16)
-    with pytest.raises(DivergesError):
-        partial_sum(parse("l >= 0"), Weight.constant(0), {}, 10, CTX2)
 
 
 def test_containment_random_presentations():

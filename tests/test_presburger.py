@@ -73,6 +73,7 @@ PARSE_TABLE = {
     "A y. y >= 0 \\/ y < 0": "A y. y >= 0 \\/ -y - 1 >= 0",
     "!(x >= 0 /\\ y >= 0)": "!(x >= 0 /\\ y >= 0)",
     "2*x + -3 >= x*4 - 1": "-2*x - 2 >= 0",
+    "3*-x >= 0": "-3*x >= 0",
     "true /\\ x = x": "true /\\ 0 = 0",
 }
 

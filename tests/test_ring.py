@@ -854,10 +854,8 @@ def test_a_difference_is_canonicalized_from_its_nonzero_sums(monkeypatch):
                 for sign, generators in sides for coeff, cell in generators
                 for t in closed_forms[cell]])
             for point in points:
-                assert (measure.MeasureFunction(got, pres.param_domain, pres.param_vars,
-                                                ctx).evaluate(point)
-                        == measure.MeasureFunction(unnetted, pres.param_domain,
-                                                   pres.param_vars, ctx).evaluate(point))
+                assert (measure.MeasureFunction(got, pres.param_domain).evaluate(point)
+                        == measure.MeasureFunction(unnetted, pres.param_domain).evaluate(point))
             if raw:
                 nonzeros += 1
                 continue
@@ -1210,6 +1208,18 @@ def test_parameter_named_like_a_lambda_variable_is_rejected():
     cell = BoxCell((Coordinate(Fraction(0), 1, 1),), ("l1",), parse("l1 >= 0"), None)
     with pytest.raises(InputError):
         presentation(CTX2, [(1, cell)], ["l1"])
+
+
+def test_presentation_rejects_a_cell_whose_names_do_not_fit_it():
+    unit = Coordinate(Fraction(0), 1, 1)
+    misnamed = BoxCell((unit,), ("l1", "l2"), TRUE)
+    with pytest.raises(InputError, match=r"^lambda_vars must match the non-degenerate "
+                                         r"coordinates$"):
+        presentation(CTX2, [(1, misnamed)])
+    stray = BoxCell((unit,), ("l1",), parse("l1 >= 0"),
+                    Weight.make(1, LinearTerm.constant(0), {"l9": -1}))
+    with pytest.raises(InputError, match=r"^weight references unknown variables \['l9'\]$"):
+        presentation(CTX2, [(1, stray)])
 
 
 def _domain_integral_presentation():

@@ -85,14 +85,14 @@ def test_cells_disjoint_and_complete_randomized():
 
 
 def test_count_linear_family():
-    pp = count_parametric(cells_of("0 <= l /\\ l < s", ["l"], ["s"]), parse("s >= 0"))
+    pp = count_parametric(cells_of("0 <= l /\\ l < s", ["l"], ["s"]), parse("s >= 0"), ["s"])
     for s in range(0, 41):
         assert pp.evaluate({"s": s}) == s
 
 
 def test_count_congruence_family():
     pp = count_parametric(
-        cells_of("0 <= l /\\ l < s /\\ 2 | l", ["l"], ["s"]), parse("s >= 0")
+        cells_of("0 <= l /\\ l < s /\\ 2 | l", ["l"], ["s"]), parse("s >= 0"), ["s"]
     )
     for s in range(0, 41):
         assert pp.evaluate({"s": s}) == (s + 1) // 2
@@ -100,25 +100,25 @@ def test_count_congruence_family():
 
 def test_count_infinite_fiber():
     with pytest.raises(InfiniteFiberError) as err:
-        count_parametric(cells_of("l >= s", ["l"], ["s"]), TRUE)
+        count_parametric(cells_of("l >= s", ["l"], ["s"]), TRUE, ["s"])
     assert err.value.variable == "l" and err.value.direction == 1
 
 
 def test_count_ignores_infinite_fibers_outside_the_domain():
     cells = cells_of("0 <= l /\\ (s < 0 \\/ l < s)", ["l"], ["s"])
-    pp = count_parametric(cells, parse("s >= 0"))
+    pp = count_parametric(cells, parse("s >= 0"), ["s"])
     assert [pp.evaluate({"s": s}) for s in range(6)] == list(range(6))
 
 
 def test_count_out_of_domain():
-    pp = count_parametric(cells_of("0 <= l /\\ l < s", ["l"], ["s"]), parse("s >= 0"))
+    pp = count_parametric(cells_of("0 <= l /\\ l < s", ["l"], ["s"]), parse("s >= 0"), ["s"])
     with pytest.raises(OutOfDomainError):
         pp.evaluate({"s": -3})
 
 
 def test_count_guards_disjoint_and_cover():
     pp = count_parametric(
-        cells_of("0 <= l /\\ l < s /\\ 3 | l - 1", ["l"], ["s"]), parse("s >= 0")
+        cells_of("0 <= l /\\ l < s /\\ 3 | l - 1", ["l"], ["s"]), parse("s >= 0"), ["s"]
     )
     for s in range(0, 41):
         hits = [g for g, _ in pp.pieces if evaluate_qf(conj(g), {"s": s})]
@@ -177,7 +177,7 @@ def test_refine_asks_only_the_region_of_the_guard_residue(monkeypatch):
     # about every region (13,826 queries)
     asked = _refine_queries(monkeypatch)
     f = parse("l1 >= 0 /\\ l1 <= s /\\ 101 | l1 + s")
-    counts = count_parametric(to_cells(f, ["l1"], ["s"]), parse("s >= 0"))
+    counts = count_parametric(to_cells(f, ["l1"], ["s"]), parse("s >= 0"), ["s"])
     assert asked["refine"] == 101
     text = "".join(f"count[ {format_formula(conj(guard))} ; {poly} ]\n"
                    for guard, poly in counts.pieces)
@@ -236,7 +236,7 @@ def test_subtract_asks_no_piece_of_a_residue_the_region_fixes(monkeypatch):
     # complement pieces is asked (159,999 subtract queries once)
     asked = _refine_queries(monkeypatch)
     f = parse("l1 >= 0 /\\ l1 <= s /\\ 400 | l1 + s")
-    counts = count_parametric(to_cells(f, ["l1"], ["s"]), parse("s >= 0"))
+    counts = count_parametric(to_cells(f, ["l1"], ["s"]), parse("s >= 0"), ["s"])
     assert asked["refine"] == 400
     assert asked["subtract"] == 798
     text = "".join(f"count[ {format_formula(conj(guard))} ; {poly} ]\n"
@@ -780,11 +780,11 @@ def test_a_huge_modulus_stops_at_the_split_budget():
     f = parse("l1 >= 0 /\\ l1 <= s /\\ 99991 | l1 + s")
     started = time.process_time()
     with pytest.raises(ExpansionBudgetError, match="budget"):
-        count_parametric(to_cells(f, ["l1"], ["s"]), parse("s >= 0"))
+        count_parametric(to_cells(f, ["l1"], ["s"]), parse("s >= 0"), ["s"])
     assert time.process_time() - started < 1.0
     # a modulus the budget admits is counted exactly
     small = count_parametric(to_cells(parse("l1 >= 0 /\\ l1 <= s /\\ 7 | l1 + s"), ["l1"], ["s"]),
-                             parse("s >= 0"))
+                             parse("s >= 0"), ["s"])
     for s in range(30):
         assert small.evaluate({"s": s}) == sum(1 for l in range(s + 1) if (l + s) % 7 == 0)
 
@@ -812,7 +812,7 @@ def test_alignment_reads_the_residue_off_the_branch_congruence(monkeypatch):
         assert len(ranges) == m and len(towers) == m
     # m = 181 once stopped at the split budget
     counts = count_parametric(to_cells(parse("l1 >= 0 /\\ l1 <= s /\\ 181 | l1 + s"),
-                                       ["l1"], ["s"]), parse("s >= 0"))
+                                       ["l1"], ["s"]), parse("s >= 0"), ["s"])
     for s in range(200):
         assert counts.evaluate({"s": s}) == sum(1 for l in range(s + 1) if (l + s) % 181 == 0)
 

@@ -180,13 +180,12 @@ _TABLES = {
     ("presburger.py", "_ATOMS"),
     ("presburger.py", "_SAT_RESULTS"),
     ("semilinear.py", "_SPLITS"),
-    ("semilinear.py", "_DECOMPOSITIONS"),
     ("measure.py", "_CLOSED_FORMS"),
 }
 
 
-def test_package_keeps_its_caches_in_five_bounded_named_dicts():
-    # one explicit cache policy: these five module-level dicts are the only
+def test_package_keeps_its_caches_in_four_bounded_named_dicts():
+    # one explicit cache policy: these four module-level dicts are the only
     # tables that outlive a call.  Each has a bound beside it, named after
     # it, and is named to cache_tables, so clear_caches() empties it;
     # functools memoization would add unbounded caches that no one can see

@@ -83,8 +83,7 @@ VALUES = [
     (EXP_TERM, ("guard", "poly", "exponent")),
     (EXP_POLY, ("p", "param_vars", "terms")),
     (NonZeroWitness((("s", 3),), Fraction(1, 2)), ("point", "value")),
-    (MeasureFunction(EXP_POLY, TRUE, ("s",), CTX),
-     ("exp_poly", "param_domain", "param_vars", "ctx")),
+    (MeasureFunction(EXP_POLY, TRUE), ("exp_poly", "param_domain")),
     (Bracket(Fraction(1, 4), Fraction(1, 2), 8, 12),
      ("lower", "upper", "depth", "valuation_window")),
     (BoxTable(("x",), 1, np.zeros(3, dtype=bool)), ("variables", "bound", "values")),
